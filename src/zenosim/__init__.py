@@ -7,14 +7,13 @@ rate functions of the log-survival, most probable vs mean survival,
 frequent-measurement limits, and reproducible Monte Carlo ensembles.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .dynamics import (
     DimensionMismatchError,
     EmptySpectrumError,
     Hamiltonian,
     NotNormalizedError,
-    Projector,
     PureState,
     SequenceResult,
     UnderflowWarning,
@@ -25,6 +24,7 @@ from .dynamics import (
     entangled_initial_state,
     evolve_sequence,
     log_survival_factor,
+    log_survival_factors,
     survival_factor,
     survival_trace,
     zeno_time,
@@ -65,7 +65,6 @@ from .ldstats import (
     survival_stats_for,
 )
 from .linalg import (
-    NoConvergenceError,
     NotHermitianError,
     SpectralDecomposition,
     hermitian_eig,

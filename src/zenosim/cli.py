@@ -38,7 +38,6 @@ from .ldstats import (
     survival_stats,
     survival_stats_for,
 )
-from .linalg import NoConvergenceError
 from .montecarlo import (
     EnsembleConfig,
     InsufficientSamplesError,
@@ -51,13 +50,11 @@ from .svgplot import Series, write_svg
 
 _NUMERICAL_ERRORS = (
     QuadratureNoConvergenceError,
-    NoConvergenceError,
     RootBracketFailureError,
     OutOfRangeError,
     ZeroVarianceError,
     InfiniteMeanError,
     InfiniteSecondMomentError,
-    FloatingPointError,
 )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, as_complex_matrix, hermitian_eig
+from .linalg import SpectralDecomposition, as_complex_matrix, hermitian_eig, propagator
 
 __all__ = [
     "DimensionMismatchError",
@@ -34,12 +34,12 @@ __all__ = [
     "UnderflowWarning",
     "PureState",
     "Hamiltonian",
-    "Projector",
     "SequenceResult",
     "build_chain_hamiltonian",
     "entangled_initial_state",
     "survival_factor",
     "log_survival_factor",
+    "log_survival_factors",
     "delta_of_mu",
     "evolve_sequence",
     "survival_trace",
@@ -48,8 +48,6 @@ __all__ = [
     "phase_weights",
 ]
 
-#: round-off this far below zero is clamped to zero; anything worse raises
-NEGATIVE_CLAMP = -1e-15
 #: linear-domain survival below this triggers UnderflowWarning
 UNDERFLOW_FLOOR = 1e-300
 
@@ -123,41 +121,19 @@ class Hamiltonian:
 
 
 @dataclass(frozen=True)
-class Projector:
-    """Hermitian idempotent measurement operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        scale = max(float(np.linalg.norm(m)), np.finfo(float).tiny)
-        if np.linalg.norm(m - m.conj().T) > 1e-12 * scale:
-            raise ValueError("projector must be Hermitian")
-        if np.linalg.norm(m @ m - m) > 1e-10 * scale:
-            raise ValueError("projector must be idempotent (P^2 = P)")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def onto(cls, state: PureState) -> "Projector":
-        """Rank-1 projector |psi><psi|."""
-        return cls(state.density_matrix())
-
-
-@dataclass(frozen=True)
 class SequenceResult:
     """Outcome of one measurement sequence.
 
     ``survival`` is the linear-domain product of the per-interval factors
     (it may underflow for very long sequences; ``log_survival`` is then
     the quantity to use). ``total_time`` sums the intervals in their
-    given order. ``final_state`` is the post-measurement state, which for
-    a rank-1 projector is the initial state up to a global phase.
+    given order. The post-measurement state is always psi0 (up to a
+    global phase), so it is not recorded.
     """
 
     survival: float
     log_survival: float
     total_time: float
-    final_state: PureState
     factors: np.ndarray
 
 
@@ -212,74 +188,73 @@ def phase_weights(h: Hamiltonian, psi0: PureState) -> tuple[np.ndarray, np.ndarr
     return h.spec.eigenvalues, np.abs(c) ** 2
 
 
-def _clamp_unit_interval(value: float, context: str) -> float:
-    if value < 0.0:
-        if value < NEGATIVE_CLAMP:
-            raise FloatingPointError(f"{context} = {value!r} below clamp threshold")
-        return 0.0
-    return min(value, 1.0)
+def log_survival_factors(
+    lam: np.ndarray, w: np.ndarray, mus: np.ndarray
+) -> np.ndarray:
+    """ln q(mu) for every interval in ``mus``, given the phase weights.
+
+    This is the package's only evaluation of the survival factor; the
+    scalar helpers, the sequence evaluator, the large-deviation problems
+    and the Monte Carlo driver all call it. The decay probability is a
+    sum of non-negative pair terms,
+
+        delta(mu) = 1 - q(mu) = sum_{j<k} 4 w_j w_k sin^2((lam_k - lam_j) mu / 2),
+
+    so small deltas keep full relative precision and nothing needs a
+    clamp. Where delta < 1/2 the result is log1p(-delta); elsewhere q is
+    formed from the amplitude a = sum_k w_k exp(-i (lam_k - lam_0) mu) as
+    Re^2 a + Im^2 a, which stays accurate near the zeros of q and gives
+    -inf on an exact zero. Every entry depends on its own mu alone, so
+    results do not depend on how intervals are batched into calls.
+    """
+    mus = np.asarray(mus, dtype=float)
+    j, k = np.triu_indices(lam.size, 1)
+    half_gaps = (0.5 * (lam[k] - lam[j])).tolist()
+    pair_ws = (4.0 * w[j] * w[k]).tolist()
+    delta = np.zeros(mus.shape)
+    term = np.empty(mus.shape)
+    for half_gap, pair_w in zip(half_gaps, pair_ws):
+        np.multiply(half_gap, mus, out=term)
+        np.sin(term, out=term)
+        np.square(term, out=term)
+        term *= pair_w
+        delta += term
+    far = delta >= 0.5
+    out = np.negative(delta, out=delta)  # the result reuses delta's buffer
+    np.log1p(out, out=out, where=~far)
+    if np.any(far):
+        far_mus = mus[far]
+        re = np.full(far_mus.shape, float(w[0]))
+        im = np.zeros(far_mus.shape)
+        for shift, weight in zip((lam[1:] - lam[0]).tolist(), w[1:].tolist()):
+            phase = shift * far_mus
+            re += weight * np.cos(phase)
+            im += weight * np.sin(phase)
+        with np.errstate(divide="ignore"):
+            out[far] = np.log(re * re + im * im)
+    return out
+
+
+def log_survival_factor(h: Hamiltonian, psi0: PureState, mu: float) -> float:
+    """ln q(mu) for one interval; -inf where the overlap vanishes."""
+    if mu < 0:
+        raise ValueError("interval must be non-negative")
+    lam, w = phase_weights(h, psi0)
+    return float(log_survival_factors(lam, w, np.array([mu], dtype=float))[0])
 
 
 def survival_factor(h: Hamiltonian, psi0: PureState, mu: float) -> float:
     """Single-interval survival probability q(mu) = |<psi0|U(mu)|psi0>|^2."""
-    if mu < 0:
-        raise ValueError("interval must be non-negative")
-    lam, w = phase_weights(h, psi0)
-    amp = np.sum(w * np.exp(-1j * lam * mu))
-    return _clamp_unit_interval(float(abs(amp) ** 2), "q(mu)")
+    return math.exp(log_survival_factor(h, psi0, mu))
 
 
 def delta_of_mu(h: Hamiltonian, psi0: PureState, mu: float) -> float:
     """Decay probability delta(mu) = 1 - q(mu), accurate for small mu.
 
     For mu -> 0 this behaves as (mu/tau_Z)^2 with tau_Z the Zeno time.
-    Computed without forming 1 - q, so tiny deltas keep full relative
-    precision: with a = <psi0|U|psi0>,
-
-        1 - Re a = sum_k w_k * 2 sin^2(lam_k mu / 2)
-        delta    = (1 - Re a)(1 + Re a) - (Im a)^2.
+    Recovered as -expm1(ln q), so tiny deltas keep full relative precision.
     """
-    if mu < 0:
-        raise ValueError("interval must be non-negative")
-    lam, w = phase_weights(h, psi0)
-    one_minus_re = float(np.sum(w * 2.0 * np.sin(0.5 * lam * mu) ** 2))
-    im = float(np.sum(w * np.sin(-lam * mu)))
-    delta = one_minus_re * (2.0 - one_minus_re) - im * im
-    return _clamp_unit_interval(delta, "delta(mu)")
-
-
-def log_survival_factor(h: Hamiltonian, psi0: PureState, mu: float) -> float:
-    """ln q(mu), evaluated as log1p(-delta) when q is close to 1.
-
-    Returns -inf if the overlap vanishes identically at this mu.
-    """
-    delta = delta_of_mu(h, psi0, mu)
-    if delta < 0.5:
-        return math.log1p(-delta)
-    q = survival_factor(h, psi0, mu)
-    return math.log(q) if q > 0.0 else -math.inf
-
-
-def log_survival_factors(
-    lam: np.ndarray, w: np.ndarray, mus: np.ndarray
-) -> np.ndarray:
-    """Vectorized ln q over an array of intervals, given phase weights.
-
-    Bulk path used by the Monte Carlo driver; elementwise identical to
-    ``log_survival_factor`` on each entry.
-    """
-    mus = np.asarray(mus, dtype=float)
-    sin_half = np.sin(0.5 * np.multiply.outer(mus, lam))
-    one_minus_re = (2.0 * sin_half * sin_half) @ w
-    im = np.sin(-np.multiply.outer(mus, lam)) @ w
-    delta = one_minus_re * (2.0 - one_minus_re) - im * im
-    np.clip(delta, 0.0, 1.0, out=delta)
-    small = delta < 0.5
-    out = np.empty_like(delta)
-    out[small] = np.log1p(-delta[small])
-    with np.errstate(divide="ignore"):
-        out[~small] = np.log(1.0 - delta[~small])
-    return out
+    return -math.expm1(log_survival_factor(h, psi0, mu))
 
 
 def evolve_sequence(h: Hamiltonian, psi0: PureState, intervals) -> SequenceResult:
@@ -295,35 +270,19 @@ def evolve_sequence(h: Hamiltonian, psi0: PureState, intervals) -> SequenceResul
         raise ValueError("interval sequence must be nonempty")
     if np.any(mus < 0):
         raise ValueError("intervals must be non-negative")
-    lam, w = phase_weights(h, psi0)
-
-    amps = np.exp(-1j * np.multiply.outer(mus, lam)) @ w
-    factors = np.abs(amps) ** 2
-    np.clip(factors, 0.0, 1.0, out=factors)
-
-    survival = 1.0
-    phase = complex(1.0)
-    for a in amps:
-        mod = abs(a)
-        if mod > 0.0:
-            phase *= a / mod
-    for q in factors:
-        survival *= q
-    log_survival = float(np.sum(log_survival_factors(lam, w, mus)))
+    log_factors = log_survival_factors(*phase_weights(h, psi0), mus)
+    factors = np.exp(log_factors)
+    survival = float(np.prod(factors))
     if survival < UNDERFLOW_FLOOR:
         warnings.warn(
             "linear-domain survival underflowed; use log_survival",
             UnderflowWarning,
             stacklevel=2,
         )
-
-    final = PureState(psi0.amplitudes * (phase / abs(phase)))
-    total_time = float(sum(mus.tolist()))  # left-to-right, input order
     return SequenceResult(
-        survival=float(survival),
-        log_survival=log_survival,
-        total_time=total_time,
-        final_state=final,
+        survival=survival,
+        log_survival=float(np.sum(log_factors)),
+        total_time=float(sum(mus.tolist())),  # left-to-right, input order
         factors=factors,
     )
 
@@ -345,14 +304,12 @@ def survival_trace(h: Hamiltonian, psi0: PureState, intervals) -> float:
         raise DimensionMismatchError(
             f"state dim {psi0.dim} != Hamiltonian dim {h.dim}"
         )
-    from .linalg import propagator  # local import avoids cycle at module load
-
-    p = Projector.onto(psi0).matrix
+    p = psi0.density_matrix()  # the projector and the initial state alike
     chain = np.eye(h.dim, dtype=complex)
     for mu in mus:
         chain = (p @ propagator(h.spec, float(mu))) @ chain
-    rho = chain @ psi0.density_matrix() @ chain.conj().T
-    return _clamp_unit_interval(float(np.trace(rho).real), "trace survival")
+    rho = chain @ p @ chain.conj().T
+    return float(np.trace(rho).real)
 
 
 def energy_variance(h: Hamiltonian, psi0: PureState) -> float:

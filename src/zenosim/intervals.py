@@ -22,7 +22,6 @@ from typing import Callable, Union
 
 import numpy as np
 from numpy.random import Generator
-from scipy.integrate import quad
 
 __all__ = [
     "InfiniteMeanError",
@@ -105,8 +104,7 @@ class DiscreteIntervals:
     def second_moment(self) -> float:
         return float(np.dot(self.probs, self.values**2))
 
-    def expect(self, g: Callable[[float], float], *, tol: float = QUAD_TOL,
-               limit: int = QUAD_LIMIT) -> float:
+    def expect(self, g: Callable[[float], float]) -> float:
         """Exact weighted sum of g over the atoms."""
         return float(sum(p * g(v) for v, p in zip(self.values, self.probs)))
 
@@ -162,6 +160,8 @@ class PowerLawIntervals:
         genuinely pathological integrands (wild oscillation or
         non-integrable singularities under the tail measure).
         """
+        from scipy.integrate import quad  # deferred: scipy is slow to import
+
         mu0, alpha = self.mu0, self.alpha
 
         def integrand(u: float) -> float:
@@ -182,7 +182,7 @@ class PowerLawIntervals:
 
     def expect_windowed(
         self,
-        g: Callable[[float], float],
+        g: Callable[[np.ndarray], np.ndarray],
         *,
         oscillation_period: float = np.inf,
         tol: float = 1e-9,
@@ -202,7 +202,8 @@ class PowerLawIntervals:
 
         Panels grow geometrically from mu0 until the period cap takes
         over, so the power-law head is resolved as well. Requires g
-        bounded on the support.
+        bounded on the support. g is called once per panel with the
+        array of its nodes and returns the array of its values there.
         """
         nodes, weights = _GAUSS_NODES
         mu0, alpha = self.mu0, self.alpha
@@ -214,7 +215,7 @@ class PowerLawIntervals:
             b = a + min(0.5 * a, cap)
             half = 0.5 * (b - a)
             mus = 0.5 * (a + b) + half * nodes
-            vals = np.array([float(g(mu)) for mu in mus])
+            vals = np.asarray(g(mus), dtype=float)
             density = alpha * mu0**alpha * mus ** (-1.0 - alpha)
             acc += half * float(np.dot(weights, vals * density))
             g_max = max(g_max, float(np.max(np.abs(vals))))
@@ -248,8 +249,7 @@ class DegenerateInterval:
     def second_moment(self) -> float:
         return self.mu_bar**2
 
-    def expect(self, g: Callable[[float], float], *, tol: float = QUAD_TOL,
-               limit: int = QUAD_LIMIT) -> float:
+    def expect(self, g: Callable[[float], float]) -> float:
         return float(g(self.mu_bar))
 
 

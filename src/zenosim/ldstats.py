@@ -43,9 +43,11 @@ from .dynamics import (
     PureState,
     energy_variance,
     log_survival_factor,
+    log_survival_factors,
+    phase_weights,
     zeno_time,
 )
-from .intervals import DiscreteIntervals, IntervalDistribution
+from .intervals import DiscreteIntervals, IntervalDistribution, PowerLawIntervals
 
 __all__ = [
     "OutOfRangeError",
@@ -129,9 +131,7 @@ class LdProblem:
         m: int,
     ) -> "LdProblem":
         """Evaluate ln q on the atoms of ``dist`` for the given system."""
-        logq = np.array(
-            [log_survival_factor(h, psi0, mu) for mu in dist.values], dtype=float
-        )
+        logq = log_survival_factors(*phase_weights(h, psi0), dist.values)
         return cls(dist=dist, logq=logq, m=m)
 
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
@@ -345,24 +345,21 @@ def survival_stats_for(
     density with the windowed tail scheme: the integrands oscillate on
     the period set by the spread of the overlap phases, which blind
     adaptive quadrature extrapolates through while reporting an
-    optimistic error bound.
+    optimistic error bound. ``tol`` applies to the power-law quadrature.
     """
     if m < 1:
         raise ValueError("m must be a positive count")
-    from .dynamics import delta_of_mu  # deferred: keeps module load light
-    from .intervals import PowerLawIntervals
-
-    log_q = lambda mu: log_survival_factor(h, psi0, mu)
-    delta = lambda mu: delta_of_mu(h, psi0, mu)
+    lam, w = phase_weights(h, psi0)
+    log_q = lambda mus: log_survival_factors(lam, w, mus)
+    delta = lambda mus: -np.expm1(log_q(mus))
     if isinstance(dist, PowerLawIntervals):
-        lam = h.spec.eigenvalues
         spread = float(lam.max() - lam.min())
         period = 2.0 * math.pi / spread if spread > 0 else math.inf
         expect = lambda g: dist.expect_windowed(
             g, oscillation_period=period, tol=tol
         )
     else:
-        expect = lambda g: dist.expect(g, tol=tol)
+        expect = lambda g: dist.expect(lambda mu: float(g(np.array([mu]))[0]))
 
     log_p_star = m * expect(log_q)
     # mean via E[1 - q]: log1p keeps ln<q> accurate when q is close to 1,

@@ -1,13 +1,10 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Hermitian eigendecomposition via cyclic Jacobi rotations, plus unitary
-propagator synthesis from the spectral form. Matrices are plain numpy
-``complex128`` arrays; every function returns fresh arrays and never
-mutates its inputs, so results can be shared freely across threads.
-
-The Jacobi solver is deliberately self-contained: at the dimensions this
-package cares about (n up to a few tens) it is unconditionally stable,
-deterministic, and more than fast enough.
+Hermitian eigendecomposition (LAPACK, through ``numpy.linalg.eigh``)
+behind a Hermiticity precondition, plus unitary propagator synthesis
+from the spectral form. Matrices are plain numpy ``complex128`` arrays;
+every function returns fresh arrays and never mutates its inputs, so
+results can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "NotHermitianError",
-    "NoConvergenceError",
     "SpectralDecomposition",
     "as_complex_matrix",
     "hermitian_eig",
@@ -27,18 +23,10 @@ __all__ = [
 
 #: default relative tolerance for the Hermiticity precondition
 HERMITICITY_TOL = 1e-12
-#: sweep convergence target: off-diagonal Frobenius norm <= OFFDIAG_TOL * ||A||
-OFFDIAG_TOL = 1e-14
-#: hard cap on full Jacobi sweeps before giving up
-MAX_SWEEPS = 100
 
 
 class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within the requested tolerance."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the iteration cap; the input is pathological."""
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -77,27 +65,12 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # computed from the off-diagonal entries directly; the tempting
-    # ||A||^2 - ||diag||^2 form cancels catastrophically near convergence
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
+def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
+    """Diagonalize a Hermitian matrix.
 
-
-def hermitian_eig(
-    a,
-    tol: float = HERMITICITY_TOL,
-    *,
-    off_tol: float = OFFDIAG_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix with cyclic Jacobi rotations.
-
-    Each rotation is a 2x2 unitary that annihilates one off-diagonal
-    pair; full sweeps repeat until the off-diagonal Frobenius norm drops
-    below ``off_tol * ||A||``. The procedure is deterministic: identical
-    inputs produce bitwise identical decompositions.
+    The input is checked for Hermiticity, symmetrized, and handed to
+    LAPACK through ``numpy.linalg.eigh``; eigenvalues come back in
+    ascending order. Identical inputs give identical decompositions.
 
     Parameters
     ----------
@@ -110,66 +83,17 @@ def hermitian_eig(
     ------
     NotHermitianError
         If ``||a - a^dagger|| > tol * ||a||``.
-    NoConvergenceError
-        If ``max_sweeps`` full sweeps do not reach the target.
     """
     a = as_complex_matrix(a)
-    n = a.shape[0]
     norm_a = float(np.linalg.norm(a))
     if np.linalg.norm(a - a.conj().T) > tol * max(norm_a, np.finfo(float).tiny):
         raise NotHermitianError(
             f"matrix deviates from Hermiticity beyond relative tolerance {tol}"
         )
-    # symmetrize so round-off asymmetry cannot leak into the iteration;
-    # within the tolerance above this does not change the operator
-    a = 0.5 * (a + a.conj().T)
-
-    v = np.eye(n, dtype=complex)
-    if n == 1 or norm_a == 0.0:
-        return SpectralDecomposition(np.diag(a).real.copy(), v)
-
-    # elements below this bound cannot push the off-diagonal norm above
-    # the convergence target, so rotating on them is wasted work (and
-    # dividing by a denormal |a_pq| would overflow)
-    skip = 0.25 * off_tol * norm_a / n
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= off_tol * norm_a:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = abs(a[p, q])
-                if g <= skip:
-                    continue
-                phase = a[p, q] / g
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * g)
-                if tau != 0.0:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                else:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- U^dagger A U with U[p,p]=U[q,q]=c,
-                # U[p,q]=s*phase, U[q,p]=-s*conj(phase)
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * np.conj(phase) * cq
-                a[:, q] = s * phase * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    else:
-        raise NoConvergenceError(
-            f"off-diagonal norm not below {off_tol:g}*||A|| after {max_sweeps} sweeps"
-        )
-
-    lam = np.diag(a).real.copy()
-    order = np.argsort(lam, kind="stable")
-    return SpectralDecomposition(lam[order], np.ascontiguousarray(v[:, order]))
+    # symmetrize so round-off asymmetry cannot reach the solver; within
+    # the tolerance above this does not change the operator
+    lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return SpectralDecomposition(lam, v)
 
 
 def propagator(spec: SpectralDecomposition, mu: float) -> np.ndarray:

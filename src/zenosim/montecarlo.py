@@ -43,7 +43,7 @@ _BUDGET_SLACK = 1e-12
 
 
 class InsufficientSamplesError(ValueError):
-    """Too few realizations for the requested histogram resolution."""
+    """Too few realizations for the requested statistic."""
 
 
 @dataclass(frozen=True)
@@ -293,16 +293,27 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     The linear-domain mean is formed from the log records by shifting,
     compensated summation of the exponentials, and shifting back, so it
     stays meaningful even when every survival underflows a double.
+
+    The variance of the intensive log survival L/m is taken over the
+    realizations with at least one measurement (a fixed-T budget below
+    the smallest interval leaves m = 0, where L/m is undefined). Raises
+    ``InsufficientSamplesError`` when fewer than two such realizations
+    exist.
     """
-    if ens.n < 2:
-        raise ValueError("summary needs at least two realizations")
+    measured = ens.ms >= 1
+    n_measured = int(np.count_nonzero(measured))
+    if n_measured < 2:
+        raise InsufficientSamplesError(
+            f"summary needs at least two realizations with m >= 1, "
+            f"got {n_measured} of {ens.n}"
+        )
     logs = ens.log_survivals
     smax = float(logs.max())
     if math.isinf(smax):
         log_mean = -math.inf
     else:
         log_mean = smax + math.log(math.fsum(np.exp(logs - smax))) - math.log(ens.n)
-    intensive = logs / ens.ms
+    intensive = logs[measured] / ens.ms[measured]
     return EnsembleSummary(
         log_mean_survival=log_mean,
         log_geometric_mean=math.fsum(logs) / ens.n,

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the code paths under test: the
 propagator oracle is a truncated Taylor series in extended precision,
-eigenvalues come from characteristic-polynomial roots, two-level results
+ln q at long intervals comes from mpmath's matrix exponential, eigenvalues come from characteristic-polynomial roots, two-level results
 are hand-derived closed forms, and small-m rate functions are exact
 binomial enumerations.
 """
@@ -63,6 +63,26 @@ def taylor_propagator(h: np.ndarray, mu: float, terms: int = 40, dps: int = 50) 
         return np.array(
             [[complex(acc[i, j]) for j in range(n)] for i in range(n)], dtype=complex
         )
+
+
+def expm_log_q(h: np.ndarray, psi: np.ndarray, mu: float, dps: int = 40) -> float:
+    """ln |<psi| exp(-i h mu) |psi>|^2 from mpmath's matrix exponential.
+
+    ``expm`` scales and squares, so unlike the Taylor propagator it
+    converges at |h mu| >> 1. The state is renormalized at ``dps`` digits:
+    a float vector is a unit vector only to round-off, and that round-off
+    would otherwise swamp ln q at tiny mu.
+    """
+    with mp.workdps(dps):
+        n = h.shape[0]
+        hm = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                hm[i, j] = mp.mpc(complex(h[i, j]))
+        p = mp.matrix([mp.mpc(complex(a)) for a in psi])
+        p = p / mp.sqrt(mp.fsum(abs(a) ** 2 for a in p))
+        amp = (p.H * mp.expm(hm * mp.mpc(0, -float(mu))) * p)[0]
+        return float(mp.log(abs(amp) ** 2))
 
 
 def characteristic_cubic_eigenvalues(h: np.ndarray) -> np.ndarray:

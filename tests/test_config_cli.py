@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,3 +230,11 @@ class TestAllPresetsRun:
         assert lines[1] == ",".join(PRESETS[name].columns)
         assert len(lines) > 2
         assert os.path.getsize(written["svg"]) > 500
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, zenosim.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -8,8 +8,10 @@ from oracles import (
     CHAIN_OMEGAS,
     D2_PROBS,
     D2_VALUES_S,
+    US,
     chain_matrix,
     expectation_variance,
+    expm_log_q,
     overlap_amplitude,
     two_level_q,
 )
@@ -26,11 +28,12 @@ from zenosim import (
     entangled_initial_state,
     evolve_sequence,
     log_survival_factor,
+    log_survival_factors,
     survival_factor,
     survival_trace,
     zeno_time,
 )
-from zenosim.dynamics import EmptySpectrumError, Projector
+from zenosim.dynamics import EmptySpectrumError, phase_weights
 from zenosim.rng import substream
 
 OMEGA = CHAIN_COUPLING
@@ -172,11 +175,6 @@ class TestEvolveSequence:
                 base, rel=1e-12
             )
 
-    def test_final_state_is_initial_up_to_phase(self, chain, psi0):
-        mus = np.linspace(0.1e-9, 5e-9, 17)
-        res = evolve_sequence(chain, psi0, mus)
-        assert abs(res.final_state.overlap(psi0)) == pytest.approx(1.0, abs=1e-10)
-
     def test_log_and_linear_domains_agree(self, chain, psi0):
         mus = np.full(50, 2e-9)
         res = evolve_sequence(chain, psi0, mus)
@@ -195,16 +193,6 @@ class TestEvolveSequence:
             evolve_sequence(chain, psi0, [])
         with pytest.raises(ValueError):
             evolve_sequence(chain, psi0, [-1e-9])
-
-
-class TestProjector:
-    def test_rank_one_is_projector(self, psi0):
-        p = Projector.onto(psi0)
-        assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) < 1e-12
-
-    def test_non_idempotent_rejected(self):
-        with pytest.raises(ValueError):
-            Projector(np.array([[0.5, 0.0], [0.0, 2.0]]))
 
 
 class TestZenoTime:
@@ -236,3 +224,53 @@ class TestLogSurvivalFactor:
         assert log_survival_factor(chain, psi0, mu) == pytest.approx(
             math.log(q), rel=1e-12
         )
+
+
+#: a near-zero of q on the default chain (q ~ e^-27), where forming
+#: 1 - delta loses most digits
+NEAR_ZERO_MU = 19.397003015 * US
+
+
+class TestLogSurvivalKernel:
+    """``log_survival_factors`` is the one ln q; the helpers only read it."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return np.concatenate([
+            np.linspace(0.0, 20 * US, 20_001),
+            np.geomspace(1e-15, 1e-9, 61),
+            [NEAR_ZERO_MU],
+        ])
+
+    @pytest.fixture(scope="class")
+    def values(self, chain, psi0, grid):
+        return log_survival_factors(*phase_weights(chain, psi0), grid)
+
+    def test_scalar_helpers_are_bitwise_the_kernel(self, chain, psi0, grid, values):
+        scalar = np.array([log_survival_factor(chain, psi0, float(mu)) for mu in grid])
+        assert np.array_equal(scalar, values)
+        for mu, lq in zip(grid[::97].tolist(), values[::97].tolist()):
+            assert survival_factor(chain, psi0, mu) == math.exp(lq)
+            assert delta_of_mu(chain, psi0, mu) == -math.expm1(lq)
+
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    def test_independent_of_chunk_size(self, chain, psi0, grid, values, size):
+        lam, w = phase_weights(chain, psi0)
+        chunks = [log_survival_factors(lam, w, grid[i : i + size])
+                  for i in range(0, grid.size, size)]
+        assert np.array_equal(np.concatenate(chunks), values)
+
+    def test_nonpositive_and_never_nan(self, rabi, values):
+        assert not np.any(np.isnan(values))
+        assert np.all(values <= 0.0)
+        h, psi = rabi
+        exact_zero = log_survival_factor(h, psi, (math.pi / 2) / OMEGA)
+        assert not math.isnan(exact_zero) and exact_zero <= 0.0
+        assert exact_zero < -60.0
+
+    def test_matches_matrix_exponential_oracle(self, chain, psi0, grid, values):
+        pick = np.concatenate([np.arange(1, 20_001, 700), np.arange(20_001, grid.size)])
+        h, psi = chain_matrix(), psi0.amplitudes
+        worst = max(abs(lq / expm_log_q(h, psi, mu) - 1.0)
+                    for mu, lq in zip(grid[pick].tolist(), values[pick].tolist()))
+        assert worst <= 1e-9

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,29 @@ class TestEnsembleSummary:
         assert summ.log_mean_survival < -900.0
         assert math.isfinite(summ.log_mean_survival)
         assert summ.mean_survival == 0.0  # linear domain underflows, by design
+
+    def test_budget_below_smallest_atom_is_typed_error(self, chain, psi0):
+        cfg = make_config(chain, psi0, d2(), mode="fixed_T", m=None,
+                          t_total=0.5 * NS, realizations=50)
+        ens = run_ensemble(cfg)
+        assert np.all(ens.ms == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientSamplesError):
+                ensemble_summary(ens)
+
+    def test_variance_skips_zero_measurement_realizations(self, chain, psi0):
+        cfg = make_config(chain, psi0, d2(), mode="fixed_T", m=None,
+                          t_total=2 * NS, realizations=200)
+        ens = run_ensemble(cfg)
+        measured = ens.ms >= 1
+        assert 2 <= np.count_nonzero(measured) < ens.n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summ = ensemble_summary(ens)
+        expected = np.var(ens.log_survivals[measured] / ens.ms[measured], ddof=1)
+        assert math.isfinite(summ.variance_intensive_log)
+        assert summ.variance_intensive_log == expected
 
     def test_needs_two_records(self, chain, psi0):
         cfg = make_config(chain, psi0, d2(), realizations=1)
