@@ -4,7 +4,11 @@ Three families ship: a discrete distribution over d positive atoms (the
 d-outcome Bernoulli case), a continuous power law on [mu0, inf), and the
 degenerate point mass that models equally spaced measurements. Each
 offers sampling against an explicit generator handle, exact moments, and
-expectations of arbitrary functions of the waiting time.
+expectations of arbitrary functions of the waiting time. Monte Carlo
+ensembles hand each law a block of uniforms and get back the waiting times
+and their ln q (``intervals_and_log_q``): the lattice laws evaluate ln q
+once per atom and gather it by atom index, the power law runs the kernel
+on every draw.
 
 Power-law expectations compactify the infinite tail with u = (mu0/mu)^alpha,
 mapping E[g] to the unit interval
@@ -23,6 +27,8 @@ from typing import Callable, Union
 import numpy as np
 from numpy.random import Generator
 
+from .dynamics import log_survival_factors
+
 __all__ = [
     "InfiniteMeanError",
     "InfiniteSecondMomentError",
@@ -40,6 +46,9 @@ QUAD_LIMIT = 400
 
 #: fixed Gauss-Legendre rule for the windowed tail integrator
 _GAUSS_NODES = np.polynomial.legendre.leggauss(32)
+#: draws per slab of the discrete gather: the atom-index buffer stays this
+#: small, so a block costs only its uniforms and its ln q (16 bytes a draw)
+_GATHER_SLAB = 65_536
 
 
 class InfiniteMeanError(ValueError):
@@ -93,10 +102,46 @@ class DiscreteIntervals:
         """Draw m i.i.d. waiting times via inverse-CDF lookup."""
         if m < 1:
             raise ValueError("need at least one draw")
-        u = rng.random(m)
-        # right-closed intervals (c_{a-1}, c_a]: first index with cum >= u
-        idx = np.searchsorted(self._cum, u, side="left")
-        return self.values[idx]
+        return self.values[self._atom_index(rng.random(m), np.empty(m, dtype=np.intp))]
+
+    def _atom_index(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Atom of each uniform u in [0, 1), written into ``out``.
+
+        Right-closed intervals (c_{a-1}, c_a]: the index is the number of
+        cumulative edges below u, which equals
+        ``np.searchsorted(cum, u, side="left")`` bit for bit and is much
+        faster for a few atoms. The last edge is exactly 1 > u, so it is
+        skipped, except for d = 1, where it is the first and gives 0.
+        """
+        cum = self._cum.tolist()
+        np.greater(u, cum[0], out=out)
+        for edge in cum[1:-1]:
+            out += u > edge
+        return out
+
+    def intervals_and_log_q(
+        self, u: np.ndarray, lam: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Waiting times and their ln q for a C-contiguous block of uniforms.
+
+        ln q is evaluated once per atom and gathered by atom index; the
+        waiting times overwrite ``u``. Entry by entry, both equal what
+        ``sample`` and ``log_survival_factors`` give for the same uniforms.
+        """
+        if not u.flags.c_contiguous:
+            raise ValueError("the uniform block must be C-contiguous")
+        table = log_survival_factors(lam, w, self.values)
+        log_q = np.empty_like(u)
+        flat_u, flat_log_q = u.reshape(-1), log_q.reshape(-1)
+        idx = np.empty(min(flat_u.size, _GATHER_SLAB), dtype=np.intp)
+        for start in range(0, flat_u.size, _GATHER_SLAB):
+            stop = start + _GATHER_SLAB
+            part = flat_u[start:stop]
+            atoms = self._atom_index(part, idx[: part.size])
+            # mode="clip" writes straight into out; "raise" buffers a copy
+            np.take(table, atoms, out=flat_log_q[start:stop], mode="clip")
+            np.take(self.values, atoms, out=part, mode="clip")
+        return u, log_q
 
     def mean(self) -> float:
         return float(np.dot(self.probs, self.values))
@@ -130,8 +175,21 @@ class PowerLawIntervals:
         """Draw m waiting times as mu0 * u^(-1/alpha), u uniform on (0, 1]."""
         if m < 1:
             raise ValueError("need at least one draw")
-        u = 1.0 - rng.random(m)  # (0, 1]: keeps the map finite
-        return self.mu0 * u ** (-1.0 / self.alpha)
+        return self._inverse_cdf(rng.random(m))
+
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """Map uniforms on [0, 1) to waiting times, in place."""
+        np.subtract(1.0, u, out=u)  # (0, 1]: keeps the map finite
+        u **= -1.0 / self.alpha
+        u *= self.mu0
+        return u
+
+    def intervals_and_log_q(
+        self, u: np.ndarray, lam: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Waiting times (overwriting ``u``) and the kernel's ln q on each."""
+        mus = self._inverse_cdf(u)
+        return mus, log_survival_factors(lam, w, mus)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -242,6 +300,14 @@ class DegenerateInterval:
         if m < 1:
             raise ValueError("need at least one draw")
         return np.full(m, self.mu_bar, dtype=float)
+
+    def intervals_and_log_q(
+        self, u: np.ndarray, lam: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The one waiting time (overwriting ``u``) and its ln q, broadcast."""
+        u.fill(self.mu_bar)
+        log_q = float(log_survival_factors(lam, w, np.array([self.mu_bar]))[0])
+        return u, np.full(u.shape, log_q)
 
     def mean(self) -> float:
         return self.mu_bar

@@ -607,31 +607,42 @@ def qze_condition(
 @dataclass(frozen=True)
 class DisorderGain:
     """Typical survival of a random two-atom schedule against the equally
-    spaced schedule with the same mean spacing."""
+    spaced schedule with the same mean spacing.
 
-    log_p_star: float
-    log_p_equal: float
-    mu2: float
+    Fields are floats for a scalar query and arrays for an array query;
+    the linear-domain properties apply ``math.exp`` entry by entry, so
+    both give the same bits.
+    """
 
-    @property
-    def p_star(self) -> float:
-        return math.exp(self.log_p_star)
-
-    @property
-    def p_equal(self) -> float:
-        return math.exp(self.log_p_equal)
+    log_p_star: float | np.ndarray
+    log_p_equal: float | np.ndarray
+    mu2: float | np.ndarray
 
     @property
-    def ratio(self) -> float:
-        return math.exp(self.log_p_star - self.log_p_equal)
+    def p_star(self):
+        return _exp(self.log_p_star)
+
+    @property
+    def p_equal(self):
+        return _exp(self.log_p_equal)
+
+    @property
+    def ratio(self):
+        return _exp(self.log_p_star - self.log_p_equal)
+
+
+def _exp(x):
+    if np.ndim(x) == 0:
+        return math.exp(x)
+    return np.array([math.exp(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 def disorder_gain(
     h: Hamiltonian,
     psi0: PureState,
-    p1: float,
-    mu1: float,
-    mu_bar: float,
+    p1,
+    mu1,
+    mu_bar,
     m: int,
 ) -> DisorderGain:
     """Compare a random two-atom schedule to equal spacing at fixed mean.
@@ -639,25 +650,34 @@ def disorder_gain(
     The second atom is pinned by the mean: mu2 = (mu_bar - p1 mu1)/(1 - p1).
     Returns the most probable survival of the random schedule, the
     survival of the equally spaced one, and their ratio (> 1 means the
-    disorder helps).
+    disorder helps). ``p1``, ``mu1`` and ``mu_bar`` broadcast together;
+    with arrays, one kernel call serves every point and the fields of
+    the result are arrays of the broadcast shape.
     """
-    if not (0.0 < p1 < 1.0):
+    p1, mu1, mu_bar = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (p1, mu1, mu_bar))
+    )
+    if not np.all((0.0 < p1) & (p1 < 1.0)):
         raise ValueError("p1 must lie strictly between 0 and 1")
-    if mu1 <= 0 or mu_bar <= 0:
+    if not (np.all(mu1 > 0) and np.all(mu_bar > 0)):
         raise ValueError("times must be positive")
     if m < 1:
         raise ValueError("m must be a positive count")
     p2 = 1.0 - p1
     mu2 = (mu_bar - p1 * mu1) / p2
-    if mu2 <= 0:
+    unreachable = ~(mu2 > 0)
+    if np.any(unreachable):
+        at = np.flatnonzero(unreachable)[0]
         raise InvalidMeanError(
-            f"mean {mu_bar!r} unreachable: second atom would be {mu2!r}"
+            f"mean {float(mu_bar.flat[at])!r} unreachable: second atom would be "
+            f"{float(mu2.flat[at])!r}"
         )
-    log_q1 = log_survival_factor(h, psi0, mu1)
-    log_q2 = log_survival_factor(h, psi0, mu2)
-    log_q_bar = log_survival_factor(h, psi0, mu_bar)
-    return DisorderGain(
-        log_p_star=m * (p1 * log_q1 + p2 * log_q2),
-        log_p_equal=m * log_q_bar,
-        mu2=mu2,
-    )
+    mus = np.concatenate([mu1.ravel(), mu2.ravel(), mu_bar.ravel()])
+    log_q1, log_q2, log_q_bar = log_survival_factors(
+        *phase_weights(h, psi0), mus
+    ).reshape((3,) + p1.shape)
+    log_p_star = m * (p1 * log_q1 + p2 * log_q2)
+    log_p_equal = m * log_q_bar
+    if p1.ndim == 0:
+        return DisorderGain(float(log_p_star), float(log_p_equal), float(mu2))
+    return DisorderGain(log_p_star, log_p_equal, mu2)

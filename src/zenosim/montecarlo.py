@@ -177,15 +177,13 @@ def _run_chunk(cfg: EnsembleConfig, lam, w, start: int, stop: int):
     family = StreamFamily(cfg.master_seed)
     if cfg.mode == "fixed_m":
         m = int(cfg.m)
-        buf = np.empty((count, m), dtype=float)
+        u = np.empty((count, m), dtype=float)
         for j in range(count):
-            buf[j] = cfg.dist.sample(family.select(start + j), m)
+            family.select(start + j).random(m, out=u[j])
+        mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
         ms = np.full(count, m, dtype=np.int64)
-        totals = buf.sum(axis=1)
-        logq = log_survival_factors(lam, w, buf.ravel()).reshape(count, m)
-        logs = logq.sum(axis=1)
-        traces = [buf[j].copy() for j in range(count)] if cfg.keep_traces else None
-        return ms, totals, logs, traces
+        traces = [row.copy() for row in mus] if cfg.keep_traces else None
+        return ms, mus.sum(axis=1), logq.sum(axis=1), traces
 
     ms = np.empty(count, dtype=np.int64)
     totals = np.empty(count, dtype=float)

@@ -113,22 +113,20 @@ def _rows_powerlaw(h, psi0, seed):
     return rows
 
 
+def _gain_rows(x, gain):
+    return list(zip(x.tolist(), gain.log_p_star.tolist(), gain.log_p_equal.tolist(),
+                    gain.ratio.tolist()))
+
+
 def _rows_disorder_probability(h, psi0, seed):
     mu0 = 10 * _US
-    rows = []
-    for p1 in np.linspace(0.005, 0.995, 199):
-        gain = disorder_gain(h, psi0, float(p1), mu1=mu0, mu_bar=2.4 * mu0, m=100)
-        rows.append((float(p1), gain.log_p_star, gain.log_p_equal, gain.ratio))
-    return rows
+    p1 = np.linspace(0.005, 0.995, 199)
+    return _gain_rows(p1, disorder_gain(h, psi0, p1, mu1=mu0, mu_bar=2.4 * mu0, m=100))
 
 
 def _rows_disorder_scale(h, psi0, seed):
-    rows = []
-    for mu1_ns in np.linspace(1.0, 250.0, 250):
-        mu1 = float(mu1_ns) * _NS
-        gain = disorder_gain(h, psi0, 0.99, mu1=mu1, mu_bar=2.4 * mu1, m=100)
-        rows.append((mu1, gain.log_p_star, gain.log_p_equal, gain.ratio))
-    return rows
+    mu1 = np.linspace(1.0, 250.0, 250) * _NS
+    return _gain_rows(mu1, disorder_gain(h, psi0, 0.99, mu1=mu1, mu_bar=2.4 * mu1, m=100))
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,41 @@ class TestDisorderGain:
         gain = disorder_gain(chain, psi0, 0.99, mu1=1e-9, mu_bar=2.4e-9, m=100)
         assert gain.ratio < 1.0
 
+    def test_scalar_query_matches_scalar_kernel(self, chain, psi0):
+        p1, mu1, mu_bar = 0.3, 10e-6, 24e-6
+        gain = disorder_gain(chain, psi0, p1, mu1=mu1, mu_bar=mu_bar, m=100)
+        mu2 = (mu_bar - p1 * mu1) / (1.0 - p1)
+        lq = lambda mu: log_survival_factor(chain, psi0, mu)
+        assert gain.mu2 == mu2
+        assert gain.log_p_star == 100 * (p1 * lq(mu1) + (1.0 - p1) * lq(mu2))
+        assert gain.log_p_equal == 100 * lq(mu_bar)
+        assert isinstance(gain.ratio, float)
+
+    @pytest.mark.parametrize("axis", ["p1", "mu1"])
+    def test_array_query_matches_scalar_queries_bitwise(self, chain, psi0, axis):
+        if axis == "p1":
+            xs = np.linspace(0.005, 0.995, 37)
+            args = [(x, 10e-6, 24e-6) for x in xs.tolist()]
+            gain = disorder_gain(chain, psi0, xs, 10e-6, 24e-6, 100)
+        else:
+            xs = np.linspace(1.0, 250.0, 41) * 1e-9
+            args = [(0.99, x, 2.4 * x) for x in xs.tolist()]
+            gain = disorder_gain(chain, psi0, 0.99, xs, 2.4 * xs, 100)
+        assert gain.log_p_star.shape == xs.shape
+        for i, (p1, mu1, mu_bar) in enumerate(args):
+            one = disorder_gain(chain, psi0, p1, mu1, mu_bar, 100)
+            assert one.log_p_star == gain.log_p_star[i]
+            assert one.log_p_equal == gain.log_p_equal[i]
+            assert one.mu2 == gain.mu2[i]
+            assert one.ratio == gain.ratio[i]
+            assert one.p_star == gain.p_star[i]
+
+    def test_array_query_validates_every_point(self, chain, psi0):
+        with pytest.raises(ValueError):
+            disorder_gain(chain, psi0, np.array([0.3, 1.0]), 10e-6, 24e-6, 100)
+        with pytest.raises(InvalidMeanError):
+            disorder_gain(chain, psi0, 0.9, 10e-6, np.array([24e-6, 5e-6]), 100)
+
 
 class TestValidation:
     def test_logq_must_be_finite(self, d2_prob):

@@ -1,10 +1,21 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import D2_PROBS, D2_VALUES_S, NS
+from oracles import (
+    D2_PROBS,
+    D2_VALUES_S,
+    D3_PROBS,
+    D3_VALUES_S,
+    D4_PROBS,
+    D4_VALUES_S,
+    NS,
+)
 
 from zenosim import (
     DegenerateInterval,
@@ -16,10 +27,13 @@ from zenosim import (
     empirical_rate,
     ensemble_summary,
     log_survival_factor,
+    log_survival_factors,
     most_probable_log_survival,
     run_ensemble,
     survival_stats,
 )
+from zenosim import montecarlo
+from zenosim.dynamics import phase_weights
 from zenosim.rng import substream
 
 
@@ -105,6 +119,103 @@ class TestRunEnsemble:
             make_config(chain, psi0, d2(), realizations=0)
         with pytest.raises(ValueError):
             make_config(chain, psi0, d2(), mode="bogus")
+
+
+LATTICE_LAWS = {
+    "degenerate": DegenerateInterval(2e-9),
+    "d2": DiscreteIntervals(np.array(D2_VALUES_S), np.array(D2_PROBS)),
+    "d3": DiscreteIntervals(np.array(D3_VALUES_S), np.array(D3_PROBS)),
+    "d4": DiscreteIntervals(np.array(D4_VALUES_S), np.array(D4_PROBS)),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def replay(cfg):
+    """Per-realization reference: substream, sample, then the kernel."""
+    lam, w = phase_weights(cfg.hamiltonian, cfg.state)
+    traces = [cfg.dist.sample(substream(cfg.master_seed, i), cfg.m)
+              for i in range(cfg.realizations)]
+    totals = np.array([t.sum() for t in traces])
+    logs = np.array([log_survival_factors(lam, w, t).sum() for t in traces])
+    return totals, logs, traces
+
+
+class FixedUniforms:
+    """Generator stand-in whose ``random`` returns preset uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, m):
+        assert m == self.u.size
+        return self.u.copy()
+
+
+class TestLatticeGather:
+    @pytest.mark.parametrize("law", [*LATTICE_LAWS, "power"])
+    @pytest.mark.parametrize("keep_traces", [False, True])
+    @pytest.mark.parametrize("per_chunk", [1, 7, None])
+    def test_bitwise_replay(self, chain, psi0, monkeypatch, law, keep_traces, per_chunk):
+        dist = LATTICE_LAWS.get(law, PowerLawIntervals(mu0=1 * NS, alpha=2.5))
+        m = 50
+        if per_chunk is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", per_chunk * m)
+        cfg = make_config(chain, psi0, dist, m=m, realizations=23,
+                          master_seed=2024, keep_traces=keep_traces)
+        ens = run_ensemble(cfg)
+        totals, logs, traces = replay(cfg)
+        assert np.array_equal(ens.ms, np.full(cfg.realizations, m))
+        assert same_bits(ens.total_times, totals)
+        assert same_bits(ens.log_survivals, logs)
+        if keep_traces:
+            assert len(ens.traces) == len(traces)
+            assert all(same_bits(a, b) for a, b in zip(ens.traces, traces))
+        else:
+            assert ens.traces is None
+
+    @pytest.mark.parametrize("probs", [D2_PROBS, D3_PROBS, D4_PROBS, (0.1, 0.2, 0.3, 0.4)])
+    def test_atom_index_on_cumulative_edges(self, chain, psi0, probs):
+        dist = DiscreteIntervals(np.arange(1.0, len(probs) + 1) * NS, np.array(probs))
+        edges = dist._cum[:-1]
+        u = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        expected = dist.values[np.searchsorted(dist._cum, u, side="left")]
+        mus, _ = dist.intervals_and_log_q(u.copy(), *phase_weights(chain, psi0))
+        assert same_bits(mus, expected)
+        assert same_bits(dist.sample(FixedUniforms(u), u.size), expected)
+        with pytest.raises(ValueError):
+            dist.intervals_and_log_q(np.zeros((4, 4))[:, ::2], *phase_weights(chain, psi0))
+
+    def test_peak_memory_per_draw(self, chain, psi0):
+        m = 2_000_000
+        cfg = make_config(chain, psi0, LATTICE_LAWS["d2"], m=m, realizations=1)
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * m
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        atoms=st.lists(st.floats(1e-10, 2e-5), min_size=1, max_size=8, unique=True),
+        data=st.data(),
+        m=st.integers(1, 500),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_random_laws_match_per_draw_kernel(self, chain, psi0, atoms, data, m, seed):
+        weights = np.array(data.draw(
+            st.lists(st.floats(1e-3, 1.0), min_size=len(atoms), max_size=len(atoms))))
+        dist = DiscreteIntervals(np.array(atoms), weights / weights.sum())
+        cfg = make_config(chain, psi0, dist, m=m, realizations=3, master_seed=seed)
+        ens = run_ensemble(cfg)
+        totals, logs, _ = replay(cfg)
+        assert same_bits(ens.total_times, totals)
+        assert same_bits(ens.log_survivals, logs)
 
 
 class TestStatisticalProperties:
