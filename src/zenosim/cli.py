@@ -32,7 +32,6 @@ from .ldstats import (
     LdProblem,
     OutOfRangeError,
     RootBracketFailureError,
-    cramer_rate,
     qze_condition,
     rate_curve,
     survival_stats,
@@ -114,16 +113,19 @@ def _ensemble_from_config(cfg: ExperimentConfig) -> EnsembleConfig:
     )
 
 
+def _check_preset(name: str) -> None:
+    """Reject an unknown preset name, suggesting close matches."""
+    if name not in PRESETS:
+        hints = difflib.get_close_matches(name, PRESETS, n=3)
+        hint = f"; did you mean {', '.join(hints)}?" if hints else ""
+        raise ConfigError(f"unknown preset {name!r}{hint}")
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args.out)
     if cfg.preset is not None:
-        if cfg.preset not in PRESETS:
-            hints = difflib.get_close_matches(cfg.preset, PRESETS, n=3)
-            raise ConfigError(
-                f"unknown preset {cfg.preset!r}"
-                + (f"; did you mean {', '.join(hints)}?" if hints else "")
-            )
+        _check_preset(cfg.preset)
         written = run_preset(
             cfg.preset,
             seed=cfg.seed,
@@ -135,7 +137,7 @@ def _cmd_run(args) -> int:
         print(f"preset {cfg.preset}: wrote {written['csv']} (seed {written['seed']})")
         return 0
 
-    ens = run_ensemble(_ensemble_from_config(cfg), workers=args.workers)
+    ens = run_ensemble(_ensemble_from_config(cfg))
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, cfg.csv_path or "ensemble.csv")
     rows = [
@@ -173,16 +175,16 @@ def _cmd_rate(args) -> int:
         raise ConfigError("rate curves need mode = fixed_m and a measurement count")
     prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, cfg.dist, cfg.m)
 
-    ens = run_ensemble(_ensemble_from_config(cfg), workers=args.workers)
+    ens = run_ensemble(_ensemble_from_config(cfg))
     est = empirical_rate(ens, bins=cfg.bins)
     os.makedirs(out, exist_ok=True)
 
     rows = []
     explicit = rate_curve(prob, points=200, method="explicit")
-    for x, rate in zip(explicit.xs, explicit.rates):
-        rows.append(("explicit", float(x), float(rate), ""))
-    for x in explicit.xs:
-        rows.append(("tilting", float(x), cramer_rate(prob, float(x)), ""))
+    tilting = rate_curve(prob, points=200, method="tilting")
+    for name, curve in (("explicit", explicit), ("tilting", tilting)):
+        for x, rate in zip(curve.xs, curve.rates):
+            rows.append((name, float(x), float(rate), ""))
     for x, rate, count in zip(est.centers, est.rates, est.counts):
         rows.append(("empirical", float(x), float(rate), int(count)))
     csv_path = os.path.join(out, cfg.csv_path or "rate.csv")
@@ -211,12 +213,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    if args.name not in PRESETS:
-        hints = difflib.get_close_matches(args.name, PRESETS, n=3)
-        raise ConfigError(
-            f"unknown preset {args.name!r}"
-            + (f"; did you mean {', '.join(hints)}?" if hints else "")
-        )
+    _check_preset(args.name)
     written = run_preset(args.name, seed=args.seed, out_dir=_out_dir(args.out))
     print(f"preset {args.name}: wrote {written['csv']} (seed {written['seed']})")
     return 0
@@ -237,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment described by a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_preset = sub.add_parser("preset", help="run a named preset")
@@ -253,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate = sub.add_parser("rate", help="emit analytic and empirical rate curves")
     p_rate.add_argument("config")
     p_rate.add_argument("--out", default=None)
-    p_rate.add_argument("--workers", type=int, default=1)
     p_rate.set_defaults(func=_cmd_rate)
 
     return parser

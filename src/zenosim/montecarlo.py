@@ -7,15 +7,15 @@ so every applied interval keeps the waiting-time law).
 
 Realization i draws from its own counter-based stream keyed by
 ``(master_seed, i)``, which makes ensembles bitwise reproducible and
-independent of how realizations are scheduled across workers. Records
-stream into flat arrays; raw interval sequences are only retained when a
-debug flag asks for them.
+independent of how realizations are split into chunks. Fixed-T finds
+each stop with a vectorized form of the compensated one-draw-at-a-time
+rule. Records stream into flat arrays; raw interval sequences are only
+retained when a debug flag asks for them.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,105 +146,107 @@ class EnsembleSummary:
         return math.exp(self.log_median)
 
 
-def _fixed_t_intervals(dist, rng, t_total: float) -> np.ndarray:
-    """Draw intervals until the budget would be exceeded.
+def _drawn_past_budget(dist, rng, limit: float) -> np.ndarray:
+    """Waiting times from ``rng``, enough for the fixed-T stop rule to end
+    among them.
 
-    The cumulative time uses Neumaier-compensated summation so that the
-    stop decision is made on a correctly rounded total; the comparison
-    carries a tiny relative slack to keep exact ties (point-mass laws)
-    on the inclusive side.
+    Draws 64, then as many again as are drawn so far, until the n draws
+    sum above ``limit`` by a relative n 2**-50: more than the rounding of
+    this plain sum and of the rule's compensated total together. The
+    stream is read in order, so the block sizes never change a result.
     """
-    limit = t_total * (1.0 + _BUDGET_SLACK)
-    kept: list[float] = []
-    total = 0.0
-    comp = 0.0
-    while True:
-        block = dist.sample(rng, 64)
-        for mu in block.tolist():
-            if total + comp + mu > limit:
-                return np.asarray(kept, dtype=float)
-            t = total + mu
-            if abs(total) >= mu:
-                comp += (total - t) + mu
-            else:
-                comp += (mu - t) + total
-            total = t
-            kept.append(mu)
+    mus = dist.sample(rng, 64)
+    while mus.sum() <= limit * (1.0 + mus.size * 2.0**-50):
+        mus = np.concatenate((mus, dist.sample(rng, mus.size)))
+    return mus
 
 
-def _run_chunk(cfg: EnsembleConfig, lam, w, start: int, stop: int):
-    count = stop - start
-    family = StreamFamily(cfg.master_seed)
-    if cfg.mode == "fixed_m":
-        m = int(cfg.m)
-        u = np.empty((count, m), dtype=float)
-        for j in range(count):
-            family.select(start + j).random(m, out=u[j])
-        mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
-        ms = np.full(count, m, dtype=np.int64)
-        traces = [row.copy() for row in mus] if cfg.keep_traces else None
-        return ms, mus.sum(axis=1), logq.sum(axis=1), traces
+def _kept_counts(mus: np.ndarray, limit: float) -> np.ndarray:
+    """How many leading draws of each row of ``mus`` the fixed-T stop
+    rule keeps; every row must contain its stop.
 
-    ms = np.empty(count, dtype=np.int64)
-    totals = np.empty(count, dtype=float)
-    logs = np.empty(count, dtype=float)
-    seqs: list[np.ndarray] = []
-    for j in range(count):
-        mus = _fixed_t_intervals(cfg.dist, family.select(start + j), cfg.t_total)
-        totals[j] = float(np.sum(mus))
-        ms[j] = mus.size
-        seqs.append(mus)
-    flat = np.concatenate(seqs) if seqs else np.empty(0)
+    The rule, one draw at a time: stop at the first mu with total + comp
+    + mu > limit, else add mu to total, Neumaier-compensated in comp.
+    ``np.cumsum`` adds left to right like that loop, so the totals, the
+    compensations and the stop decisions carry its bits.
+    """
+    total = np.cumsum(mus, axis=1)
+    before = np.pad(total[:, :-1], ((0, 0), (1, 0)))  # total ahead of each draw
+    err = np.where(np.abs(before) >= mus, (before - total) + mus, (mus - total) + before)
+    comp = np.pad(np.cumsum(err[:, :-1], axis=1), ((0, 0), (1, 0)))
+    return np.argmax(before + comp + mus > limit, axis=1)
+
+
+def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, family: StreamFamily, start: int, stop: int):
+    m = int(cfg.m)
+    u = np.empty((stop - start, m), dtype=float)
+    for j in range(stop - start):
+        family.select(start + j).random(m, out=u[j])
+    mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
+    ms = np.full(stop - start, m, dtype=np.int64)
+    return ms, mus.sum(axis=1), logq.sum(axis=1), list(mus) if cfg.keep_traces else []
+
+
+def _rows_by_value(keys: np.ndarray):
+    """(value, indices of the keys equal to it) for each distinct key."""
+    for value in np.unique(keys).tolist():
+        yield value, np.flatnonzero(keys == value)
+
+
+def _fixed_t_chunk(cfg: EnsembleConfig, lam, w, drawn: list[np.ndarray], limit: float):
+    ms = np.empty(len(drawn), dtype=np.int64)
+    for _, rows in _rows_by_value(np.array([mus.size for mus in drawn])):
+        ms[rows] = _kept_counts(np.stack([drawn[j] for j in rows.tolist()]), limit)
+    seqs = [mus[:m] for mus, m in zip(drawn, ms.tolist())]
+    flat = np.concatenate(seqs)
     logq = log_survival_factors(lam, w, flat)
-    pos = 0
-    for j in range(count):
-        n_j = int(ms[j])
-        logs[j] = float(np.sum(logq[pos : pos + n_j])) if n_j else 0.0
-        pos += n_j
-    traces = seqs if cfg.keep_traces else None
-    return ms, totals, logs, traces
+    starts = np.cumsum(ms) - ms
+    totals, logs = np.empty(len(drawn)), np.empty(len(drawn))
+    # an (rows, m) gather per kept count m; each row sums on its own,
+    # as np.sum does on the row alone
+    for m, rows in _rows_by_value(ms):
+        at = starts[rows, None] + np.arange(m)
+        totals[rows] = flat[at].sum(axis=1)
+        logs[rows] = logq[at].sum(axis=1)
+    return ms, totals, logs, [seq.copy() for seq in seqs] if cfg.keep_traces else []
 
 
-def run_ensemble(cfg: EnsembleConfig, workers: int = 1) -> SurvivalEnsemble:
+def _chunks(cfg: EnsembleConfig, lam, w):
+    """(ms, totals, log survivals, traces) of consecutive realizations,
+    in chunks of about ``_CHUNK_TARGET`` intervals each."""
+    family = StreamFamily(cfg.master_seed)
+    n = cfg.realizations
+    if cfg.mode == "fixed_m":
+        rows = max(1, _CHUNK_TARGET // int(cfg.m))
+        for start in range(0, n, rows):
+            yield _fixed_m_chunk(cfg, lam, w, family, start, min(start + rows, n))
+        return
+    limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
+    drawn, draws = [], 0
+    for i in range(n):
+        drawn.append(_drawn_past_budget(cfg.dist, family.select(i), limit))
+        draws += drawn[-1].size
+        if draws >= _CHUNK_TARGET or i == n - 1:
+            yield _fixed_t_chunk(cfg, lam, w, drawn, limit)
+            drawn, draws = [], 0
+
+
+def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     """Simulate every realization of ``cfg``.
 
-    The result is bitwise identical for any ``workers`` value: chunk
-    boundaries are fixed by the realization count alone and every
-    realization's substream is keyed by its index, never by schedule.
+    The result is bitwise identical for any chunk size: every
+    realization's substream is keyed by its index, each draw is mapped
+    on its own, and each realization's sums run over its own draws.
     """
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
-    n = cfg.realizations
-    per_real = cfg.m if cfg.mode == "fixed_m" else 64
-    chunk = max(1, _CHUNK_TARGET // max(int(per_real), 1))
-    bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-
-    ms = np.empty(n, dtype=np.int64)
-    totals = np.empty(n, dtype=float)
-    logs = np.empty(n, dtype=float)
-    traces: list = [None] * n if cfg.keep_traces else None
-
-    def work(se):
-        return se, _run_chunk(cfg, lam, w, *se)
-
-    if workers <= 1 or len(bounds) == 1:
-        results = [work(se) for se in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, bounds))
-
-    for (start, stop), (cms, ctot, clog, ctraces) in results:
-        ms[start:stop] = cms
-        totals[start:stop] = ctot
-        logs[start:stop] = clog
-        if cfg.keep_traces:
-            traces[start:stop] = ctraces
-
+    parts = list(_chunks(cfg, lam, w))
+    ms, totals, logs = (np.concatenate([p[k] for p in parts]) for k in range(3))
     return SurvivalEnsemble(
         config=cfg,
         ms=ms,
         total_times=totals,
         log_survivals=logs,
-        traces=tuple(traces) if cfg.keep_traces else None,
+        traces=tuple(t for p in parts for t in p[3]) if cfg.keep_traces else None,
     )
 
 

@@ -4,7 +4,7 @@ Every Monte Carlo realization draws from its own Philox-4x64 stream whose
 128-bit key packs ``(master_seed, realization_index)``; the draw index is
 the Philox counter itself. Philox is a published, platform-independent
 counter-based generator, so ensembles are bitwise reproducible for a given
-master seed no matter how realizations are scheduled across workers.
+master seed however realizations are chunked.
 """
 
 from __future__ import annotations
@@ -40,16 +40,13 @@ class StreamFamily:
     def __init__(self, master_seed: int):
         self._bitgen = Philox(key=0)
         self._generator = Generator(self._bitgen)
-        self._seed = master_seed & _MASK64
+        # the fresh state (counter 0, output buffer empty), re-keyed and set
+        # per select; setting copies it in, so it stays fresh. Little-endian
+        # key words (index low, master seed high) match substream()'s key.
+        self._state = self._bitgen.state
+        self._state["state"]["key"][1] = master_seed & _MASK64
 
     def select(self, realization_index: int) -> Generator:
-        state = self._bitgen.state
-        inner = state["state"]
-        inner["counter"][:] = 0
-        # little-endian key words: index low, master seed high, matching
-        # the packed integer key used by substream()
-        inner["key"][0] = realization_index & _MASK64
-        inner["key"][1] = self._seed
-        state["buffer_pos"] = 4  # mark the output buffer exhausted
-        self._bitgen.state = state
+        self._state["state"]["key"][0] = realization_index & _MASK64
+        self._bitgen.state = self._state
         return self._generator

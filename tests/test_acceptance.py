@@ -50,6 +50,7 @@ from zenosim import (
     survival_trace,
     zeno_time,
 )
+from zenosim import montecarlo
 from zenosim.presets import run_preset
 from zenosim.rng import substream
 
@@ -288,7 +289,7 @@ def test_criterion_12_contraction(chain, psi0):
     _passed(12, f"20 x-values, worst |contracted - marginal| = {worst:.2e}")
 
 
-def test_criterion_13_determinism(chain, psi0, tmp_path):
+def test_criterion_13_determinism(chain, psi0, tmp_path, monkeypatch):
     first = run_preset("fig2", seed=20250113, out_dir=str(tmp_path / "a"))
     second = run_preset("fig2", seed=20250113, out_dir=str(tmp_path / "b"))
     bytes_a = open(first["csv"], "rb").read()
@@ -299,8 +300,9 @@ def test_criterion_13_determinism(chain, psi0, tmp_path):
         dist=d2_dist(), hamiltonian=chain, state=psi0, mode="fixed_m",
         realizations=100, master_seed=20250113, m=2000,
     )
-    serial = run_ensemble(cfg, workers=1)
-    parallel = run_ensemble(cfg, workers=4)
-    assert np.array_equal(serial.log_survivals, parallel.log_survivals)
-    assert np.array_equal(serial.total_times, parallel.total_times)
-    _passed(13, "byte-identical preset reruns; 1-worker == 4-worker ensembles")
+    default = run_ensemble(cfg)
+    monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", 7 * cfg.m)
+    chunked = run_ensemble(cfg)
+    assert np.array_equal(default.log_survivals, chunked.log_survivals)
+    assert np.array_equal(default.total_times, chunked.total_times)
+    _passed(13, "byte-identical preset reruns; one chunk == chunks of 7 realizations")

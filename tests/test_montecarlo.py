@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,14 +97,6 @@ class TestRunEnsemble:
         b = run_ensemble(cfg)
         assert np.array_equal(a.log_survivals, b.log_survivals)
         assert np.array_equal(a.total_times, b.total_times)
-
-    def test_worker_count_invariance(self, chain, psi0):
-        cfg = make_config(chain, psi0, d2(), realizations=257, m=40)
-        serial = run_ensemble(cfg, workers=1)
-        parallel = run_ensemble(cfg, workers=4)
-        assert np.array_equal(serial.log_survivals, parallel.log_survivals)
-        assert np.array_equal(serial.total_times, parallel.total_times)
-        assert np.array_equal(serial.ms, parallel.ms)
 
     def test_seed_changes_output(self, chain, psi0):
         a = run_ensemble(make_config(chain, psi0, d2(), master_seed=1))
@@ -216,6 +209,171 @@ class TestLatticeGather:
         totals, logs, _ = replay(cfg)
         assert same_bits(ens.total_times, totals)
         assert same_bits(ens.log_survivals, logs)
+
+
+def scalar_budget_rule(draws, limit):
+    """Draws kept by the one-draw-at-a-time Neumaier stop rule."""
+    kept, total, comp = [], 0.0, 0.0
+    for mu in draws:
+        if total + comp + mu > limit:
+            break
+        t = total + mu
+        if abs(total) >= mu:
+            comp += (total - t) + mu
+        else:
+            comp += (mu - t) + total
+        total = t
+        kept.append(mu)
+    return kept
+
+
+def sampled_in_blocks(dist, rng):
+    while True:
+        yield from dist.sample(rng, 64).tolist()
+
+
+def replay_fixed_t(cfg):
+    """Per-realization reference for fixed-T: substream, ``sample`` in
+    64-draw blocks and the scalar stop rule, then the kernel."""
+    lam, w = phase_weights(cfg.hamiltonian, cfg.state)
+    limit = cfg.t_total * (1.0 + 1e-12)  # the documented budget slack
+    totals, logs, traces = [], [], []
+    for i in range(cfg.realizations):
+        draws = sampled_in_blocks(cfg.dist, substream(cfg.master_seed, i))
+        kept = np.asarray(scalar_budget_rule(draws, limit), dtype=float)
+        totals.append(np.sum(kept))
+        logs.append(np.sum(log_survival_factors(lam, w, kept)) if kept.size else 0.0)
+        traces.append(kept)
+    return np.array(totals), np.array(logs), traces
+
+
+class ReplayedDraws:
+    """A waiting-time law that hands out the given draws, then ones."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def sample(self, rng, m):
+        out, self.draws = (self.draws + [1.0] * m)[:m], self.draws[m:]
+        return np.array(out)
+
+
+FIXED_T_CASES = {
+    "power1.5": (PowerLawIntervals(mu0=1 * NS, alpha=1.5), 300 * NS),
+    "power2": (PowerLawIntervals(mu0=1 * NS, alpha=2.0), 300 * NS),
+    "power3": (PowerLawIntervals(mu0=1 * NS, alpha=3.0), 2000 * NS),
+    "d2": (LATTICE_LAWS["d2"], 1000 * NS),
+    # 0.1 ns seven times sums above 0.7 ns in doubles: a tie the slack keeps
+    "degenerate_tie": (DegenerateInterval(0.1 * NS), 0.7 * NS),
+    # a tie at the first block's end: the next block holds the stop
+    "degenerate_tie_64": (DegenerateInterval(0.1 * NS), 6.4 * NS),
+    "below_smallest_atom": (DiscreteIntervals(np.array([1 * NS, 3 * NS]),
+                                              np.array([0.5, 0.5])), 0.5 * NS),
+}
+
+
+class TestFixedTStop:
+    @pytest.mark.parametrize("case", FIXED_T_CASES)
+    @pytest.mark.parametrize("keep_traces", [False, True])
+    def test_bitwise_replay(self, chain, psi0, case, keep_traces):
+        dist, t_total = FIXED_T_CASES[case]
+        cfg = make_config(chain, psi0, dist, mode="fixed_T", m=None, t_total=t_total,
+                          realizations=30, master_seed=31337, keep_traces=keep_traces)
+        ens = run_ensemble(cfg)
+        totals, logs, traces = replay_fixed_t(cfg)
+        assert np.array_equal(ens.ms, [t.size for t in traces])
+        assert same_bits(ens.total_times, totals)
+        assert same_bits(ens.log_survivals, logs)
+        if keep_traces:
+            assert len(ens.traces) == len(traces)
+            assert all(same_bits(a, b) for a, b in zip(ens.traces, traces))
+        else:
+            assert ens.traces is None
+        if case == "degenerate_tie":
+            assert np.all(ens.ms == 7)
+        if case == "degenerate_tie_64":
+            assert np.all(ens.ms == 64)
+        if case == "below_smallest_atom":
+            assert np.all(ens.ms == 0) and np.all(ens.log_survivals == 0.0)
+
+    def test_kept_counts_match_scalar_rule_at_the_limit(self):
+        # rows scaled so that a prefix sums to the limit up to round-off:
+        # the stop decisions there hinge on the compensation term
+        rng = np.random.default_rng(2718)
+        mus = rng.random((500, 64)) * 10.0 ** rng.integers(-3, 4, (500, 64))
+        k = rng.integers(1, 64, 500)
+        mus /= np.array([math.fsum(row[:n]) for row, n in zip(mus, k)])[:, None]
+        expected = [len(scalar_budget_rule(row.tolist(), 1.0)) for row in mus]
+        assert montecarlo._kept_counts(mus, 1.0).tolist() == expected
+
+    def test_draws_contain_the_stop_near_the_limit(self):
+        # budgets around the first block's sum, where whether to draw more
+        # turns on the rounding margin
+        dist = PowerLawIntervals(mu0=1 * NS, alpha=1.5)
+        first = math.fsum(dist.sample(substream(5, 0), 64))
+        for step in range(-400, 41, 4):
+            limit = first * (1.0 + step * 2.0**-52)
+            drawn = montecarlo._drawn_past_budget(dist, substream(5, 0), limit)
+            assert len(scalar_budget_rule(drawn.tolist(), limit)) < drawn.size
+
+    def test_draws_contain_the_stop_when_the_sum_rounds_up(self):
+        # the plain sum of 64 draws rounds above a limit within which the
+        # compensated rule keeps all of them: the next block holds the stop
+        rng = np.random.default_rng(7)
+        cases = 0
+        for _ in range(200):
+            first = rng.random(64) * 10.0 ** rng.integers(-3, 4, 64)
+            limit = math.fsum(first)
+            if first.sum() > limit and len(scalar_budget_rule(first.tolist(), limit)) == 64:
+                cases += 1
+                drawn = montecarlo._drawn_past_budget(ReplayedDraws(first), None, limit)
+                assert len(scalar_budget_rule(drawn.tolist(), limit)) == 64 < drawn.size
+        assert cases >= 10
+
+    def test_blocks_outgrow_the_first(self, chain, psi0):
+        # 300 draws per row take four blocks (64, 64, 128, 256)
+        cfg = make_config(chain, psi0, DegenerateInterval(1 * NS), mode="fixed_T",
+                          m=None, t_total=300 * NS, realizations=3)
+        assert np.all(run_ensemble(cfg).ms == 300)
+
+
+def chunked_configs(chain, psi0, mode, **kw):
+    if mode == "fixed_m":
+        return make_config(chain, psi0, d2(), m=40, **kw)
+    return make_config(chain, psi0, PowerLawIntervals(mu0=1 * NS, alpha=2.5),
+                       mode="fixed_T", m=None, t_total=150 * NS, **kw)
+
+
+def run_in_chunks(cfg, target):
+    """``run_ensemble`` with chunks of about ``target`` intervals."""
+    with mock.patch.object(montecarlo, "_CHUNK_TARGET", target):
+        return run_ensemble(cfg)
+
+
+def same_ensemble(a, b) -> bool:
+    return (np.array_equal(a.ms, b.ms) and same_bits(a.total_times, b.total_times)
+            and same_bits(a.log_survivals, b.log_survivals))
+
+
+class TestChunking:
+    # chunks hold about _CHUNK_TARGET intervals: 1 and 7 give one
+    # realization per chunk in both modes, 500 several
+    @pytest.mark.parametrize("mode", ["fixed_m", "fixed_T"])
+    @pytest.mark.parametrize("target", [1, 7, 500])
+    def test_chunk_size_invariance(self, chain, psi0, mode, target):
+        cfg = chunked_configs(chain, psi0, mode, realizations=257)
+        assert same_ensemble(run_ensemble(cfg), run_in_chunks(cfg, target))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        mode=st.sampled_from(["fixed_m", "fixed_T"]),
+        target=st.integers(1, 3000),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_any_chunk_size_gives_the_same_bits(self, chain, psi0, mode, target, n, seed):
+        cfg = chunked_configs(chain, psi0, mode, realizations=n, master_seed=seed)
+        assert same_ensemble(run_ensemble(cfg), run_in_chunks(cfg, target))
 
 
 class TestStatisticalProperties:
