@@ -140,14 +140,11 @@ def _cmd_run(args) -> int:
     ens = run_ensemble(_ensemble_from_config(cfg))
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, cfg.csv_path or "ensemble.csv")
-    rows = [
-        (i, int(ens.ms[i]), float(ens.total_times[i]), float(ens.log_survivals[i]))
-        for i in range(ens.n)
-    ]
+    index, logs = range(ens.n), ens.log_survivals.tolist()
     write_csv(
         csv_path,
         ("realization_index", "m", "total_time_s", "log_survival"),
-        rows,
+        zip(index, ens.ms.tolist(), ens.total_times.tolist(), logs),
         meta={"command": "run", "preset": "none", "seed": cfg.seed,
               "mode": cfg.mode},
     )
@@ -156,7 +153,7 @@ def _cmd_run(args) -> int:
         svg_path = os.path.join(out, cfg.svg_path)
         write_svg(
             svg_path,
-            [Series("ln P", [r[0] for r in rows], [r[3] for r in rows], marker=True)],
+            [Series("ln P", list(index), logs, marker=True)],
             title="ensemble log-survival",
             xlabel="realization",
             ylabel="ln P",

@@ -26,12 +26,34 @@ def format_cell(value) -> str:
     return text
 
 
+def _column_format(cells) -> str:
+    """One %-format for a whole column; ``format_cell`` strings when its
+    cells are not all plain floats or all plain ints (bool is not int)."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return "%.16e"  # the same text as format_cell gives a float
+    if kinds == {int}:
+        return "%d"
+    return "%s"
+
+
 def write_csv(path: str, columns, rows, *, meta: dict) -> None:
-    """Write rows with a comment line carrying ``meta`` key=value pairs."""
+    """Write rows with a comment line carrying ``meta`` key=value pairs.
+
+    Each column gets one format from the types of its cells, and each
+    row is one ``%`` of the row format; the text is what ``format_cell``
+    gives cell by cell.
+    """
     tags = ", ".join(f"{k}={v}" for k, v in meta.items())
-    lines = [f"# zenosim {__version__}, {tags}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+    lines = [f"# zenosim {__version__}, {tags}", ",".join(columns)]
+    cells = list(zip(*rows, strict=True))  # columns; rows must be equally long
+    if cells:
+        if len(cells) != len(columns):
+            raise ValueError(f"{len(columns)} columns but rows of {len(cells)} cells")
+        formats = [_column_format(column) for column in cells]
+        cells = [column if fmt != "%s" else list(map(format_cell, column))
+                 for column, fmt in zip(cells, formats)]
+        row_format = ",".join(formats)
+        lines.extend(row_format % row for row in zip(*cells))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")

@@ -7,10 +7,13 @@ so every applied interval keeps the waiting-time law).
 
 Realization i draws from its own counter-based stream keyed by
 ``(master_seed, i)``, which makes ensembles bitwise reproducible and
-independent of how realizations are split into chunks. Fixed-T finds
-each stop with a vectorized form of the compensated one-draw-at-a-time
-rule. Records stream into flat arrays; raw interval sequences are only
-retained when a debug flag asks for them.
+independent of how realizations are split into chunks. A fixed-m chunk
+of many short rows draws all its uniforms in one ``philox_uniforms``
+call, with no Python per realization; other chunks, and fixed-T, select
+each realization's stream in turn; both give the same bits. Fixed-T
+finds each stop with a vectorized form of the compensated
+one-draw-at-a-time rule. Records stream into flat arrays; raw interval
+sequences are only retained when a debug flag asks for them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .dynamics import Hamiltonian, PureState, log_survival_factors, phase_weights
 from .intervals import IntervalDistribution
-from .rng import StreamFamily
+from .rng import StreamFamily, philox_uniforms
 
 __all__ = [
     "InsufficientSamplesError",
@@ -37,6 +40,13 @@ __all__ = [
 
 #: target number of sampled intervals handled per vectorized chunk
 _CHUNK_TARGET = 262_144
+#: a fixed-m chunk draws its uniforms with ``philox_uniforms`` when its rows
+#: are at most this long and at least ``_VECTOR_MIN_ROWS`` many; otherwise
+#: each row selects its stream, whose C generator costs less per draw but a
+#: few microseconds more per row, and the vector path's fixed cost per call
+#: (about 340 numpy calls) is not repaid by few rows (measured in BENCH_6.json)
+_VECTOR_MAX_M = 128
+_VECTOR_MIN_ROWS = 128
 #: relative slack on the fixed-time budget comparison, so exact ties
 #: (degenerate laws) are not lost to accumulated round-off
 _BUDGET_SLACK = 1e-12
@@ -180,8 +190,11 @@ def _kept_counts(mus: np.ndarray, limit: float) -> np.ndarray:
 def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, family: StreamFamily, start: int, stop: int):
     m = int(cfg.m)
     u = np.empty((stop - start, m), dtype=float)
-    for j in range(stop - start):
-        family.select(start + j).random(m, out=u[j])
+    if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
+        philox_uniforms(cfg.master_seed, start, u)
+    else:
+        for j in range(stop - start):
+            family.select(start + j).random(m, out=u[j])
     mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
     ms = np.full(stop - start, m, dtype=np.int64)
     return ms, mus.sum(axis=1), logq.sum(axis=1), list(mus) if cfg.keep_traces else []

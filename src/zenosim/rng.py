@@ -5,15 +5,34 @@ Every Monte Carlo realization draws from its own Philox-4x64 stream whose
 the Philox counter itself. Philox is a published, platform-independent
 counter-based generator, so ensembles are bitwise reproducible for a given
 master seed however realizations are chunked.
+
+Two ways to read the streams give the same bits. ``StreamFamily`` keys
+numpy's C generator for one realization at a time, which suits long
+rows. ``philox_uniforms`` runs Philox-4x64-10 itself, in numpy integer
+operations over a whole block of realizations at once (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), which suits many
+short rows: it costs more per draw than the C generator but nothing per
+realization.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from numpy.random import Generator, Philox
 
-__all__ = ["substream", "StreamFamily"]
+__all__ = ["substream", "StreamFamily", "philox_uniforms"]
 
 _MASK64 = (1 << 64) - 1
+# Philox-4x64 round multipliers and Weyl key increments
+_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_ROUNDS = 10
+#: counters (four draws each) per vectorized slab; the slab's ten uint64
+#: work arrays and its float64 draws then take under 1 MB
+_SLAB_COUNTERS = 8192
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
 
 
 def substream(master_seed: int, realization_index: int = 0) -> Generator:
@@ -31,10 +50,11 @@ class StreamFamily:
     """All substreams of one master seed behind a single Philox instance.
 
     ``select(i)`` re-keys the generator in place and rewinds its counter,
-    which is bitwise equivalent to ``substream(master_seed, i)`` but
-    several times cheaper than constructing a fresh bit generator per
-    realization (that cost dominates large ensembles of short sequences).
-    The family owns mutable state: use one instance per thread.
+    which is bitwise equivalent to ``substream(master_seed, i)`` and
+    cheaper than constructing a fresh bit generator, but it still costs a
+    few microseconds per realization; blocks of short rows are cheaper
+    with ``philox_uniforms``. The family owns mutable state: use one
+    instance per thread.
     """
 
     def __init__(self, master_seed: int):
@@ -50,3 +70,89 @@ class StreamFamily:
         self._state["state"]["key"][0] = realization_index & _MASK64
         self._bitgen.state = self._state
         return self._generator
+
+
+def _mulhi(x, mul: int, hi, t0, t1, t2) -> None:
+    """hi = the high word of the 128-bit product x * mul, from 32-bit
+    halves (Hacker's Delight, mulhu); t0-t2 are scratch of x's shape."""
+    mul_lo, mul_hi = np.uint64(mul & 0xFFFFFFFF), np.uint64(mul >> 32)
+    np.bitwise_and(x, _LOW32, out=t0)
+    np.right_shift(x, _SHIFT32, out=t1)
+    np.multiply(t0, mul_lo, out=t2)
+    t2 >>= _SHIFT32
+    np.multiply(t1, mul_lo, out=hi)
+    hi += t2  # x1 mul_lo + carry-in, below 2**64
+    t0 *= mul_hi
+    np.bitwise_and(hi, _LOW32, out=t2)
+    t2 += t0  # middle word, below 2**64
+    hi >>= _SHIFT32
+    t2 >>= _SHIFT32
+    hi += t2
+    t1 *= mul_hi
+    hi += t1
+
+
+def _philox_words(master_seed: int, first_index: int, rows: int, first_block: int,
+                  blocks: int) -> list[np.ndarray]:
+    """The four output words, each (rows, blocks), of Philox-4x64-10 at
+    key (first_index + row, master_seed) and counter first_block + block + 1."""
+    shape = (rows, blocks)
+    words = [np.zeros(shape, dtype=np.uint64) for _ in range(4)]
+    words[0][:] = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)
+    key0 = np.empty(shape, dtype=np.uint64)  # full, not broadcast: xor is faster
+    key0[:] = np.uint64(first_index & _MASK64) + np.arange(rows, dtype=np.uint64)[:, None]
+    spare = [np.empty(shape, dtype=np.uint64) for _ in range(5)]
+    for r in range(_ROUNDS):
+        if r:
+            key0 += np.uint64(_BUMP[0])
+        key1 = np.uint64((master_seed + r * _BUMP[1]) & _MASK64)
+        x0, x1, x2, x3 = words
+        h0, h1, *scratch = spare
+        _mulhi(x0, _MUL[0], h0, *scratch)
+        _mulhi(x2, _MUL[1], h1, *scratch)
+        h1 ^= x1
+        h1 ^= key0
+        h0 ^= x3
+        h0 ^= key1
+        np.multiply(x2, np.uint64(_MUL[1]), out=x1)
+        np.multiply(x0, np.uint64(_MUL[0]), out=x3)
+        words = [h1, x1, h0, x3]
+        spare = [x0, x2, *scratch]
+    return words
+
+
+def philox_uniforms(master_seed: int, first_index: int, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float64 (rows, m) block ``out`` so that row j
+    holds ``substream(master_seed, first_index + j).random(m)`` bit for bit,
+    and return it.
+
+    That stream's block b is Philox-4x64-10 at counter b + 1 under key
+    words (index, seed); its four words are read in order and word x
+    becomes the double (x >> 11) 2**-53, as numpy does. Work runs in slabs
+    of about ``_SLAB_COUNTERS`` counters, so the uint64 temporaries stay
+    small whatever the block size. Raises ``TypeError`` for another dtype
+    and ``ValueError`` for another shape or layout.
+    """
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+        raise TypeError("philox_uniforms fills a float64 array")
+    if out.ndim != 2 or not out.flags.c_contiguous:
+        raise ValueError("philox_uniforms fills a C-contiguous (rows, m) array")
+    rows, m = out.shape
+    if out.size == 0:
+        return out
+    seed = master_seed & _MASK64
+    blocks = -(-m // 4)
+    slab_rows = max(1, _SLAB_COUNTERS // blocks)
+    slab_blocks = min(blocks, _SLAB_COUNTERS)
+    for r0 in range(0, rows, slab_rows):
+        r1 = min(rows, r0 + slab_rows)
+        for b0 in range(0, blocks, slab_blocks):
+            b1 = min(blocks, b0 + slab_blocks)
+            words = _philox_words(seed, first_index + r0, r1 - r0, b0, b1 - b0)
+            draws = np.empty((r1 - r0, b1 - b0, 4))
+            for j, word in enumerate(words):
+                word >>= _SHIFT11
+                np.multiply(word, 2.0**-53, out=draws[..., j])
+            stop = min(4 * b1, m)  # a row's last block may overhang it
+            out[r0:r1, 4 * b0:stop] = draws.reshape(r1 - r0, -1)[:, :stop - 4 * b0]
+    return out

@@ -148,13 +148,22 @@ class FixedUniforms:
         return self.u.copy()
 
 
+#: fixed-m row lengths below, at and above the longest vector-drawn row
+ROW_LENGTHS = [5, 50, montecarlo._VECTOR_MAX_M, montecarlo._VECTOR_MAX_M + 1]
+
+
 class TestLatticeGather:
     @pytest.mark.parametrize("law", [*LATTICE_LAWS, "power"])
     @pytest.mark.parametrize("keep_traces", [False, True])
-    @pytest.mark.parametrize("per_chunk", [1, 7, None])
-    def test_bitwise_replay(self, chain, psi0, monkeypatch, law, keep_traces, per_chunk):
+    @pytest.mark.parametrize("per_chunk,m", [
+        pytest.param(per_chunk, m, id=f"{per_chunk}" if m == 50 else f"{per_chunk}-m{m}")
+        for m in ROW_LENGTHS for per_chunk in (1, 7, None)
+    ])
+    def test_bitwise_replay(self, chain, psi0, monkeypatch, law, keep_traces, per_chunk, m):
         dist = LATTICE_LAWS.get(law, PowerLawIntervals(mu0=1 * NS, alpha=2.5))
-        m = 50
+        # chunks of 7 or more rows draw short rows with philox_uniforms; the
+        # 1-row chunks and the 2-row tail of 23 = 3 x 7 + 2 select streams
+        monkeypatch.setattr(montecarlo, "_VECTOR_MIN_ROWS", 7)
         if per_chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", per_chunk * m)
         cfg = make_config(chain, psi0, dist, m=m, realizations=23,
@@ -182,6 +191,37 @@ class TestLatticeGather:
         with pytest.raises(ValueError):
             dist.intervals_and_log_q(np.zeros((4, 4))[:, ::2], *phase_weights(chain, psi0))
 
+    @pytest.mark.parametrize("m,rows,vector", [
+        (20, 300, True),
+        (montecarlo._VECTOR_MAX_M, montecarlo._VECTOR_MIN_ROWS, True),
+        (montecarlo._VECTOR_MAX_M + 1, 300, False),
+        (20, montecarlo._VECTOR_MIN_ROWS - 1, False),
+    ])
+    def test_short_rows_of_many_realizations_select_no_stream(self, chain, psi0, m, rows,
+                                                              vector):
+        cfg = make_config(chain, psi0, d2(), m=m, realizations=rows)
+        with mock.patch.object(montecarlo.StreamFamily, "select",
+                               autospec=True, side_effect=montecarlo.StreamFamily.select) as select:
+            ens = run_ensemble(cfg)
+        assert select.call_count == (0 if vector else rows)
+        assert same_bits(ens.log_survivals, replay(cfg)[1])
+
+    def test_peak_memory_of_short_rows(self, chain, psi0):
+        # 10^5 realizations of m = 20 on the vector path: the chunk's
+        # uniforms and ln q (16 bytes per draw), the records run_ensemble
+        # keeps (m, total and log survival: 24 bytes per realization) and
+        # at most 2 MiB besides, for philox_uniforms' slabs and the rest
+        n, m = 100_000, 20
+        cfg = make_config(chain, psi0, d2(), m=m, realizations=n)
+        chunk_draws = montecarlo._CHUNK_TARGET // m * m
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * chunk_draws + 24 * n + 2 * 2**20
+
     def test_peak_memory_per_draw(self, chain, psi0):
         m = 2_000_000
         cfg = make_config(chain, psi0, LATTICE_LAWS["d2"], m=m, realizations=1)
@@ -205,7 +245,8 @@ class TestLatticeGather:
             st.lists(st.floats(1e-3, 1.0), min_size=len(atoms), max_size=len(atoms))))
         dist = DiscreteIntervals(np.array(atoms), weights / weights.sum())
         cfg = make_config(chain, psi0, dist, m=m, realizations=3, master_seed=seed)
-        ens = run_ensemble(cfg)
+        with mock.patch.object(montecarlo, "_VECTOR_MIN_ROWS", 1):  # rows up to _VECTOR_MAX_M
+            ens = run_ensemble(cfg)
         totals, logs, _ = replay(cfg)
         assert same_bits(ens.total_times, totals)
         assert same_bits(ens.log_survivals, logs)
@@ -337,9 +378,9 @@ class TestFixedTStop:
         assert np.all(run_ensemble(cfg).ms == 300)
 
 
-def chunked_configs(chain, psi0, mode, **kw):
+def chunked_configs(chain, psi0, mode, m=40, **kw):
     if mode == "fixed_m":
-        return make_config(chain, psi0, d2(), m=40, **kw)
+        return make_config(chain, psi0, d2(), m=m, **kw)
     return make_config(chain, psi0, PowerLawIntervals(mu0=1 * NS, alpha=2.5),
                        mode="fixed_T", m=None, t_total=150 * NS, **kw)
 
@@ -370,10 +411,15 @@ class TestChunking:
         target=st.integers(1, 3000),
         n=st.integers(1, 60),
         seed=st.integers(0, 2**64 - 1),
+        m=st.sampled_from(ROW_LENGTHS),
+        min_rows=st.integers(1, 60),
     )
-    def test_any_chunk_size_gives_the_same_bits(self, chain, psi0, mode, target, n, seed):
-        cfg = chunked_configs(chain, psi0, mode, realizations=n, master_seed=seed)
-        assert same_ensemble(run_ensemble(cfg), run_in_chunks(cfg, target))
+    def test_any_chunk_size_gives_the_same_bits(self, chain, psi0, mode, target, n, seed, m,
+                                                min_rows):
+        # chunks of at least min_rows short rows are vector-drawn, others not
+        cfg = chunked_configs(chain, psi0, mode, m=m, realizations=n, master_seed=seed)
+        with mock.patch.object(montecarlo, "_VECTOR_MIN_ROWS", min_rows):
+            assert same_ensemble(run_ensemble(cfg), run_in_chunks(cfg, target))
 
 
 class TestStatisticalProperties:

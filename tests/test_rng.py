@@ -1,0 +1,85 @@
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zenosim import rng
+from zenosim.rng import philox_uniforms, substream
+
+TOP = 2**64 - 1
+
+
+def reference(seed, first, rows, m):
+    """Row j from a fresh numpy generator keyed (seed, first + j)."""
+    return np.array([substream(seed, first + j).random(m) for j in range(rows)]).reshape(rows, m)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def filled(seed, first, rows, m):
+    out = np.full((rows, m), np.nan)
+    assert philox_uniforms(seed, first, out) is out
+    return out
+
+
+near_top = st.integers(TOP - 100, TOP)
+keys = st.one_of(st.integers(0, TOP), near_top, st.integers(0, 100))
+
+
+class TestPhiloxUniforms:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=keys, first=keys, rows=st.integers(1, 24), m=st.integers(1, 70),
+           slab=st.one_of(st.integers(1, 40), st.just(rng._SLAB_COUNTERS)))
+    def test_matches_numpy_philox(self, seed, first, rows, m, slab):
+        # small slabs put slab edges inside and between rows
+        with mock.patch.object(rng, "_SLAB_COUNTERS", slab):
+            got = filled(seed, first, rows, m)
+        assert same_bits(got, reference(seed, first, rows, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 9, 13, 22, 31])
+    def test_rows_not_a_multiple_of_four_draws(self, m):
+        assert same_bits(filled(2024, 5, 9, m), reference(2024, 5, 9, m))
+
+    @pytest.mark.parametrize("seed", [TOP - 100, TOP - 1, TOP])
+    def test_indices_wrap_past_the_top_of_the_key_space(self, seed):
+        first = TOP - 6  # rows 7.. wrap to indices 0, 1, ...
+        assert same_bits(filled(seed, first, 12, 7), reference(seed, first, 12, 7))
+
+    def test_seed_and_index_taken_modulo_two_to_the_64(self):
+        assert same_bits(filled(-1, -3, 5, 6), reference(TOP, TOP - 2, 5, 6))
+        assert same_bits(filled(2**64 + 9, 2**65 + 4, 3, 5), reference(9, 4, 3, 5))
+
+    def test_blocks_across_the_default_slab(self):
+        # 3000 rows x 4 counters and one row of 8197 counters, each more
+        # than one slab of _SLAB_COUNTERS
+        assert 3000 * 4 > rng._SLAB_COUNTERS
+        assert same_bits(filled(77, 10, 3000, 13), reference(77, 10, 3000, 13))
+        m = 4 * rng._SLAB_COUNTERS + 18
+        assert same_bits(filled(77, 10, 1, m), reference(77, 10, 1, m))
+
+    def test_empty_blocks(self):
+        assert filled(1, 0, 0, 5).shape == (0, 5)
+        assert filled(1, 0, 4, 0).shape == (4, 0)
+
+    @pytest.mark.parametrize("out", [
+        np.empty((3, 4), dtype=np.float32),
+        np.empty((3, 4), dtype=np.int64),
+        [[0.0] * 4] * 3,
+    ])
+    def test_wrong_dtype_is_a_type_error(self, out):
+        with pytest.raises(TypeError):
+            philox_uniforms(1, 0, out)
+
+    @pytest.mark.parametrize("out", [
+        np.empty((3, 8))[:, ::2],
+        np.empty((3, 4), order="F"),
+        np.empty(12),
+        np.empty((2, 3, 4)),
+    ])
+    def test_wrong_layout_is_a_value_error(self, out):
+        with pytest.raises(ValueError):
+            philox_uniforms(1, 0, out)
