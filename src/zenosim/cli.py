@@ -34,7 +34,6 @@ from .ldstats import (
     RootBracketFailureError,
     qze_condition,
     rate_curve,
-    survival_stats,
     survival_stats_for,
 )
 from .montecarlo import (
@@ -70,14 +69,11 @@ def _print_summary(cfg: ExperimentConfig, ens) -> None:
     print("summary")
     if m is not None:
         try:
-            if isinstance(dist, DiscreteIntervals):
-                stats = survival_stats(LdProblem.for_system(h, psi0, dist, m))
-            else:
-                stats = survival_stats_for(dist, h, psi0, m)
+            stats = survival_stats_for(dist, h, psi0, m)
             print(f"  ln P*   = {_fmt(stats.log_p_star)}")
             print(f"  ln <P>  = {_fmt(stats.log_p_mean)}")
         except QuadratureNoConvergenceError:
-            print("  ln P*   = n/a (expectation quadrature did not converge)")
+            print("  ln P*   = n/a (power-law tail too heavy for the quadrature)")
     try:
         tz = zeno_time(h, psi0)
         print(f"  tau_Z   = {_fmt(tz)} s")

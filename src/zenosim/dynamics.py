@@ -40,6 +40,7 @@ __all__ = [
     "survival_factor",
     "log_survival_factor",
     "log_survival_factors",
+    "survival_minima",
     "delta_of_mu",
     "evolve_sequence",
     "survival_trace",
@@ -233,6 +234,30 @@ def log_survival_factors(
         with np.errstate(divide="ignore"):
             out[far] = np.log(re * re + im * im)
     return out
+
+
+def survival_minima(lam: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Local minima of q, one in each step of the increasing ``grid`` where
+    dq/dmu = -1/2 sum_{j<k} 4 w_j w_k g sin(g mu), g = lam_k - lam_j (the
+    kernel's pair sums), turns non-negative; bisection on its sign narrows
+    each step to adjacent doubles and returns the upper one."""
+    j, k = np.triu_indices(lam.size, 1)
+    gaps = lam[k] - lam[j]
+    terms = list(zip(gaps.tolist(), (-2.0 * w[j] * w[k] * gaps).tolist()))
+
+    def rising(mus: np.ndarray) -> np.ndarray:
+        return sum(coeff * np.sin(gap * mus) for gap, coeff in terms) >= 0.0
+
+    grid = np.asarray(grid, dtype=float)
+    up = rising(grid)
+    at = np.flatnonzero(~up[:-1] & up[1:])
+    lo, hi = grid[at], grid[at + 1]
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        up = rising(mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def log_survival_factor(h: Hamiltonian, psi0: PureState, mu: float) -> float:

@@ -4,30 +4,25 @@ Three families ship: a discrete distribution over d positive atoms (the
 d-outcome Bernoulli case), a continuous power law on [mu0, inf), and the
 degenerate point mass that models equally spaced measurements. Each
 offers sampling against an explicit generator handle, exact moments, and
-expectations of arbitrary functions of the waiting time. Monte Carlo
-ensembles hand each law a block of uniforms and get back the waiting times
-and their ln q (``intervals_and_log_q``): the lattice laws evaluate ln q
-once per atom and gather it by atom index, the power law runs the kernel
-on every draw.
-
-Power-law expectations compactify the infinite tail with u = (mu0/mu)^alpha,
-mapping E[g] to the unit interval
-
-    E[g] = integral_0^1 g(mu0 * u^(-1/alpha)) du,
-
-then integrate adaptively. No tail truncation is involved, which keeps
-small exponents honest.
+the survival moments E[ln q] and E[1 - q] for given phase weights
+(``log_q_moments``). Monte Carlo ensembles hand each law a block of
+uniforms and get back the waiting times and their ln q
+(``intervals_and_log_q``): the lattice laws evaluate ln q once per atom
+and gather it by atom index, the power law runs the kernel on every draw.
+The power law's moments come from one composite Gauss-Legendre rule with
+panels graded toward the zeros of q, truncated by a fixed rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 from numpy.random import Generator
 
-from .dynamics import log_survival_factors
+from .dynamics import log_survival_factors, survival_minima
 
 __all__ = [
     "InfiniteMeanError",
@@ -39,13 +34,20 @@ __all__ = [
     "IntervalDistribution",
 ]
 
-#: default relative tolerance for power-law expectation quadrature
-QUAD_TOL = 1e-10
-#: default cap on adaptive subdivisions
-QUAD_LIMIT = 400
-
-#: fixed Gauss-Legendre rule for the windowed tail integrator
-_GAUSS_NODES = np.polynomial.legendre.leggauss(32)
+#: Gauss-Legendre rule of every power-law panel
+_GAUSS_NODES = np.polynomial.legendre.leggauss(16)
+#: power-law body panels are this fraction of the period of q
+_PANEL_FRACTION = 1.0 / 8.0
+#: minima of q below this are panel edges, with panels graded toward them
+_Q_FLOOR = 1e-3
+#: graded edges in body panels off a minimum (nearer, kernel round-off rivals q)
+_GRADING = 8.0 ** -np.arange(9)
+#: the dropped power-law tail, relative to the moments' scale
+_TAIL_TOL = 1e-10
+#: most power-law body panels, checked before any kernel call
+_MAX_PANELS = 32_768
+#: quadrature nodes per kernel call
+_QUAD_SLAB = 8192
 #: draws per slab of the discrete gather: the atom-index buffer stays this
 #: small, so a block costs only its uniforms and its ln q (16 bytes a draw)
 _GATHER_SLAB = 65_536
@@ -60,7 +62,7 @@ class InfiniteSecondMomentError(ValueError):
 
 
 class QuadratureNoConvergenceError(RuntimeError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """The power-law tail is too heavy for the quadrature's panel budget."""
 
 
 @dataclass(frozen=True)
@@ -149,9 +151,9 @@ class DiscreteIntervals:
     def second_moment(self) -> float:
         return float(np.dot(self.probs, self.values**2))
 
-    def expect(self, g: Callable[[float], float]) -> float:
-        """Exact weighted sum of g over the atoms."""
-        return float(sum(p * g(v) for v, p in zip(self.values, self.probs)))
+    def log_q_moments(self, lam: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+        """E[ln q] and E[1 - q], from the kernel once per atom."""
+        return _atom_moments(self.probs, log_survival_factors(lam, w, self.values))
 
 
 @dataclass(frozen=True)
@@ -207,83 +209,76 @@ class PowerLawIntervals:
             )
         return self.alpha * self.mu0**2 / (self.alpha - 2.0)
 
-    def expect(self, g: Callable[[float], float], *, tol: float = QUAD_TOL,
-               limit: int = QUAD_LIMIT) -> float:
-        """Adaptive quadrature of E[g] on the compactified unit interval.
+    def log_q_moments(self, lam: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+        """E[ln q] and E[1 - q] under the power law, for phase weights (lam, w).
 
-        Accepts the result when the integrator's error bound meets the
-        requested relative tolerance, even if scipy reports that its own
-        internal target was missed. Raises
-        ``QuadratureNoConvergenceError`` otherwise, which happens for
-        genuinely pathological integrands (wild oscillation or
-        non-integrable singularities under the tail measure).
+        One composite Gauss-Legendre rule on [mu0, cut]: panels grow by
+        half from mu0 up to ``_PANEL_FRACTION`` of the period
+        2 pi / (lam_max - lam_min), and keep that width; each minimum of q
+        below ``_Q_FLOOR``, a log singularity of ln q, is an edge, with
+        edges ``_GRADING`` panels to either side. An eigenstate gives (0, 0).
+
+        Truncation: past the cut c the density barely changes over a
+        period, so the dropped tail is about (mu0/c)^alpha times the mean
+        of -ln q >= 1 - q over time, -2 ln M with M the Mahler measure of
+        sum_k w_k z_k on the torus the phases fill. M is at least w_v, the
+        weight of the lowest or highest weighted level (a vertex of the
+        Newton polytope), and q >= (1 - 2r)^2 if the weights but the
+        largest sum to r < 1/2: B, the smaller bound, is -2 ln w_v or
+        -2 ln(1 - 2r). The cut puts B (mu0/c)^alpha at ``_TAIL_TOL`` times
+        min(V mu0^2, 1), V the energy variance: about the least 1 - q near
+        mu0, below E[1 - q] <= |E[ln q]|. A cut more than ``_MAX_PANELS``
+        panels away, as for alpha <= 2 on the default chain, raises
+        ``QuadratureNoConvergenceError`` before any kernel call.
         """
-        from scipy.integrate import quad  # deferred: scipy is slow to import
-
+        variance = float(np.dot(w, (lam - np.dot(w, lam)) ** 2))
+        if variance == 0.0:
+            return 0.0, 0.0
         mu0, alpha = self.mu0, self.alpha
-
-        def integrand(u: float) -> float:
-            return g(mu0 * u ** (-1.0 / alpha))
-
-        result = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=tol,
-                      limit=limit, full_output=1)
-        value, abserr = float(result[0]), float(result[1])
-        if not np.isfinite(value):
-            raise QuadratureNoConvergenceError("expectation quadrature diverged")
-        if abserr > tol * max(abs(value), np.finfo(float).tiny):
-            detail = result[3].splitlines()[0] if len(result) > 3 else ""
+        present = lam[w > 0.0]
+        width = _PANEL_FRACTION * 2.0 * math.pi / float(present.max() - present.min())
+        head = mu0 * 1.5 ** np.arange(max(0, math.ceil(math.log(2.0 * width / mu0, 1.5))) + 1)
+        # B of the docstring; r is summed without cancellation
+        bound = -2.0 * math.log(max(w[lam == present.min()].sum(), w[lam == present.max()].sum()))
+        rest = float(np.sort(w)[:-1].sum())
+        if rest < 0.5:
+            bound = min(bound, -2.0 * math.log1p(-2.0 * rest))
+        scale = min(variance * mu0 * mu0, 1.0)
+        reach = head[-1] + _MAX_PANELS * width
+        if bound * (mu0 / reach) ** alpha > _TAIL_TOL * scale:
             raise QuadratureNoConvergenceError(
-                f"quadrature error bound {abserr:g} exceeds relative tolerance "
-                f"{tol:g} for value {value:g} {detail}"
-            )
-        return value
+                f"alpha = {alpha}: the tail needs more than {_MAX_PANELS} panels")
+        cut = mu0 * (bound / (_TAIL_TOL * scale)) ** (1.0 / alpha)
+        panels = max(1, math.ceil((cut - head[-1]) / width))
+        edges = np.concatenate((head[:-1], head[-1] + width * np.arange(panels + 1)))
+        minima = survival_minima(lam, w, edges)
+        minima = minima[log_survival_factors(lam, w, minima) < math.log(_Q_FLOOR)]
+        graded = (minima[:, None] + width * np.concatenate((-_GRADING, [0.0], _GRADING))).ravel()
+        graded = graded[(graded > mu0) & (graded < edges[-1])]
 
-    def expect_windowed(
-        self,
-        g: Callable[[np.ndarray], np.ndarray],
-        *,
-        oscillation_period: float = np.inf,
-        tol: float = 1e-9,
-        max_windows: int = 50_000,
-    ) -> float:
-        """Expectation of a bounded, eventually-oscillating g.
+        def moments(mus: np.ndarray) -> np.ndarray:
+            log_q = log_survival_factors(lam, w, mus)
+            return np.stack((log_q, -np.expm1(log_q)))
 
-        Blind adaptive quadrature can extrapolate straight through an
-        oscillating heavy tail and report a wildly optimistic error bound
-        (the compactified integrand looks like a clean endpoint
-        singularity at every scale it samples). When the caller knows the
-        oscillation period -- here, set by the spread of the overlap
-        phases -- the tail can instead be integrated panel by panel, each
-        panel at most an eighth of a period wide so fixed Gauss nodes
-        resolve it to round-off, truncating only once the remaining tail
-        mass times the observed magnitude of g is below ``tol`` relative.
+        edges = np.unique(np.concatenate((edges, graded)))
+        mean_log_q, mean_delta = self.expect_windowed(moments, edges=edges)
+        return float(mean_log_q), float(mean_delta)
 
-        Panels grow geometrically from mu0 until the period cap takes
-        over, so the power-law head is resolved as well. Requires g
-        bounded on the support. g is called once per panel with the
-        array of its nodes and returns the array of its values there.
-        """
+    def expect_windowed(self, g: Callable, *, edges: np.ndarray) -> np.ndarray:
+        """E[g] by the Gauss-Legendre rule on each panel between two
+        ``edges``; g maps waiting times to values along its last axis, and
+        gets at most ``_QUAD_SLAB`` of them a call."""
         nodes, weights = _GAUSS_NODES
+        per_slab = _QUAD_SLAB // nodes.size
         mu0, alpha = self.mu0, self.alpha
-        cap = oscillation_period / 8.0
         acc = 0.0
-        g_max = 0.0
-        a = mu0
-        for _ in range(max_windows):
-            b = a + min(0.5 * a, cap)
-            half = 0.5 * (b - a)
-            mus = 0.5 * (a + b) + half * nodes
-            vals = np.asarray(g(mus), dtype=float)
-            density = alpha * mu0**alpha * mus ** (-1.0 - alpha)
-            acc += half * float(np.dot(weights, vals * density))
-            g_max = max(g_max, float(np.max(np.abs(vals))))
-            a = b
-            tail_bound = (mu0 / a) ** alpha * 2.0 * max(g_max, 1e-300)
-            if tail_bound <= tol * max(abs(acc), np.finfo(float).tiny):
-                return float(acc)
-        raise QuadratureNoConvergenceError(
-            f"tail not exhausted after {max_windows} windows (reached mu = {a:g})"
-        )
+        for start in range(0, edges.size - 1, per_slab):
+            slab = edges[start : start + per_slab + 1, None]
+            half = 0.5 * (slab[1:] - slab[:-1])
+            mus = (0.5 * (slab[1:] + slab[:-1]) + half * nodes).ravel()
+            density = (alpha / mu0) * (mu0 / mus) ** (1.0 + alpha)
+            acc = acc + g(mus) @ ((half * weights).ravel() * density)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -315,8 +310,16 @@ class DegenerateInterval:
     def second_moment(self) -> float:
         return self.mu_bar**2
 
-    def expect(self, g: Callable[[float], float]) -> float:
-        return float(g(self.mu_bar))
+    def log_q_moments(self, lam: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+        """ln q and 1 - q at the one waiting time."""
+        return _atom_moments(np.ones(1), log_survival_factors(lam, w, np.array([self.mu_bar])))
+
+
+def _atom_moments(probs: np.ndarray, log_q: np.ndarray) -> tuple[float, float]:
+    """(sum p ln q, sum p (1 - q)), added left to right in atom order."""
+    p = probs.tolist()
+    return (float(sum(a * b for a, b in zip(p, log_q.tolist()))),
+            float(sum(a * b for a, b in zip(p, (-np.expm1(log_q)).tolist()))))
 
 
 IntervalDistribution = Union[DiscreteIntervals, PowerLawIntervals, DegenerateInterval]

@@ -47,7 +47,7 @@ from .dynamics import (
     phase_weights,
     zeno_time,
 )
-from .intervals import DiscreteIntervals, IntervalDistribution, PowerLawIntervals
+from .intervals import DiscreteIntervals, IntervalDistribution
 
 __all__ = [
     "OutOfRangeError",
@@ -332,41 +332,18 @@ def survival_stats(prob: LdProblem) -> SurvivalStats:
 
 
 def survival_stats_for(
-    dist: IntervalDistribution,
-    h: Hamiltonian,
-    psi0: PureState,
-    m: int,
-    *,
-    tol: float = 1e-9,
+    dist: IntervalDistribution, h: Hamiltonian, psi0: PureState, m: int
 ) -> SurvivalStats:
-    """Survival statistics for any waiting-time distribution.
-
-    Discrete laws reduce to exact sums. Power laws integrate against the
-    density with the windowed tail scheme: the integrands oscillate on
-    the period set by the spread of the overlap phases, which blind
-    adaptive quadrature extrapolates through while reporting an
-    optimistic error bound. ``tol`` applies to the power-law quadrature.
-    """
+    """Survival statistics for any waiting-time law, from its E[ln q] and
+    E[1 - q] (``log_q_moments``); a power law whose tail is too heavy for
+    its quadrature raises ``QuadratureNoConvergenceError``."""
     if m < 1:
         raise ValueError("m must be a positive count")
-    lam, w = phase_weights(h, psi0)
-    log_q = lambda mus: log_survival_factors(lam, w, mus)
-    delta = lambda mus: -np.expm1(log_q(mus))
-    if isinstance(dist, PowerLawIntervals):
-        spread = float(lam.max() - lam.min())
-        period = 2.0 * math.pi / spread if spread > 0 else math.inf
-        expect = lambda g: dist.expect_windowed(
-            g, oscillation_period=period, tol=tol
-        )
-    else:
-        expect = lambda g: dist.expect(lambda mu: float(g(np.array([mu]))[0]))
-
-    log_p_star = m * expect(log_q)
+    mean_log_q, mean_delta = dist.log_q_moments(*phase_weights(h, psi0))
     # mean via E[1 - q]: log1p keeps ln<q> accurate when q is close to 1,
     # where direct ln E[q] would lose the Jensen gap to round-off
-    mean_delta = expect(delta)
     return SurvivalStats(
-        log_p_star=log_p_star, log_p_mean=m * math.log1p(-mean_delta), m=m
+        log_p_star=m * mean_log_q, log_p_mean=m * math.log1p(-mean_delta), m=m
     )
 
 

@@ -12,7 +12,7 @@ of many short rows draws all its uniforms in one ``philox_uniforms``
 call, with no Python per realization; other chunks, and fixed-T, select
 each realization's stream in turn; both give the same bits. Fixed-T
 finds each stop with a vectorized form of the compensated
-one-draw-at-a-time rule. Records stream into flat arrays; raw interval
+one-draw-at-a-time rule. Records fill preallocated arrays; raw interval
 sequences are only retained when a debug flag asks for them.
 """
 
@@ -252,15 +252,16 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     on its own, and each realization's sums run over its own draws.
     """
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
-    parts = list(_chunks(cfg, lam, w))
-    ms, totals, logs = (np.concatenate([p[k] for p in parts]) for k in range(3))
-    return SurvivalEnsemble(
-        config=cfg,
-        ms=ms,
-        total_times=totals,
-        log_survivals=logs,
-        traces=tuple(t for p in parts for t in p[3]) if cfg.keep_traces else None,
-    )
+    n = cfg.realizations
+    ms, totals, logs = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    traces, start = [], 0
+    for part in _chunks(cfg, lam, w):
+        stop = start + part[0].size
+        ms[start:stop], totals[start:stop], logs[start:stop] = part[:3]
+        traces += part[3]
+        start = stop
+    return SurvivalEnsemble(config=cfg, ms=ms, total_times=totals, log_survivals=logs,
+                            traces=tuple(traces) if cfg.keep_traces else None)
 
 
 def empirical_rate(ens: SurvivalEnsemble, bins: int) -> EmpiricalRate:

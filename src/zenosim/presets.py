@@ -105,9 +105,7 @@ def _rows_powerlaw(h, psi0, seed):
     rows = []
     for alpha in (2.5, 3.0, 4.0):
         dist = PowerLawIntervals(mu0=1 * _NS, alpha=alpha)
-        # small alpha leaves more oscillatory tail mass; 1e-7 is what
-        # the quadrature can certify there and far beyond plotting needs
-        per_m = survival_stats_for(dist, h, psi0, 1, tol=1e-7).log_p_star
+        per_m = survival_stats_for(dist, h, psi0, 1).log_p_star
         for m in _M_SWEEP:
             rows.append((alpha, m, _typical_log(h, psi0, dist, m, seed), m * per_m))
     return rows

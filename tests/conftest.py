@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from oracles import CHAIN_COUPLING, CHAIN_OMEGAS
+from oracles import CHAIN_COUPLING, CHAIN_OMEGAS, chain_matrix, powerlaw_expect_log_q
 
 from zenosim import PureState, build_chain_hamiltonian, entangled_initial_state
 
@@ -27,3 +27,19 @@ def rabi():
     """Two-level pure-coupling system and its ground basis state."""
     h = build_chain_hamiltonian([0.0, 0.0], CHAIN_COUPLING)
     return h, PureState(np.array([1.0, 0.0], dtype=complex))
+
+
+@pytest.fixture(scope="session")
+def powerlaw_log_q_oracle():
+    """E[ln q] of the benchmark chain from (1, 0, 1)/sqrt(2) under the
+    power law (mu0, alpha), from the 40-digit oracle, each value computed
+    once per session."""
+    cache = {}
+    psi = np.array([1.0, 0.0, 1.0], dtype=complex)  # normalized by the oracle
+
+    def value(mu0: float, alpha: float) -> float:
+        if (mu0, alpha) not in cache:
+            cache[mu0, alpha] = powerlaw_expect_log_q(chain_matrix(), psi, mu0, alpha)
+        return cache[mu0, alpha]
+
+    return value

@@ -2,9 +2,12 @@
 
 Everything here deliberately avoids the code paths under test: the
 propagator oracle is a truncated Taylor series in extended precision,
-ln q at long intervals comes from mpmath's matrix exponential, eigenvalues come from characteristic-polynomial roots, two-level results
-are hand-derived closed forms, and small-m rate functions are exact
-binomial enumerations.
+ln q at long intervals comes from mpmath's matrix exponential,
+eigenvalues come from characteristic-polynomial roots, two-level results
+are hand-derived closed forms, small-m rate functions are exact
+binomial enumerations, and power-law E[ln q] is a composite
+Gauss-Legendre rule on a 40-digit eigensystem, with the zeros of q found
+by ``mpmath.findroot``.
 """
 
 from __future__ import annotations
@@ -142,3 +145,110 @@ def binomial_rate_enumeration(
     rates = -np.log(probs) / m
     rates -= rates.min()
     return xs, probs, rates
+
+
+def powerlaw_expect_log_q(h: np.ndarray, psi: np.ndarray, mu0: float, alpha: float,
+                          rel_target: float = 1e-11, order: int = 24,
+                          dps: int = 40) -> float:
+    """E[ln q] under the power law p(mu) = alpha mu0^alpha / mu^(1+alpha), mu >= mu0.
+
+    The eigenpairs of h come from mpmath at ``dps`` digits, so that
+    q(mu) = |a(mu)|^2 with a(mu) = sum_k w_k exp(-i lam_k mu). Minima of q
+    are bracketed where dq/dmu = 2 Re(conj(a) a') turns from negative to
+    non-negative on a grid of period/64 steps (period = 2 pi /
+    (lam_max - lam_min)), and each is refined by ``mpmath.findroot`` on
+    dq/dmu at ``dps`` digits. Those with q < 1e-3, log singularities of
+    ln q, become panel edges, with more edges period/32 * 2^-k away on
+    both sides (k = 0..24; nearer, float64 round-off in the phases, about
+    1e-16 of them, is no longer small against q). Other panels grow by a
+    quarter from mu0 until they are period/32 wide and keep that width up
+    to the cut. Each panel takes ``order`` Gauss-Legendre nodes; ln q is
+    evaluated there in float64 from the ``dps``-digit eigensystem (the
+    pair form of 1 - q below 1/2, the amplitude elsewhere) and summed with
+    ``math.fsum``.
+
+    The tail past the cut c is the mean of ln q over the last 16 periods
+    times the tail mass (mu0/c)^alpha. For a periodic q that step is off
+    by about that tail times alpha period / c; the cut puts this, with 4
+    as a bound on the mean of |ln q|, below ``rel_target`` times the part
+    of |E[ln q]| on [mu0, 2 mu0].
+    """
+    if not alpha > 2.0:
+        raise ValueError("the oracle's cut needs alpha > 2")
+    with mp.workdps(dps):
+        n = h.shape[0]
+        hm = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                hm[i, j] = mp.mpc(complex(h[i, j]))
+        evals, evecs = mp.eighe(hm)
+        p = mp.matrix([mp.mpc(complex(a)) for a in psi])
+        p = p / mp.sqrt(mp.fsum(abs(a) ** 2 for a in p))
+        lam_mp = [mp.re(e) for e in evals]
+        w_mp = [abs(mp.fsum(mp.conj(evecs[r, k]) * p[r] for r in range(n))) ** 2
+                for k in range(n)]
+
+        def slope_mp(mu):
+            terms = [wk * mp.expj(-lk * mu) for wk, lk in zip(w_mp, lam_mp)]
+            damp = mp.fsum(lk * t for lk, t in zip(lam_mp, terms))
+            return 2 * mp.im(mp.conj(mp.fsum(terms)) * damp)
+
+        def q_mp(mu):
+            return abs(mp.fsum(wk * mp.expj(-lk * mu) for wk, lk in zip(w_mp, lam_mp))) ** 2
+
+    lam = np.array([float(x) for x in lam_mp])
+    w = np.array([float(x) for x in w_mp])
+    j, k = np.triu_indices(n, 1)
+    gaps, pair_w = lam[k] - lam[j], 4.0 * w[j] * w[k]
+
+    def log_q(mus: np.ndarray) -> np.ndarray:
+        delta = np.sin(0.5 * np.multiply.outer(mus, gaps)) ** 2 @ pair_w
+        far = delta >= 0.5
+        out = np.log1p(-np.where(far, 0.0, delta))
+        amp = np.exp(-1j * np.multiply.outer(mus[far], lam)) @ w
+        out[far] = np.log(amp.real ** 2 + amp.imag ** 2)
+        return out
+
+    def slope(mus: np.ndarray) -> np.ndarray:
+        phase = np.exp(-1j * np.multiply.outer(mus, lam))
+        return 2.0 * (np.conj(phase @ w) * (phase @ (-1j * lam * w))).real
+
+    x, wx = np.polynomial.legendre.leggauss(order)
+
+    def integral(edges: np.ndarray, weighted: bool = True) -> float:
+        terms = []
+        for s in range(0, edges.size - 1, 4096):
+            a, b = edges[s:-1][:4096], edges[s + 1:][:4096]
+            half = 0.5 * (b - a)[:, None]
+            mus = (0.5 * (a + b)[:, None] + half * x).ravel()
+            wts = (half * wx).ravel()
+            if weighted:
+                wts = wts * alpha * mu0 ** alpha * mus ** (-1.0 - alpha)
+            terms.extend((wts * log_q(mus)).tolist())
+        return math.fsum(terms)
+
+    period = 2.0 * math.pi / float(lam.max() - lam.min())
+    width = period / 32.0
+    lower = -integral(mu0 * 2.0 ** (np.arange(9) / 8.0))
+    cut = (4.0 * alpha * period * mu0 ** alpha / (rel_target * lower)) ** (1.0 / (alpha + 1.0))
+    head = [mu0]
+    while 0.25 * head[-1] < width:
+        head.append(1.25 * head[-1])
+    body = head[-1] + width * np.arange(max(512, math.ceil((cut - head[-1]) / width)) + 1)
+    cut = float(body[-1])
+    grid = np.arange(mu0, cut, period / 64.0)
+    rising = slope(grid) >= 0.0
+    zeros = []
+    for i in np.flatnonzero(~rising[:-1] & rising[1:]).tolist():
+        with mp.workdps(dps):
+            z = mp.findroot(slope_mp, (mp.mpf(float(grid[i])), mp.mpf(float(grid[i + 1]))),
+                            solver="anderson", tol=mp.mpf(10) ** -30)
+            if q_mp(z) < mp.mpf("1e-3"):
+                zeros.append(float(z))
+    zs = np.array(zeros)
+    offsets = width * 2.0 ** -np.arange(25)
+    graded = np.concatenate([zs, (zs[:, None] - offsets).ravel(), (zs[:, None] + offsets).ravel()])
+    edges = np.unique(np.concatenate([head[:-1], body, graded[(graded > mu0) & (graded < cut)]]))
+    window = edges[edges >= body[-513]]
+    mean_log_q = integral(window, weighted=False) / (window[-1] - window[0])
+    return integral(edges) + mean_log_q * (mu0 / cut) ** alpha

@@ -177,6 +177,22 @@ class TestCli:
         assert len(lines) == 62  # comment + header + 60 records
         assert (tmp_path / "out.svg").exists()
 
+    @pytest.mark.parametrize("alpha", ["3", "1.5"])
+    def test_run_powerlaw_summary(self, tmp_path, capsys, powerlaw_log_q_oracle, alpha):
+        path = tmp_path / "pl.ini"
+        path.write_text(GENERIC_CONFIG.replace(
+            "kind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\n",
+            f"kind = powerlaw\nmu0 = 1 ns\nalpha = {alpha}\n",
+        ))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        star = next(line for line in capsys.readouterr().out.splitlines()
+                    if "ln P*" in line).split("=")[1].strip()
+        if alpha == "3":
+            assert float(star) == pytest.approx(
+                50 * powerlaw_log_q_oracle(1e-9, 3.0), rel=1e-8)
+        else:  # alpha <= 2: the tail is too heavy for the quadrature
+            assert star.startswith("n/a")
+
     def test_run_delegates_to_preset(self, tmp_path, capsys):
         path = tmp_path / "pre.ini"
         path.write_text("[run]\npreset = fig5\nseed = 3\n")
@@ -233,8 +249,16 @@ class TestAllPresetsRun:
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    code = "import sys, zenosim.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, zenosim.cli\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "from zenosim import PowerLawIntervals, build_chain_hamiltonian, "
+        "entangled_initial_state, survival_stats_for\n"
+        "h = build_chain_hamiltonian([1.9e5, 1.3e5, 6.3e4], 6.3e5)\n"
+        "survival_stats_for(PowerLawIntervals(1e-9, 3.0), h, entangled_initial_state(), 100)\n"
+        "print('scipy' in sys.modules)\n"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -33,7 +33,7 @@ from zenosim import (
     survival_trace,
     zeno_time,
 )
-from zenosim.dynamics import EmptySpectrumError, phase_weights
+from zenosim.dynamics import EmptySpectrumError, phase_weights, survival_minima
 from zenosim.rng import substream
 
 OMEGA = CHAIN_COUPLING
@@ -274,3 +274,27 @@ class TestLogSurvivalKernel:
         worst = max(abs(lq / expm_log_q(h, psi, mu) - 1.0)
                     for mu, lq in zip(grid[pick].tolist(), values[pick].tolist()))
         assert worst <= 1e-9
+
+
+class TestSurvivalMinima:
+    def test_two_level_minima_are_the_zeros(self, rabi):
+        h, psi = rabi  # q = cos^2(Omega mu)
+        lam, w = phase_weights(h, psi)
+        grid = np.linspace(0.0, 10 * math.pi / OMEGA, 161)
+        minima = survival_minima(lam, w, grid)
+        expected = (np.arange(10) + 0.5) * math.pi / OMEGA
+        np.testing.assert_allclose(minima, expected, rtol=1e-14)
+
+    def test_chain_minima_are_zeros_of_the_matrix_exponential(self, chain, psi0):
+        lam, w = phase_weights(chain, psi0)
+        period = 2 * math.pi / float(lam.max() - lam.min())
+        minima = survival_minima(lam, w, np.arange(0.0, 40 * period, period / 8))
+        assert minima.size == 40  # the state weighs two levels: one zero a period
+        for mu in minima[[0, 1, 17, 39]].tolist():
+            assert expm_log_q(chain_matrix(), psi0.amplitudes, mu) < -40.0
+
+    def test_grid_without_a_minimum(self, rabi):
+        h, psi = rabi
+        lam, w = phase_weights(h, psi)
+        grid = np.linspace(0.0, 0.4 * math.pi / OMEGA, 9)  # q falls throughout
+        assert survival_minima(lam, w, grid).size == 0

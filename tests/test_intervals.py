@@ -1,9 +1,23 @@
 import math
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import D2_PROBS, D2_VALUES_S
+from oracles import (
+    D2_PROBS,
+    D2_VALUES_S,
+    D3_PROBS,
+    D3_VALUES_S,
+    D4_PROBS,
+    D4_VALUES_S,
+    NS,
+    US,
+    chain_matrix,
+    powerlaw_expect_log_q,
+)
 
 from zenosim import (
     DegenerateInterval,
@@ -11,9 +25,13 @@ from zenosim import (
     InfiniteMeanError,
     InfiniteSecondMomentError,
     PowerLawIntervals,
+    PureState,
     QuadratureNoConvergenceError,
     log_survival_factor,
+    survival_stats_for,
 )
+from zenosim import intervals
+from zenosim.dynamics import phase_weights
 from zenosim.rng import substream
 
 
@@ -137,34 +155,107 @@ class TestMoments:
             PowerLawIntervals(mu0=1.0, alpha=1.5).second_moment()
 
 
-class TestExpectation:
-    def test_normalization_all_families(self):
-        one = lambda mu: 1.0
-        assert d2().expect(one) == pytest.approx(1.0, abs=1e-15)
-        assert DegenerateInterval(1e-6).expect(one) == 1.0
-        assert PowerLawIntervals(1.0, 3.0).expect(one) == pytest.approx(1.0, rel=1e-12)
+class TestLogQMoments:
+    LAWS = {
+        "discrete": lambda: d2(),
+        "powerlaw": lambda: PowerLawIntervals(1 * NS, 3.0),
+        "degenerate": lambda: DegenerateInterval(2 * NS),
+    }
 
-    def test_powerlaw_second_moment_by_quadrature(self):
-        dist = PowerLawIntervals(mu0=1.0, alpha=3.0)
-        val = dist.expect(lambda mu: mu * mu)
-        assert val == pytest.approx(3.0, rel=1e-10)
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_eigenstate_gives_exact_zeros(self, chain, law, level):
+        w = np.zeros(3)
+        w[level] = 1.0
+        moments = self.LAWS[law]().log_q_moments(chain.spec.eigenvalues, w)
+        assert moments == (0.0, 0.0)
+        assert all(type(x) is float for x in moments)
 
-    def test_discrete_is_exact_weighted_sum(self):
-        dist = d2()
-        g = lambda mu: math.sin(1e9 * mu) + mu * 1e9
-        manual = sum(p * g(v) for v, p in zip(dist.values, dist.probs))
-        assert dist.expect(g) == manual  # bitwise: same sum, same order
-
-    def test_log_survival_expectation_matches_manual(self, chain, psi0):
-        dist = d2()
-        expected = 0.3 * log_survival_factor(chain, psi0, D2_VALUES_S[0]) + (
-            0.7 * log_survival_factor(chain, psi0, D2_VALUES_S[1])
+    @pytest.mark.parametrize(
+        "values,probs",
+        [(D2_VALUES_S, D2_PROBS), (D3_VALUES_S, D3_PROBS), (D4_VALUES_S, D4_PROBS)],
+    )
+    def test_discrete_is_sum_over_atoms_in_order(self, chain, psi0, values, probs):
+        lam, w = phase_weights(chain, psi0)
+        dist = DiscreteIntervals(np.array(values), np.array(probs))
+        log_q = [log_survival_factor(chain, psi0, mu) for mu in values]
+        expected = (
+            sum(p * x for p, x in zip(probs, log_q)),
+            sum(p * -math.expm1(x) for p, x in zip(probs, log_q)),
         )
-        got = dist.expect(lambda mu: log_survival_factor(chain, psi0, mu))
-        assert got == pytest.approx(expected, rel=1e-14)
+        assert dist.log_q_moments(lam, w) == expected  # bitwise
 
-    def test_pathological_integrand_raises(self):
-        dist = PowerLawIntervals(mu0=1.0, alpha=1.0)
-        # mean integrand under alpha = 1: integral diverges, u^(-1) blows up
-        with pytest.raises((QuadratureNoConvergenceError, OverflowError)):
-            dist.expect(lambda mu: mu)
+    def test_degenerate_is_the_kernel_at_its_point(self, chain, psi0):
+        lam, w = phase_weights(chain, psi0)
+        log_q = log_survival_factor(chain, psi0, 2 * NS)
+        assert DegenerateInterval(2 * NS).log_q_moments(lam, w) == (
+            log_q, -math.expm1(log_q)
+        )
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    def test_powerlaw_matches_oracle(self, chain, psi0, powerlaw_log_q_oracle, alpha):
+        lam, w = phase_weights(chain, psi0)
+        mean_log_q, mean_delta = PowerLawIntervals(1 * NS, alpha).log_q_moments(lam, w)
+        assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(1 * NS, alpha), rel=1e-8)
+        # 1 - q <= -ln q pointwise, and both vanish only on an eigenstate
+        assert 0.0 < mean_delta <= -mean_log_q
+
+    @pytest.mark.parametrize("mu0", [1 * NS, 1 * US])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_heavy_tail_fails_fast(self, chain, psi0, powerlaw_log_q_oracle, mu0, alpha):
+        lam, w = phase_weights(chain, psi0)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                mean_log_q, mean_delta = PowerLawIntervals(mu0, alpha).log_q_moments(lam, w)
+            except QuadratureNoConvergenceError:
+                mean_log_q = None
+        assert time.perf_counter() - start < 0.5
+        if mean_log_q is not None:
+            assert math.isfinite(mean_log_q) and math.isfinite(mean_delta)
+            assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(mu0, alpha), rel=1e-8)
+
+    def test_near_eigenstate_matches_oracle(self, chain):
+        weights = np.array([1e-6, 1.0 - 2e-6, 1e-6])
+        psi = chain.spec.eigenvectors @ np.sqrt(weights)
+        lam, w = phase_weights(chain, PureState(psi))
+        mean_log_q, mean_delta = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
+        expected = powerlaw_expect_log_q(chain_matrix(), psi, 1 * NS, 3.0)
+        assert mean_log_q == pytest.approx(expected, rel=1e-8)
+        assert 0.0 < mean_delta <= -mean_log_q
+
+    def test_numerical_eigenstate_is_tiny_not_an_error(self, chain):
+        # weights of about 1e-32 off the eigenvector: q never nears zero
+        lam, w = phase_weights(chain, PureState(chain.spec.eigenvectors[:, 1]))
+        mean_log_q, mean_delta = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
+        assert 0.0 <= mean_delta <= -mean_log_q < 1e-25
+
+    def test_composite_rule_integrates_the_density(self):
+        # E[1] on [mu0, c] is 1 - (mu0/c)^alpha; the panels span several slabs
+        nodes = intervals._GAUSS_NODES[0].size
+        assert 2000 * nodes > 3 * intervals._QUAD_SLAB
+        dist = PowerLawIntervals(1 * NS, 2.5)
+        edges = 1 * NS * (1.0 + 0.01 * np.arange(2001))
+        sizes = []
+
+        def one(mus):
+            sizes.append(mus.size)
+            return np.ones((1, mus.size))
+
+        got = dist.expect_windowed(one, edges=edges)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(1.0 - (edges[0] / edges[-1]) ** 2.5, rel=1e-13)
+        assert sum(sizes) == 2000 * nodes and max(sizes) <= intervals._QUAD_SLAB
+
+    def test_powerlaw_memory_is_bounded(self, chain, psi0):
+        dist = PowerLawIntervals(1 * NS, 2.5)
+        tracemalloc.start()
+        try:
+            survival_stats_for(dist, chain, psi0, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+

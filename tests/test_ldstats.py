@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     CHAIN_COUPLING,
@@ -17,6 +19,7 @@ from oracles import (
 from zenosim import (
     DegenerateInterval,
     DiscreteIntervals,
+    EnsembleConfig,
     InconsistentConstraintsError,
     InfiniteSecondMomentError,
     InvalidMeanError,
@@ -35,11 +38,12 @@ from zenosim import (
     rate_curve,
     rate_function_I,
     rate_function_J,
+    run_ensemble,
     survival_stats,
     survival_stats_for,
     zeno_time,
 )
-from zenosim.rng import substream
+from zenosim.dynamics import phase_weights
 
 OMEGA = CHAIN_COUPLING
 
@@ -223,15 +227,32 @@ class TestSurvivalStats:
         dist = PowerLawIntervals(mu0=1 * NS, alpha=3.0)
         m, n = 100, 100_000
         stats = survival_stats_for(dist, chain, psi0, m)
-        from zenosim.dynamics import log_survival_factors, phase_weights
-
-        lam, w = phase_weights(chain, psi0)
-        sums = np.empty(n)
-        for i in range(n):
-            mus = dist.sample(substream(1234, i), m)
-            sums[i] = float(np.sum(log_survival_factors(lam, w, mus)))
+        # each row sum is substream(1234, i) mapped by the law and summed by
+        # np.sum, bit for bit (TestLatticeGather in test_montecarlo)
+        sums = run_ensemble(EnsembleConfig(
+            dist=dist, hamiltonian=chain, state=psi0, mode="fixed_m",
+            realizations=n, master_seed=1234, m=m,
+        )).log_survivals
         se = float(sums.std(ddof=1)) / math.sqrt(n)
         assert abs(float(sums.mean()) - stats.log_p_star) <= 3 * se
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        atoms=st.lists(st.floats(1e-10, 2e-5), min_size=1, max_size=8, unique=True),
+        data=st.data(),
+    )
+    def test_random_discrete_laws(self, chain, psi0, atoms, data):
+        weights = np.array(data.draw(
+            st.lists(st.floats(1e-3, 1.0), min_size=len(atoms), max_size=len(atoms))))
+        dist = DiscreteIntervals(np.array(atoms), weights / weights.sum())
+        mean_log_q, mean_delta = dist.log_q_moments(*phase_weights(chain, psi0))
+        # Jensen gap >= 0, to round-off: one atom has a zero gap
+        assert mean_log_q <= math.log1p(-mean_delta) + 1e-15 * abs(mean_log_q)
+        m = 100
+        generic = survival_stats_for(dist, chain, psi0, m)
+        closed = survival_stats(LdProblem.for_system(chain, psi0, dist, m))
+        assert generic.log_p_star == pytest.approx(closed.log_p_star, rel=1e-12)
+        assert generic.log_p_mean == pytest.approx(closed.log_p_mean, rel=1e-12)
 
     def test_log_affinity_in_p1(self, chain, psi0):
         # L*/m is affine in the first atom probability at fixed atoms
@@ -372,8 +393,7 @@ class TestQzeCondition:
         errs = []
         for mu0 in (1e-2 / OMEGA, 3e-3 / OMEGA, 1e-3 / OMEGA):
             dist = PowerLawIntervals(mu0, 3.0)
-            # the oscillatory tail limits the certified quadrature accuracy
-            stats = survival_stats_for(dist, chain, psi0, 100, tol=1e-8)
+            stats = survival_stats_for(dist, chain, psi0, 100)
             m_delta = 100 * qze_condition(dist, chain, psi0).delta_mean
             errs.append(abs(stats.log_p_star + m_delta) / m_delta)
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -454,3 +474,15 @@ class TestValidation:
     def test_positive_m(self, d2_prob):
         with pytest.raises(ValueError):
             LdProblem(dist=d2_prob.dist, logq=d2_prob.logq, m=0)
+
+
+def test_fig4_star_matches_oracle(tmp_path, powerlaw_log_q_oracle):
+    from zenosim.presets import run_preset
+
+    path = run_preset("fig4", out_dir=str(tmp_path))["csv"]
+    lines = open(path, encoding="utf-8").read().splitlines()
+    assert lines[1] == "alpha,m,log_P_typical,log_P_star"
+    rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
+    assert {row[0] for row in rows} == {2.5, 3.0, 4.0}
+    for alpha, m, _, star in rows:
+        assert star / m == pytest.approx(powerlaw_log_q_oracle(1 * NS, alpha), rel=1e-8)

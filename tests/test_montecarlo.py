@@ -207,20 +207,22 @@ class TestLatticeGather:
         assert same_bits(ens.log_survivals, replay(cfg)[1])
 
     def test_peak_memory_of_short_rows(self, chain, psi0):
-        # 10^5 realizations of m = 20 on the vector path: the chunk's
+        # n realizations of m = 20 on the vector path: the chunk's
         # uniforms and ln q (16 bytes per draw), the records run_ensemble
-        # keeps (m, total and log survival: 24 bytes per realization) and
-        # at most 2 MiB besides, for philox_uniforms' slabs and the rest
-        n, m = 100_000, 20
-        cfg = make_config(chain, psi0, d2(), m=m, realizations=n)
+        # keeps (m, total and log survival: 24 bytes per realization, held
+        # once) and at most 2 MiB besides, for philox_uniforms' slabs and
+        # the rest; at 4 x 10^5 the records outweigh the chunk
+        m = 20
         chunk_draws = montecarlo._CHUNK_TARGET // m * m
-        tracemalloc.start()
-        try:
-            run_ensemble(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * chunk_draws + 24 * n + 2 * 2**20
+        for n in (100_000, 400_000):
+            cfg = make_config(chain, psi0, d2(), m=m, realizations=n)
+            tracemalloc.start()
+            try:
+                run_ensemble(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * chunk_draws + 24 * n + 2 * 2**20
 
     def test_peak_memory_per_draw(self, chain, psi0):
         m = 2_000_000
