@@ -7,7 +7,7 @@ rate functions of the log-survival, most probable vs mean survival,
 frequent-measurement limits, and reproducible Monte Carlo ensembles.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .dynamics import (
     DimensionMismatchError,
@@ -56,7 +56,6 @@ from .ldstats import (
     equally_spaced_survival,
     fixed_time_solve_m,
     joint_rate_function,
-    most_probable_log_survival,
     qze_condition,
     rate_curve,
     rate_function_I,

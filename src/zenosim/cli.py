@@ -97,16 +97,19 @@ def _ensemble_from_config(cfg: ExperimentConfig) -> EnsembleConfig:
         raise ConfigError("this command needs a [distribution] section")
     if cfg.mode is None:
         raise ConfigError("this command needs run.mode")
-    return EnsembleConfig(
-        dist=cfg.dist,
-        hamiltonian=cfg.hamiltonian,
-        state=cfg.state,
-        mode=cfg.mode,
-        realizations=cfg.realizations,
-        master_seed=cfg.seed,
-        m=cfg.m,
-        t_total=cfg.t_total,
-    )
+    try:
+        return EnsembleConfig(
+            dist=cfg.dist,
+            hamiltonian=cfg.hamiltonian,
+            state=cfg.state,
+            mode=cfg.mode,
+            realizations=cfg.realizations,
+            master_seed=cfg.seed,
+            m=cfg.m,
+            t_total=cfg.t_total,
+        )
+    except ValueError as exc:  # e.g. fixed_m without m, fixed_T without t_total
+        raise ConfigError(f"invalid run section: {exc}") from exc
 
 
 def _check_preset(name: str) -> None:

@@ -48,6 +48,7 @@ from .intervals import (
     IntervalDistribution,
     PowerLawIntervals,
 )
+from .rng import DEFAULT_SEED
 
 __all__ = [
     "ConfigError",
@@ -211,11 +212,14 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         m = int(run["m"]) if "m" in run else None
         realizations = int(run.get("realizations", "100"))
-        seed = int(run.get("seed", "20160719"))
+        seed = int(run.get("seed", str(DEFAULT_SEED)))
         bins = int(run.get("bins", "40"))
         t_total = parse_time(run["t_total"]) if "t_total" in run else None
     except ValueError as exc:
         raise ConfigError(f"invalid run section: {exc}") from exc
+    for name, count in (("m", m), ("realizations", realizations), ("bins", bins)):
+        if count is not None and count < 1:
+            raise ConfigError(f"run.{name} must be a positive count, not {count}")
 
     outputs = parser["outputs"] if parser.has_section("outputs") else {}
     return ExperimentConfig(

@@ -4,7 +4,7 @@ Three families ship: a discrete distribution over d positive atoms (the
 d-outcome Bernoulli case), a continuous power law on [mu0, inf), and the
 degenerate point mass that models equally spaced measurements. Each
 offers sampling against an explicit generator handle, exact moments, and
-the survival moments E[ln q] and E[1 - q] for given phase weights
+the survival averages E[ln q] and ln E[q] for given phase weights
 (``log_q_moments``). Monte Carlo ensembles hand each law a block of
 uniforms and get back the waiting times and their ln q
 (``intervals_and_log_q``): the lattice laws evaluate ln q once per atom
@@ -152,7 +152,7 @@ class DiscreteIntervals:
         return float(np.dot(self.probs, self.values**2))
 
     def log_q_moments(self, lam: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-        """E[ln q] and E[1 - q], from the kernel once per atom."""
+        """E[ln q] and ln E[q], from the kernel once per atom."""
         return _atom_moments(self.probs, log_survival_factors(lam, w, self.values))
 
 
@@ -210,7 +210,7 @@ class PowerLawIntervals:
         return self.alpha * self.mu0**2 / (self.alpha - 2.0)
 
     def log_q_moments(self, lam: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-        """E[ln q] and E[1 - q] under the power law, for phase weights (lam, w).
+        """E[ln q] and ln E[q] under the power law, for phase weights (lam, w).
 
         One composite Gauss-Legendre rule on [mu0, cut]: panels grow by
         half from mu0 up to ``_PANEL_FRACTION`` of the period
@@ -258,11 +258,11 @@ class PowerLawIntervals:
 
         def moments(mus: np.ndarray) -> np.ndarray:
             log_q = log_survival_factors(lam, w, mus)
-            return np.stack((log_q, -np.expm1(log_q)))
+            return np.stack((log_q, -np.expm1(log_q), np.exp(log_q)))
 
         edges = np.unique(np.concatenate((edges, graded)))
-        mean_log_q, mean_delta = self.expect_windowed(moments, edges=edges)
-        return float(mean_log_q), float(mean_delta)
+        mean_log_q, mean_delta, mean_q = self.expect_windowed(moments, edges=edges)
+        return float(mean_log_q), _log_mean_q(float(mean_delta), math.log(mean_q))
 
     def expect_windowed(self, g: Callable, *, edges: np.ndarray) -> np.ndarray:
         """E[g] by the Gauss-Legendre rule on each panel between two
@@ -311,15 +311,26 @@ class DegenerateInterval:
         return self.mu_bar**2
 
     def log_q_moments(self, lam: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-        """ln q and 1 - q at the one waiting time."""
+        """ln q at the one waiting time, as E[ln q] and as ln E[q]."""
         return _atom_moments(np.ones(1), log_survival_factors(lam, w, np.array([self.mu_bar])))
 
 
 def _atom_moments(probs: np.ndarray, log_q: np.ndarray) -> tuple[float, float]:
-    """(sum p ln q, sum p (1 - q)), added left to right in atom order."""
-    p = probs.tolist()
-    return (float(sum(a * b for a, b in zip(p, log_q.tolist()))),
-            float(sum(a * b for a, b in zip(p, (-np.expm1(log_q)).tolist()))))
+    """(sum p ln q, ln sum p q), each sum added left to right in atom order;
+    sum p q is scaled by the largest q, which may underflow alone."""
+    p, top = probs.tolist(), float(log_q.max())
+
+    def dot(x: np.ndarray) -> float:
+        return float(sum(a * b for a, b in zip(p, x.tolist())))
+
+    return dot(log_q), _log_mean_q(dot(-np.expm1(log_q)), top + math.log(dot(np.exp(log_q - top))))
+
+
+def _log_mean_q(mean_delta: float, log_mean_q: float) -> float:
+    """ln E[q] = log1p(-E[1 - q]) while E[1 - q] <= 1/2, where the log of a
+    sum near 1 would lose the Jensen gap; past it ``log_mean_q``, the log of
+    E[q] summed as such, since 1 - E[1 - q] loses a small E[q] to round-off."""
+    return math.log1p(-mean_delta) if mean_delta <= 0.5 else log_mean_q
 
 
 IntervalDistribution = Union[DiscreteIntervals, PowerLawIntervals, DegenerateInterval]

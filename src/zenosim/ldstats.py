@@ -25,7 +25,8 @@ Alongside the rate functions live the closed-form summary statistics:
 most probable and mean survival (geometric vs arithmetic average of q
 under the waiting-time law), the joint rate function at fixed total time
 with its contraction back to I, the fixed-time count reconstruction, and
-the frequent-measurement (Zeno) limits.
+the frequent-measurement (Zeno) limits. For every law L* = m E[ln q] and
+ln<P> = m ln E[q], from one pair of averages (``log_q_moments``).
 
 Everything is carried in the log domain; exponentiation happens only at
 presentation boundaries, since realistic m underflow doubles.
@@ -47,7 +48,7 @@ from .dynamics import (
     phase_weights,
     zeno_time,
 )
-from .intervals import DiscreteIntervals, IntervalDistribution
+from .intervals import DiscreteIntervals, IntervalDistribution, _atom_moments
 
 __all__ = [
     "OutOfRangeError",
@@ -60,7 +61,6 @@ __all__ = [
     "cramer_rate",
     "rate_curve",
     "rate_function_J",
-    "most_probable_log_survival",
     "SurvivalStats",
     "survival_stats",
     "survival_stats_for",
@@ -290,11 +290,6 @@ def rate_function_J(prob: LdProblem, survival: float) -> float:
     return rate_function_I(prob, math.log(survival))
 
 
-def most_probable_log_survival(prob: LdProblem) -> float:
-    """L* = m sum_a p_a ln q_a, the location of the rate-function zero."""
-    return prob.m * float(np.dot(prob.dist.probs, prob.logq))
-
-
 @dataclass(frozen=True)
 class SurvivalStats:
     """Most probable and mean survival, carried in the log domain.
@@ -322,29 +317,27 @@ class SurvivalStats:
         return self.log_p_mean - self.log_p_star
 
 
+def _survival_stats(m: int, mean_log_q: float, log_mean_q: float) -> SurvivalStats:
+    """L* = m E[ln q] and ln<P> = m ln E[q]."""
+    return SurvivalStats(log_p_star=m * mean_log_q, log_p_mean=m * log_mean_q, m=m)
+
+
 def survival_stats(prob: LdProblem) -> SurvivalStats:
-    """Closed-form survival statistics for a discrete waiting-time law."""
-    p, logq, m = prob.dist.probs, prob.logq, prob.m
-    log_p_star = m * float(np.dot(p, logq))
-    # ln sum p q = ln sum p e^{ln q}, shift-stabilized for tiny q
-    k, _ = _cumulant_stats(p, logq, 1.0)
-    return SurvivalStats(log_p_star=log_p_star, log_p_mean=m * k, m=m)
+    """Survival statistics of a discrete law from the atom-order averages of
+    ``log_q_moments`` on the problem's ln q: ``survival_stats_for`` on the
+    same system, bit for bit. L* is the zero of the rate function."""
+    return _survival_stats(prob.m, *_atom_moments(prob.dist.probs, prob.logq))
 
 
 def survival_stats_for(
     dist: IntervalDistribution, h: Hamiltonian, psi0: PureState, m: int
 ) -> SurvivalStats:
     """Survival statistics for any waiting-time law, from its E[ln q] and
-    E[1 - q] (``log_q_moments``); a power law whose tail is too heavy for
+    ln E[q] (``log_q_moments``); a power law whose tail is too heavy for
     its quadrature raises ``QuadratureNoConvergenceError``."""
     if m < 1:
         raise ValueError("m must be a positive count")
-    mean_log_q, mean_delta = dist.log_q_moments(*phase_weights(h, psi0))
-    # mean via E[1 - q]: log1p keeps ln<q> accurate when q is close to 1,
-    # where direct ln E[q] would lose the Jensen gap to round-off
-    return SurvivalStats(
-        log_p_star=m * mean_log_q, log_p_mean=m * math.log1p(-mean_delta), m=m
-    )
+    return _survival_stats(m, *dist.log_q_moments(*phase_weights(h, psi0)))
 
 
 def _joint_fractions(prob: LdProblem, x: float, y: float) -> np.ndarray:

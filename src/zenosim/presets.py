@@ -27,8 +27,9 @@ import numpy as np
 from .csvout import write_csv
 from .dynamics import Hamiltonian, PureState, build_chain_hamiltonian, entangled_initial_state
 from .intervals import DiscreteIntervals, PowerLawIntervals
-from .ldstats import LdProblem, disorder_gain, most_probable_log_survival, survival_stats_for
+from .ldstats import disorder_gain, survival_stats_for
 from .montecarlo import EnsembleConfig, run_ensemble
+from .rng import DEFAULT_SEED
 from .svgplot import Series, write_svg
 
 __all__ = ["Preset", "PRESETS", "default_system", "list_presets", "run_preset"]
@@ -70,13 +71,9 @@ def _typical_log(h, psi0, dist, m, seed) -> float:
     return run_ensemble(cfg).typical_log_survival()
 
 
-def _rows_survival_vs_m(h, psi0, seed, d: int):
-    dist = _discrete(d)
-    rows = []
-    for m in _M_SWEEP:
-        star = most_probable_log_survival(LdProblem.for_system(h, psi0, dist, m))
-        rows.append((m, _typical_log(h, psi0, dist, m, seed), star))
-    return rows
+def _rows_survival_vs_m(h, psi0, seed, dist):
+    per_m = survival_stats_for(dist, h, psi0, 1).log_p_star
+    return [(m, _typical_log(h, psi0, dist, m, seed), m * per_m) for m in _M_SWEEP]
 
 
 def _rows_concentration(h, psi0, seed):
@@ -86,7 +83,7 @@ def _rows_concentration(h, psi0, seed):
         dist=dist, hamiltonian=h, state=psi0, mode="fixed_m",
         realizations=100, master_seed=seed, m=m,
     ))
-    star = most_probable_log_survival(LdProblem.for_system(h, psi0, dist, m))
+    star = survival_stats_for(dist, h, psi0, m).log_p_star
     return [(i, float(ls), star) for i, ls in enumerate(ens.log_survivals)]
 
 
@@ -96,19 +93,14 @@ def _rows_probability_sweep(h, psi0, seed):
     rows = []
     for p1 in np.linspace(0.02, 0.98, 49):
         dist = DiscreteIntervals(np.asarray(values), np.asarray([p1, 1.0 - p1]))
-        star = most_probable_log_survival(LdProblem.for_system(h, psi0, dist, m))
+        star = survival_stats_for(dist, h, psi0, m).log_p_star
         rows.append((float(p1), _typical_log(h, psi0, dist, m, seed), star))
     return rows
 
 
 def _rows_powerlaw(h, psi0, seed):
-    rows = []
-    for alpha in (2.5, 3.0, 4.0):
-        dist = PowerLawIntervals(mu0=1 * _NS, alpha=alpha)
-        per_m = survival_stats_for(dist, h, psi0, 1).log_p_star
-        for m in _M_SWEEP:
-            rows.append((alpha, m, _typical_log(h, psi0, dist, m, seed), m * per_m))
-    return rows
+    return [(alpha,) + row for alpha in (2.5, 3.0, 4.0)
+            for row in _rows_survival_vs_m(h, psi0, seed, PowerLawIntervals(1 * _NS, alpha))]
 
 
 def _gain_rows(x, gain):
@@ -134,7 +126,6 @@ class Preset:
     params: dict
     columns: tuple
     runner: Callable
-    default_seed: int
     plot: dict  # x: column, series: [(column, marker)], labels
 
 
@@ -157,8 +148,7 @@ for _d in (2, 3, 4):
             "typical_ensemble": _TYPICAL_N,
         },
         columns=("m", "log_P_typical", "log_P_star"),
-        runner=(lambda h, s, seed, d=_d: _rows_survival_vs_m(h, s, seed, d)),
-        default_seed=20160719,
+        runner=(lambda h, s, seed, d=_d: _rows_survival_vs_m(h, s, seed, _discrete(d))),
         plot={
             "x": "m", "xlabel": "measurements m",
             "ylabel": "ln survival",
@@ -173,7 +163,6 @@ _register(Preset(
             "m": 2000, "realizations": 100},
     columns=("realization_index", "log_P", "log_P_star"),
     runner=_rows_concentration,
-    default_seed=20160719,
     plot={
         "x": "realization_index", "xlabel": "realization",
         "ylabel": "ln survival",
@@ -188,7 +177,6 @@ _register(Preset(
             "typical_ensemble": _TYPICAL_N},
     columns=("p1", "log_P_typical", "log_P_star"),
     runner=_rows_probability_sweep,
-    default_seed=20160719,
     plot={
         "x": "p1", "xlabel": "p1", "ylabel": "ln survival",
         "series": (("log_P_typical", True), ("log_P_star", False)),
@@ -202,7 +190,6 @@ _register(Preset(
             "typical_ensemble": _TYPICAL_N},
     columns=("alpha", "m", "log_P_typical", "log_P_star"),
     runner=_rows_powerlaw,
-    default_seed=20160719,
     plot={
         "x": "m", "xlabel": "measurements m", "ylabel": "ln survival",
         "series": (("log_P_typical", True), ("log_P_star", False)),
@@ -217,7 +204,6 @@ _register(Preset(
             "p1_points": 199},
     columns=("p1", "log_P_star", "log_P_equal", "ratio"),
     runner=_rows_disorder_probability,
-    default_seed=20160719,
     plot={
         "x": "p1", "xlabel": "p1", "ylabel": "ln survival",
         "series": (("log_P_star", False), ("log_P_equal", False)),
@@ -231,7 +217,6 @@ _register(Preset(
             "mu1_range_ns": (1.0, 250.0), "points": 250},
     columns=("mu1_s", "log_P_star", "log_P_equal", "ratio"),
     runner=_rows_disorder_scale,
-    default_seed=20160719,
     plot={
         "x": "mu1_s", "xlabel": "mu1 (s)", "ylabel": "P*/P(mean spacing)",
         "series": (("ratio", False),),
@@ -248,7 +233,7 @@ def list_presets(dump: bool = False) -> str:
             for key, value in preset.params.items():
                 lines.append(f"{'':10s}    {key} = {value}")
             lines.append(f"{'':10s}    columns = {','.join(preset.columns)}")
-            lines.append(f"{'':10s}    default_seed = {preset.default_seed}")
+            lines.append(f"{'':10s}    default_seed = {DEFAULT_SEED}")
     return "\n".join(lines)
 
 
@@ -292,7 +277,7 @@ def run_preset(
     if name not in PRESETS:
         raise KeyError(name)
     preset = PRESETS[name]
-    used_seed = preset.default_seed if seed is None else int(seed)
+    used_seed = DEFAULT_SEED if seed is None else int(seed)
     h, psi0 = system if system is not None else default_system()
     rows = preset.runner(h, psi0, used_seed)
 

@@ -20,7 +20,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
-__all__ = ["substream", "StreamFamily", "philox_uniforms"]
+__all__ = ["DEFAULT_SEED", "substream", "StreamFamily", "philox_uniforms"]
+
+#: master seed of a preset or config-file run that names none
+DEFAULT_SEED = 20160719
 
 _MASK64 = (1 << 64) - 1
 # Philox-4x64 round multipliers and Weyl key increments

@@ -39,7 +39,6 @@ from zenosim import (
     equally_spaced_survival,
     evolve_sequence,
     log_survival_factor,
-    most_probable_log_survival,
     propagator,
     qze_condition,
     rate_curve,
@@ -118,7 +117,7 @@ def test_criterion_04_rate_function_cross_validation(chain, psi0):
     worst = 0.0
     for x, rate in zip(curve.xs, curve.rates):
         worst = max(worst, abs(float(rate) - cramer_rate(prob, float(x))))
-    at_star = rate_function_I(prob, most_probable_log_survival(prob) / prob.m)
+    at_star = rate_function_I(prob, survival_stats(prob).log_p_star / prob.m)
     convexity = float(np.min(np.diff(curve.rates, 2)))
     assert worst <= 1e-10
     assert at_star <= 1e-12
@@ -174,7 +173,7 @@ def test_criterion_06_concentration_around_typical_value(chain, psi0):
     m, n = 2000, 100
     dist = d2_dist()
     prob = LdProblem.for_system(chain, psi0, dist, m)
-    l_star_per_m = most_probable_log_survival(prob) / m
+    l_star_per_m = survival_stats(prob).log_p_star / m
     mean_lq = float(np.dot(dist.probs, prob.logq))
     var_lq = float(np.dot(dist.probs, prob.logq**2)) - mean_lq**2
     sigma = math.sqrt(var_lq / m)
@@ -216,7 +215,7 @@ def test_criterion_08_log_affinity_in_probability(chain, psi0):
     for p1 in p1s:
         dist = DiscreteIntervals(np.array(D2_VALUES_S), np.array([p1, 1 - p1]))
         prob = LdProblem.for_system(chain, psi0, dist, 6400)
-        xs.append(most_probable_log_survival(prob) / prob.m)
+        xs.append(survival_stats(prob).log_p_star / prob.m)
     coeffs = np.polyfit(p1s, xs, 1)
     residual = float(np.max(np.abs(np.polyval(coeffs, p1s) - np.asarray(xs))))
     assert residual <= 1e-12

@@ -221,6 +221,19 @@ class TestCli:
         assert main(["preset", "fig6"]) == 0
         assert (tmp_path / "fig6.csv").exists()
 
+    @pytest.mark.parametrize("command,old,new", [
+        ("run", "m = 50", "m = 0"),
+        ("run", "mode = fixed_m\nm = 50", "mode = fixed_T"),
+        ("run", "realizations = 60", "realizations = 0"),
+        ("rate", "bins = 5", "bins = 0"),
+    ])
+    def test_bad_run_values_are_config_errors(self, tmp_path, capsys, command, old, new):
+        path = tmp_path / "bad.ini"
+        path.write_text(GENERIC_CONFIG.replace(old, new))
+        assert main([command, str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+
     def test_missing_config_is_config_error(self, capsys):
         assert main(["run", "/no/such/file.ini"]) == 1
 

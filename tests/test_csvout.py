@@ -1,4 +1,6 @@
 import math
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,3 +63,9 @@ class TestWriteCsv:
     def test_rows_must_match_the_columns(self, tmp_path, rows):
         with pytest.raises(ValueError):
             written(tmp_path, ("a", "b"), rows)
+
+
+def test_version_matches_pyproject():
+    # the version every CSV header carries is the one the package declares
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
     CHAIN_COUPLING,
@@ -19,6 +22,7 @@ from oracles import (
 from zenosim import (
     DimensionMismatchError,
     DiscreteIntervals,
+    Hamiltonian,
     NotNormalizedError,
     PureState,
     UnderflowWarning,
@@ -163,6 +167,22 @@ class TestEvolveSequence:
             res = evolve_sequence(chain, psi0, mus)
             tr = survival_trace(chain, psi0, mus)
             assert abs(tr - res.survival) <= 1e-10 * res.survival
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_trace_equals_product_on_random_systems(self, n, data):
+        parts = st.floats(-1.0, 1.0)
+        a = data.draw(arrays(float, (2, n, n), elements=parts))
+        matrix = a[0] + 1j * a[1]
+        h = Hamiltonian.from_matrix(matrix + matrix.conj().T)  # eigenvalues within 4n
+        amps = data.draw(arrays(float, (2, n), elements=parts).filter(
+            lambda v: float(np.sum(v * v)) > 1e-3))
+        amps = amps[0] + 1j * amps[1]
+        psi = PureState(amps / np.linalg.norm(amps))
+        mus = data.draw(arrays(float, st.integers(1, 6), elements=st.floats(0.0, 2.0)))
+        product = math.exp(evolve_sequence(h, psi, mus).log_survival)
+        # both paths carry absolute round-off up to about 1e-14 at n = 8
+        assert abs(survival_trace(h, psi, mus) - product) <= 1e-13 + 1e-12 * product
 
     def test_permutation_invariance(self, chain, psi0):
         rng = substream(3, 1)

@@ -179,9 +179,10 @@ class TestLogQMoments:
         lam, w = phase_weights(chain, psi0)
         dist = DiscreteIntervals(np.array(values), np.array(probs))
         log_q = [log_survival_factor(chain, psi0, mu) for mu in values]
+        # q is near 1 on every atom: ln E[q] is log1p(-E[1 - q])
         expected = (
             sum(p * x for p, x in zip(probs, log_q)),
-            sum(p * -math.expm1(x) for p, x in zip(probs, log_q)),
+            math.log1p(-sum(p * -math.expm1(x) for p, x in zip(probs, log_q))),
         )
         assert dist.log_q_moments(lam, w) == expected  # bitwise
 
@@ -189,16 +190,16 @@ class TestLogQMoments:
         lam, w = phase_weights(chain, psi0)
         log_q = log_survival_factor(chain, psi0, 2 * NS)
         assert DegenerateInterval(2 * NS).log_q_moments(lam, w) == (
-            log_q, -math.expm1(log_q)
+            log_q, math.log1p(math.expm1(log_q))
         )
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     def test_powerlaw_matches_oracle(self, chain, psi0, powerlaw_log_q_oracle, alpha):
         lam, w = phase_weights(chain, psi0)
-        mean_log_q, mean_delta = PowerLawIntervals(1 * NS, alpha).log_q_moments(lam, w)
+        mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, alpha).log_q_moments(lam, w)
         assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(1 * NS, alpha), rel=1e-8)
-        # 1 - q <= -ln q pointwise, and both vanish only on an eigenstate
-        assert 0.0 < mean_delta <= -mean_log_q
+        # Jensen, and both vanish only on an eigenstate
+        assert mean_log_q <= log_mean_q < 0.0
 
     @pytest.mark.parametrize("mu0", [1 * NS, 1 * US])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
@@ -208,28 +209,28 @@ class TestLogQMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                mean_log_q, mean_delta = PowerLawIntervals(mu0, alpha).log_q_moments(lam, w)
+                mean_log_q, log_mean_q = PowerLawIntervals(mu0, alpha).log_q_moments(lam, w)
             except QuadratureNoConvergenceError:
                 mean_log_q = None
         assert time.perf_counter() - start < 0.5
         if mean_log_q is not None:
-            assert math.isfinite(mean_log_q) and math.isfinite(mean_delta)
+            assert math.isfinite(mean_log_q) and math.isfinite(log_mean_q)
             assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(mu0, alpha), rel=1e-8)
 
     def test_near_eigenstate_matches_oracle(self, chain):
         weights = np.array([1e-6, 1.0 - 2e-6, 1e-6])
         psi = chain.spec.eigenvectors @ np.sqrt(weights)
         lam, w = phase_weights(chain, PureState(psi))
-        mean_log_q, mean_delta = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
+        mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
         expected = powerlaw_expect_log_q(chain_matrix(), psi, 1 * NS, 3.0)
         assert mean_log_q == pytest.approx(expected, rel=1e-8)
-        assert 0.0 < mean_delta <= -mean_log_q
+        assert mean_log_q <= log_mean_q < 0.0
 
     def test_numerical_eigenstate_is_tiny_not_an_error(self, chain):
         # weights of about 1e-32 off the eigenvector: q never nears zero
         lam, w = phase_weights(chain, PureState(chain.spec.eigenvectors[:, 1]))
-        mean_log_q, mean_delta = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
-        assert 0.0 <= mean_delta <= -mean_log_q < 1e-25
+        mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
+        assert -1e-25 < mean_log_q <= log_mean_q <= 0.0
 
     def test_composite_rule_integrates_the_density(self):
         # E[1] on [mu0, c] is 1 - (mu0/c)^alpha; the panels span several slabs

@@ -14,6 +14,8 @@ from oracles import (
     D4_PROBS,
     D4_VALUES_S,
     NS,
+    chain_matrix,
+    expm_log_mean_q,
 )
 
 from zenosim import (
@@ -33,7 +35,6 @@ from zenosim import (
     fixed_time_solve_m,
     joint_rate_function,
     log_survival_factor,
-    most_probable_log_survival,
     qze_condition,
     rate_curve,
     rate_function_I,
@@ -60,7 +61,7 @@ def d2_prob(chain, psi0):
 
 class TestRateFunctionI:
     def test_zero_at_typical_point(self, d2_prob):
-        x_star = most_probable_log_survival(d2_prob) / d2_prob.m
+        x_star = survival_stats(d2_prob).log_p_star / d2_prob.m
         assert rate_function_I(d2_prob, x_star) <= 1e-12
 
     def test_boundary_value_is_log_prob(self, d2_prob):
@@ -104,7 +105,7 @@ class TestRateFunctionI:
 
 class TestCramerRate:
     def test_zero_at_typical_point(self, d2_prob):
-        x_star = most_probable_log_survival(d2_prob) / d2_prob.m
+        x_star = survival_stats(d2_prob).log_p_star / d2_prob.m
         assert cramer_rate(d2_prob, x_star) == pytest.approx(0.0, abs=1e-12)
 
     def test_d2_identity_across_domain(self, d2_prob):
@@ -153,17 +154,38 @@ class TestCramerRate:
         # tilting construction always vanishes there
         for values, probs in ((D3_VALUES_S, D3_PROBS), (D4_VALUES_S, D4_PROBS)):
             prob = problem(chain, psi0, values, probs)
-            x_star = most_probable_log_survival(prob) / prob.m
+            x_star = survival_stats(prob).log_p_star / prob.m
             assert cramer_rate(prob, x_star) == pytest.approx(0.0, abs=1e-12)
 
     def test_open_interval_required(self, d2_prob):
         with pytest.raises(OutOfRangeError):
             cramer_rate(d2_prob, float(d2_prob.logq.min()))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        atoms=st.lists(st.floats(1e-10, 2e-5), min_size=1, max_size=8, unique=True),
+        frac=st.floats(0.001, 0.999),
+        data=st.data(),
+    )
+    def test_random_laws_bounded_by_explicit_construction(self, chain, psi0, atoms,
+                                                           frac, data):
+        weights = np.array(data.draw(
+            st.lists(st.floats(1e-3, 1.0), min_size=len(atoms), max_size=len(atoms))))
+        dist = DiscreteIntervals(np.array(atoms), weights / weights.sum())
+        prob = LdProblem.for_system(chain, psi0, dist, 100)
+        lo, hi = float(prob.logq.min()), float(prob.logq.max())
+        x = lo + frac * (hi - lo)
+        try:
+            explicit = rate_function_I(prob, x)
+        except OutOfRangeError:  # the particular split leaves the simplex (d > 2)
+            return
+        # the tilting rate is the minimum over all occupation vectors
+        assert -1e-15 <= cramer_rate(prob, x) <= explicit + 1e-12 * max(explicit, 1.0)
+
 
 class TestRateFunctionJ:
     def test_zero_at_typical_survival(self, d2_prob):
-        p_typ = math.exp(most_probable_log_survival(d2_prob) / d2_prob.m)
+        p_typ = math.exp(survival_stats(d2_prob).log_p_star / d2_prob.m)
         assert rate_function_J(d2_prob, p_typ) <= 1e-12
 
     def test_boundary_atom(self, d2_prob):
@@ -198,10 +220,8 @@ class TestSurvivalStats:
         stats = survival_stats(d2_prob)
         lq1 = log_survival_factor(chain, psi0, D2_VALUES_S[0])
         lq2 = log_survival_factor(chain, psi0, D2_VALUES_S[1])
-        assert stats.log_p_star == pytest.approx(
-            100 * (0.3 * lq1 + 0.7 * lq2), rel=1e-12
-        )
-        assert most_probable_log_survival(d2_prob) == stats.log_p_star
+        # L* is the atom-order sum, bit for bit
+        assert stats.log_p_star == 100 * (0.3 * lq1 + 0.7 * lq2)
 
     @pytest.mark.parametrize(
         "values,probs",
@@ -220,8 +240,7 @@ class TestSurvivalStats:
     def test_discrete_agreement_between_paths(self, chain, psi0, d2_prob):
         direct = survival_stats(d2_prob)
         generic = survival_stats_for(d2_prob.dist, chain, psi0, d2_prob.m)
-        assert generic.log_p_star == pytest.approx(direct.log_p_star, rel=1e-12)
-        assert generic.log_p_mean == pytest.approx(direct.log_p_mean, rel=1e-12)
+        assert generic == direct  # bitwise, both fields
 
     def test_powerlaw_star_against_monte_carlo(self, chain, psi0):
         dist = PowerLawIntervals(mu0=1 * NS, alpha=3.0)
@@ -245,14 +264,46 @@ class TestSurvivalStats:
         weights = np.array(data.draw(
             st.lists(st.floats(1e-3, 1.0), min_size=len(atoms), max_size=len(atoms))))
         dist = DiscreteIntervals(np.array(atoms), weights / weights.sum())
-        mean_log_q, mean_delta = dist.log_q_moments(*phase_weights(chain, psi0))
+        mean_log_q, log_mean_q = dist.log_q_moments(*phase_weights(chain, psi0))
         # Jensen gap >= 0, to round-off: one atom has a zero gap
-        assert mean_log_q <= math.log1p(-mean_delta) + 1e-15 * abs(mean_log_q)
+        assert mean_log_q <= log_mean_q + 1e-15 * abs(mean_log_q)
         m = 100
         generic = survival_stats_for(dist, chain, psi0, m)
         closed = survival_stats(LdProblem.for_system(chain, psi0, dist, m))
-        assert generic.log_p_star == pytest.approx(closed.log_p_star, rel=1e-12)
-        assert generic.log_p_mean == pytest.approx(closed.log_p_mean, rel=1e-12)
+        assert generic == closed  # bitwise, both fields
+
+    @pytest.mark.parametrize("values,probs,m", [
+        (D2_VALUES_S, D2_PROBS, 50), (D3_VALUES_S, D3_PROBS, 2000), (D4_VALUES_S, D4_PROBS, 2000),
+    ])
+    def test_log_p_mean_matches_oracle(self, chain, psi0, values, probs, m):
+        # q is within 1e-5 of 1 on every atom: ln E[q] from a log-sum-exp
+        # would keep only about 11 of the 16 digits
+        oracle = m * expm_log_mean_q(chain_matrix(), psi0.amplitudes, values, probs)
+        stats = survival_stats(problem(chain, psi0, values, probs, m))
+        assert stats.log_p_mean == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("fractions", [(1.0000001, 0.999999), (1.0000001, 1.000000001)])
+    def test_log_p_mean_matches_oracle_at_small_q(self, rabi, fractions):
+        # atoms next to the zero of q = cos^2(OMEGA mu): E[q] is about 1e-12
+        # or 1e-14, which 1 - E[1 - q] keeps to a few digits at best; the
+        # kernel's own ln q is good to about 1e-9 relative there
+        h, psi = rabi
+        values = [f * math.pi / (2 * OMEGA) for f in fractions]
+        oracle = 10 * expm_log_mean_q(h.matrix, psi.amplitudes, values, [0.5, 0.5])
+        stats = survival_stats(problem(h, psi, values, [0.5, 0.5], m=10))
+        assert stats.log_p_mean == pytest.approx(oracle, rel=1e-10, abs=0.0)
+        dist = DiscreteIntervals(np.array(values), np.array([0.5, 0.5]))
+        assert survival_stats_for(dist, h, psi, 10) == stats  # bitwise
+
+    @pytest.mark.parametrize("logq", [(-100.0, -300.0), (-800.0, -900.0)])
+    def test_log_p_mean_below_double_epsilon(self, logq):
+        # E[q] is below 1e-16 (E[1 - q] rounds to 1), and at -800 below the
+        # least double; e^(logq[1] - logq[0]) = e^-200 is beyond round-off
+        dist = DiscreteIntervals(np.array([1e-6, 2e-6]), np.array([0.25, 0.75]))
+        stats = survival_stats(LdProblem(dist, np.array(logq), m=10))
+        expected = 10 * (logq[0] + math.log(0.25))
+        assert stats.log_p_mean == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert stats.log_p_mean >= stats.log_p_star
 
     def test_log_affinity_in_p1(self, chain, psi0):
         # L*/m is affine in the first atom probability at fixed atoms
@@ -260,7 +311,7 @@ class TestSurvivalStats:
         xs = []
         for p1 in p1s:
             prob = problem(chain, psi0, D2_VALUES_S, (p1, 1.0 - p1))
-            xs.append(most_probable_log_survival(prob) / prob.m)
+            xs.append(survival_stats(prob).log_p_star / prob.m)
         coeffs = np.polyfit(p1s, xs, 1)
         residual = np.max(np.abs(np.polyval(coeffs, p1s) - np.asarray(xs)))
         assert residual <= 1e-12 * max(abs(x) for x in xs) + 1e-18
@@ -268,7 +319,7 @@ class TestSurvivalStats:
 
 class TestJointRateFunction:
     def test_zero_at_typical_pair(self, d2_prob):
-        x_star = most_probable_log_survival(d2_prob) / d2_prob.m
+        x_star = survival_stats(d2_prob).log_p_star / d2_prob.m
         y_star = d2_prob.dist.mean()
         assert joint_rate_function(d2_prob, x_star, y_star) <= 1e-12
 
@@ -304,7 +355,7 @@ class TestJointRateFunction:
         # typical pair only for two atoms; with three it is a different
         # particular solution and falls outside the simplex here
         prob = problem(chain, psi0, D3_VALUES_S, D3_PROBS)
-        x_star = most_probable_log_survival(prob) / prob.m
+        x_star = survival_stats(prob).log_p_star / prob.m
         with pytest.raises(OutOfRangeError):
             joint_rate_function(prob, x_star, prob.dist.mean())
 

@@ -29,7 +29,6 @@ from zenosim import (
     ensemble_summary,
     log_survival_factor,
     log_survival_factors,
-    most_probable_log_survival,
     run_ensemble,
     survival_stats,
 )
@@ -441,7 +440,7 @@ class TestStatisticalProperties:
         cfg = make_config(chain, psi0, d2(), m=m, realizations=n, master_seed=99)
         ens = run_ensemble(cfg)
         prob = LdProblem.for_system(chain, psi0, d2(), m)
-        l_star = most_probable_log_survival(prob)
+        l_star = survival_stats(prob).log_p_star
         se = math.sqrt(ensemble_summary(ens).variance_intensive_log * m**2 / n)
         assert abs(float(ens.log_survivals.mean()) - l_star) <= 3 * se
 
