@@ -96,9 +96,6 @@ class PureState:
         """Rank-1 density matrix |psi><psi|."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class Hamiltonian:

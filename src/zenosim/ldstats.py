@@ -16,10 +16,15 @@ function: P(x) ~ exp(-m I(x)). Two constructions of I are provided.
   for d > 2 this particular split is one admissible solution.
 
 * ``cramer_rate`` is the classical tilting construction for i.i.d. sums:
-  find the exponential tilt whose mean matches x and Legendre-transform
-  the cumulant generating function. It is the true minimum over all
+  find the exponential tilt whose mean matches x (bisection inside a
+  closed-form bracket) and Legendre-transform the cumulant generating
+  function (Dembo & Zeitouni, Thm. 2.2.3). It is the true minimum over all
   admissible occupation vectors, hence a lower bound on (and at d = 2
   equal to) the explicit construction. The two serve as mutual oracles.
+
+Both take a float or an array of x. An array is one pass over the grid,
+each entry with the bits of a call on that entry alone, so
+``rate_curve`` makes one call per curve.
 
 Alongside the rate functions live the closed-form summary statistics:
 most probable and mean survival (geometric vs arithmetic average of q
@@ -162,124 +167,131 @@ class RateCurve:
     rates: np.ndarray
 
 
-def _kl(f: np.ndarray, p: np.ndarray) -> float:
-    # 0 * ln 0 = 0 by convention
-    mask = f > 0.0
-    return float(np.sum(f[mask] * np.log(f[mask] / p[mask])))
+def _kl(f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """KL(f || p) along the last axis, with 0 ln 0 = 0."""
+    return np.sum(f * np.log(np.where(f > 0.0, f, 1.0) / p), axis=-1)
 
 
-def rate_function_I(prob: LdProblem, x: float) -> float:
-    """Explicit rate function at intensive log-survival x.
+def _require(ok: np.ndarray, xs: np.ndarray, why: str) -> None:
+    """Raise ``OutOfRangeError`` naming the first x where ``ok`` is false."""
+    if not np.all(ok):
+        at = int(np.flatnonzero(~ok)[0])
+        raise OutOfRangeError(f"x = {float(xs.flat[at])!r} {why}")
+
+
+def _like(x, values: np.ndarray):
+    """``values`` as a float for a scalar x, else as an array of x's shape."""
+    return float(values) if np.ndim(x) == 0 else values
+
+
+def rate_function_I(prob: LdProblem, x):
+    """Explicit rate function at intensive log-survival x, a float or an
+    array (one value per entry, each the bits of a call on that entry).
 
     Builds the occupation fractions f from x (distinguishing the last
-    listed atom), then returns KL(f || p). Raises ``OutOfRangeError``
-    when x is outside [min ln q, max ln q] or, for d > 2, when this
-    particular construction leaves the probability simplex.
+    listed atom), then returns KL(f || p). Raises ``OutOfRangeError``,
+    naming the first offending x, when x is outside [min ln q, max ln q]
+    or, for d > 2, when this particular construction leaves the
+    probability simplex.
     """
     p, logq = prob.merged()
-    d = p.size
     lo, hi = float(np.min(logq)), float(np.max(logq))
+    xs = np.asarray(x, dtype=float)
     slack = 1e-15 * max(hi - lo, 1.0)
-    if x < lo - slack or x > hi + slack:
-        raise OutOfRangeError(f"x = {x!r} outside attainable [{lo!r}, {hi!r}]")
-    x = min(max(x, lo), hi)  # snap boundary round-off back into range
-    if d == 1:
-        return 0.0
-
+    _require((xs >= lo - slack) & (xs <= hi + slack), xs,
+             f"outside attainable [{lo!r}, {hi!r}]")
+    if p.size == 1:
+        return _like(x, np.zeros(xs.shape))
+    xs = np.clip(xs, lo, hi)  # snap boundary round-off back into range
     lq_d = logq[-1]
-    f_head = (lq_d - x) / ((d - 1) * (lq_d - logq[:-1]))
-    f = np.append(f_head, 1.0 - f_head.sum())
-    if np.any(f < -1e-12):
-        raise OutOfRangeError(
-            f"x = {x!r}: occupation fractions {f} leave the simplex"
-        )
-    return _kl(np.clip(f, 0.0, None), p)
+    f_head = (lq_d - xs[..., None]) / ((p.size - 1) * (lq_d - logq[:-1]))
+    f = np.concatenate((f_head, 1.0 - f_head.sum(axis=-1, keepdims=True)), axis=-1)
+    _require(np.all(f >= -1e-12, axis=-1), xs, "puts the occupation fractions off the simplex")
+    return _like(x, _kl(np.clip(f, 0.0, None), p))
 
 
-def _cumulant_stats(p: np.ndarray, logq: np.ndarray, t: float) -> tuple[float, float]:
-    """K(t) = ln sum p exp(t ln q) and its derivative, shift-stabilized."""
-    s = t * logq
-    smax = float(np.max(s))
-    wts = p * np.exp(s - smax)
-    total = float(np.sum(wts))
-    k = smax + math.log(total)
-    kprime = float(np.dot(wts, logq)) / total
-    return k, kprime
+def _tilt_bracket(p: np.ndarray, logq: np.ndarray, xs: np.ndarray):
+    """Tilts t_lo <= 0 <= t_hi around the root of sum_a p_a s_a e^(t s_a),
+    s_a = ln q_a - x, for x inside (min ln q, max ln q).
+
+    With up = max ln q - x and down = x - min ln q: for t >= t_hi the top
+    atom's term p_top up e^(t up) >= down outweighs every negative term,
+    and for t <= t_lo the bottom atom's term outweighs every positive one.
+    An entry is inf when x is within round-off of an end.
+    """
+    up, down = np.max(logq) - xs, xs - np.min(logq)
+    with np.errstate(over="ignore", divide="ignore"):
+        t_hi = np.maximum(0.0, np.log(down / (p[np.argmax(logq)] * up)) / up)
+        t_lo = np.minimum(0.0, -np.log(up / (p[np.argmin(logq)] * down)) / down)
+    return t_lo, t_hi
 
 
-def cramer_rate(prob: LdProblem, x: float) -> float:
-    """Tilting (Legendre) rate at x: sup_t [t x - ln sum_a p_a q_a^t].
+def cramer_rate(prob: LdProblem, x):
+    """Tilting (Legendre) rate sup_t [t x - ln sum_a p_a q_a^t] at x, a
+    float or an array (one value per entry, each the bits of a call on
+    that entry).
 
-    The optimal tilt solves the mean-matching condition
-    sum_a p_a ln q_a e^(t ln q_a) / sum_a p_a e^(t ln q_a) = x and is
-    found by bisection (the tilted mean is increasing in t). The bracket
-    is expanded geometrically first; bisection then runs to floating
-    point exhaustion and the result is accepted only if the matched mean
-    is within ``TILT_X_TOL`` of x.
+    With s_a = ln q_a - x the optimal tilt solves sum_a p_a s_a e^(t s_a)
+    = 0, whose left side increases in t, and the rate is
+    -ln sum_a p_a e^(t s_a). The root is bracketed in closed form
+    (``_tilt_bracket``) and bisected, every x at once, until the bracket is
+    at most 1e-15 max(|t|, 1) wide; its midpoint is accepted only if the
+    tilted mean of ln q there is within ``TILT_X_TOL`` of x. x must lie in
+    the open interval (min ln q, max ln q), except for a law with one ln q
+    (within ``LOGQ_MERGE_TOL``), whose rate is 0 at that point.
     """
     p, logq = prob.dist.probs, prob.logq
     lo, hi = float(np.min(logq)), float(np.max(logq))
-    if not (lo < x < hi):
-        if hi - lo < LOGQ_MERGE_TOL and abs(x - lo) <= LOGQ_MERGE_TOL:
-            return 0.0  # effectively degenerate problem at its only point
-        raise OutOfRangeError(f"x = {x!r} outside open interval ({lo!r}, {hi!r})")
-
-    def mean_at(t: float) -> float:
-        return _cumulant_stats(p, logq, t)[1]
-
-    t_lo, t_hi = -1.0, 1.0
-    for _ in range(300):
-        if mean_at(t_lo) <= x:
+    xs = np.asarray(x, dtype=float)
+    if hi - lo < LOGQ_MERGE_TOL:
+        _require(np.abs(xs - lo) <= LOGQ_MERGE_TOL, xs, f"is not the law's only ln q {lo!r}")
+        return _like(x, np.zeros(xs.shape))
+    _require((lo < xs) & (xs < hi), xs, f"outside open interval ({lo!r}, {hi!r})")
+    t_lo, t_hi = _tilt_bracket(p, logq, xs)
+    if not np.all(np.isfinite(t_lo) & np.isfinite(t_hi)):
+        raise RootBracketFailureError("the tilt bracket overflows next to an end of the range")
+    s = logq - xs[..., None]
+    while True:
+        t = 0.5 * (t_lo + t_hi)
+        u = t[..., None] * s
+        umax = np.max(u, axis=-1)
+        wts = p * np.exp(u - umax[..., None])
+        total = np.sum(wts, axis=-1)
+        resid = np.sum(wts * s, axis=-1) / total  # tilted mean of ln q, minus x
+        active = t_hi - t_lo > 1e-15 * np.maximum(np.maximum(np.abs(t_lo), np.abs(t_hi)), 1.0)
+        if not np.any(active):
             break
-        t_lo *= 2.0
-    else:
-        raise RootBracketFailureError("could not bracket the tilt from below")
-    for _ in range(300):
-        if mean_at(t_hi) >= x:
-            break
-        t_hi *= 2.0
-    else:
-        raise RootBracketFailureError("could not bracket the tilt from above")
-
-    best_t, best_err = 0.0, math.inf
-    for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        err = mean_at(t_mid) - x
-        if abs(err) < best_err:
-            best_t, best_err = t_mid, abs(err)
-        if err < 0.0:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-        if t_hi - t_lo <= 1e-15 * max(abs(t_lo), abs(t_hi), 1.0):
-            break
-    if best_err > TILT_X_TOL:
+        t_lo = np.where(active & (resid < 0.0), t, t_lo)
+        t_hi = np.where(active & ~(resid < 0.0), t, t_hi)
+    missed = ~(np.abs(resid) <= TILT_X_TOL)
+    if np.any(missed):
+        at = int(np.flatnonzero(missed)[0])
         raise RootBracketFailureError(
-            f"tilted mean missed x by {best_err:g} (> {TILT_X_TOL:g})"
+            f"x = {float(xs.flat[at])!r}: tilted mean missed x by "
+            f"{float(resid.flat[at]):g} (> {TILT_X_TOL:g})"
         )
-    k, _ = _cumulant_stats(p, logq, best_t)
-    return best_t * x - k
+    return _like(x, -(umax + np.log(total)))
 
 
 def rate_curve(
     prob: LdProblem, points: int = 200, *, method: str = "explicit"
 ) -> RateCurve:
-    """Sample the rate function on a uniform grid over its domain.
+    """Sample the rate function on a uniform grid over its domain, in one
+    call of the rate function on the whole grid.
 
     The grid spans [min ln q + eps, max ln q - eps] with eps a 1e-9
     fraction of the range, keeping clear of the boundary where the
     tilting parameter diverges. ``method`` selects "explicit"
     (f-construction) or "tilting".
     """
+    if method not in ("explicit", "tilting"):
+        raise ValueError(f"unknown method {method!r}")
     _, logq = prob.merged()
     lo, hi = float(np.min(logq)), float(np.max(logq))
     eps = 1e-9 * (hi - lo)
     xs = np.linspace(lo + eps, hi - eps, points)
     fn = rate_function_I if method == "explicit" else cramer_rate
-    if method not in ("explicit", "tilting"):
-        raise ValueError(f"unknown method {method!r}")
-    rates = np.array([fn(prob, float(x)) for x in xs])
-    return RateCurve(xs=xs, rates=rates)
+    return RateCurve(xs=xs, rates=fn(prob, xs))
 
 
 def rate_function_J(prob: LdProblem, survival: float) -> float:
@@ -382,7 +394,7 @@ def joint_rate_function(prob: LdProblem, x: float, y: float) -> float:
     the consistency set (see ``contracted_rate``).
     """
     g = _joint_fractions(prob, x, y)
-    return _kl(g, prob.dist.probs)
+    return float(_kl(g, prob.dist.probs))
 
 
 def contracted_rate(prob: LdProblem, x: float, ys) -> float:
@@ -591,10 +603,6 @@ class DisorderGain:
     @property
     def p_star(self):
         return _exp(self.log_p_star)
-
-    @property
-    def p_equal(self):
-        return _exp(self.log_p_equal)
 
     @property
     def ratio(self):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Hamiltonian, PureState, log_survival_factors, phase_weights
-from .intervals import IntervalDistribution
+from .intervals import IntervalDistribution, _log_mean_q
 from .rng import StreamFamily, philox_uniforms
 
 __all__ = [
@@ -61,8 +61,7 @@ class EnsembleConfig:
     """Complete description of an ensemble run.
 
     ``mode`` is "fixed_m" (requires ``m``) or "fixed_T" (requires
-    ``t_total`` in seconds). ``keep_traces`` retains every sampled
-    interval sequence for debugging; summaries never need it.
+    ``t_total`` in seconds).
     """
 
     dist: IntervalDistribution
@@ -73,7 +72,6 @@ class EnsembleConfig:
     master_seed: int
     m: int | None = None
     t_total: float | None = None
-    keep_traces: bool = False
 
     def __post_init__(self):
         if self.mode not in ("fixed_m", "fixed_T"):
@@ -96,7 +94,6 @@ class SurvivalEnsemble:
     ms: np.ndarray
     total_times: np.ndarray
     log_survivals: np.ndarray
-    traces: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -147,14 +144,6 @@ class EnsembleSummary:
     def mean_survival(self) -> float:
         return math.exp(self.log_mean_survival)
 
-    @property
-    def geometric_mean_survival(self) -> float:
-        return math.exp(self.log_geometric_mean)
-
-    @property
-    def median_survival(self) -> float:
-        return math.exp(self.log_median)
-
 
 def _drawn_past_budget(dist, rng, limit: float) -> np.ndarray:
     """Waiting times from ``rng``, enough for the fixed-T stop rule to end
@@ -197,7 +186,7 @@ def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, family: StreamFamily, start: int
             family.select(start + j).random(m, out=u[j])
     mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
     ms = np.full(stop - start, m, dtype=np.int64)
-    return ms, mus.sum(axis=1), logq.sum(axis=1), list(mus) if cfg.keep_traces else []
+    return ms, mus.sum(axis=1), logq.sum(axis=1)
 
 
 def _rows_by_value(keys: np.ndarray):
@@ -210,8 +199,7 @@ def _fixed_t_chunk(cfg: EnsembleConfig, lam, w, drawn: list[np.ndarray], limit: 
     ms = np.empty(len(drawn), dtype=np.int64)
     for _, rows in _rows_by_value(np.array([mus.size for mus in drawn])):
         ms[rows] = _kept_counts(np.stack([drawn[j] for j in rows.tolist()]), limit)
-    seqs = [mus[:m] for mus, m in zip(drawn, ms.tolist())]
-    flat = np.concatenate(seqs)
+    flat = np.concatenate([mus[:m] for mus, m in zip(drawn, ms.tolist())])
     logq = log_survival_factors(lam, w, flat)
     starts = np.cumsum(ms) - ms
     totals, logs = np.empty(len(drawn)), np.empty(len(drawn))
@@ -221,11 +209,11 @@ def _fixed_t_chunk(cfg: EnsembleConfig, lam, w, drawn: list[np.ndarray], limit: 
         at = starts[rows, None] + np.arange(m)
         totals[rows] = flat[at].sum(axis=1)
         logs[rows] = logq[at].sum(axis=1)
-    return ms, totals, logs, [seq.copy() for seq in seqs] if cfg.keep_traces else []
+    return ms, totals, logs
 
 
 def _chunks(cfg: EnsembleConfig, lam, w):
-    """(ms, totals, log survivals, traces) of consecutive realizations,
+    """(ms, totals, log survivals) of consecutive realizations,
     in chunks of about ``_CHUNK_TARGET`` intervals each."""
     family = StreamFamily(cfg.master_seed)
     n = cfg.realizations
@@ -254,14 +242,12 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     n = cfg.realizations
     ms, totals, logs = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    traces, start = [], 0
+    start = 0
     for part in _chunks(cfg, lam, w):
         stop = start + part[0].size
-        ms[start:stop], totals[start:stop], logs[start:stop] = part[:3]
-        traces += part[3]
+        ms[start:stop], totals[start:stop], logs[start:stop] = part
         start = stop
-    return SurvivalEnsemble(config=cfg, ms=ms, total_times=totals, log_survivals=logs,
-                            traces=tuple(traces) if cfg.keep_traces else None)
+    return SurvivalEnsemble(config=cfg, ms=ms, total_times=totals, log_survivals=logs)
 
 
 def empirical_rate(ens: SurvivalEnsemble, bins: int) -> EmpiricalRate:
@@ -304,9 +290,11 @@ def empirical_rate(ens: SurvivalEnsemble, bins: int) -> EmpiricalRate:
 def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     """Aggregate the ensemble into the standard comparison quantities.
 
-    The linear-domain mean is formed from the log records by shifting,
-    compensated summation of the exponentials, and shifting back, so it
-    stays meaningful even when every survival underflows a double.
+    The linear-domain mean is formed from the log records by shifting by
+    the largest, compensated summation, and shifting back, so it stays
+    meaningful even when every survival underflows a double. The shifted
+    mean m is taken as log1p(-(1 - m)) while 1 - m <= 1/2, as
+    ``intervals._log_mean_q`` does, so close records keep their digits.
 
     The variance of the intensive log survival L/m is taken over the
     realizations with at least one measurement (a fixed-T budget below
@@ -326,7 +314,9 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     if math.isinf(smax):
         log_mean = -math.inf
     else:
-        log_mean = smax + math.log(math.fsum(np.exp(logs - smax))) - math.log(ens.n)
+        shifted = logs - smax
+        log_mean = smax + _log_mean_q(math.fsum(-np.expm1(shifted)) / ens.n,
+                                      math.log(math.fsum(np.exp(shifted)) / ens.n))
     intensive = logs[measured] / ens.ms[measured]
     return EnsembleSummary(
         log_mean_survival=log_mean,

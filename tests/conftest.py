@@ -3,12 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from oracles import CHAIN_COUPLING, CHAIN_OMEGAS, chain_matrix, powerlaw_expect_log_q
 
 from zenosim import PureState, build_chain_hamiltonian, entangled_initial_state
+
+# property tests draw the same examples on every run, take as long as they
+# need, and keep no example database on disk
+settings.register_profile("zenosim", derandomize=True, deadline=None, database=None)
+settings.load_profile("zenosim")
 
 
 @pytest.fixture(scope="session")

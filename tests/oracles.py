@@ -36,6 +36,12 @@ D4_VALUES_S = (1 * NS, 3 * NS, 2 * NS, 0.5 * NS)
 D4_PROBS = (0.3, 0.2, 0.05, 0.45)
 
 
+def same_bits(a, b) -> bool:
+    """Whether two float arrays (or sequences) have the same shape and bits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def chain_matrix() -> np.ndarray:
     """The benchmark 3-level chain Hamiltonian as a plain matrix."""
     h = np.diag(np.asarray(CHAIN_OMEGAS, dtype=complex))
@@ -161,6 +167,43 @@ def binomial_rate_enumeration(
     rates = -np.log(probs) / m
     rates -= rates.min()
     return xs, probs, rates
+
+
+def two_atom_rate(probs, logq, x: float, dps: int = 40) -> float:
+    """Rate of a two-atom law at x in closed form, at ``dps`` digits.
+
+    Two atoms pin the occupation fractions, f_1 = (ln q_2 - x) /
+    (ln q_2 - ln q_1) and f_2 = 1 - f_1, and I(x) = KL(f || p); every
+    float input is taken exactly.
+    """
+    with mp.workdps(dps):
+        (p1, p2), (lq1, lq2) = ([mp.mpf(float(v)) for v in pair] for pair in (probs, logq))
+        x = mp.mpf(float(x))
+        f1, f2 = (lq2 - x) / (lq2 - lq1), (x - lq1) / (lq2 - lq1)
+        return float(f1 * mp.log(f1 / p1) + f2 * mp.log(f2 / p2))
+
+
+def tilted_rate(probs, logq, x: float, dps: int = 40) -> float:
+    """Legendre rate -ln sum_a p_a e^(t s_a), s_a = ln q_a - x, at the tilt
+    t solving sum_a p_a s_a e^(t s_a) = 0, found by 300 bisection steps
+    from a doubling bracket at ``dps`` digits; float inputs taken exactly."""
+    with mp.workdps(dps):
+        p = [mp.mpf(float(v)) for v in probs]
+        s = [mp.mpf(float(v)) - mp.mpf(float(x)) for v in logq]
+
+        def slope(t):
+            return mp.fsum(pa * sa * mp.exp(t * sa) for pa, sa in zip(p, s))
+
+        lo, hi = mp.mpf(-1), mp.mpf(1)
+        while slope(lo) > 0:
+            lo *= 2
+        while slope(hi) < 0:
+            hi *= 2
+        for _ in range(300):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) < 0 else (lo, mid)
+        t = (lo + hi) / 2
+        return float(-mp.log(mp.fsum(pa * mp.exp(t * sa) for pa, sa in zip(p, s))))
 
 
 def powerlaw_expect_log_q(h: np.ndarray, psi: np.ndarray, mu0: float, alpha: float,

@@ -88,7 +88,7 @@ class TestSampling:
     def test_powerlaw_empirical_mean(self):
         dist = PowerLawIntervals(mu0=1.0, alpha=3.0)
         draws = dist.sample(substream(17, 0), 1_000_000)
-        assert float(draws.mean()) == pytest.approx(1.5, rel=0.01)
+        assert float(draws.mean()) == pytest.approx(1.5, rel=0.01, abs=0.0)
         assert float(draws.min()) >= 1.0
 
     def test_powerlaw_ks_statistic(self):
@@ -131,7 +131,7 @@ class TestSampling:
 class TestMoments:
     def test_discrete_mean_benchmark(self):
         # atoms (1, 3) ns with weights (0.3, 0.7) average to 2.4 ns
-        assert d2().mean() == pytest.approx(2.4e-9, rel=1e-15)
+        assert d2().mean() == pytest.approx(2.4e-9, rel=1e-15, abs=0.0)
 
     def test_degenerate_mean(self):
         assert DegenerateInterval(7e-6).mean() == 7e-6
@@ -139,8 +139,8 @@ class TestMoments:
 
     def test_powerlaw_moments(self):
         dist = PowerLawIntervals(mu0=1.0, alpha=3.0)
-        assert dist.mean() == pytest.approx(1.5, rel=1e-15)
-        assert dist.second_moment() == pytest.approx(3.0, rel=1e-15)
+        assert dist.mean() == pytest.approx(1.5, rel=1e-15, abs=0.0)
+        assert dist.second_moment() == pytest.approx(3.0, rel=1e-15, abs=0.0)
 
     def test_infinite_mean_guard(self):
         with pytest.raises(InfiniteMeanError):
@@ -197,7 +197,7 @@ class TestLogQMoments:
     def test_powerlaw_matches_oracle(self, chain, psi0, powerlaw_log_q_oracle, alpha):
         lam, w = phase_weights(chain, psi0)
         mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, alpha).log_q_moments(lam, w)
-        assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(1 * NS, alpha), rel=1e-8)
+        assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(1 * NS, alpha), rel=1e-8, abs=0.0)
         # Jensen, and both vanish only on an eigenstate
         assert mean_log_q <= log_mean_q < 0.0
 
@@ -215,7 +215,7 @@ class TestLogQMoments:
         assert time.perf_counter() - start < 0.5
         if mean_log_q is not None:
             assert math.isfinite(mean_log_q) and math.isfinite(log_mean_q)
-            assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(mu0, alpha), rel=1e-8)
+            assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(mu0, alpha), rel=1e-8, abs=0.0)
 
     def test_near_eigenstate_matches_oracle(self, chain):
         weights = np.array([1e-6, 1.0 - 2e-6, 1e-6])
@@ -223,7 +223,7 @@ class TestLogQMoments:
         lam, w = phase_weights(chain, PureState(psi))
         mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
         expected = powerlaw_expect_log_q(chain_matrix(), psi, 1 * NS, 3.0)
-        assert mean_log_q == pytest.approx(expected, rel=1e-8)
+        assert mean_log_q == pytest.approx(expected, rel=1e-8, abs=0.0)
         assert mean_log_q <= log_mean_q < 0.0
 
     def test_numerical_eigenstate_is_tiny_not_an_error(self, chain):
@@ -246,7 +246,7 @@ class TestLogQMoments:
 
         got = dist.expect_windowed(one, edges=edges)
         assert got.shape == (1,)
-        assert got[0] == pytest.approx(1.0 - (edges[0] / edges[-1]) ** 2.5, rel=1e-13)
+        assert got[0] == pytest.approx(1.0 - (edges[0] / edges[-1]) ** 2.5, rel=1e-13, abs=0.0)
         assert sum(sizes) == 2000 * nodes and max(sizes) <= intervals._QUAD_SLAB
 
     def test_powerlaw_memory_is_bounded(self, chain, psi0):

@@ -22,7 +22,7 @@ def test_identity_spectrum():
 
 def test_symmetric_two_level():
     spec = hermitian_eig([[0.0, OMEGA], [OMEGA, 0.0]])
-    assert spec.eigenvalues == pytest.approx([-OMEGA, OMEGA], rel=1e-14)
+    assert spec.eigenvalues == pytest.approx([-OMEGA, OMEGA], rel=1e-14, abs=0.0)
 
 
 def test_chain_eigenvalues_match_cubic_roots():
@@ -74,7 +74,7 @@ def test_decomposition_invariants_random(seed):
 def test_degenerate_spectrum_still_orthonormal():
     a = np.kron(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))  # doubled eigenvalues
     spec = hermitian_eig(a)
-    assert spec.eigenvalues == pytest.approx([-1.0, -1.0, 3.0, 3.0], rel=1e-12)
+    assert spec.eigenvalues == pytest.approx([-1.0, -1.0, 3.0, 3.0], rel=1e-12, abs=0.0)
     v = spec.eigenvectors
     assert np.linalg.norm(v.conj().T @ v - np.eye(4)) < 1e-12
     assert np.linalg.norm(spec.reconstruct() - a) < 1e-10 * np.linalg.norm(a)

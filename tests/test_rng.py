@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import same_bits
+
 from zenosim import rng
 from zenosim.rng import philox_uniforms, substream
 
@@ -14,10 +16,6 @@ TOP = 2**64 - 1
 def reference(seed, first, rows, m):
     """Row j from a fresh numpy generator keyed (seed, first + j)."""
     return np.array([substream(seed, first + j).random(m) for j in range(rows)]).reshape(rows, m)
-
-
-def same_bits(a, b) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def filled(seed, first, rows, m):
@@ -31,7 +29,7 @@ keys = st.one_of(st.integers(0, TOP), near_top, st.integers(0, 100))
 
 
 class TestPhiloxUniforms:
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(seed=keys, first=keys, rows=st.integers(1, 24), m=st.integers(1, 70),
            slab=st.one_of(st.integers(1, 40), st.just(rng._SLAB_COUNTERS)))
     def test_matches_numpy_philox(self, seed, first, rows, m, slab):
