@@ -1,14 +1,14 @@
 """Probability distributions over inter-measurement waiting times.
 
-Three families ship: a discrete distribution over d positive atoms (the
-d-outcome Bernoulli case), a continuous power law on [mu0, inf), and the
-degenerate point mass that models equally spaced measurements. Each
-offers sampling against an explicit generator handle, exact moments, and
-the survival averages E[ln q] and ln E[q] for given phase weights
-(``log_q_moments``). Monte Carlo ensembles hand each law a block of
-uniforms and get back the waiting times and their ln q
-(``intervals_and_log_q``): the lattice laws evaluate ln q once per atom
-and gather it by atom index, the power law runs the kernel on every draw.
+Two families ship: a discrete distribution over d positive atoms (the
+d-outcome Bernoulli case), and a continuous power law on [mu0, inf). The
+point mass that models equally spaced measurements is the one-atom
+discrete law. Each offers sampling against an explicit generator handle,
+exact moments, and the survival averages E[ln q] and ln E[q] for given
+phase weights (``log_q_moments``). Monte Carlo ensembles hand each law a
+block of uniforms and get back the waiting times and their ln q
+(``intervals_and_log_q``): the discrete law evaluates ln q once per atom
+and gathers it by atom index, the power law runs the kernel on every draw.
 The power law's moments come from one composite Gauss-Legendre rule with
 panels graded toward the zeros of q, truncated by a fixed rule.
 """
@@ -281,38 +281,22 @@ class PowerLawIntervals:
         return acc
 
 
-@dataclass(frozen=True)
-class DegenerateInterval:
-    """Point mass: every waiting time equals mu_bar (equally spaced)."""
+class DegenerateInterval(DiscreteIntervals):
+    """Point mass: every waiting time equals mu_bar (equally spaced), the
+    discrete law with the one atom mu_bar of probability 1."""
 
-    mu_bar: float
+    def __init__(self, mu_bar: float):
+        super().__init__(np.array([mu_bar], dtype=float), np.ones(1))
 
-    def __post_init__(self):
-        if not (self.mu_bar > 0 and np.isfinite(self.mu_bar)):
-            raise ValueError("mu_bar must be a positive time")
+    @property
+    def mu_bar(self) -> float:
+        return float(self.values[0])
 
     def sample(self, rng: Generator, m: int) -> np.ndarray:
+        """m copies of mu_bar; draws no uniforms from ``rng``."""
         if m < 1:
             raise ValueError("need at least one draw")
-        return np.full(m, self.mu_bar, dtype=float)
-
-    def intervals_and_log_q(
-        self, u: np.ndarray, lam: np.ndarray, w: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The one waiting time (overwriting ``u``) and its ln q, broadcast."""
-        u.fill(self.mu_bar)
-        log_q = float(log_survival_factors(lam, w, np.array([self.mu_bar]))[0])
-        return u, np.full(u.shape, log_q)
-
-    def mean(self) -> float:
-        return self.mu_bar
-
-    def second_moment(self) -> float:
-        return self.mu_bar**2
-
-    def log_q_moments(self, lam: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-        """ln q at the one waiting time, as E[ln q] and as ln E[q]."""
-        return _atom_moments(np.ones(1), log_survival_factors(lam, w, np.array([self.mu_bar])))
+        return np.full(m, self.mu_bar)
 
 
 def _atom_moments(probs: np.ndarray, log_q: np.ndarray) -> tuple[float, float]:
@@ -333,4 +317,4 @@ def _log_mean_q(mean_delta: float, log_mean_q: float) -> float:
     return math.log1p(-mean_delta) if mean_delta <= 0.5 else log_mean_q
 
 
-IntervalDistribution = Union[DiscreteIntervals, PowerLawIntervals, DegenerateInterval]
+IntervalDistribution = Union[DiscreteIntervals, PowerLawIntervals]

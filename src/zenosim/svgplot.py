@@ -43,6 +43,14 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks
 
 
+def _widen_flat(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), widened by 1/2 each way when the range spans only a few
+    thousand ulps of its ends, where a tick step would fall below one."""
+    if hi - lo <= 4096 * math.ulp(max(abs(lo), abs(hi))):
+        return lo - 0.5, hi + 0.5
+    return lo, hi
+
+
 def _fmt(v: float) -> str:
     if v == 0:
         return "0"
@@ -66,10 +74,8 @@ def render_svg(
     xhi = max(p[0] for p in pts)
     ylo = min(p[1] for p in pts)
     yhi = max(p[1] for p in pts)
-    if xhi <= xlo:
-        xlo, xhi = xlo - 0.5, xhi + 0.5
-    if yhi <= ylo:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
+    xlo, xhi = _widen_flat(xlo, xhi)
+    ylo, yhi = _widen_flat(ylo, yhi)
     pad_y = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad_y, yhi + pad_y
 

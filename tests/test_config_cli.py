@@ -208,6 +208,20 @@ class TestCli:
         series = {line.split(",")[0] for line in lines[2:]}
         assert series == {"explicit", "tilting", "empirical"}
 
+    def test_rate_point_mass_is_the_one_atom_law(self, tmp_path, capsys):
+        one_atom = "kind = discrete\nvalues = 1 ns\nprobs = 1\n"
+        point = "kind = degenerate\nmu_bar = 1 ns\n"
+        two_atoms = "kind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\n"
+        for name, law in (("one", one_atom), ("point", point)):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(GENERIC_CONFIG.replace(two_atoms, law))
+            assert main(["rate", str(path), "--out", str(tmp_path / name)]) == 0
+        csv = (tmp_path / "point" / "out.csv").read_bytes()
+        assert csv == (tmp_path / "one" / "out.csv").read_bytes()
+        rows = [line.split(",") for line in csv.decode().splitlines()[2:]]
+        assert {row[0] for row in rows} == {"explicit", "tilting", "empirical"}
+        assert all(float(row[2]) == 0.0 for row in rows)
+
     def test_rate_needs_discrete_fixed_m(self, tmp_path, capsys):
         path = tmp_path / "pl.ini"
         path.write_text(

@@ -7,6 +7,7 @@ import pytest
 
 from zenosim import __version__
 from zenosim.csvout import format_cell, write_csv
+from zenosim.svgplot import Series, render_svg
 
 META = {"command": "test", "seed": 1}
 
@@ -63,6 +64,14 @@ class TestWriteCsv:
     def test_rows_must_match_the_columns(self, tmp_path, rows):
         with pytest.raises(ValueError):
             written(tmp_path, ("a", "b"), rows)
+
+
+@pytest.mark.parametrize("x", [-3.9e-8, 0.0])
+def test_svg_of_a_range_flat_to_round_off(x):
+    # points one ulp apart once stepped the ticks by less than an ulp, forever
+    xs, ys = [x, float(np.nextafter(x, 1.0))], [-1e-9, float(np.nextafter(-1e-9, 1.0))]
+    svg = render_svg([Series("s", xs, ys, marker=True)])
+    assert svg.count('font-size="11"') == 10  # both axes widened to 1: 5 ticks each
 
 
 def test_version_matches_pyproject():

@@ -17,17 +17,21 @@ from oracles import (
     US,
     chain_matrix,
     powerlaw_expect_log_q,
+    same_bits,
 )
 
 from zenosim import (
     DegenerateInterval,
     DiscreteIntervals,
+    EnsembleConfig,
     InfiniteMeanError,
     InfiniteSecondMomentError,
     PowerLawIntervals,
     PureState,
     QuadratureNoConvergenceError,
     log_survival_factor,
+    qze_condition,
+    run_ensemble,
     survival_stats_for,
 )
 from zenosim import intervals
@@ -260,3 +264,65 @@ class TestLogQMoments:
         assert peak <= 4 * 2**20
 
 
+
+
+class TestPointMass:
+    """The point mass is the one-atom discrete law, bit for bit, except
+    that its ``sample`` draws no uniforms."""
+
+    MU = 0.1 * NS
+
+    def pair(self):
+        return DegenerateInterval(self.MU), DiscreteIntervals(np.array([self.MU]), np.array([1.0]))
+
+    def ensembles(self, chain, psi0, **run):
+        return [run_ensemble(EnsembleConfig(dist=dist, hamiltonian=chain, state=psi0,
+                                            master_seed=5, **run)) for dist in self.pair()]
+
+    def test_is_a_one_atom_discrete_law(self):
+        point, one_atom = self.pair()
+        assert isinstance(point, DiscreteIntervals)
+        assert point.d == 1 and point.mu_bar == self.MU
+        assert same_bits(point.values, one_atom.values)
+        assert same_bits(point.probs, one_atom.probs)
+        assert repr(point).startswith("DegenerateInterval(values=array([1.e-10]), probs=")
+        with pytest.raises(TypeError):  # like every discrete law: arrays do not hash
+            hash(point)
+
+    def test_sample_draws_no_uniforms(self):
+        rng = substream(3, 0)
+        assert same_bits(DegenerateInterval(self.MU).sample(rng, 5), np.full(5, self.MU))
+        assert rng.random() == substream(3, 0).random()
+
+    @pytest.mark.parametrize("realizations", [1, 300])
+    def test_fixed_m_ensembles(self, chain, psi0, realizations):
+        point, one_atom = self.ensembles(chain, psi0, mode="fixed_m", m=300,
+                                         realizations=realizations)
+        log_q = log_survival_factor(chain, psi0, self.MU)
+        assert np.all(point.ms == 300)
+        # every row sums m copies of the one waiting time and of its ln q
+        assert same_bits(point.total_times, np.full((realizations, 300), self.MU).sum(axis=1))
+        assert same_bits(point.log_survivals, np.full((realizations, 300), log_q).sum(axis=1))
+        assert np.array_equal(point.ms, one_atom.ms)
+        assert same_bits(point.total_times, one_atom.total_times)
+        assert same_bits(point.log_survivals, one_atom.log_survivals)
+
+    # 6.4 ns ties with the sum of the first 64-draw block; 0.05 ns keeps m = 0
+    @pytest.mark.parametrize("t_total, m", [(0.7 * NS, 7), (6.4 * NS, 64), (0.05 * NS, 0)])
+    def test_fixed_t_ensembles(self, chain, psi0, t_total, m):
+        point, one_atom = self.ensembles(chain, psi0, mode="fixed_T", t_total=t_total,
+                                         realizations=20)
+        assert np.all(point.ms == m)
+        assert np.array_equal(point.ms, one_atom.ms)
+        assert same_bits(point.total_times, one_atom.total_times)
+        assert same_bits(point.log_survivals, one_atom.log_survivals)
+
+    def test_moments_and_statistics(self, chain, psi0):
+        point, one_atom = self.pair()
+        lam, w = phase_weights(chain, psi0)
+        assert point.mean() == self.MU and one_atom.mean() == self.MU
+        assert point.second_moment() == self.MU**2 == one_atom.second_moment()
+        assert point.log_q_moments(lam, w) == one_atom.log_q_moments(lam, w)
+        assert (survival_stats_for(point, chain, psi0, 300)
+                == survival_stats_for(one_atom, chain, psi0, 300))
+        assert qze_condition(point, chain, psi0, 300) == qze_condition(one_atom, chain, psi0, 300)

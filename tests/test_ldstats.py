@@ -312,6 +312,14 @@ class TestSurvivalStats:
         assert stats.log_p_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert abs(stats.log_jensen_gap) <= 1e-12
 
+    def test_point_mass_is_an_ld_problem(self, chain, psi0):
+        dist = DegenerateInterval(2e-9)
+        prob = LdProblem.for_system(chain, psi0, dist, 50)
+        assert survival_stats(prob) == survival_stats_for(dist, chain, psi0, 50)
+        for method in ("explicit", "tilting"):
+            curve = rate_curve(prob, points=5, method=method)
+            assert np.all(curve.xs == prob.logq[0]) and np.all(curve.rates == 0.0)
+
     def test_d2_direct_evaluation(self, chain, psi0, d2_prob):
         stats = survival_stats(d2_prob)
         lq1 = log_survival_factor(chain, psi0, D2_VALUES_S[0])
