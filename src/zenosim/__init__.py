@@ -7,7 +7,7 @@ rate functions of the log-survival, most probable vs mean survival,
 frequent-measurement limits, and reproducible Monte Carlo ensembles.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .dynamics import (
     DimensionMismatchError,

@@ -109,9 +109,9 @@ class Hamiltonian:
     spec: SpectralDecomposition = field(repr=False)
 
     @classmethod
-    def from_matrix(cls, matrix, tol: float = 1e-12) -> "Hamiltonian":
+    def from_matrix(cls, matrix) -> "Hamiltonian":
         m = as_complex_matrix(matrix)
-        return cls(matrix=m, spec=hermitian_eig(m, tol))
+        return cls(matrix=m, spec=hermitian_eig(m))
 
     @property
     def dim(self) -> int:

@@ -28,9 +28,9 @@ Example::
     csv = run.csv
     svg = run.svg
 
-A ``preset = <name>`` key at the top of ``[run]`` (or a ``[preset]``
-section with ``name = ...``) delegates to the named preset instead of a
-generic run; see :mod:`zenosim.presets`.
+A ``preset = <name>`` key in ``[run]`` delegates to the named preset
+instead of a generic run; see :mod:`zenosim.presets`. Values are read
+literally: ``%`` is an ordinary character, not an interpolation.
 """
 
 from __future__ import annotations
@@ -67,44 +67,37 @@ class ConfigError(ValueError):
     """The configuration file is malformed or inconsistent."""
 
 
-def _split_quantity(text: str) -> tuple[float, str]:
-    parts = text.strip().split()
+def _parse_quantity(text: str, units: dict, kind: str) -> tuple[float, float | None]:
+    """'<number> [unit]' -> (number, factor of the unit, None when bare)."""
+    parts = text.split()
+    try:
+        if len(parts) not in (1, 2):
+            raise ValueError("a number and at most a unit")
+        value = float(parts[0])
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} quantity {text!r}") from exc
     if len(parts) == 1:
-        return float(parts[0]), ""
-    if len(parts) == 2:
-        return float(parts[0]), parts[1]
-    raise ConfigError(f"cannot parse quantity {text!r}")
+        return value, None
+    factor = units.get(parts[1].lower())
+    if factor is None:
+        raise ConfigError(f"unknown {kind} unit {parts[1]!r} in {text!r}")
+    return value, factor
 
 
 def parse_time(text: str) -> float:
     """'1 ns' -> 1e-9 seconds. Bare numbers are seconds."""
-    try:
-        value, unit = _split_quantity(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad time quantity {text!r}") from exc
-    if unit == "":
-        return value
-    factor = _TIME_UNITS.get(unit.lower())
-    if factor is None:
-        raise ConfigError(f"unknown time unit {unit!r} in {text!r}")
-    return value * factor
+    value, factor = _parse_quantity(text, _TIME_UNITS, "time")
+    return value if factor is None else value * factor
 
 
 def parse_frequency(text: str) -> float:
-    """'100 kHz' -> angular frequency 2*pi*1e5 rad/s.
+    """'100 kHz' -> angular frequency 2*pi*1e5 rad/s, as 2 pi (value unit),
+    the product ``presets.default_system`` forms.
 
     Bare numbers are taken as rad/s already (no conversion).
     """
-    try:
-        value, unit = _split_quantity(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad frequency quantity {text!r}") from exc
-    if unit == "":
-        return value
-    factor = _FREQ_UNITS.get(unit.lower())
-    if factor is None:
-        raise ConfigError(f"unknown frequency unit {unit!r} in {text!r}")
-    return 2.0 * math.pi * value * factor
+    value, factor = _parse_quantity(text, _FREQ_UNITS, "frequency")
+    return value if factor is None else 2.0 * math.pi * (value * factor)
 
 
 def _split_list(text: str) -> list[str]:
@@ -173,7 +166,7 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment configuration file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -203,9 +196,6 @@ def load_config(path: str) -> ExperimentConfig:
 
     run = parser["run"] if parser.has_section("run") else {}
     preset = run.get("preset")
-    if preset is None and parser.has_section("preset"):
-        preset = parser["preset"].get("name")
-
     mode = run.get("mode")
     if mode is not None and mode not in ("fixed_m", "fixed_T"):
         raise ConfigError(f"unknown run mode {mode!r}")

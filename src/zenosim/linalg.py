@@ -21,12 +21,12 @@ __all__ = [
     "propagator",
 ]
 
-#: default relative tolerance for the Hermiticity precondition
+#: relative tolerance of the Hermiticity precondition
 HERMITICITY_TOL = 1e-12
 
 
 class NotHermitianError(ValueError):
-    """Input matrix is not Hermitian within the requested tolerance."""
+    """Input matrix is not Hermitian within ``HERMITICITY_TOL``."""
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -65,7 +65,7 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
+def hermitian_eig(a) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix.
 
     The input is checked for Hermiticity, symmetrized, and handed to
@@ -75,20 +75,19 @@ def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
     Parameters
     ----------
     a : array_like
-        Square matrix, Hermitian within ``tol`` (relative, Frobenius).
-    tol : float
-        Hermiticity tolerance for the precondition check.
+        Square matrix, Hermitian within ``HERMITICITY_TOL`` (relative,
+        Frobenius).
 
     Raises
     ------
     NotHermitianError
-        If ``||a - a^dagger|| > tol * ||a||``.
+        If ``||a - a^dagger|| > HERMITICITY_TOL * ||a||``.
     """
     a = as_complex_matrix(a)
     norm_a = float(np.linalg.norm(a))
-    if np.linalg.norm(a - a.conj().T) > tol * max(norm_a, np.finfo(float).tiny):
+    if np.linalg.norm(a - a.conj().T) > HERMITICITY_TOL * max(norm_a, np.finfo(float).tiny):
         raise NotHermitianError(
-            f"matrix deviates from Hermiticity beyond relative tolerance {tol}"
+            f"matrix deviates from Hermiticity beyond relative tolerance {HERMITICITY_TOL}"
         )
     # symmetrize so round-off asymmetry cannot reach the solver; within
     # the tolerance above this does not change the operator

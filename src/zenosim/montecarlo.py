@@ -19,7 +19,7 @@ sequences are only retained when a debug flag asks for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,13 +136,26 @@ class EnsembleSummary:
     log_mean_survival: float
     log_geometric_mean: float
     log_median: float
-    variance_intensive_log: float
     mean_total_time: float
     n: int
+    #: L/m of each realization with at least one measurement
+    intensive_logs: np.ndarray = field(repr=False)
 
     @property
     def mean_survival(self) -> float:
         return math.exp(self.log_mean_survival)
+
+    @property
+    def variance_intensive_log(self) -> float:
+        """Sample variance of L/m over the realizations with m >= 1 (a
+        fixed-T budget below the smallest interval leaves m = 0, where L/m
+        is undefined); ``InsufficientSamplesError`` below two of them."""
+        if self.intensive_logs.size < 2:
+            raise InsufficientSamplesError(
+                f"the variance needs at least two realizations with m >= 1, "
+                f"got {self.intensive_logs.size} of {self.n}"
+            )
+        return float(np.var(self.intensive_logs, ddof=1))
 
 
 def _drawn_past_budget(dist, rng, limit: float) -> np.ndarray:
@@ -295,20 +308,10 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     meaningful even when every survival underflows a double. The shifted
     mean m is taken as log1p(-(1 - m)) while 1 - m <= 1/2, as
     ``intervals._log_mean_q`` does, so close records keep their digits.
-
-    The variance of the intensive log survival L/m is taken over the
-    realizations with at least one measurement (a fixed-T budget below
-    the smallest interval leaves m = 0, where L/m is undefined). Raises
-    ``InsufficientSamplesError`` when fewer than two such realizations
-    exist.
+    Every field is defined for any ensemble; only the variance of L/m
+    (``EnsembleSummary.variance_intensive_log``) needs two realizations
+    with m >= 1.
     """
-    measured = ens.ms >= 1
-    n_measured = int(np.count_nonzero(measured))
-    if n_measured < 2:
-        raise InsufficientSamplesError(
-            f"summary needs at least two realizations with m >= 1, "
-            f"got {n_measured} of {ens.n}"
-        )
     logs = ens.log_survivals
     smax = float(logs.max())
     if math.isinf(smax):
@@ -317,12 +320,12 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
         shifted = logs - smax
         log_mean = smax + _log_mean_q(math.fsum(-np.expm1(shifted)) / ens.n,
                                       math.log(math.fsum(np.exp(shifted)) / ens.n))
-    intensive = logs[measured] / ens.ms[measured]
+    measured = ens.ms >= 1
     return EnsembleSummary(
         log_mean_survival=log_mean,
         log_geometric_mean=math.fsum(logs) / ens.n,
         log_median=float(np.median(logs)),
-        variance_intensive_log=float(np.var(intensive, ddof=1)),
         mean_total_time=math.fsum(ens.total_times) / ens.n,
         n=ens.n,
+        intensive_logs=logs[measured] / ens.ms[measured],
     )

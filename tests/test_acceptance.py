@@ -291,9 +291,8 @@ def test_criterion_12_contraction(chain, psi0):
 def test_criterion_13_determinism(chain, psi0, tmp_path, monkeypatch):
     first = run_preset("fig2", seed=20250113, out_dir=str(tmp_path / "a"))
     second = run_preset("fig2", seed=20250113, out_dir=str(tmp_path / "b"))
-    bytes_a = open(first["csv"], "rb").read()
-    bytes_b = open(second["csv"], "rb").read()
-    assert bytes_a == bytes_b
+    with open(first["csv"], "rb") as fa, open(second["csv"], "rb") as fb:
+        assert fa.read() == fb.read()
 
     cfg = EnsembleConfig(
         dist=d2_dist(), hamiltonian=chain, state=psi0, mode="fixed_m",

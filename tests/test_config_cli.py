@@ -50,9 +50,11 @@ class TestQuantities:
         assert parse_time("0.25") == 0.25  # bare numbers are seconds
 
     def test_frequencies(self):
-        assert parse_frequency("100 kHz") == pytest.approx(2 * math.pi * 1e5)
-        assert parse_frequency("2 MHz") == pytest.approx(2 * math.pi * 2e6)
-        assert parse_frequency("50 Hz") == pytest.approx(2 * math.pi * 50)
+        # 2 pi (value unit), the product presets.default_system forms
+        assert parse_frequency("100 kHz") == 2 * math.pi * 1e5
+        assert parse_frequency("30 kHz") == 2 * math.pi * 30e3
+        assert parse_frequency("2 MHz") == 2 * math.pi * 2e6
+        assert parse_frequency("50 Hz") == 2 * math.pi * 50
         assert parse_frequency("6.28") == 6.28  # bare: already angular
 
     def test_bad_quantities(self):
@@ -116,6 +118,17 @@ class TestLoadConfig:
         path.write_text("[system]\ninitial_state = 0.6, 0.8\n")
         cfg = load_config(str(path))
         assert cfg.state.amplitudes.tolist() == [0.6, 0.0, 0.8]
+
+    def test_values_are_literal(self, tmp_path):
+        path = tmp_path / "pct.ini"
+        path.write_text("[outputs]\ncsv = run%1.csv\nsvg = 100%%.svg\n")
+        cfg = load_config(str(path))
+        assert (cfg.csv_path, cfg.svg_path) == ("run%1.csv", "100%%.svg")
+
+    def test_preset_is_named_in_run_only(self, tmp_path):
+        path = tmp_path / "pre.ini"
+        path.write_text("[preset]\nname = fig5\n")
+        assert load_config(str(path)).preset is None
 
     def test_bad_mode(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -199,6 +212,33 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig5.csv").exists()
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_delegation_runs_the_default_system_bit_for_bit(self, tmp_path, capsys, name):
+        path = tmp_path / "pre.ini"
+        path.write_text(f"[run]\npreset = {name}\nseed = 3\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 0
+        assert main(["preset", name, "--seed", "3", "--out", str(tmp_path / "preset")]) == 0
+        for ext in ("csv", "svg"):
+            assert (tmp_path / "run" / f"{name}.{ext}").read_bytes() == (
+                tmp_path / "preset" / f"{name}.{ext}").read_bytes()
+
+    # one realization; a fixed-T budget below both atoms (1 and 3 ns), so m = 0
+    @pytest.mark.parametrize("old,new,rows", [
+        ("realizations = 60", "realizations = 1", 1),
+        ("mode = fixed_m\nm = 50", "mode = fixed_T\nt_total = 0.5 ns", 60),
+    ], ids=["one_realization", "budget_below_atoms"])
+    def test_run_summary_needs_no_two_measured_realizations(self, tmp_path, capsys, old, new,
+                                                             rows):
+        assert old in GENERIC_CONFIG
+        path = tmp_path / "few.ini"
+        path.write_text(GENERIC_CONFIG.replace(old, new))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for line in ("sample ln<P>", "sample ln geo-mean", "sample mean T"):
+            assert line in out
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 2 + rows
+
     def test_rate_command(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(GENERIC_CONFIG)
@@ -267,7 +307,8 @@ class TestAllPresetsRun:
         from zenosim.presets import run_preset
 
         written = run_preset(name, out_dir=str(tmp_path))
-        lines = open(written["csv"], encoding="utf-8").read().splitlines()
+        with open(written["csv"], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         assert lines[0].startswith("# zenosim")
         assert f"preset={name}" in lines[0]
         assert lines[1] == ",".join(PRESETS[name].columns)

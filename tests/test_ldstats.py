@@ -635,7 +635,8 @@ def test_fig4_star_matches_oracle(tmp_path, powerlaw_log_q_oracle):
     from zenosim.presets import run_preset
 
     path = run_preset("fig4", out_dir=str(tmp_path))["csv"]
-    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     assert lines[1] == "alpha,m,log_P_typical,log_P_star"
     rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
     assert {row[0] for row in rows} == {2.5, 3.0, 4.0}

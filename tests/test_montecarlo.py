@@ -485,8 +485,12 @@ class TestEnsembleSummary:
         assert np.all(ens.ms == 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            summ = ensemble_summary(ens)
             with pytest.raises(InsufficientSamplesError):
-                ensemble_summary(ens)
+                summ.variance_intensive_log
+        # no measurement: every record is P = 1 after T = 0
+        assert (summ.log_mean_survival, summ.log_geometric_mean, summ.mean_total_time) == (
+            0.0, 0.0, 0.0)
 
     def test_variance_skips_zero_measurement_realizations(self, chain, psi0):
         cfg = make_config(chain, psi0, d2(), mode="fixed_T", m=None,
@@ -503,8 +507,11 @@ class TestEnsembleSummary:
 
     def test_needs_two_records(self, chain, psi0):
         cfg = make_config(chain, psi0, d2(), realizations=1)
-        with pytest.raises(ValueError):
-            ensemble_summary(run_ensemble(cfg))
+        ens = run_ensemble(cfg)
+        summ = ensemble_summary(ens)
+        with pytest.raises(InsufficientSamplesError):
+            summ.variance_intensive_log
+        assert summ.log_mean_survival == summ.log_geometric_mean == ens.log_survivals[0]
 
 
 class TestTypicalRealization:
