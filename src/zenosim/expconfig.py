@@ -173,6 +173,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    if parser.has_section("preset"):
+        raise ConfigError("a [preset] section is not read; name the preset as [run] preset =")
 
     system = parser["system"] if parser.has_section("system") else {}
     omegas_text = system.get("omegas", "30 kHz, 20 kHz, 10 kHz")

@@ -292,11 +292,8 @@ class DegenerateInterval(DiscreteIntervals):
     def mu_bar(self) -> float:
         return float(self.values[0])
 
-    def sample(self, rng: Generator, m: int) -> np.ndarray:
-        """m copies of mu_bar; draws no uniforms from ``rng``."""
-        if m < 1:
-            raise ValueError("need at least one draw")
-        return np.full(m, self.mu_bar)
+    # its own class attribute, so tracers find it by name; every draw is mu_bar
+    sample = DiscreteIntervals.sample
 
 
 def _atom_moments(probs: np.ndarray, log_q: np.ndarray) -> tuple[float, float]:

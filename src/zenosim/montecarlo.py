@@ -139,7 +139,7 @@ class EnsembleSummary:
     mean_total_time: float
     n: int
     #: L/m of each realization with at least one measurement
-    intensive_logs: np.ndarray = field(repr=False)
+    intensive_logs: np.ndarray = field(repr=False, compare=False)
 
     @property
     def mean_survival(self) -> float:

@@ -14,6 +14,8 @@ __all__ = ["Series", "render_svg", "write_svg"]
 
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 36, 56
+#: ticks per axis, about
+_TICK_COUNT = 5
 _COLORS = ("#c0392b", "#2c3e50", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
 
@@ -25,10 +27,10 @@ class Series:
     marker: bool = False  # scatter instead of line
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if not (hi > lo):
         return [lo]
-    raw = (hi - lo) / max(n, 1)
+    raw = (hi - lo) / _TICK_COUNT
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -44,9 +46,11 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def _widen_flat(lo: float, hi: float) -> tuple[float, float]:
-    """(lo, hi), widened by 1/2 each way when the range spans only a few
-    thousand ulps of its ends, where a tick step would fall below one."""
-    if hi - lo <= 4096 * math.ulp(max(abs(lo), abs(hi))):
+    """(lo, hi), widened by 1/2 each way when the range spans at most
+    ``_TICK_COUNT`` ulps u of its larger end. A wider range has a tick step,
+    at least range / _TICK_COUNT, above u, so above half the ulp of every
+    tick even past a binade edge (2u there), and ``t += step`` moves."""
+    if hi - lo <= _TICK_COUNT * math.ulp(max(abs(lo), abs(hi))):
         return lo - 0.5, hi + 0.5
     return lo, hi
 

@@ -128,7 +128,8 @@ class TestLoadConfig:
     def test_preset_is_named_in_run_only(self, tmp_path):
         path = tmp_path / "pre.ini"
         path.write_text("[preset]\nname = fig5\n")
-        assert load_config(str(path)).preset is None
+        with pytest.raises(ConfigError, match=r"\[run\] preset ="):
+            load_config(str(path))
 
     def test_bad_mode(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -267,8 +267,7 @@ class TestLogQMoments:
 
 
 class TestPointMass:
-    """The point mass is the one-atom discrete law, bit for bit, except
-    that its ``sample`` draws no uniforms."""
+    """The point mass is the one-atom discrete law, bit for bit."""
 
     MU = 0.1 * NS
 
@@ -285,14 +284,10 @@ class TestPointMass:
         assert point.d == 1 and point.mu_bar == self.MU
         assert same_bits(point.values, one_atom.values)
         assert same_bits(point.probs, one_atom.probs)
+        assert same_bits(point.sample(substream(3, 0), 5), np.full(5, self.MU))
         assert repr(point).startswith("DegenerateInterval(values=array([1.e-10]), probs=")
         with pytest.raises(TypeError):  # like every discrete law: arrays do not hash
             hash(point)
-
-    def test_sample_draws_no_uniforms(self):
-        rng = substream(3, 0)
-        assert same_bits(DegenerateInterval(self.MU).sample(rng, 5), np.full(5, self.MU))
-        assert rng.random() == substream(3, 0).random()
 
     @pytest.mark.parametrize("realizations", [1, 300])
     def test_fixed_m_ensembles(self, chain, psi0, realizations):

@@ -449,6 +449,11 @@ class TestEnsembleSummary:
         assert summ.log_geometric_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert summ.log_median == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    def test_summaries_compare_and_hash_by_their_scalars(self, chain, psi0):
+        ens = run_ensemble(make_config(chain, psi0, d2(), m=30, realizations=8))
+        first, second = ensemble_summary(ens), ensemble_summary(ens)
+        assert first == second and hash(first) == hash(second)
+
     def test_mean_survival_matches_analytic(self, chain, psi0):
         m, n = 100, 100_000
         cfg = make_config(chain, psi0, d2(), m=m, realizations=n, master_seed=5150)
