@@ -10,10 +10,15 @@ Realization i draws from its own counter-based stream keyed by
 independent of how realizations are split into chunks. A fixed-m chunk
 of many short rows draws all its uniforms in one ``philox_uniforms``
 call, with no Python per realization; other chunks, and fixed-T, select
-each realization's stream in turn; both give the same bits. Fixed-T
-finds each stop with a vectorized form of the compensated
-one-draw-at-a-time rule. Records fill preallocated arrays; raw interval
-sequences are only retained when a debug flag asks for them.
+each realization's stream in turn; both give the same bits. A fixed-m
+row longer than ``_SEGMENT`` draws is never held whole: it is split as
+numpy's pairwise summation splits a row, halves rounded down to a
+multiple of 8, until each segment fits one reused buffer. Each segment
+is drawn, mapped and summed by ``np.sum``, and the segment sums are
+added back up the same tree, so the sums carry the bits of ``np.sum``
+over the whole row, and memory does not grow with m. Fixed-T finds each
+stop with a vectorized form of the compensated one-draw-at-a-time rule.
+Records fill preallocated arrays.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ _CHUNK_TARGET = 262_144
 #: (about 340 numpy calls) is not repaid by few rows (measured in BENCH_6.json)
 _VECTOR_MAX_M = 128
 _VECTOR_MIN_ROWS = 128
+#: a fixed-m row longer than this is drawn, mapped and summed in segments
+#: of at most this many draws; it must be at least 128, the block numpy's
+#: pairwise sum adds without splitting, or the segments leave its order
+_SEGMENT = 65_536
 #: relative slack on the fixed-time budget comparison, so exact ties
 #: (degenerate laws) are not lost to accumulated round-off
 _BUDGET_SLACK = 1e-12
@@ -189,8 +198,41 @@ def _kept_counts(mus: np.ndarray, limit: float) -> np.ndarray:
     return np.argmax(before + comp + mus > limit, axis=1)
 
 
+def _pairwise_sums(n: int, leaf) -> np.ndarray:
+    """Sums over n consecutive items, ``leaf(k)`` giving the sums of the
+    next k, in the order of numpy's pairwise sum over a row of n.
+
+    numpy adds a block of at most 128 in one unrolled loop and splits a
+    longer one at n // 2 rounded down to a multiple of 8, left half
+    first. Above ``_SEGMENT`` this splits the same way; each leaf of at
+    least 128 items runs numpy's own recursion inside ``np.sum``.
+    """
+    if n <= _SEGMENT:
+        return leaf(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sums(half, leaf) + _pairwise_sums(n - half, leaf)
+
+
+def _long_row_sums(dist, lam, w, rng, m: int) -> np.ndarray:
+    """(total time, log survival) of the next m draws of ``rng``, drawn
+    and mapped ``_SEGMENT`` at a time in one reused buffer."""
+    assert _SEGMENT >= 128, "segments below numpy's pairwise block change the sums"
+    buf = np.empty(_SEGMENT)
+
+    def leaf(n):
+        mus, logq = dist.intervals_and_log_q(rng.random(n, out=buf[:n]), lam, w)
+        return np.array([mus.sum(), logq.sum()])
+
+    return _pairwise_sums(m, leaf)
+
+
 def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, family: StreamFamily, start: int, stop: int):
     m = int(cfg.m)
+    ms = np.full(stop - start, m, dtype=np.int64)
+    if m > _SEGMENT:
+        sums = np.array([_long_row_sums(cfg.dist, lam, w, family.select(i), m)
+                         for i in range(start, stop)])
+        return ms, sums[:, 0], sums[:, 1]
     u = np.empty((stop - start, m), dtype=float)
     if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
         philox_uniforms(cfg.master_seed, start, u)
@@ -198,7 +240,6 @@ def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, family: StreamFamily, start: int
         for j in range(stop - start):
             family.select(start + j).random(m, out=u[j])
     mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
-    ms = np.full(stop - start, m, dtype=np.int64)
     return ms, mus.sum(axis=1), logq.sum(axis=1)
 
 
@@ -250,7 +291,10 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
 
     The result is bitwise identical for any chunk size: every
     realization's substream is keyed by its index, each draw is mapped
-    on its own, and each realization's sums run over its own draws.
+    on its own, and each realization's sums run over its own draws. A
+    fixed-m realization of more than ``_SEGMENT`` draws is summed in
+    segments on numpy's own pairwise tree, so its sums equal ``np.sum``
+    over all its draws at once, bit for bit.
     """
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     n = cfg.realizations

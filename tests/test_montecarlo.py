@@ -244,6 +244,86 @@ class TestLatticeGather:
         assert same_bits(ens.log_survivals, logs)
 
 
+SEGMENT = montecarlo._SEGMENT
+LONG_ROW_LAWS = ["d2", "d4", "degenerate", "power"]
+
+
+def long_row_law(law):
+    return LATTICE_LAWS.get(law, PowerLawIntervals(mu0=1 * NS, alpha=2.5))
+
+
+class TestSegmentedRows:
+    # a fixed-m row longer than _SEGMENT is summed in segments on numpy's
+    # pairwise tree; its sums must be those of np.sum over the whole row
+    @pytest.mark.parametrize("law", LONG_ROW_LAWS)
+    @pytest.mark.parametrize("m", [SEGMENT + 1, 2 * SEGMENT + 7, 5 * SEGMENT + 3])
+    @pytest.mark.parametrize("per_chunk", [1, None])
+    def test_bitwise_replay(self, chain, psi0, monkeypatch, law, m, per_chunk):
+        cfg = make_config(chain, psi0, long_row_law(law), m=m, realizations=3, master_seed=99)
+        if per_chunk is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", per_chunk)
+        ens = run_ensemble(cfg)
+        totals, logs = replay(cfg)
+        assert np.array_equal(ens.ms, np.full(cfg.realizations, m))
+        assert same_bits(ens.total_times, totals)
+        assert same_bits(ens.log_survivals, logs)
+
+    @pytest.mark.parametrize("law", LONG_ROW_LAWS)
+    @pytest.mark.parametrize("segment", [128, 1000])
+    @pytest.mark.parametrize("m", [129, 1001, 4099])
+    def test_deep_trees(self, chain, psi0, monkeypatch, law, segment, m):
+        monkeypatch.setattr(montecarlo, "_SEGMENT", segment)
+        cfg = make_config(chain, psi0, long_row_law(law), m=m, realizations=3, master_seed=7)
+        ens = run_ensemble(cfg)
+        totals, logs = replay(cfg)
+        assert same_bits(ens.total_times, totals)
+        assert same_bits(ens.log_survivals, logs)
+
+    def test_segments_below_numpys_block_are_refused(self, chain, psi0, monkeypatch):
+        # numpy adds up to 128 items without splitting; a 64-item leaf
+        # would split where numpy does not
+        monkeypatch.setattr(montecarlo, "_SEGMENT", 64)
+        with pytest.raises(AssertionError):
+            run_ensemble(make_config(chain, psi0, d2(), m=129, realizations=1))
+
+    @pytest.mark.parametrize("n", [SEGMENT + 1, 3 * SEGMENT + 5, 10**7 + 1])
+    def test_tree_is_numpys_pairwise_sum(self, n):
+        # heavy exponents make every change of summation order show; if a
+        # numpy release changes its pairwise blocking, this fails
+        rng = np.random.default_rng(n)
+        x = rng.random(n) * np.exp(8 * rng.standard_normal(n))
+        buf = np.empty(SEGMENT)
+        taken = 0
+
+        def leaf(k):
+            nonlocal taken
+            buf[:k] = x[taken:taken + k]
+            taken += k
+            return np.array([buf[:k].sum()])
+
+        total = montecarlo._pairwise_sums(n, leaf)[0]
+        assert taken == n
+        assert same_bits(total, np.sum(x))
+        assert same_bits(total, x[None].sum(axis=1)[0])
+
+    def test_peak_memory_is_flat_in_m(self, chain, psi0):
+        # the peak is the segment buffer and one leaf's ln q and atom
+        # indices; leaves hold between _SEGMENT / 2 and _SEGMENT draws
+        # (62,500 at m = 10^6, 39,062 at 10^7), so the peak moves with
+        # the leaf length within that range, but never grows with m
+        peaks = []
+        for m in (10**6, 10**7):
+            cfg = make_config(chain, psi0, d2(), m=m, realizations=1)
+            tracemalloc.start()
+            try:
+                run_ensemble(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert max(peaks) < 4 * 2**20
+
+
 def scalar_budget_rule(draws, limit):
     """Draws kept by the one-draw-at-a-time Neumaier stop rule."""
     kept, total, comp = [], 0.0, 0.0
