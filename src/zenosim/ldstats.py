@@ -397,42 +397,20 @@ def joint_rate_function(prob: LdProblem, x: float, y: float) -> float:
     return float(_kl(g, prob.dist.probs))
 
 
-def contracted_rate(prob: LdProblem, x: float, ys) -> float:
-    """Contract the joint rate over the time variable on a grid.
+def contracted_rate(prob: LdProblem, x: float) -> float:
+    """Contract the joint rate over the time variable, for a two-atom law.
 
-    Implements the minimization over T/m subject to T matching its
-    conditional expectation: the admissible y solves
-    y = sum_a g_a(x, y) mu_a, located by bracketing the residual's sign
-    change on ``ys`` and interpolating linearly inside the cell. Returns
-    the joint rate there, which recovers the marginal rate function up
-    to grid-interpolation error.
+    The minimization over T/m keeps T at its conditional expectation:
+    the admissible y solves y = sum_a g_a(x, y) mu_a. With two atoms
+    ln q fixes the occupation fractions f of ``rate_function_I`` alone,
+    so y* = f . mu, and the joint rate there is the marginal I(x). Other
+    atom counts raise ``ValueError``, as ``fixed_time_solve_m`` does.
     """
-    ys = np.sort(np.asarray(ys, dtype=float))
-    if ys.size < 2:
-        raise ValueError("need at least two grid points")
-    mu = prob.dist.values
-    resid = np.full(ys.size, np.nan)
-    for i, y in enumerate(ys):
-        try:
-            g = _joint_fractions(prob, x, float(y))
-        except OutOfRangeError:
-            continue
-        resid[i] = float(np.dot(g, mu)) - float(y)
-    valid = np.flatnonzero(np.isfinite(resid))
-    if valid.size == 0:
-        raise OutOfRangeError(f"x = {x!r}: no admissible time on the grid")
-    y_best = None
-    for i, j in zip(valid[:-1], valid[1:]):
-        if j == i + 1 and resid[i] == 0.0:
-            y_best = float(ys[i])
-            break
-        if j == i + 1 and resid[i] * resid[j] < 0.0:
-            frac = resid[i] / (resid[i] - resid[j])
-            y_best = float(ys[i] + frac * (ys[j] - ys[i]))
-            break
-    if y_best is None:
-        y_best = float(ys[valid[np.argmin(np.abs(resid[valid]))]])
-    return joint_rate_function(prob, x, y_best)
+    if prob.dist.d != 2:
+        raise ValueError("the contraction needs exactly two atoms")
+    (mu1, mu2), (lq1, lq2) = prob.dist.values.tolist(), prob.logq.tolist()
+    f1 = (lq2 - x) / (lq2 - lq1)
+    return joint_rate_function(prob, x, f1 * mu1 + (1.0 - f1) * mu2)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ numpy's pairwise summation splits a row, halves rounded down to a
 multiple of 8, until each segment fits one reused buffer. Each segment
 is drawn, mapped and summed by ``np.sum``, and the segment sums are
 added back up the same tree, so the sums carry the bits of ``np.sum``
-over the whole row, and memory does not grow with m. Fixed-T finds each
-stop with a vectorized form of the compensated one-draw-at-a-time rule.
-Records fill preallocated arrays.
+over the whole row, and memory does not grow with m. A fixed-T
+realization runs the compensated one-draw-at-a-time stop rule over
+blocks of draws, its state carried from block to block, and sizes each
+next block from its own mean waiting time so far. Records fill
+preallocated arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
     "ensemble_summary",
 ]
 
-#: target number of sampled intervals handled per vectorized chunk
+#: target number of sampled intervals handled per vectorized fixed-m chunk
 _CHUNK_TARGET = 262_144
 #: a fixed-m chunk draws its uniforms with ``philox_uniforms`` when its rows
 #: are at most this long and at least ``_VECTOR_MIN_ROWS`` many; otherwise
@@ -54,7 +56,8 @@ _VECTOR_MAX_M = 128
 _VECTOR_MIN_ROWS = 128
 #: a fixed-m row longer than this is drawn, mapped and summed in segments
 #: of at most this many draws; it must be at least 128, the block numpy's
-#: pairwise sum adds without splitting, or the segments leave its order
+#: pairwise sum adds without splitting, or the segments leave its order.
+#: It also caps a fixed-T block, and with it the stop rule's temporaries
 _SEGMENT = 65_536
 #: relative slack on the fixed-time budget comparison, so exact ties
 #: (degenerate laws) are not lost to accumulated round-off
@@ -167,35 +170,23 @@ class EnsembleSummary:
         return float(np.var(self.intensive_logs, ddof=1))
 
 
-def _drawn_past_budget(dist, rng, limit: float) -> np.ndarray:
-    """Waiting times from ``rng``, enough for the fixed-T stop rule to end
-    among them.
-
-    Draws 64, then as many again as are drawn so far, until the n draws
-    sum above ``limit`` by a relative n 2**-50: more than the rounding of
-    this plain sum and of the rule's compensated total together. The
-    stream is read in order, so the block sizes never change a result.
-    """
-    mus = dist.sample(rng, 64)
-    while mus.sum() <= limit * (1.0 + mus.size * 2.0**-50):
-        mus = np.concatenate((mus, dist.sample(rng, mus.size)))
-    return mus
-
-
-def _kept_counts(mus: np.ndarray, limit: float) -> np.ndarray:
-    """How many leading draws of each row of ``mus`` the fixed-T stop
-    rule keeps; every row must contain its stop.
+def _kept_in_block(mus: np.ndarray, total: float, comp: float, limit: float):
+    """(kept, total, comp): how many leading draws of ``mus`` the fixed-T
+    stop rule keeps, carried on from the state (total, comp), and the
+    state after them.
 
     The rule, one draw at a time: stop at the first mu with total + comp
     + mu > limit, else add mu to total, Neumaier-compensated in comp.
-    ``np.cumsum`` adds left to right like that loop, so the totals, the
-    compensations and the stop decisions carry its bits.
+    ``np.cumsum`` adds left to right like that loop, and the carried
+    total and compensation lead the two sums, so the totals, the
+    compensations and the stop decisions carry its bits across blocks.
     """
-    total = np.cumsum(mus, axis=1)
-    before = np.pad(total[:, :-1], ((0, 0), (1, 0)))  # total ahead of each draw
-    err = np.where(np.abs(before) >= mus, (before - total) + mus, (mus - total) + before)
-    comp = np.pad(np.cumsum(err[:, :-1], axis=1), ((0, 0), (1, 0)))
-    return np.argmax(before + comp + mus > limit, axis=1)
+    totals = np.cumsum(np.concatenate(([total], mus)))
+    before, after = totals[:-1], totals[1:]
+    err = np.where(np.abs(before) >= mus, (before - after) + mus, (mus - after) + before)
+    comps = np.cumsum(np.concatenate(([comp], err)))
+    kept = int(np.argmax(np.append(before + comps[:-1] + mus > limit, True)))
+    return kept, totals[kept], comps[kept]
 
 
 def _pairwise_sums(n: int, leaf) -> np.ndarray:
@@ -243,47 +234,36 @@ def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, family: StreamFamily, start: int
     return ms, mus.sum(axis=1), logq.sum(axis=1)
 
 
-def _rows_by_value(keys: np.ndarray):
-    """(value, indices of the keys equal to it) for each distinct key."""
-    for value in np.unique(keys).tolist():
-        yield value, np.flatnonzero(keys == value)
+def _fixed_t_row(dist, lam, w, rng, limit: float):
+    """(m, total time, log survival) of one fixed-T realization of ``rng``.
 
-
-def _fixed_t_chunk(cfg: EnsembleConfig, lam, w, drawn: list[np.ndarray], limit: float):
-    ms = np.empty(len(drawn), dtype=np.int64)
-    for _, rows in _rows_by_value(np.array([mus.size for mus in drawn])):
-        ms[rows] = _kept_counts(np.stack([drawn[j] for j in rows.tolist()]), limit)
-    flat = np.concatenate([mus[:m] for mus, m in zip(drawn, ms.tolist())])
-    logq = log_survival_factors(lam, w, flat)
-    starts = np.cumsum(ms) - ms
-    totals, logs = np.empty(len(drawn)), np.empty(len(drawn))
-    # an (rows, m) gather per kept count m; each row sums on its own,
-    # as np.sum does on the row alone
-    for m, rows in _rows_by_value(ms):
-        at = starts[rows, None] + np.arange(m)
-        totals[rows] = flat[at].sum(axis=1)
-        logs[rows] = logq[at].sum(axis=1)
-    return ms, totals, logs
+    Draws 64 waiting times, then, while the stop rule keeps all it has,
+    a next block sized from the realization's own mean so far: the
+    expected remaining draws and an eighth more, at least 64 and at most
+    ``_SEGMENT``. The stream is read in order, so block sizes move no
+    bit. The kept draws and their ln q are summed by ``np.sum``.
+    """
+    blocks, total, comp, size = [], 0.0, 0.0, 64
+    while True:
+        mus = dist.sample(rng, size)
+        kept, total, comp = _kept_in_block(mus, total, comp, limit)
+        blocks.append(mus[:kept])
+        if kept < size:
+            break
+        drawn = sum(block.size for block in blocks)
+        size = int(min(_SEGMENT, max(64.0, 1.125 * drawn * (limit - total) / total)))
+    mus = np.concatenate(blocks)
+    return mus.size, mus.sum(), log_survival_factors(lam, w, mus).sum()
 
 
 def _chunks(cfg: EnsembleConfig, lam, w):
-    """(ms, totals, log survivals) of consecutive realizations,
+    """(ms, totals, log survivals) of consecutive fixed-m realizations,
     in chunks of about ``_CHUNK_TARGET`` intervals each."""
     family = StreamFamily(cfg.master_seed)
     n = cfg.realizations
-    if cfg.mode == "fixed_m":
-        rows = max(1, _CHUNK_TARGET // int(cfg.m))
-        for start in range(0, n, rows):
-            yield _fixed_m_chunk(cfg, lam, w, family, start, min(start + rows, n))
-        return
-    limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
-    drawn, draws = [], 0
-    for i in range(n):
-        drawn.append(_drawn_past_budget(cfg.dist, family.select(i), limit))
-        draws += drawn[-1].size
-        if draws >= _CHUNK_TARGET or i == n - 1:
-            yield _fixed_t_chunk(cfg, lam, w, drawn, limit)
-            drawn, draws = [], 0
+    rows = max(1, _CHUNK_TARGET // int(cfg.m))
+    for start in range(0, n, rows):
+        yield _fixed_m_chunk(cfg, lam, w, family, start, min(start + rows, n))
 
 
 def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
@@ -294,16 +274,24 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     on its own, and each realization's sums run over its own draws. A
     fixed-m realization of more than ``_SEGMENT`` draws is summed in
     segments on numpy's own pairwise tree, so its sums equal ``np.sum``
-    over all its draws at once, bit for bit.
+    over all its draws at once, bit for bit. Fixed-T runs one
+    realization at a time (``_fixed_t_row``); ``_CHUNK_TARGET`` sizes
+    fixed-m chunks only.
     """
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     n = cfg.realizations
     ms, totals, logs = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    start = 0
-    for part in _chunks(cfg, lam, w):
-        stop = start + part[0].size
-        ms[start:stop], totals[start:stop], logs[start:stop] = part
-        start = stop
+    if cfg.mode == "fixed_T":
+        family = StreamFamily(cfg.master_seed)
+        limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
+        for i in range(n):
+            ms[i], totals[i], logs[i] = _fixed_t_row(cfg.dist, lam, w, family.select(i), limit)
+    else:
+        start = 0
+        for part in _chunks(cfg, lam, w):
+            stop = start + part[0].size
+            ms[start:stop], totals[start:stop], logs[start:stop] = part
+            start = stop
     return SurvivalEnsemble(config=cfg, ms=ms, total_times=totals, log_survivals=logs)
 
 

@@ -276,15 +276,14 @@ def test_criterion_11_disorder_enhancement(chain, psi0):
 
 def test_criterion_12_contraction(chain, psi0):
     prob = LdProblem.for_system(chain, psi0, d2_dist(), 100)
-    ys = np.linspace(D2_VALUES_S[0], D2_VALUES_S[1], 400)
     lo, hi = float(prob.logq.min()), float(prob.logq.max())
     span = hi - lo
     worst = 0.0
     for x in np.linspace(lo + 0.01 * span, hi - 0.01 * span, 20):
-        contracted = contracted_rate(prob, float(x), ys)
+        contracted = contracted_rate(prob, float(x))
         marginal = rate_function_I(prob, float(x))
         worst = max(worst, abs(contracted - marginal))
-    assert worst <= 1e-4
+    assert worst <= 1e-12
     _passed(12, f"20 x-values, worst |contracted - marginal| = {worst:.2e}")
 
 

@@ -428,13 +428,17 @@ class TestJointRateFunction:
         assert joint_rate_function(d2_prob, x_star, y_star) <= 1e-12
 
     def test_contraction_recovers_marginal(self, d2_prob):
-        mu1, mu2 = D2_VALUES_S
-        ys = np.linspace(mu1, mu2, 400)
         lo, hi = float(d2_prob.logq.min()), float(d2_prob.logq.max())
         for x in np.linspace(lo, hi, 12)[1:-1]:
-            assert contracted_rate(d2_prob, float(x), ys) == pytest.approx(
-                rate_function_I(d2_prob, float(x)), abs=1e-4
+            assert contracted_rate(d2_prob, float(x)) == pytest.approx(
+                rate_function_I(d2_prob, float(x)), abs=1e-12
             )
+
+    @pytest.mark.parametrize("values, probs", [(D3_VALUES_S, D3_PROBS), (D4_VALUES_S, D4_PROBS)])
+    def test_contraction_needs_two_atoms(self, chain, psi0, values, probs):
+        prob = problem(chain, psi0, values, probs)
+        with pytest.raises(ValueError, match="two atoms"):
+            contracted_rate(prob, float(np.mean(prob.logq)))
 
     def test_joint_equals_marginal_at_consistent_time(self, d2_prob):
         # at the deviation-consistent time the joint rate is exactly I(x)

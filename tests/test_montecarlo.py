@@ -385,13 +385,24 @@ FIXED_T_CASES = {
 }
 
 
+class CountedDraws:
+    """A waiting-time law that counts the draws asked of ``dist``."""
+
+    def __init__(self, dist):
+        self.dist, self.draws = dist, 0
+
+    def sample(self, rng, m):
+        self.draws += m
+        return self.dist.sample(rng, m)
+
+
 class TestFixedTStop:
     @pytest.mark.parametrize("case", FIXED_T_CASES)
-    @pytest.mark.parametrize("row_chunks", [False, True])
-    def test_bitwise_replay(self, chain, psi0, monkeypatch, case, row_chunks):
+    @pytest.mark.parametrize("short_blocks", [False, True])
+    def test_bitwise_replay(self, chain, psi0, monkeypatch, case, short_blocks):
         dist, t_total = FIXED_T_CASES[case]
-        if row_chunks:  # every realization its own chunk
-            monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", 1)
+        if short_blocks:  # blocks of at most 128 draws: the stop rule crosses many
+            monkeypatch.setattr(montecarlo, "_SEGMENT", 128)
         cfg = make_config(chain, psi0, dist, mode="fixed_T", m=None, t_total=t_total,
                           realizations=30, master_seed=31337)
         ens = run_ensemble(cfg)
@@ -413,22 +424,31 @@ class TestFixedTStop:
         mus = rng.random((500, 64)) * 10.0 ** rng.integers(-3, 4, (500, 64))
         k = rng.integers(1, 64, 500)
         mus /= np.array([math.fsum(row[:n]) for row, n in zip(mus, k)])[:, None]
-        expected = [len(scalar_budget_rule(row.tolist(), 1.0)) for row in mus]
-        assert montecarlo._kept_counts(mus, 1.0).tolist() == expected
+        for row in mus:
+            expected = len(scalar_budget_rule(row.tolist(), 1.0))
+            assert montecarlo._kept_in_block(row, 0.0, 0.0, 1.0)[0] == expected
+            for cut in (1, 7, 31, 63):  # the same row in two blocks
+                kept, total, comp = montecarlo._kept_in_block(row[:cut], 0.0, 0.0, 1.0)
+                if kept == cut:
+                    kept += montecarlo._kept_in_block(row[cut:], total, comp, 1.0)[0]
+                assert kept == expected
 
-    def test_draws_contain_the_stop_near_the_limit(self):
-        # budgets around the first block's sum, where whether to draw more
-        # turns on the rounding margin
+    def test_draws_contain_the_stop_near_the_limit(self, chain, psi0):
+        # budgets around the first block's sum, where the stop falls in
+        # the first block or the next
+        lam, w = phase_weights(chain, psi0)
         dist = PowerLawIntervals(mu0=1 * NS, alpha=1.5)
         first = math.fsum(dist.sample(substream(5, 0), 64))
         for step in range(-400, 41, 4):
             limit = first * (1.0 + step * 2.0**-52)
-            drawn = montecarlo._drawn_past_budget(dist, substream(5, 0), limit)
-            assert len(scalar_budget_rule(drawn.tolist(), limit)) < drawn.size
+            m, total, _ = montecarlo._fixed_t_row(dist, lam, w, substream(5, 0), limit)
+            kept = scalar_budget_rule(sampled_in_blocks(dist, substream(5, 0)), limit)
+            assert m == len(kept) and total == np.sum(kept)
 
-    def test_draws_contain_the_stop_when_the_sum_rounds_up(self):
+    def test_draws_contain_the_stop_when_the_sum_rounds_up(self, chain, psi0):
         # the plain sum of 64 draws rounds above a limit within which the
         # compensated rule keeps all of them: the next block holds the stop
+        lam, w = phase_weights(chain, psi0)
         rng = np.random.default_rng(7)
         cases = 0
         for _ in range(200):
@@ -436,15 +456,42 @@ class TestFixedTStop:
             limit = math.fsum(first)
             if first.sum() > limit and len(scalar_budget_rule(first.tolist(), limit)) == 64:
                 cases += 1
-                drawn = montecarlo._drawn_past_budget(ReplayedDraws(first), None, limit)
-                assert len(scalar_budget_rule(drawn.tolist(), limit)) == 64 < drawn.size
+                m, _, _ = montecarlo._fixed_t_row(ReplayedDraws(first), lam, w, None, limit)
+                assert m == 64
         assert cases >= 10
 
     def test_blocks_outgrow_the_first(self, chain, psi0):
-        # 300 draws per row take four blocks (64, 64, 128, 256)
+        # 300 draws per row take two blocks: 64, then 236 and an eighth more
         cfg = make_config(chain, psi0, DegenerateInterval(1 * NS), mode="fixed_T",
                           m=None, t_total=300 * NS, realizations=3)
         assert np.all(run_ensemble(cfg).ms == 300)
+
+    @pytest.mark.parametrize("dist, t_total", [
+        (PowerLawIntervals(mu0=1 * NS, alpha=3.0), 2000 * NS),  # about 1,333 kept
+        (LATTICE_LAWS["d2"], 3000 * NS),                        # about 1,250 kept
+    ], ids=["power3", "d2"])
+    def test_draws_track_the_kept_count(self, chain, psi0, dist, t_total):
+        # each next block is sized from the mean so far, not doubled:
+        # doubling drew 2,048 per realization here (1.54 and 1.64 per kept)
+        counted = CountedDraws(dist)
+        cfg = make_config(chain, psi0, counted, mode="fixed_T", m=None, t_total=t_total,
+                          realizations=200)
+        ens = run_ensemble(cfg)
+        assert counted.draws <= 1.25 * ens.ms.sum() + 64 * cfg.realizations
+
+    def test_peak_memory_per_kept_draw(self, chain, psi0):
+        # one realization of about 10^6 kept draws holds its kept blocks,
+        # their concatenation and the kernel's temporaries on it
+        cfg = make_config(chain, psi0, LATTICE_LAWS["d2"], mode="fixed_T", m=None,
+                          t_total=2.4e6 * NS, realizations=1)
+        tracemalloc.start()
+        try:
+            ens = run_ensemble(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.ms[0] > 900_000
+        assert peak <= 40 * ens.ms[0]
 
 
 def chunked_configs(chain, psi0, mode, m=40, **kw):
@@ -455,8 +502,10 @@ def chunked_configs(chain, psi0, mode, m=40, **kw):
 
 
 def run_in_chunks(cfg, target):
-    """``run_ensemble`` with chunks of about ``target`` intervals."""
-    with mock.patch.object(montecarlo, "_CHUNK_TARGET", target):
+    """``run_ensemble`` with chunks of about ``target`` intervals: fixed-m
+    realizations per chunk, or fixed-T draws per block after the first."""
+    knob = "_CHUNK_TARGET" if cfg.mode == "fixed_m" else "_SEGMENT"
+    with mock.patch.object(montecarlo, knob, target):
         return run_ensemble(cfg)
 
 
@@ -466,8 +515,9 @@ def same_ensemble(a, b) -> bool:
 
 
 class TestChunking:
-    # chunks hold about _CHUNK_TARGET intervals: 1 and 7 give one
-    # realization per chunk in both modes, 500 several
+    # fixed-m chunks hold about _CHUNK_TARGET intervals: 1 and 7 give one
+    # realization per chunk, 500 several; fixed-T reads _CHUNK_TARGET not
+    # at all, and blocks of 1 and 7 draws carry the stop rule draw by draw
     @pytest.mark.parametrize("mode", ["fixed_m", "fixed_T"])
     @pytest.mark.parametrize("target", [1, 7, 500])
     def test_chunk_size_invariance(self, chain, psi0, mode, target):
