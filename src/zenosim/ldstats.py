@@ -404,10 +404,11 @@ def contracted_rate(prob: LdProblem, x: float) -> float:
     the admissible y solves y = sum_a g_a(x, y) mu_a. With two atoms
     ln q fixes the occupation fractions f of ``rate_function_I`` alone,
     so y* = f . mu, and the joint rate there is the marginal I(x). Other
-    atom counts raise ``ValueError``, as ``fixed_time_solve_m`` does.
+    atom counts, and two atoms whose ln q ``LdProblem.merged`` merges,
+    raise ``ValueError``, as ``fixed_time_solve_m`` does.
     """
-    if prob.dist.d != 2:
-        raise ValueError("the contraction needs exactly two atoms")
+    if prob.dist.d != 2 or prob.merged()[1].size != 2:
+        raise ValueError("the contraction needs exactly two atoms of distinct ln q")
     (mu1, mu2), (lq1, lq2) = prob.dist.values.tolist(), prob.logq.tolist()
     f1 = (lq2 - x) / (lq2 - lq1)
     return joint_rate_function(prob, x, f1 * mu1 + (1.0 - f1) * mu2)

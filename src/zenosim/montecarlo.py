@@ -19,8 +19,9 @@ added back up the same tree, so the sums carry the bits of ``np.sum``
 over the whole row, and memory does not grow with m. A fixed-T
 realization runs the compensated one-draw-at-a-time stop rule over
 blocks of draws, its state carried from block to block, and sizes each
-next block from its own mean waiting time so far. Records fill
-preallocated arrays.
+next block from its own mean waiting time so far; the kept draws of a
+chunk of realizations are then mapped by one ln q call and summed row
+by row. Records fill preallocated arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
     "ensemble_summary",
 ]
 
-#: target number of sampled intervals handled per vectorized fixed-m chunk
+#: target number of intervals per vectorized chunk (kept ones, for fixed-T)
 _CHUNK_TARGET = 262_144
 #: a fixed-m chunk draws its uniforms with ``philox_uniforms`` when its rows
 #: are at most this long and at least ``_VECTOR_MIN_ROWS`` many; otherwise
@@ -176,11 +177,21 @@ def _kept_in_block(mus: np.ndarray, total: float, comp: float, limit: float):
     state after them.
 
     The rule, one draw at a time: stop at the first mu with total + comp
-    + mu > limit, else add mu to total, Neumaier-compensated in comp.
-    ``np.cumsum`` adds left to right like that loop, and the carried
-    total and compensation lead the two sums, so the totals, the
+    + mu > limit, else add mu to total, Neumaier-compensated in comp. A
+    block of at most 64 draws runs that loop in Python, which costs less
+    than numpy's call overhead on so few. A longer one runs two
+    ``np.cumsum``, which add left to right like the loop, with the
+    carried total and compensation in front, so the totals, the
     compensations and the stop decisions carry its bits across blocks.
     """
+    if mus.size <= 64:
+        for kept, mu in enumerate(mus.tolist()):
+            if total + comp + mu > limit:
+                return kept, total, comp
+            t = total + mu
+            comp += (total - t) + mu if abs(total) >= mu else (mu - t) + total
+            total = t
+        return mus.size, total, comp
     totals = np.cumsum(np.concatenate(([total], mus)))
     before, after = totals[:-1], totals[1:]
     err = np.where(np.abs(before) >= mus, (before - after) + mus, (mus - after) + before)
@@ -234,14 +245,13 @@ def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, family: StreamFamily, start: int
     return ms, mus.sum(axis=1), logq.sum(axis=1)
 
 
-def _fixed_t_row(dist, lam, w, rng, limit: float):
-    """(m, total time, log survival) of one fixed-T realization of ``rng``.
+def _fixed_t_draws(dist, rng, limit: float) -> np.ndarray:
+    """The waiting times one fixed-T realization of ``rng`` keeps.
 
-    Draws 64 waiting times, then, while the stop rule keeps all it has,
-    a next block sized from the realization's own mean so far: the
-    expected remaining draws and an eighth more, at least 64 and at most
-    ``_SEGMENT``. The stream is read in order, so block sizes move no
-    bit. The kept draws and their ln q are summed by ``np.sum``.
+    Draws 64, then, while the stop rule keeps all it has, a next block
+    sized from the realization's own mean so far: the expected remaining
+    draws and an eighth more, at least 64 and at most ``_SEGMENT``. The
+    stream is read in order, so block sizes move no bit.
     """
     blocks, total, comp, size = [], 0.0, 0.0, 64
     while True:
@@ -249,21 +259,48 @@ def _fixed_t_row(dist, lam, w, rng, limit: float):
         kept, total, comp = _kept_in_block(mus, total, comp, limit)
         blocks.append(mus[:kept])
         if kept < size:
-            break
+            return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         drawn = sum(block.size for block in blocks)
         size = int(min(_SEGMENT, max(64.0, 1.125 * drawn * (limit - total) / total)))
-    mus = np.concatenate(blocks)
-    return mus.size, mus.sum(), log_survival_factors(lam, w, mus).sum()
+
+
+def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
+    """(ms, totals, log survivals) of fixed-T realizations from their kept
+    draws: ln q runs once over all of them, and each row is summed on
+    its own, as ``np.sum`` sums the row alone, by an (rows, m) gather
+    per kept count m; a count only one row has is summed in place, so a
+    long row is never copied."""
+    ms = np.array([row.size for row in rows], dtype=np.int64)
+    flat = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    logq = log_survival_factors(lam, w, flat)
+    starts = np.cumsum(ms) - ms
+    totals, logs = np.empty(len(rows)), np.empty(len(rows))
+    for m in np.unique(ms).tolist():
+        at = np.flatnonzero(ms == m)
+        first = starts[at[0]]
+        span = slice(first, first + m) if at.size == 1 else starts[at, None] + np.arange(m)
+        totals[at], logs[at] = flat[span].sum(axis=-1), logq[span].sum(axis=-1)
+    return ms, totals, logs
 
 
 def _chunks(cfg: EnsembleConfig, lam, w):
-    """(ms, totals, log survivals) of consecutive fixed-m realizations,
-    in chunks of about ``_CHUNK_TARGET`` intervals each."""
+    """(ms, totals, log survivals) of consecutive realizations, in chunks
+    of about ``_CHUNK_TARGET`` intervals (kept intervals, for fixed-T)."""
     family = StreamFamily(cfg.master_seed)
     n = cfg.realizations
-    rows = max(1, _CHUNK_TARGET // int(cfg.m))
-    for start in range(0, n, rows):
-        yield _fixed_m_chunk(cfg, lam, w, family, start, min(start + rows, n))
+    if cfg.mode == "fixed_m":
+        rows = max(1, _CHUNK_TARGET // int(cfg.m))
+        for start in range(0, n, rows):
+            yield _fixed_m_chunk(cfg, lam, w, family, start, min(start + rows, n))
+        return
+    limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
+    rows, kept = [], 0
+    for i in range(n):
+        rows.append(_fixed_t_draws(cfg.dist, family.select(i), limit))
+        kept += rows[-1].size
+        if kept >= _CHUNK_TARGET or i == n - 1:
+            yield _fixed_t_sums(lam, w, rows)
+            rows, kept = [], 0
 
 
 def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
@@ -274,24 +311,18 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     on its own, and each realization's sums run over its own draws. A
     fixed-m realization of more than ``_SEGMENT`` draws is summed in
     segments on numpy's own pairwise tree, so its sums equal ``np.sum``
-    over all its draws at once, bit for bit. Fixed-T runs one
-    realization at a time (``_fixed_t_row``); ``_CHUNK_TARGET`` sizes
-    fixed-m chunks only.
+    over all its draws at once, bit for bit. Fixed-T finds each
+    realization's stop on its own (``_fixed_t_draws``), then maps and
+    sums the kept draws of a whole chunk at once.
     """
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     n = cfg.realizations
     ms, totals, logs = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    if cfg.mode == "fixed_T":
-        family = StreamFamily(cfg.master_seed)
-        limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
-        for i in range(n):
-            ms[i], totals[i], logs[i] = _fixed_t_row(cfg.dist, lam, w, family.select(i), limit)
-    else:
-        start = 0
-        for part in _chunks(cfg, lam, w):
-            stop = start + part[0].size
-            ms[start:stop], totals[start:stop], logs[start:stop] = part
-            start = stop
+    start = 0
+    for part in _chunks(cfg, lam, w):
+        stop = start + part[0].size
+        ms[start:stop], totals[start:stop], logs[start:stop] = part
+        start = stop
     return SurvivalEnsemble(config=cfg, ms=ms, total_times=totals, log_survivals=logs)
 
 

@@ -434,9 +434,15 @@ class TestJointRateFunction:
                 rate_function_I(d2_prob, float(x)), abs=1e-12
             )
 
-    @pytest.mark.parametrize("values, probs", [(D3_VALUES_S, D3_PROBS), (D4_VALUES_S, D4_PROBS)])
-    def test_contraction_needs_two_atoms(self, chain, psi0, values, probs):
-        prob = problem(chain, psi0, values, probs)
+    @pytest.mark.parametrize("case", ["d3", "d4", "equal_log_q", "close_log_q"])
+    def test_contraction_needs_two_atoms(self, chain, psi0, case):
+        if case.endswith("log_q"):  # two atoms within LOGQ_MERGE_TOL merge into one
+            dist = DiscreteIntervals(np.array(D2_VALUES_S), np.array(D2_PROBS))
+            gap = 0.0 if case == "equal_log_q" else 5e-15
+            prob = LdProblem(dist=dist, logq=np.array([-1e-3, -1e-3 + gap]), m=100)
+        else:
+            values, probs = {"d3": (D3_VALUES_S, D3_PROBS), "d4": (D4_VALUES_S, D4_PROBS)}[case]
+            prob = problem(chain, psi0, values, probs)
         with pytest.raises(ValueError, match="two atoms"):
             contracted_rate(prob, float(np.mean(prob.logq)))
 

@@ -419,36 +419,37 @@ class TestFixedTStop:
 
     def test_kept_counts_match_scalar_rule_at_the_limit(self):
         # rows scaled so that a prefix sums to the limit up to round-off:
-        # the stop decisions there hinge on the compensation term
+        # the stop decisions there hinge on the compensation term. Rows of
+        # 64 run the Python loop, rows of 192 the cumsum form, and a row
+        # cut in two carries the state from one form into the other
         rng = np.random.default_rng(2718)
-        mus = rng.random((500, 64)) * 10.0 ** rng.integers(-3, 4, (500, 64))
-        k = rng.integers(1, 64, 500)
-        mus /= np.array([math.fsum(row[:n]) for row, n in zip(mus, k)])[:, None]
-        for row in mus:
-            expected = len(scalar_budget_rule(row.tolist(), 1.0))
-            assert montecarlo._kept_in_block(row, 0.0, 0.0, 1.0)[0] == expected
-            for cut in (1, 7, 31, 63):  # the same row in two blocks
-                kept, total, comp = montecarlo._kept_in_block(row[:cut], 0.0, 0.0, 1.0)
-                if kept == cut:
-                    kept += montecarlo._kept_in_block(row[cut:], total, comp, 1.0)[0]
-                assert kept == expected
+        for width in (64, 192):
+            mus = rng.random((500, width)) * 10.0 ** rng.integers(-3, 4, (500, width))
+            k = rng.integers(1, width, 500)
+            mus /= np.array([math.fsum(row[:n]) for row, n in zip(mus, k)])[:, None]
+            for row in mus:
+                expected = len(scalar_budget_rule(row.tolist(), 1.0))
+                assert montecarlo._kept_in_block(row, 0.0, 0.0, 1.0)[0] == expected
+                for cut in [c for c in (1, 7, 31, 63, 150) if c < width]:
+                    kept, total, comp = montecarlo._kept_in_block(row[:cut], 0.0, 0.0, 1.0)
+                    if kept == cut:
+                        kept += montecarlo._kept_in_block(row[cut:], total, comp, 1.0)[0]
+                    assert kept == expected
 
-    def test_draws_contain_the_stop_near_the_limit(self, chain, psi0):
+    def test_draws_contain_the_stop_near_the_limit(self):
         # budgets around the first block's sum, where the stop falls in
         # the first block or the next
-        lam, w = phase_weights(chain, psi0)
         dist = PowerLawIntervals(mu0=1 * NS, alpha=1.5)
         first = math.fsum(dist.sample(substream(5, 0), 64))
         for step in range(-400, 41, 4):
             limit = first * (1.0 + step * 2.0**-52)
-            m, total, _ = montecarlo._fixed_t_row(dist, lam, w, substream(5, 0), limit)
-            kept = scalar_budget_rule(sampled_in_blocks(dist, substream(5, 0)), limit)
-            assert m == len(kept) and total == np.sum(kept)
+            kept = montecarlo._fixed_t_draws(dist, substream(5, 0), limit)
+            expected = scalar_budget_rule(sampled_in_blocks(dist, substream(5, 0)), limit)
+            assert kept.tolist() == expected and kept.sum() == np.sum(expected)
 
-    def test_draws_contain_the_stop_when_the_sum_rounds_up(self, chain, psi0):
+    def test_draws_contain_the_stop_when_the_sum_rounds_up(self):
         # the plain sum of 64 draws rounds above a limit within which the
         # compensated rule keeps all of them: the next block holds the stop
-        lam, w = phase_weights(chain, psi0)
         rng = np.random.default_rng(7)
         cases = 0
         for _ in range(200):
@@ -456,8 +457,7 @@ class TestFixedTStop:
             limit = math.fsum(first)
             if first.sum() > limit and len(scalar_budget_rule(first.tolist(), limit)) == 64:
                 cases += 1
-                m, _, _ = montecarlo._fixed_t_row(ReplayedDraws(first), lam, w, None, limit)
-                assert m == 64
+                assert montecarlo._fixed_t_draws(ReplayedDraws(first), None, limit).size == 64
         assert cases >= 10
 
     def test_blocks_outgrow_the_first(self, chain, psi0):
@@ -480,8 +480,8 @@ class TestFixedTStop:
         assert counted.draws <= 1.25 * ens.ms.sum() + 64 * cfg.realizations
 
     def test_peak_memory_per_kept_draw(self, chain, psi0):
-        # one realization of about 10^6 kept draws holds its kept blocks,
-        # their concatenation and the kernel's temporaries on it
+        # one realization of about 10^6 kept draws holds them, briefly
+        # their blocks too, and the kernel's output and temporaries on them
         cfg = make_config(chain, psi0, LATTICE_LAWS["d2"], mode="fixed_T", m=None,
                           t_total=2.4e6 * NS, realizations=1)
         tracemalloc.start()
@@ -502,11 +502,13 @@ def chunked_configs(chain, psi0, mode, m=40, **kw):
 
 
 def run_in_chunks(cfg, target):
-    """``run_ensemble`` with chunks of about ``target`` intervals: fixed-m
-    realizations per chunk, or fixed-T draws per block after the first."""
-    knob = "_CHUNK_TARGET" if cfg.mode == "fixed_m" else "_SEGMENT"
-    with mock.patch.object(montecarlo, knob, target):
-        return run_ensemble(cfg)
+    """``run_ensemble`` with chunks of about ``target`` intervals and, for
+    fixed-T, blocks of at most ``target`` draws after the first."""
+    with mock.patch.object(montecarlo, "_CHUNK_TARGET", target):
+        if cfg.mode == "fixed_m":
+            return run_ensemble(cfg)
+        with mock.patch.object(montecarlo, "_SEGMENT", target):
+            return run_ensemble(cfg)
 
 
 def same_ensemble(a, b) -> bool:
@@ -515,9 +517,9 @@ def same_ensemble(a, b) -> bool:
 
 
 class TestChunking:
-    # fixed-m chunks hold about _CHUNK_TARGET intervals: 1 and 7 give one
-    # realization per chunk, 500 several; fixed-T reads _CHUNK_TARGET not
-    # at all, and blocks of 1 and 7 draws carry the stop rule draw by draw
+    # chunks hold about _CHUNK_TARGET intervals: 1 and 7 give one
+    # realization per chunk in both modes, 500 several; fixed-T blocks of
+    # 1 and 7 draws carry the stop rule draw by draw
     @pytest.mark.parametrize("mode", ["fixed_m", "fixed_T"])
     @pytest.mark.parametrize("target", [1, 7, 500])
     def test_chunk_size_invariance(self, chain, psi0, mode, target):
