@@ -186,6 +186,14 @@ def phase_weights(h: Hamiltonian, psi0: PureState) -> tuple[np.ndarray, np.ndarr
     return h.spec.eigenvalues, np.abs(c) ** 2
 
 
+def _pairs(lam: np.ndarray, w: np.ndarray) -> list[tuple[float, float, float]]:
+    """(lam_k - lam_j, w_j, w_k) for each level pair j < k, in row-major
+    order, that adds to the decay: 4 w_j w_k is nonzero."""
+    lam, w = lam.tolist(), w.tolist()
+    return [(lam[k] - lam[j], w[j], w[k]) for j in range(len(lam))
+            for k in range(j + 1, len(lam)) if 4.0 * w[j] * w[k] != 0.0]
+
+
 def log_survival_factors(
     lam: np.ndarray, w: np.ndarray, mus: np.ndarray
 ) -> np.ndarray:
@@ -204,19 +212,30 @@ def log_survival_factors(
     Re^2 a + Im^2 a, which stays accurate near the zeros of q and gives
     -inf on an exact zero. Every entry depends on its own mu alone, so
     results do not depend on how intervals are batched into calls.
+
+    Pairs with 4 w_j w_k = 0 and levels with w_k = 0 are skipped (a state
+    orthogonal to an eigenvector, such as the default chain's, has them).
+    No bit moves: each skipped term is a signed zero, and adding a zero
+    to a sum that starts at +0.0 (delta, Im a) or w_0 >= 0 (Re a) leaves
+    it as it is. The first pair is written into delta directly, as
+    0.0 + t == t for the non-negative pair terms t.
     """
     mus = np.asarray(mus, dtype=float)
-    j, k = np.triu_indices(lam.size, 1)
-    half_gaps = (0.5 * (lam[k] - lam[j])).tolist()
-    pair_ws = (4.0 * w[j] * w[k]).tolist()
-    delta = np.zeros(mus.shape)
-    term = np.empty(mus.shape)
-    for half_gap, pair_w in zip(half_gaps, pair_ws):
+    pairs = [(0.5 * gap, 4.0 * w_j * w_k) for gap, w_j, w_k in _pairs(lam, w)]
+    delta = term = None
+    for half_gap, pair_w in pairs:
+        if term is None:
+            term = np.empty(mus.shape)
         np.multiply(half_gap, mus, out=term)
         np.sin(term, out=term)
         np.square(term, out=term)
         term *= pair_w
-        delta += term
+        if delta is None:
+            delta, term = term, None  # the first pair fills delta itself
+        else:
+            delta += term
+    if delta is None:  # an eigenstate: no pair decays
+        delta = np.zeros(mus.shape)
     far = delta >= 0.5
     out = np.negative(delta, out=delta)  # the result reuses delta's buffer
     np.log1p(out, out=out, where=~far)
@@ -225,6 +244,8 @@ def log_survival_factors(
         re = np.full(far_mus.shape, float(w[0]))
         im = np.zeros(far_mus.shape)
         for shift, weight in zip((lam[1:] - lam[0]).tolist(), w[1:].tolist()):
+            if weight == 0.0:
+                continue
             phase = shift * far_mus
             re += weight * np.cos(phase)
             im += weight * np.sin(phase)
@@ -237,15 +258,16 @@ def survival_minima(lam: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndar
     """Local minima of q, one in each step of the increasing ``grid`` where
     dq/dmu = -1/2 sum_{j<k} 4 w_j w_k g sin(g mu), g = lam_k - lam_j (the
     kernel's pair sums), turns non-negative; bisection on its sign narrows
-    each step to adjacent doubles and returns the upper one."""
-    j, k = np.triu_indices(lam.size, 1)
-    gaps = lam[k] - lam[j]
-    terms = list(zip(gaps.tolist(), (-2.0 * w[j] * w[k] * gaps).tolist()))
+    each step to adjacent doubles and returns the upper one. Pairs with
+    w_j w_k = 0, which add only zeros, are skipped, as in the kernel."""
+    terms = [(gap, -2.0 * w_j * w_k * gap) for gap, w_j, w_k in _pairs(lam, w)]
+    grid = np.asarray(grid, dtype=float)
+    if not terms:  # an eigenstate: q = 1 has no minima
+        return grid[:0]
 
     def rising(mus: np.ndarray) -> np.ndarray:
         return sum(coeff * np.sin(gap * mus) for gap, coeff in terms) >= 0.0
 
-    grid = np.asarray(grid, dtype=float)
     up = rising(grid)
     at = np.flatnonzero(~up[:-1] & up[1:])
     lo, hi = grid[at], grid[at + 1]

@@ -18,8 +18,9 @@ is drawn, mapped and summed by ``np.sum``, and the segment sums are
 added back up the same tree, so the sums carry the bits of ``np.sum``
 over the whole row, and memory does not grow with m. A fixed-T
 realization runs the compensated one-draw-at-a-time stop rule over
-blocks of draws, its state carried from block to block, and sizes each
-next block from its own mean waiting time so far; the kept draws of a
+blocks of draws, its state carried from block to block; it sizes its
+first block from the law's mean and each next one from its own mean
+waiting time so far; the kept draws of a
 chunk of realizations are then mapped by one ln q call and summed row
 by row. Records fill preallocated arrays.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Hamiltonian, PureState, log_survival_factors, phase_weights
-from .intervals import IntervalDistribution, _log_mean_q
+from .intervals import InfiniteMeanError, IntervalDistribution, _log_mean_q
 from .rng import StreamFamily, philox_uniforms
 
 __all__ = [
@@ -60,6 +61,11 @@ _VECTOR_MIN_ROWS = 128
 #: pairwise sum adds without splitting, or the segments leave its order.
 #: It also caps a fixed-T block, and with it the stop rule's temporaries
 _SEGMENT = 65_536
+#: a fixed-T realization expected to keep at least this many draws starts
+#: with one block sized from the law's mean; a shorter one starts with 64
+#: draws, whose stop rule runs in Python, cheaper there than one numpy pass
+#: on a slightly longer block (measured in BENCH_13.json)
+_MEAN_SIZED_MIN = 110
 #: relative slack on the fixed-time budget comparison, so exact ties
 #: (degenerate laws) are not lost to accumulated round-off
 _BUDGET_SLACK = 1e-12
@@ -245,15 +251,28 @@ def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, family: StreamFamily, start: int
     return ms, mus.sum(axis=1), logq.sum(axis=1)
 
 
-def _fixed_t_draws(dist, rng, limit: float) -> np.ndarray:
+def _first_block(dist, limit: float) -> int:
+    """Draws in each fixed-T realization's first block: the expected kept
+    count limit / E[mu] and an eighth more, at most ``_SEGMENT``; 64
+    where that count is below ``_MEAN_SIZED_MIN`` or the law has no
+    finite mean."""
+    try:
+        expected = limit / dist.mean()
+    except InfiniteMeanError:
+        return 64
+    return 64 if expected < _MEAN_SIZED_MIN else int(min(_SEGMENT, 1.125 * expected))
+
+
+def _fixed_t_draws(dist, rng, limit: float, size: int = 64) -> np.ndarray:
     """The waiting times one fixed-T realization of ``rng`` keeps.
 
-    Draws 64, then, while the stop rule keeps all it has, a next block
-    sized from the realization's own mean so far: the expected remaining
-    draws and an eighth more, at least 64 and at most ``_SEGMENT``. The
-    stream is read in order, so block sizes move no bit.
+    Draws ``size`` (``_first_block``), then, while the stop rule keeps all
+    it has, a next block sized from the realization's own mean so far:
+    the expected remaining draws and an eighth more, at least 64 and at
+    most ``_SEGMENT``. The stream is read in order, so block sizes move
+    no bit.
     """
-    blocks, total, comp, size = [], 0.0, 0.0, 64
+    blocks, total, comp = [], 0.0, 0.0
     while True:
         mus = dist.sample(rng, size)
         kept, total, comp = _kept_in_block(mus, total, comp, limit)
@@ -294,9 +313,10 @@ def _chunks(cfg: EnsembleConfig, lam, w):
             yield _fixed_m_chunk(cfg, lam, w, family, start, min(start + rows, n))
         return
     limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
+    first = _first_block(cfg.dist, limit)
     rows, kept = [], 0
     for i in range(n):
-        rows.append(_fixed_t_draws(cfg.dist, family.select(i), limit))
+        rows.append(_fixed_t_draws(cfg.dist, family.select(i), limit, first))
         kept += rows[-1].size
         if kept >= _CHUNK_TARGET or i == n - 1:
             yield _fixed_t_sums(lam, w, rows)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     expectation_variance,
     expm_log_q,
     overlap_amplitude,
+    same_bits,
     two_level_q,
 )
 
@@ -24,6 +26,7 @@ from zenosim import (
     DiscreteIntervals,
     Hamiltonian,
     NotNormalizedError,
+    PowerLawIntervals,
     PureState,
     UnderflowWarning,
     ZeroVarianceError,
@@ -37,6 +40,7 @@ from zenosim import (
     survival_trace,
     zeno_time,
 )
+from zenosim import intervals
 from zenosim.dynamics import EmptySpectrumError, phase_weights, survival_minima
 from zenosim.rng import substream
 
@@ -318,3 +322,124 @@ class TestSurvivalMinima:
         lam, w = phase_weights(h, psi)
         grid = np.linspace(0.0, 0.4 * math.pi / OMEGA, 9)  # q falls throughout
         assert survival_minima(lam, w, grid).size == 0
+
+
+def all_pairs_log_q(lam, w, mus):
+    """The kernel as it was before zero-weight pairs were skipped: every
+    pair j < k adds its term, and every level its amplitude."""
+    mus = np.asarray(mus, dtype=float)
+    j, k = np.triu_indices(lam.size, 1)
+    delta = np.zeros(mus.shape)
+    term = np.empty(mus.shape)
+    for half_gap, pair_w in zip((0.5 * (lam[k] - lam[j])).tolist(),
+                                (4.0 * w[j] * w[k]).tolist()):
+        np.multiply(half_gap, mus, out=term)
+        np.sin(term, out=term)
+        np.square(term, out=term)
+        term *= pair_w
+        delta += term
+    far = delta >= 0.5
+    out = np.negative(delta, out=delta)
+    np.log1p(out, out=out, where=~far)
+    if np.any(far):
+        far_mus = mus[far]
+        re = np.full(far_mus.shape, float(w[0]))
+        im = np.zeros(far_mus.shape)
+        for shift, weight in zip((lam[1:] - lam[0]).tolist(), w[1:].tolist()):
+            phase = shift * far_mus
+            re += weight * np.cos(phase)
+            im += weight * np.sin(phase)
+        with np.errstate(divide="ignore"):
+            out[far] = np.log(re * re + im * im)
+    return out
+
+
+def all_pairs_minima(lam, w, grid):
+    """``survival_minima`` with every pair j < k in the derivative."""
+    j, k = np.triu_indices(lam.size, 1)
+    gaps = lam[k] - lam[j]
+    terms = list(zip(gaps.tolist(), (-2.0 * w[j] * w[k] * gaps).tolist()))
+
+    def rising(mus):
+        return sum(coeff * np.sin(gap * mus) for gap, coeff in terms) >= 0.0
+
+    grid = np.asarray(grid, dtype=float)
+    up = rising(grid)
+    at = np.flatnonzero(~up[:-1] & up[1:])
+    lo, hi = grid[at], grid[at + 1]
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        up = rising(mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def four_level_spectrum():
+    return build_chain_hamiltonian([0.0, 1.0e6, 2.5e5, 7.0e5], OMEGA).spec.eigenvalues
+
+
+#: (lam, w) of each system whose pairs the kernel may skip
+SKIPPED_PAIRS_SYSTEMS = {
+    # (1, 0, 1)/sqrt(2) has no overlap with the middle eigenvector: 1 pair of 3
+    "default": lambda chain, psi0: phase_weights(chain, psi0),
+    # an eigenstate of the uncoupled chain: no pair, no decay
+    "eigenstate": lambda chain, psi0: phase_weights(
+        build_chain_hamiltonian(CHAIN_OMEGAS, 0.0),
+        PureState(np.array([0.0, 1.0, 0.0], dtype=complex))),
+    # orthogonal to the third of four eigenvectors: 3 pairs of 6
+    "d4_one_zero": lambda chain, psi0: (four_level_spectrum(),
+                                        np.array([0.1, 0.2, 0.0, 0.7])),
+    # orthogonal to the first eigenvector: lam_0 stays the phase reference
+    "d4_first_zero": lambda chain, psi0: (four_level_spectrum(),
+                                          np.array([0.0, 0.3, 0.2, 0.5])),
+    # no zero weight, w about (0.216, 0.498, 0.287): nothing skipped
+    "no_zero": lambda chain, psi0: phase_weights(
+        chain, PureState(np.array([1.0, 0.0, 0.0], dtype=complex))),
+    # six pairs, added in the row-major order of np.triu_indices
+    "d4_no_zero": lambda chain, psi0: (four_level_spectrum(),
+                                       np.array([0.1, 0.2, 0.3, 0.4])),
+}
+
+
+class TestSkippedPairs:
+    """Pairs and levels of zero weight add only signed zeros, so skipping
+    them moves no bit of ln q or of the minima of q."""
+
+    @pytest.mark.parametrize("system", SKIPPED_PAIRS_SYSTEMS)
+    def test_kernel_keeps_the_all_pairs_bits(self, chain, psi0, system):
+        lam, w = SKIPPED_PAIRS_SYSTEMS[system](chain, psi0)
+        mus = np.concatenate([np.linspace(0.0, 20 * US, 20_001),
+                              np.geomspace(1e-15, 1e-9, 61), [NEAR_ZERO_MU]])
+        expected = all_pairs_log_q(lam, w, mus)
+        if system == "eigenstate":
+            assert np.all(w[[0, 2]] == 0.0) and np.all(expected == 0.0)
+        else:  # both branches of the kernel are crossed
+            assert 0.2 < np.mean(expected <= math.log(0.5)) < 0.8
+        assert same_bits(log_survival_factors(lam, w, mus), expected)
+        assert same_bits(log_survival_factors(lam, w, mus[:1]), expected[:1])
+
+    def test_default_state_weighs_two_levels(self, chain, psi0):
+        assert phase_weights(chain, psi0)[1][1] == 0.0
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    def test_minima_keep_the_all_pairs_bits_on_fig4_panels(self, chain, psi0, alpha):
+        # the panel edges fig4's quadrature searches for minima of q
+        grids = []
+
+        def recorded(lam, w, grid):
+            grids.append(np.array(grid))
+            return survival_minima(lam, w, grid)
+
+        lam, w = phase_weights(chain, psi0)
+        with mock.patch.object(intervals, "survival_minima", recorded):
+            PowerLawIntervals(mu0=1e-9, alpha=alpha).log_q_moments(lam, w)
+        (grid,) = grids
+        minima = survival_minima(lam, w, grid)
+        assert minima.size >= 3
+        assert same_bits(minima, all_pairs_minima(lam, w, grid))
+
+    def test_minima_of_an_eigenstate(self):
+        lam, w = np.array([-1.0, 0.0, 2.0]), np.array([0.0, 1.0, 0.0])
+        grid = np.linspace(0.0, 10.0, 101)
+        assert same_bits(survival_minima(lam, w, grid), all_pairs_minima(lam, w, grid))

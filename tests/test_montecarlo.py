@@ -375,6 +375,8 @@ FIXED_T_CASES = {
     "power1.5": (PowerLawIntervals(mu0=1 * NS, alpha=1.5), 300 * NS),
     "power2": (PowerLawIntervals(mu0=1 * NS, alpha=2.0), 300 * NS),
     "power3": (PowerLawIntervals(mu0=1 * NS, alpha=3.0), 2000 * NS),
+    # no finite mean: the first block is 64, and later ones grow from it
+    "power0.8": (PowerLawIntervals(mu0=1 * NS, alpha=0.8), 1000 * NS),
     "d2": (LATTICE_LAWS["d2"], 1000 * NS),
     # 0.1 ns seven times sums above 0.7 ns in doubles: a tie the slack keeps
     "degenerate_tie": (DegenerateInterval(0.1 * NS), 0.7 * NS),
@@ -386,14 +388,22 @@ FIXED_T_CASES = {
 
 
 class CountedDraws:
-    """A waiting-time law that counts the draws asked of ``dist``."""
+    """A waiting-time law that records the size of each ``sample`` call
+    asked of ``dist``, and forwards its mean."""
 
     def __init__(self, dist):
-        self.dist, self.draws = dist, 0
+        self.dist, self.sizes = dist, []
+
+    @property
+    def draws(self):
+        return sum(self.sizes)
 
     def sample(self, rng, m):
-        self.draws += m
+        self.sizes.append(m)
         return self.dist.sample(rng, m)
+
+    def mean(self):
+        return self.dist.mean()
 
 
 class TestFixedTStop:
@@ -461,10 +471,38 @@ class TestFixedTStop:
         assert cases >= 10
 
     def test_blocks_outgrow_the_first(self, chain, psi0):
-        # 300 draws per row take two blocks: 64, then 236 and an eighth more
-        cfg = make_config(chain, psi0, DegenerateInterval(1 * NS), mode="fixed_T",
+        # 300 draws per row take one block sized from the mean: 337, the
+        # expected 300 and an eighth more
+        counted = CountedDraws(DegenerateInterval(1 * NS))
+        cfg = make_config(chain, psi0, counted, mode="fixed_T",
                           m=None, t_total=300 * NS, realizations=3)
         assert np.all(run_ensemble(cfg).ms == 300)
+        assert counted.sizes == [337] * 3
+        # a law with no finite mean starts at 64 and grows from there
+        counted = CountedDraws(PowerLawIntervals(mu0=1 * NS, alpha=0.8))
+        cfg = make_config(chain, psi0, counted, mode="fixed_T", m=None,
+                          t_total=1000 * NS, realizations=30)
+        assert montecarlo._first_block(counted, 1000 * NS) == 64
+        ens = run_ensemble(cfg)
+        assert counted.sizes.count(64) >= 30 and max(counted.sizes) > 64
+        assert ens.ms.max() > 64
+
+    @pytest.mark.parametrize("expected, first", [
+        (50.0, 64), (109.9, 64), (110.0, 123), (1333.3, 1499), (1e7, SEGMENT),
+    ])
+    def test_first_block_from_the_mean(self, expected, first):
+        # rows expected below _MEAN_SIZED_MIN draws keep the 64-draw block
+        dist = DegenerateInterval(1 * NS)
+        assert montecarlo._first_block(dist, expected * 1e-9) == first
+
+    def test_one_sample_call_per_realization(self, chain, psi0):
+        # the benchmark's law and budget: about 1,333 kept of a first block of 1,500
+        counted = CountedDraws(PowerLawIntervals(mu0=1 * NS, alpha=3.0))
+        cfg = make_config(chain, psi0, counted, mode="fixed_T", m=None,
+                          t_total=2000 * NS, realizations=200)
+        ens = run_ensemble(cfg)
+        assert len(counted.sizes) <= 1.05 * cfg.realizations
+        assert counted.draws <= 1.25 * ens.ms.sum()
 
     @pytest.mark.parametrize("dist, t_total", [
         (PowerLawIntervals(mu0=1 * NS, alpha=3.0), 2000 * NS),  # about 1,333 kept
