@@ -16,7 +16,18 @@ numpy's pairwise summation splits a row, halves rounded down to a
 multiple of 8, until each segment fits one reused buffer. Each segment
 is drawn, mapped and summed by ``np.sum``, and the segment sums are
 added back up the same tree, so the sums carry the bits of ``np.sum``
-over the whole row, and memory does not grow with m. A fixed-T
+over the whole row, and memory does not grow with m.
+
+Fixed-m work off the vector path runs as one part per usable core: the
+leaves of a long row are cut into contiguous runs, and a chunk of at
+least ``_SPLIT_MIN_DRAWS`` per-row draws into contiguous runs of rows.
+The calling thread runs the first part and helper threads, which live
+for one ``run_ensemble`` call, the rest. No bit moves: Philox is counter
+based, so a part opens its own stream at its first draw
+(``StreamFamily.select(i, draw)``) and reads what a serial pass would,
+each leaf or row is summed on its own, and leaf sums are added up the
+same tree in the calling thread. With one core, or a smaller chunk,
+there is one part and no thread. A fixed-T
 realization runs the compensated one-draw-at-a-time stop rule over
 blocks of draws, its state carried from block to block; it sizes its
 first block from the law's mean and each next one from its own mean
@@ -28,7 +39,9 @@ by row. Records fill preallocated arrays.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +74,10 @@ _VECTOR_MIN_ROWS = 128
 #: pairwise sum adds without splitting, or the segments leave its order.
 #: It also caps a fixed-T block, and with it the stop rule's temporaries
 _SEGMENT = 65_536
+#: a fixed-m chunk of rows that each select their stream is split into one
+#: part per core when it holds at least this many draws; below it, helper
+#: threads cost more than they save (the 25-row typical ensembles of fig1)
+_SPLIT_MIN_DRAWS = 2 * _SEGMENT
 #: a fixed-T realization expected to keep at least this many draws starts
 #: with one block sized from the law's mean; a shorter one starts with 64
 #: draws, whose stop rule runs in Python, cheaper there than one numpy pass
@@ -221,34 +238,115 @@ def _pairwise_sums(n: int, leaf) -> np.ndarray:
     return _pairwise_sums(half, leaf) + _pairwise_sums(n - half, leaf)
 
 
-def _long_row_sums(dist, lam, w, rng, m: int) -> np.ndarray:
-    """(total time, log survival) of the next m draws of ``rng``, drawn
-    and mapped ``_SEGMENT`` at a time in one reused buffer."""
+def _usable_cores() -> int:
+    """The cores this process may run on (all of them where the OS cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux and a few Unixes
+        return os.cpu_count() or 1
+
+
+def _cuts(n: int, parts: int) -> list[int]:
+    """Edges of ``parts`` contiguous, near-equal runs of n items."""
+    return [n * k // parts for k in range(parts + 1)]
+
+
+class _Parts:
+    """Runs the parts of a chunk for one ``run_ensemble`` call: the
+    calling thread the first, with the run's stream family, and helper
+    threads the rest, each part with a family of its own. The helpers
+    start with the first chunk that splits and stop with ``close``."""
+
+    def __init__(self, master_seed: int):
+        self.seed = master_seed
+        self.family = StreamFamily(master_seed)
+        self._pool = None
+
+    @cached_property
+    def cores(self) -> int:
+        return _usable_cores()
+
+    def run(self, fn, parts: list[tuple]) -> list:
+        """``[fn(family, *part) for part in parts]``."""
+        if len(parts) > 1 and self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(self.cores - 1)
+        helped = [self._pool.submit(lambda part=part: fn(StreamFamily(self.seed), *part))
+                  for part in parts[1:]]
+        first = fn(self.family, *parts[0])
+        return [first, *(future.result() for future in helped)]
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+
+def _leaf_sums(family: StreamFamily, cfg: EnsembleConfig, lam, w, i: int, draw: int,
+               lengths: list[int]) -> np.ndarray:
+    """(total time, log survival) of each of the consecutive leaves of
+    ``lengths`` of realization i, from its draw ``draw`` on, drawn and
+    mapped one at a time in one reused buffer."""
+    rng = family.select(i, draw)
+    buf = np.empty(max(lengths))
+    sums = np.empty((len(lengths), 2))
+    for j, n in enumerate(lengths):
+        mus, logq = cfg.dist.intervals_and_log_q(rng.random(n, out=buf[:n]), lam, w)
+        sums[j] = mus.sum(), logq.sum()
+    return sums
+
+
+def _long_row_sums(cfg: EnsembleConfig, lam, w, parts: _Parts, i: int) -> np.ndarray:
+    """(total time, log survival) of realization i, whose row of m draws
+    is cut at the leaves of its pairwise tree into one run of leaves per
+    core; each run reads its stretch of the stream on its own, and the
+    leaf sums are added back up the tree."""
     assert _SEGMENT >= 128, "segments below numpy's pairwise block change the sums"
-    buf = np.empty(_SEGMENT)
+    lengths = _pairwise_sums(int(cfg.m), lambda n: [n])  # lists add up to the leaves, in order
+    starts = np.cumsum([0, *lengths]).tolist()  # every left half is a multiple of 8
+    cuts = _cuts(len(lengths), min(parts.cores, len(lengths)))
+    runs = parts.run(_leaf_sums, [(cfg, lam, w, i, starts[a], lengths[a:b])
+                                  for a, b in zip(cuts, cuts[1:])])
+    leaf = iter(np.concatenate(runs))
+    return _pairwise_sums(int(cfg.m), lambda n: next(leaf))
 
-    def leaf(n):
-        mus, logq = dist.intervals_and_log_q(rng.random(n, out=buf[:n]), lam, w)
-        return np.array([mus.sum(), logq.sum()])
 
-    return _pairwise_sums(m, leaf)
+def _row_sums(family: StreamFamily, cfg: EnsembleConfig, lam, w, start: int, stop: int):
+    """(totals, log survivals) of realizations start to stop, each row
+    drawn from its own stream, in blocks of rows of at most ``_SEGMENT``
+    draws in one reused buffer."""
+    m, rows = int(cfg.m), stop - start
+    step = max(1, _SEGMENT // m)
+    buf = np.empty((min(step, rows), m))
+    sums = np.empty((2, rows))
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        u = buf[:b - a]
+        for j in range(a, b):
+            family.select(start + j).random(m, out=u[j - a])
+        mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
+        mus.sum(axis=1, out=sums[0, a:b])
+        logq.sum(axis=1, out=sums[1, a:b])
+    return sums
 
 
-def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, family: StreamFamily, start: int, stop: int):
-    m = int(cfg.m)
-    ms = np.full(stop - start, m, dtype=np.int64)
+def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, parts: _Parts, start: int, stop: int):
+    m, rows = int(cfg.m), stop - start
+    ms = np.full(rows, m, dtype=np.int64)
     if m > _SEGMENT:
-        sums = np.array([_long_row_sums(cfg.dist, lam, w, family.select(i), m)
-                         for i in range(start, stop)])
+        sums = np.array([_long_row_sums(cfg, lam, w, parts, i) for i in range(start, stop)])
         return ms, sums[:, 0], sums[:, 1]
-    u = np.empty((stop - start, m), dtype=float)
-    if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
-        philox_uniforms(cfg.master_seed, start, u)
+    if m <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
+        u = philox_uniforms(cfg.master_seed, start, np.empty((rows, m)))
+        mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
+        return ms, mus.sum(axis=1), logq.sum(axis=1)
+    if rows * m < _SPLIT_MIN_DRAWS:
+        totals, logs = _row_sums(parts.family, cfg, lam, w, start, stop)
     else:
-        for j in range(stop - start):
-            family.select(start + j).random(m, out=u[j])
-    mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
-    return ms, mus.sum(axis=1), logq.sum(axis=1)
+        cuts = _cuts(rows, min(parts.cores, rows))
+        totals, logs = np.concatenate(parts.run(_row_sums, [(cfg, lam, w, start + a, start + b)
+                                                            for a, b in zip(cuts, cuts[1:])]),
+                                      axis=1)
+    return ms, totals, logs
 
 
 def _first_block(dist, limit: float) -> int:
@@ -302,15 +400,15 @@ def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
     return ms, totals, logs
 
 
-def _chunks(cfg: EnsembleConfig, lam, w):
+def _chunks(cfg: EnsembleConfig, lam, w, parts: _Parts):
     """(ms, totals, log survivals) of consecutive realizations, in chunks
     of about ``_CHUNK_TARGET`` intervals (kept intervals, for fixed-T)."""
-    family = StreamFamily(cfg.master_seed)
+    family = parts.family
     n = cfg.realizations
     if cfg.mode == "fixed_m":
         rows = max(1, _CHUNK_TARGET // int(cfg.m))
         for start in range(0, n, rows):
-            yield _fixed_m_chunk(cfg, lam, w, family, start, min(start + rows, n))
+            yield _fixed_m_chunk(cfg, lam, w, parts, start, min(start + rows, n))
         return
     limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
     first = _first_block(cfg.dist, limit)
@@ -334,15 +432,25 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     over all its draws at once, bit for bit. Fixed-T finds each
     realization's stop on its own (``_fixed_t_draws``), then maps and
     sums the kept draws of a whole chunk at once.
+
+    Fixed-m chunks off the vector path run one part per usable core,
+    with the same bits for any core count: a long row's runs of leaves
+    each open the stream at their first draw, and a chunk of rows splits
+    between rows. Helper threads start with the first chunk that splits
+    and are joined before this returns or raises; an error in a part is
+    raised here with its own type.
     """
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     n = cfg.realizations
     ms, totals, logs = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    start = 0
-    for part in _chunks(cfg, lam, w):
-        stop = start + part[0].size
-        ms[start:stop], totals[start:stop], logs[start:stop] = part
-        start = stop
+    start, parts = 0, _Parts(cfg.master_seed)
+    try:
+        for chunk in _chunks(cfg, lam, w, parts):
+            stop = start + chunk[0].size
+            ms[start:stop], totals[start:stop], logs[start:stop] = chunk
+            start = stop
+    finally:
+        parts.close()
     return SurvivalEnsemble(config=cfg, ms=ms, total_times=totals, log_survivals=logs)
 
 

@@ -56,8 +56,11 @@ class StreamFamily:
     which is bitwise equivalent to ``substream(master_seed, i)`` and
     cheaper than constructing a fresh bit generator, but it still costs a
     few microseconds per realization; blocks of short rows are cheaper
-    with ``philox_uniforms``. The family owns mutable state: use one
-    instance per thread.
+    with ``philox_uniforms``. ``select(i, draw=k)`` starts the stream at
+    its draw k instead, as if k draws had been read: Philox is counter
+    based, so any stretch of a stream can be read on its own. Each
+    counter gives four draws, so k must be a multiple of 4. The family
+    owns mutable state: use one instance per thread.
     """
 
     def __init__(self, master_seed: int):
@@ -69,9 +72,18 @@ class StreamFamily:
         self._state = self._bitgen.state
         self._state["state"]["key"][1] = master_seed & _MASK64
 
-    def select(self, realization_index: int) -> Generator:
-        self._state["state"]["key"][0] = realization_index & _MASK64
+    def select(self, realization_index: int, draw: int = 0) -> Generator:
+        state = self._state["state"]
+        state["key"][0] = realization_index & _MASK64
+        if not draw:
+            self._bitgen.state = self._state
+            return self._generator
+        if draw % 4 or draw < 0:
+            raise ValueError(f"a stream starts at a multiple of 4 draws, not {draw}")
+        # the counter steps before each block of four, so block draw // 4 comes next
+        state["counter"][0] = draw // 4
         self._bitgen.state = self._state
+        state["counter"][0] = 0
         return self._generator
 
 

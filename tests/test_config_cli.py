@@ -321,6 +321,7 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     code = (
         "import sys, zenosim.cli\n"
         "print('scipy.integrate' in sys.modules)\n"
+        "print('concurrent.futures' in sys.modules)\n"
         "from zenosim import PowerLawIntervals, build_chain_hamiltonian, "
         "entangled_initial_state, survival_stats_for\n"
         "h = build_chain_hamiltonian([1.9e5, 1.3e5, 6.3e4], 6.3e5)\n"
@@ -330,4 +331,4 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]

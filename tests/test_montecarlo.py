@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -322,6 +324,134 @@ class TestSegmentedRows:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
         assert max(peaks) < 4 * 2**20
+
+
+CORE_COUNTS = [1, 2, 3, 5]
+
+
+def spy_parts(monkeypatch, name):
+    """Record the calling thread of every call of montecarlo.``name``."""
+    calls = []
+    run = getattr(montecarlo, name)
+
+    def spied(*args):
+        calls.append(threading.get_ident())
+        return run(*args)
+
+    monkeypatch.setattr(montecarlo, name, spied)
+    return calls
+
+
+class TestCoreParts:
+    # a fixed-m chunk that does not take the vector path runs one part per
+    # usable core; any core count must give the bits of the serial code
+    @pytest.mark.parametrize("law", ["d2", "d4", "degenerate", "power3"])
+    @pytest.mark.parametrize("segment,m", [
+        (SEGMENT, SEGMENT + 1),  # two leaves, fewer than most core counts
+        (SEGMENT, 5 * SEGMENT + 3),
+        (128, 4099),  # a deep tree of 32 leaves
+    ])
+    def test_long_rows(self, chain, psi0, monkeypatch, law, segment, m):
+        monkeypatch.setattr(montecarlo, "_SEGMENT", segment)
+        dist = LATTICE_LAWS.get(law, PowerLawIntervals(mu0=1 * NS, alpha=3.0))
+        cfg = make_config(chain, psi0, dist, m=m, realizations=2, master_seed=31)
+        totals, logs = replay(cfg)
+        leaves = len(montecarlo._pairwise_sums(m, lambda n: [n]))
+        calls = spy_parts(monkeypatch, "_leaf_sums")
+        for cores in CORE_COUNTS:
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda cores=cores: cores)
+            calls.clear()
+            ens = run_ensemble(cfg)
+            assert same_bits(ens.total_times, totals)
+            assert same_bits(ens.log_survivals, logs)
+            # the caller runs one part of each row, helper threads the rest
+            assert len(calls) == 2 * min(cores, leaves)
+            assert calls.count(threading.get_ident()) == 2
+
+    @pytest.mark.parametrize("m", [129, 2000, 6400])
+    @pytest.mark.parametrize("rows", [25, 131])
+    @pytest.mark.parametrize("split_min", [None, 1])
+    def test_per_row_chunks(self, chain, psi0, monkeypatch, m, rows, split_min):
+        # with split_min = 1 every chunk splits; by default only chunks of
+        # at least 2 * _SEGMENT draws do (25 x 6400, and 131 x 2000 and
+        # 131 x 6400, whose chunks hold 131 and 40 rows)
+        if split_min is not None:
+            monkeypatch.setattr(montecarlo, "_SPLIT_MIN_DRAWS", split_min)
+        cfg = make_config(chain, psi0, d2(), m=m, realizations=rows, master_seed=8)
+        totals, logs = replay(cfg)
+        per_chunk = max(1, montecarlo._CHUNK_TARGET // m)
+        chunks = [min(per_chunk, rows - start) for start in range(0, rows, per_chunk)]
+        calls = spy_parts(monkeypatch, "_row_sums")
+        for cores in CORE_COUNTS:
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda cores=cores: cores)
+            calls.clear()
+            ens = run_ensemble(cfg)
+            assert same_bits(ens.total_times, totals)
+            assert same_bits(ens.log_survivals, logs)
+            split = [c * m >= montecarlo._SPLIT_MIN_DRAWS for c in chunks]
+            assert len(calls) == sum(min(cores, c) if s else 1 for c, s in zip(chunks, split))
+            assert calls.count(threading.get_ident()) == len(chunks)
+
+    def test_more_parts_than_cores_under_fast_thread_switches(self, chain, psi0, monkeypatch):
+        # parts share only read-only inputs; switching threads every 10 us
+        # with more parts than this machine has cores must not move a bit
+        cfgs = [make_config(chain, psi0, d2(), m=m, realizations=n, master_seed=5)
+                for m, n in ((3 * SEGMENT + 11, 2), (2000, 300))]
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
+        serial = [run_ensemble(cfg) for cfg in cfgs]
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            parallel = [run_ensemble(cfg) for cfg in cfgs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(same_ensemble(a, b) for a, b in zip(serial, parallel))
+
+    def test_typical_ensembles_stay_serial(self, chain, psi0, monkeypatch):
+        # the presets' 25-row ensembles below m = 6400 run in one part
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 5)
+        calls = spy_parts(monkeypatch, "_row_sums")
+        for m in (50, 800, 3200):
+            run_ensemble(make_config(chain, psi0, d2(), m=m, realizations=25))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("m", [2 * SEGMENT + 7, 3000])
+    def test_helper_threads_end_with_the_run(self, chain, psi0, monkeypatch, m):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+        before = threading.active_count()
+        run_ensemble(make_config(chain, psi0, d2(), m=m, realizations=100))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("m", [2 * SEGMENT + 7, 3000])
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_a_failing_part_raises_its_own_error(self, chain, psi0, monkeypatch, m, where):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+        cfg = make_config(chain, psi0, FailingLaw(D2_VALUES_S, D2_PROBS, where), m=m,
+                          realizations=100)
+        before = threading.active_count()
+        with pytest.raises(PartFault, match=where):
+            run_ensemble(cfg)
+        assert threading.active_count() == before
+
+
+class PartFault(RuntimeError):
+    pass
+
+
+class FailingLaw(DiscreteIntervals):
+    """The d2 law, but mapping uniforms raises ``PartFault`` in a helper
+    thread (``where="helper"``) or in the calling one (``"caller"``)."""
+
+    def __init__(self, values, probs, where):
+        super().__init__(np.array(values), np.array(probs))
+        object.__setattr__(self, "where", where)
+
+    def intervals_and_log_q(self, u, lam, w):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (self.where == "caller"):
+            raise PartFault(self.where)
+        return super().intervals_and_log_q(u, lam, w)
 
 
 def scalar_budget_rule(draws, limit):

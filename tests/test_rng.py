@@ -81,3 +81,37 @@ class TestPhiloxUniforms:
     def test_wrong_layout_is_a_value_error(self, out):
         with pytest.raises(ValueError):
             philox_uniforms(1, 0, out)
+
+
+class TestStreamSeek:
+    # select(i, draw=k) starts realization i's stream at its draw k
+    @pytest.mark.parametrize("k", [0, 4, 8 * 65_536])
+    def test_seek_matches_reading_past_the_skipped_draws(self, k):
+        family = rng.StreamFamily(2016)
+        got = family.select(5, draw=k).random(37)
+        assert same_bits(got, substream(2016, 5).random(k + 37)[k:])
+
+    @pytest.mark.parametrize("k", [2**32 + 4, 2**40 + 8, 4 * (2**64 - 1)])
+    def test_seek_past_two_to_the_32_draws(self, k):
+        # too far to read through: advance numpy's own bit generator by
+        # k / 4 counters, and cross-check with the vectorized Philox words
+        expected = substream(2016, 5)
+        expected.bit_generator.advance(k // 4)
+        got = rng.StreamFamily(2016).select(5, draw=k).random(9)
+        assert same_bits(got, expected.random(9))
+        if k // 4 + 3 < 2**63:  # the vectorized words take counters below 2**63
+            words = rng._philox_words(2016, 5, 1, k // 4, 3)
+            draws = np.stack([(word[0] >> np.uint64(11)) * 2.0**-53 for word in words], axis=1)
+            assert same_bits(got, draws.reshape(-1)[:9])
+
+    def test_reselect_after_a_seek_starts_at_draw_zero(self):
+        family = rng.StreamFamily(3)
+        family.select(1, draw=1024).random(10)
+        assert same_bits(family.select(1).random(20), substream(3, 1).random(20))
+        family.select(2, draw=8)
+        assert same_bits(family.select(1, draw=4).random(6), substream(3, 1).random(10)[4:])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 65_537, -4])
+    def test_draw_off_a_counter_boundary_is_a_value_error(self, k):
+        with pytest.raises(ValueError):
+            rng.StreamFamily(3).select(0, draw=k)
