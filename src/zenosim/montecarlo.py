@@ -18,16 +18,14 @@ is drawn, mapped and summed by ``np.sum``, and the segment sums are
 added back up the same tree, so the sums carry the bits of ``np.sum``
 over the whole row, and memory does not grow with m.
 
-Fixed-m work off the vector path runs as one part per usable core: the
-leaves of a long row are cut into contiguous runs, and a chunk of at
-least ``_SPLIT_MIN_DRAWS`` per-row draws into contiguous runs of rows.
-The calling thread runs the first part and helper threads, which live
-for one ``run_ensemble`` call, the rest. No bit moves: Philox is counter
-based, so a part opens its own stream at its first draw
-(``StreamFamily.select(i, draw)``) and reads what a serial pass would,
-each leaf or row is summed on its own, and leaf sums are added up the
-same tree in the calling thread. With one core, or a smaller chunk,
-there is one part and no thread. A fixed-T
+A long row runs as one part per usable core, at most ``_MAX_PARTS``:
+the leaves of its tree are cut into contiguous runs, the calling thread
+runs the first and helper threads, which live for one ``run_ensemble``
+call, the rest. No bit moves: Philox is counter based, so a run opens
+its own stream at its first draw (``StreamFamily.select(i, draw)``) and
+reads what a serial pass would, each leaf is summed on its own, and the
+leaf sums are added up the same tree in the calling thread. With one
+core, or a row of one leaf, there is one part and no thread. A fixed-T
 realization runs the compensated one-draw-at-a-time stop rule over
 blocks of draws, its state carried from block to block; it sizes its
 first block from the law's mean and each next one from its own mean
@@ -74,10 +72,11 @@ _VECTOR_MIN_ROWS = 128
 #: pairwise sum adds without splitting, or the segments leave its order.
 #: It also caps a fixed-T block, and with it the stop rule's temporaries
 _SEGMENT = 65_536
-#: a fixed-m chunk of rows that each select their stream is split into one
-#: part per core when it holds at least this many draws; below it, helper
-#: threads cost more than they save (the 25-row typical ensembles of fig1)
-_SPLIT_MIN_DRAWS = 2 * _SEGMENT
+#: a long fixed-m row runs in one part per usable core, but in at most this
+#: many: each part holds its own leaf buffer and one leaf's ln q and atom
+#: indices (about 1.3 MB), so peak memory grows with the part count, and
+#: only two cores have been measured (BENCH_14.json)
+_MAX_PARTS = 2
 #: a fixed-T realization expected to keep at least this many draws starts
 #: with one block sized from the law's mean; a shorter one starts with 64
 #: draws, whose stop rule runs in Python, cheaper there than one numpy pass
@@ -239,23 +238,20 @@ def _pairwise_sums(n: int, leaf) -> np.ndarray:
 
 
 def _usable_cores() -> int:
-    """The cores this process may run on (all of them where the OS cannot say)."""
+    """The cores this process may run on (all of them where the OS cannot
+    say). A cgroup CPU quota is not counted; ``_MAX_PARTS`` bounds the
+    threads a quota-limited process starts."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call outside Linux and a few Unixes
         return os.cpu_count() or 1
 
 
-def _cuts(n: int, parts: int) -> list[int]:
-    """Edges of ``parts`` contiguous, near-equal runs of n items."""
-    return [n * k // parts for k in range(parts + 1)]
-
-
 class _Parts:
-    """Runs the parts of a chunk for one ``run_ensemble`` call: the
+    """Runs the parts of long rows for one ``run_ensemble`` call: the
     calling thread the first, with the run's stream family, and helper
     threads the rest, each part with a family of its own. The helpers
-    start with the first chunk that splits and stop with ``close``."""
+    start with the first row that splits and stop with ``close``."""
 
     def __init__(self, master_seed: int):
         self.seed = master_seed
@@ -264,7 +260,7 @@ class _Parts:
 
     @cached_property
     def cores(self) -> int:
-        return _usable_cores()
+        return min(_MAX_PARTS, _usable_cores())
 
     def run(self, fn, parts: list[tuple]) -> list:
         """``[fn(family, *part) for part in parts]``."""
@@ -303,50 +299,29 @@ def _long_row_sums(cfg: EnsembleConfig, lam, w, parts: _Parts, i: int) -> np.nda
     assert _SEGMENT >= 128, "segments below numpy's pairwise block change the sums"
     lengths = _pairwise_sums(int(cfg.m), lambda n: [n])  # lists add up to the leaves, in order
     starts = np.cumsum([0, *lengths]).tolist()  # every left half is a multiple of 8
-    cuts = _cuts(len(lengths), min(parts.cores, len(lengths)))
+    count = min(parts.cores, len(lengths))
+    cuts = [len(lengths) * k // count for k in range(count + 1)]  # near-equal runs of leaves
     runs = parts.run(_leaf_sums, [(cfg, lam, w, i, starts[a], lengths[a:b])
                                   for a, b in zip(cuts, cuts[1:])])
     leaf = iter(np.concatenate(runs))
     return _pairwise_sums(int(cfg.m), lambda n: next(leaf))
 
 
-def _row_sums(family: StreamFamily, cfg: EnsembleConfig, lam, w, start: int, stop: int):
-    """(totals, log survivals) of realizations start to stop, each row
-    drawn from its own stream, in blocks of rows of at most ``_SEGMENT``
-    draws in one reused buffer."""
-    m, rows = int(cfg.m), stop - start
-    step = max(1, _SEGMENT // m)
-    buf = np.empty((min(step, rows), m))
-    sums = np.empty((2, rows))
-    for a in range(0, rows, step):
-        b = min(a + step, rows)
-        u = buf[:b - a]
-        for j in range(a, b):
-            family.select(start + j).random(m, out=u[j - a])
-        mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
-        mus.sum(axis=1, out=sums[0, a:b])
-        logq.sum(axis=1, out=sums[1, a:b])
-    return sums
-
-
 def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, parts: _Parts, start: int, stop: int):
-    m, rows = int(cfg.m), stop - start
-    ms = np.full(rows, m, dtype=np.int64)
+    m = int(cfg.m)
+    ms = np.full(stop - start, m, dtype=np.int64)
     if m > _SEGMENT:
         sums = np.array([_long_row_sums(cfg, lam, w, parts, i) for i in range(start, stop)])
         return ms, sums[:, 0], sums[:, 1]
-    if m <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
-        u = philox_uniforms(cfg.master_seed, start, np.empty((rows, m)))
-        mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
-        return ms, mus.sum(axis=1), logq.sum(axis=1)
-    if rows * m < _SPLIT_MIN_DRAWS:
-        totals, logs = _row_sums(parts.family, cfg, lam, w, start, stop)
+    u = np.empty((stop - start, m), dtype=float)
+    if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
+        philox_uniforms(cfg.master_seed, start, u)
     else:
-        cuts = _cuts(rows, min(parts.cores, rows))
-        totals, logs = np.concatenate(parts.run(_row_sums, [(cfg, lam, w, start + a, start + b)
-                                                            for a, b in zip(cuts, cuts[1:])]),
-                                      axis=1)
-    return ms, totals, logs
+        family = parts.family
+        for j in range(stop - start):
+            family.select(start + j).random(m, out=u[j])
+    mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
+    return ms, mus.sum(axis=1), logq.sum(axis=1)
 
 
 def _first_block(dist, limit: float) -> int:
@@ -433,12 +408,11 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     realization's stop on its own (``_fixed_t_draws``), then maps and
     sums the kept draws of a whole chunk at once.
 
-    Fixed-m chunks off the vector path run one part per usable core,
-    with the same bits for any core count: a long row's runs of leaves
-    each open the stream at their first draw, and a chunk of rows splits
-    between rows. Helper threads start with the first chunk that splits
-    and are joined before this returns or raises; an error in a part is
-    raised here with its own type.
+    A long fixed-m row runs in one part per usable core (at most
+    ``_MAX_PARTS``), with the same bits for any core count: each run of
+    its leaves opens the stream at its first draw. Helper threads start
+    with the first row that splits and are joined before this returns or
+    raises; an error in a part is raised here with its own type.
     """
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     n = cfg.realizations

@@ -70,20 +70,23 @@ class StreamFamily:
         # per select; setting copies it in, so it stays fresh. Little-endian
         # key words (index low, master seed high) match substream()'s key.
         self._state = self._bitgen.state
-        self._state["state"]["key"][1] = master_seed & _MASK64
+        self._key, self._counter = self._state["state"]["key"], self._state["state"]["counter"]
+        self._key[1] = master_seed & _MASK64
 
     def select(self, realization_index: int, draw: int = 0) -> Generator:
-        state = self._state["state"]
-        state["key"][0] = realization_index & _MASK64
-        if not draw:
-            self._bitgen.state = self._state
-            return self._generator
+        self._key[0] = realization_index & _MASK64
+        if draw:
+            return self._seek(draw)
+        self._bitgen.state = self._state
+        return self._generator
+
+    def _seek(self, draw: int) -> Generator:
         if draw % 4 or draw < 0:
             raise ValueError(f"a stream starts at a multiple of 4 draws, not {draw}")
         # the counter steps before each block of four, so block draw // 4 comes next
-        state["counter"][0] = draw // 4
+        self._counter[0] = draw // 4
         self._bitgen.state = self._state
-        state["counter"][0] = 0
+        self._counter[0] = 0
         return self._generator
 
 

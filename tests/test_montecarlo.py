@@ -308,11 +308,13 @@ class TestSegmentedRows:
         assert same_bits(total, np.sum(x))
         assert same_bits(total, x[None].sum(axis=1)[0])
 
-    def test_peak_memory_is_flat_in_m(self, chain, psi0):
-        # the peak is the segment buffer and one leaf's ln q and atom
+    def test_peak_memory_is_flat_in_m(self, chain, psi0, monkeypatch):
+        # each part's peak is its leaf buffer and one leaf's ln q and atom
         # indices; leaves hold between _SEGMENT / 2 and _SEGMENT draws
         # (62,500 at m = 10^6, 39,062 at 10^7), so the peak moves with
-        # the leaf length within that range, but never grows with m
+        # the leaf length within that range, but never grows with m; nor
+        # with the core count, as a row runs in at most _MAX_PARTS parts
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 64)
         peaks = []
         for m in (10**6, 10**7):
             cfg = make_config(chain, psi0, d2(), m=m, realizations=1)
@@ -329,22 +331,30 @@ class TestSegmentedRows:
 CORE_COUNTS = [1, 2, 3, 5]
 
 
-def spy_parts(monkeypatch, name):
-    """Record the calling thread of every call of montecarlo.``name``."""
+def use_cores(monkeypatch, cores, max_parts=None):
+    """Make montecarlo see ``cores`` usable cores; lift the part cap to
+    ``max_parts`` where given, so more parts than it allows run."""
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+    if max_parts is not None:
+        monkeypatch.setattr(montecarlo, "_MAX_PARTS", max_parts)
+
+
+def spy_parts(monkeypatch):
+    """Record the calling thread of every call of montecarlo._leaf_sums."""
     calls = []
-    run = getattr(montecarlo, name)
+    run = montecarlo._leaf_sums
 
     def spied(*args):
         calls.append(threading.get_ident())
         return run(*args)
 
-    monkeypatch.setattr(montecarlo, name, spied)
+    monkeypatch.setattr(montecarlo, "_leaf_sums", spied)
     return calls
 
 
 class TestCoreParts:
-    # a fixed-m chunk that does not take the vector path runs one part per
-    # usable core; any core count must give the bits of the serial code
+    # a long fixed-m row runs one part per usable core; any core count
+    # must give the bits of the serial code
     @pytest.mark.parametrize("law", ["d2", "d4", "degenerate", "power3"])
     @pytest.mark.parametrize("segment,m", [
         (SEGMENT, SEGMENT + 1),  # two leaves, fewer than most core counts
@@ -357,9 +367,9 @@ class TestCoreParts:
         cfg = make_config(chain, psi0, dist, m=m, realizations=2, master_seed=31)
         totals, logs = replay(cfg)
         leaves = len(montecarlo._pairwise_sums(m, lambda n: [n]))
-        calls = spy_parts(monkeypatch, "_leaf_sums")
+        calls = spy_parts(monkeypatch)
         for cores in CORE_COUNTS:
-            monkeypatch.setattr(montecarlo, "_usable_cores", lambda cores=cores: cores)
+            use_cores(monkeypatch, cores, max_parts=max(CORE_COUNTS))
             calls.clear()
             ens = run_ensemble(cfg)
             assert same_bits(ens.total_times, totals)
@@ -368,38 +378,35 @@ class TestCoreParts:
             assert len(calls) == 2 * min(cores, leaves)
             assert calls.count(threading.get_ident()) == 2
 
+    def test_parts_are_capped(self, chain, psi0, monkeypatch):
+        # however many cores there are, a row runs in at most _MAX_PARTS
+        use_cores(monkeypatch, 64)
+        calls = spy_parts(monkeypatch)
+        run_ensemble(make_config(chain, psi0, d2(), m=9 * SEGMENT, realizations=3))
+        assert len(calls) == 3 * montecarlo._MAX_PARTS
+
     @pytest.mark.parametrize("m", [129, 2000, 6400])
     @pytest.mark.parametrize("rows", [25, 131])
-    @pytest.mark.parametrize("split_min", [None, 1])
-    def test_per_row_chunks(self, chain, psi0, monkeypatch, m, rows, split_min):
-        # with split_min = 1 every chunk splits; by default only chunks of
-        # at least 2 * _SEGMENT draws do (25 x 6400, and 131 x 2000 and
-        # 131 x 6400, whose chunks hold 131 and 40 rows)
-        if split_min is not None:
-            monkeypatch.setattr(montecarlo, "_SPLIT_MIN_DRAWS", split_min)
+    def test_per_row_chunks(self, chain, psi0, monkeypatch, m, rows):
+        # rows of at most _SEGMENT draws run in the calling thread
         cfg = make_config(chain, psi0, d2(), m=m, realizations=rows, master_seed=8)
         totals, logs = replay(cfg)
-        per_chunk = max(1, montecarlo._CHUNK_TARGET // m)
-        chunks = [min(per_chunk, rows - start) for start in range(0, rows, per_chunk)]
-        calls = spy_parts(monkeypatch, "_row_sums")
+        calls = spy_parts(monkeypatch)
         for cores in CORE_COUNTS:
-            monkeypatch.setattr(montecarlo, "_usable_cores", lambda cores=cores: cores)
-            calls.clear()
+            use_cores(monkeypatch, cores, max_parts=max(CORE_COUNTS))
             ens = run_ensemble(cfg)
             assert same_bits(ens.total_times, totals)
             assert same_bits(ens.log_survivals, logs)
-            split = [c * m >= montecarlo._SPLIT_MIN_DRAWS for c in chunks]
-            assert len(calls) == sum(min(cores, c) if s else 1 for c, s in zip(chunks, split))
-            assert calls.count(threading.get_ident()) == len(chunks)
+        assert calls == []
 
     def test_more_parts_than_cores_under_fast_thread_switches(self, chain, psi0, monkeypatch):
         # parts share only read-only inputs; switching threads every 10 us
         # with more parts than this machine has cores must not move a bit
-        cfgs = [make_config(chain, psi0, d2(), m=m, realizations=n, master_seed=5)
-                for m, n in ((3 * SEGMENT + 11, 2), (2000, 300))]
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
+        cfgs = [make_config(chain, psi0, d2(), m=m, realizations=2, master_seed=5)
+                for m in (3 * SEGMENT + 11, 7 * SEGMENT + 5)]
+        use_cores(monkeypatch, 1)
         serial = [run_ensemble(cfg) for cfg in cfgs]
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 7)
+        use_cores(monkeypatch, 7, max_parts=7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -408,27 +415,17 @@ class TestCoreParts:
             sys.setswitchinterval(interval)
         assert all(same_ensemble(a, b) for a, b in zip(serial, parallel))
 
-    def test_typical_ensembles_stay_serial(self, chain, psi0, monkeypatch):
-        # the presets' 25-row ensembles below m = 6400 run in one part
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 5)
-        calls = spy_parts(monkeypatch, "_row_sums")
-        for m in (50, 800, 3200):
-            run_ensemble(make_config(chain, psi0, d2(), m=m, realizations=25))
-        assert len(calls) == 3
-
-    @pytest.mark.parametrize("m", [2 * SEGMENT + 7, 3000])
-    def test_helper_threads_end_with_the_run(self, chain, psi0, monkeypatch, m):
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    def test_helper_threads_end_with_the_run(self, chain, psi0, monkeypatch):
+        use_cores(monkeypatch, 3, max_parts=3)
         before = threading.active_count()
-        run_ensemble(make_config(chain, psi0, d2(), m=m, realizations=100))
+        run_ensemble(make_config(chain, psi0, d2(), m=2 * SEGMENT + 7, realizations=3))
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("m", [2 * SEGMENT + 7, 3000])
     @pytest.mark.parametrize("where", ["helper", "caller"])
-    def test_a_failing_part_raises_its_own_error(self, chain, psi0, monkeypatch, m, where):
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
-        cfg = make_config(chain, psi0, FailingLaw(D2_VALUES_S, D2_PROBS, where), m=m,
-                          realizations=100)
+    def test_a_failing_part_raises_its_own_error(self, chain, psi0, monkeypatch, where):
+        use_cores(monkeypatch, 3, max_parts=3)
+        cfg = make_config(chain, psi0, FailingLaw(D2_VALUES_S, D2_PROBS, where),
+                          m=2 * SEGMENT + 7, realizations=3)
         before = threading.active_count()
         with pytest.raises(PartFault, match=where):
             run_ensemble(cfg)
