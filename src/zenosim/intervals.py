@@ -5,10 +5,14 @@ d-outcome Bernoulli case), and a continuous power law on [mu0, inf). The
 point mass that models equally spaced measurements is the one-atom
 discrete law. Each offers sampling against an explicit generator handle,
 exact moments, and the survival averages E[ln q] and ln E[q] for given
-phase weights (``log_q_moments``). Monte Carlo ensembles hand each law a
-block of uniforms and get back the waiting times and their ln q
-(``intervals_and_log_q``): the discrete law evaluates ln q once per atom
-and gathers it by atom index, the power law runs the kernel on every draw.
+phase weights (``log_q_moments``). Monte Carlo ensembles hand each law
+rows of uniforms and get back an additive statistic per row
+(``row_stats``), which sums over any cut of a row, and finish it into
+the row's total time and log survival (``row_sums``). For the discrete
+law the statistic is the row's atom counts n_a, which determine
+T = sum n_a mu_a and L = sum n_a ln q_a, with ln q evaluated once per
+atom; for the power law it is (sum mu, sum ln q), the kernel run on
+every draw.
 The power law's moments come from one composite Gauss-Legendre rule with
 panels graded toward the zeros of q, truncated by a fixed rule.
 """
@@ -48,9 +52,6 @@ _TAIL_TOL = 1e-10
 _MAX_PANELS = 32_768
 #: quadrature nodes per kernel call
 _QUAD_SLAB = 8192
-#: draws per slab of the discrete gather: the atom-index buffer stays this
-#: small, so a block costs only its uniforms and its ln q (16 bytes a draw)
-_GATHER_SLAB = 65_536
 
 
 class InfiniteMeanError(ValueError):
@@ -101,49 +102,60 @@ class DiscreteIntervals:
         return int(self.values.size)
 
     def sample(self, rng: Generator, m: int) -> np.ndarray:
-        """Draw m i.i.d. waiting times via inverse-CDF lookup."""
-        if m < 1:
-            raise ValueError("need at least one draw")
-        return self.values[self._atom_index(rng.random(m), np.empty(m, dtype=np.intp))]
+        """Draw m i.i.d. waiting times via inverse-CDF lookup.
 
-    def _atom_index(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Atom of each uniform u in [0, 1), written into ``out``.
-
-        Right-closed intervals (c_{a-1}, c_a]: the index is the number of
-        cumulative edges below u, which equals
+        Right-closed intervals (c_{a-1}, c_a]: the atom of a uniform u is
+        the number of cumulative edges below it, which equals
         ``np.searchsorted(cum, u, side="left")`` bit for bit and is much
         faster for a few atoms. The last edge is exactly 1 > u, so it is
         skipped, except for d = 1, where it is the first and gives 0.
         """
+        if m < 1:
+            raise ValueError("need at least one draw")
+        u = rng.random(m)
         cum = self._cum.tolist()
-        np.greater(u, cum[0], out=out)
+        atoms = np.greater(u, cum[0], out=np.empty(m, dtype=np.intp))
         for edge in cum[1:-1]:
-            out += u > edge
-        return out
+            atoms += u > edge
+        return self.values[atoms]
 
-    def intervals_and_log_q(
-        self, u: np.ndarray, lam: np.ndarray, w: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Waiting times and their ln q for a C-contiguous block of uniforms.
+    def row_stats(self, u: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Atom counts n_a of each row of uniforms (the last axis of ``u``),
+        as floats along a new last axis: exact below 2^53, so counts of
+        any cut of a row add up to the row's in any order.
 
-        ln q is evaluated once per atom and gathered by atom index; the
-        waiting times overwrite ``u``. Entry by entry, both equal what
-        ``sample`` and ``log_survival_factors`` give for the same uniforms.
+        A uniform falls in the atom ``sample`` gives it, the number of
+        cumulative edges below it: each of the d - 1 inner edges is one
+        comparison, counted per row in one reused mask.
         """
-        if not u.flags.c_contiguous:
-            raise ValueError("the uniform block must be C-contiguous")
-        table = log_survival_factors(lam, w, self.values)
-        log_q = np.empty_like(u)
-        flat_u, flat_log_q = u.reshape(-1), log_q.reshape(-1)
-        idx = np.empty(min(flat_u.size, _GATHER_SLAB), dtype=np.intp)
-        for start in range(0, flat_u.size, _GATHER_SLAB):
-            stop = start + _GATHER_SLAB
-            part = flat_u[start:stop]
-            atoms = self._atom_index(part, idx[: part.size])
-            # mode="clip" writes straight into out; "raise" buffers a copy
-            np.take(table, atoms, out=flat_log_q[start:stop], mode="clip")
-            np.take(self.values, atoms, out=part, mode="clip")
-        return u, log_q
+        above = np.zeros((*u.shape[:-1], self.d + 1))  # draws in atoms k, k + 1, ...
+        above[..., 0] = u.shape[-1]
+        axis = -1 if u.ndim > 1 else None  # a whole-array count is faster
+        mask = np.empty(u.shape, dtype=bool)
+        for k, edge in enumerate(self._cum[:-1].tolist(), 1):
+            above[..., k] = np.count_nonzero(np.greater(u, edge, out=mask), axis=axis)
+        return above[..., :-1] - above[..., 1:]
+
+    def row_sums(
+        self, stats: np.ndarray, lam: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(total time, log survival) of rows with atom counts ``stats``.
+
+        Each is sum_a n_a (mu_a, ln q_a), added left to right in atom order
+        over the atoms the row visits, so an atom with ln q = -inf (an
+        overlap zero) that a row never visits leaves its L finite. ln q is
+        evaluated once per atom for all rows.
+        """
+        table = log_survival_factors(lam, w, self.values).tolist()
+        totals, logs = np.zeros(stats.shape[:-1]), np.zeros(stats.shape[:-1])
+        term = np.empty(stats.shape[:-1])
+        for a, (mu, log_q) in enumerate(zip(self.values.tolist(), table)):
+            counts = stats[..., a]
+            seen = counts > 0
+            for acc, value in ((totals, mu), (logs, log_q)):
+                np.multiply(counts, value, out=term, where=seen)
+                np.add(acc, term, out=acc, where=seen)
+        return totals, logs
 
     def mean(self) -> float:
         return float(np.dot(self.probs, self.values))
@@ -186,12 +198,19 @@ class PowerLawIntervals:
         u *= self.mu0
         return u
 
-    def intervals_and_log_q(
-        self, u: np.ndarray, lam: np.ndarray, w: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Waiting times (overwriting ``u``) and the kernel's ln q on each."""
+    def row_stats(self, u: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(sum mu, sum ln q) of each row of uniforms (the last axis of
+        ``u``, which it overwrites with the waiting times), each summed by
+        ``np.sum``, along a new last axis; the kernel runs on every draw."""
         mus = self._inverse_cdf(u)
-        return mus, log_survival_factors(lam, w, mus)
+        return np.stack((mus.sum(axis=-1), log_survival_factors(lam, w, mus).sum(axis=-1)),
+                        axis=-1)
+
+    def row_sums(
+        self, stats: np.ndarray, lam: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(total time, log survival) of rows with statistics ``stats``."""
+        return stats[..., 0], stats[..., 1]
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

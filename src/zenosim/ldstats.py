@@ -281,15 +281,16 @@ def rate_curve(
 
     The grid spans [min ln q + eps, max ln q - eps] with eps a 1e-9
     fraction of the range, keeping clear of the boundary where the
-    tilting parameter diverges. ``method`` selects "explicit"
-    (f-construction) or "tilting".
+    tilting parameter diverges. Where every atom has the same ln q, as for
+    a point mass, the domain is that one value and the curve one point.
+    ``method`` selects "explicit" (f-construction) or "tilting".
     """
     if method not in ("explicit", "tilting"):
         raise ValueError(f"unknown method {method!r}")
     _, logq = prob.merged()
     lo, hi = float(np.min(logq)), float(np.max(logq))
     eps = 1e-9 * (hi - lo)
-    xs = np.linspace(lo + eps, hi - eps, points)
+    xs = np.linspace(lo + eps, hi - eps, points if hi > lo else 1)
     fn = rate_function_I if method == "explicit" else cramer_rate
     return RateCurve(xs=xs, rates=fn(prob, xs))
 

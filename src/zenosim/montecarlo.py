@@ -10,28 +10,32 @@ Realization i draws from its own counter-based stream keyed by
 independent of how realizations are split into chunks. A fixed-m chunk
 of many short rows draws all its uniforms in one ``philox_uniforms``
 call, with no Python per realization; other chunks, and fixed-T, select
-each realization's stream in turn; both give the same bits. A fixed-m
-row longer than ``_SEGMENT`` draws is never held whole: it is split as
-numpy's pairwise summation splits a row, halves rounded down to a
-multiple of 8, until each segment fits one reused buffer. Each segment
-is drawn, mapped and summed by ``np.sum``, and the segment sums are
-added back up the same tree, so the sums carry the bits of ``np.sum``
-over the whole row, and memory does not grow with m.
+each realization's stream in turn; both give the same bits. Each
+fixed-m row is reduced to its law's additive statistic (``row_stats``):
+a discrete law's atom counts, or a power law's (sum mu, sum ln q) by
+``np.sum``. The law then turns a chunk's statistics into total times
+and log survivals (``row_sums``), a discrete law from one ln q table.
+A fixed-m row longer than ``_SEGMENT`` draws is never held whole: it is
+split as numpy's pairwise summation splits a row, halves rounded down
+to a multiple of 8, until each segment fits one reused buffer. Each
+segment is drawn and reduced on its own, and the statistics are added
+back up the same tree, so counts stay exact, power-law sums carry the
+bits of ``np.sum`` over the whole row, and memory does not grow with m.
 
 A long row runs as one part per usable core, at most ``_MAX_PARTS``:
 the leaves of its tree are cut into contiguous runs, the calling thread
 runs the first and helper threads, which live for one ``run_ensemble``
 call, the rest. No bit moves: Philox is counter based, so a run opens
 its own stream at its first draw (``StreamFamily.select(i, draw)``) and
-reads what a serial pass would, each leaf is summed on its own, and the
-leaf sums are added up the same tree in the calling thread. With one
-core, or a row of one leaf, there is one part and no thread. A fixed-T
-realization runs the compensated one-draw-at-a-time stop rule over
-blocks of draws, its state carried from block to block; it sizes its
-first block from the law's mean and each next one from its own mean
-waiting time so far; the kept draws of a
-chunk of realizations are then mapped by one ln q call and summed row
-by row. Records fill preallocated arrays.
+reads what a serial pass would, each leaf is reduced on its own, and
+the leaf statistics are added up the same tree in the calling thread.
+With one core, or a row of one leaf, there is one part and no thread. A
+fixed-T realization runs the compensated one-draw-at-a-time stop rule
+over blocks of draws, its state carried from block to block; it sizes
+its first block from the law's mean and each next one from its own mean
+waiting time so far; the kept draws of a chunk of realizations are then
+mapped by one ln q call and summed row by row. Records fill
+preallocated arrays.
 """
 
 from __future__ import annotations
@@ -67,15 +71,16 @@ _CHUNK_TARGET = 262_144
 #: (about 340 numpy calls) is not repaid by few rows (measured in BENCH_6.json)
 _VECTOR_MAX_M = 128
 _VECTOR_MIN_ROWS = 128
-#: a fixed-m row longer than this is drawn, mapped and summed in segments
-#: of at most this many draws; it must be at least 128, the block numpy's
+#: a fixed-m row longer than this is drawn and reduced in segments of at
+#: most this many draws; it must be at least 128, the block numpy's
 #: pairwise sum adds without splitting, or the segments leave its order.
 #: It also caps a fixed-T block, and with it the stop rule's temporaries
 _SEGMENT = 65_536
 #: a long fixed-m row runs in one part per usable core, but in at most this
-#: many: each part holds its own leaf buffer and one leaf's ln q and atom
-#: indices (about 1.3 MB), so peak memory grows with the part count, and
-#: only two cores have been measured (BENCH_14.json)
+#: many: each part holds its own leaf buffer and one leaf's working set (a
+#: comparison mask for a discrete law, the kernel's output and temporaries
+#: for a power law), so peak memory grows with the part count, and only two
+#: cores have been measured (BENCH_14.json)
 _MAX_PARTS = 2
 #: a fixed-T realization expected to keep at least this many draws starts
 #: with one block sized from the law's mean; a shorter one starts with 64
@@ -279,23 +284,19 @@ class _Parts:
 
 def _leaf_sums(family: StreamFamily, cfg: EnsembleConfig, lam, w, i: int, draw: int,
                lengths: list[int]) -> np.ndarray:
-    """(total time, log survival) of each of the consecutive leaves of
-    ``lengths`` of realization i, from its draw ``draw`` on, drawn and
-    mapped one at a time in one reused buffer."""
+    """The law's row statistic (``row_stats``) of each of the consecutive
+    leaves of ``lengths`` of realization i, from its draw ``draw`` on,
+    drawn one at a time into one reused buffer."""
     rng = family.select(i, draw)
     buf = np.empty(max(lengths))
-    sums = np.empty((len(lengths), 2))
-    for j, n in enumerate(lengths):
-        mus, logq = cfg.dist.intervals_and_log_q(rng.random(n, out=buf[:n]), lam, w)
-        sums[j] = mus.sum(), logq.sum()
-    return sums
+    return np.array([cfg.dist.row_stats(rng.random(n, out=buf[:n]), lam, w) for n in lengths])
 
 
 def _long_row_sums(cfg: EnsembleConfig, lam, w, parts: _Parts, i: int) -> np.ndarray:
-    """(total time, log survival) of realization i, whose row of m draws
-    is cut at the leaves of its pairwise tree into one run of leaves per
-    core; each run reads its stretch of the stream on its own, and the
-    leaf sums are added back up the tree."""
+    """The row statistic of realization i, whose row of m draws is cut at
+    the leaves of its pairwise tree into one run of leaves per core; each
+    run reads its stretch of the stream on its own, and the leaf
+    statistics are added back up the tree."""
     assert _SEGMENT >= 128, "segments below numpy's pairwise block change the sums"
     lengths = _pairwise_sums(int(cfg.m), lambda n: [n])  # lists add up to the leaves, in order
     starts = np.cumsum([0, *lengths]).tolist()  # every left half is a multiple of 8
@@ -311,17 +312,17 @@ def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, parts: _Parts, start: int, stop:
     m = int(cfg.m)
     ms = np.full(stop - start, m, dtype=np.int64)
     if m > _SEGMENT:
-        sums = np.array([_long_row_sums(cfg, lam, w, parts, i) for i in range(start, stop)])
-        return ms, sums[:, 0], sums[:, 1]
-    u = np.empty((stop - start, m), dtype=float)
-    if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
-        philox_uniforms(cfg.master_seed, start, u)
+        stats = np.array([_long_row_sums(cfg, lam, w, parts, i) for i in range(start, stop)])
     else:
-        family = parts.family
-        for j in range(stop - start):
-            family.select(start + j).random(m, out=u[j])
-    mus, logq = cfg.dist.intervals_and_log_q(u, lam, w)
-    return ms, mus.sum(axis=1), logq.sum(axis=1)
+        u = np.empty((stop - start, m), dtype=float)
+        if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
+            philox_uniforms(cfg.master_seed, start, u)
+        else:
+            family = parts.family
+            for j in range(stop - start):
+                family.select(start + j).random(m, out=u[j])
+        stats = cfg.dist.row_stats(u, lam, w)
+    return ms, *cfg.dist.row_sums(stats, lam, w)
 
 
 def _first_block(dist, limit: float) -> int:
@@ -402,9 +403,9 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     The result is bitwise identical for any chunk size: every
     realization's substream is keyed by its index, each draw is mapped
     on its own, and each realization's sums run over its own draws. A
-    fixed-m realization of more than ``_SEGMENT`` draws is summed in
-    segments on numpy's own pairwise tree, so its sums equal ``np.sum``
-    over all its draws at once, bit for bit. Fixed-T finds each
+    fixed-m realization of more than ``_SEGMENT`` draws is reduced in
+    segments on numpy's own pairwise tree, so its statistic equals the
+    one over all its draws at once, bit for bit. Fixed-T finds each
     realization's stop on its own (``_fixed_t_draws``), then maps and
     sums the kept draws of a whole chunk at once.
 

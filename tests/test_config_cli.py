@@ -263,6 +263,18 @@ class TestCli:
         assert {row[0] for row in rows} == {"explicit", "tilting", "empirical"}
         assert all(float(row[2]) == 0.0 for row in rows)
 
+    def test_rate_of_a_point_mass_has_one_point_per_analytic_series(self, tmp_path, capsys):
+        # the rate's domain [min ln q, max ln q] is one value here
+        path = tmp_path / "point.ini"
+        path.write_text(GENERIC_CONFIG.replace(
+            "kind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\n",
+            "kind = degenerate\nmu_bar = 1 ns\n"))
+        assert main(["rate", str(path), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[2:]]
+        analytic = [row for row in rows if row[0] in ("explicit", "tilting")]
+        assert sorted(row[0] for row in analytic) == ["explicit", "tilting"]
+        assert analytic[0][1:3] == analytic[1][1:3] and float(analytic[0][2]) == 0.0
+
     def test_rate_needs_discrete_fixed_m(self, tmp_path, capsys):
         path = tmp_path / "pl.ini"
         path.write_text(

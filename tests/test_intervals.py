@@ -295,9 +295,10 @@ class TestPointMass:
                                          realizations=realizations)
         log_q = log_survival_factor(chain, psi0, self.MU)
         assert np.all(point.ms == 300)
-        # every row sums m copies of the one waiting time and of its ln q
-        assert same_bits(point.total_times, np.full((realizations, 300), self.MU).sum(axis=1))
-        assert same_bits(point.log_survivals, np.full((realizations, 300), log_q).sum(axis=1))
+        # every row counts m draws of the one atom: T = m mu and L = m ln q,
+        # each rounded once
+        assert same_bits(point.total_times, np.full(realizations, 300 * self.MU))
+        assert same_bits(point.log_survivals, np.full(realizations, 300 * log_q))
         assert np.array_equal(point.ms, one_atom.ms)
         assert same_bits(point.total_times, one_atom.total_times)
         assert same_bits(point.log_survivals, one_atom.log_survivals)

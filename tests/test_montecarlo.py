@@ -35,7 +35,7 @@ from zenosim import (
     run_ensemble,
     survival_stats,
 )
-from zenosim import montecarlo
+from zenosim import intervals, montecarlo
 from zenosim.dynamics import phase_weights
 from zenosim.rng import substream
 
@@ -123,14 +123,32 @@ LATTICE_LAWS = {
 }
 
 
-def replay(cfg):
-    """Per-realization reference: substream, sample, then the kernel."""
+def replay(cfg, table=None):
+    """Per-realization reference. A discrete law's row is replayed as its
+    atom counts: the substream's uniforms, each atom by ``searchsorted``
+    (checked against ``sample``), ``bincount``, then sum_a n_a (mu_a,
+    ln q_a) added left to right in atom order over the visited atoms,
+    with ln q from ``table`` (the kernel on the atoms by default). A
+    power law's row is sampled, mapped by the kernel and summed by
+    ``np.sum``."""
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
-    draws = [cfg.dist.sample(substream(cfg.master_seed, i), cfg.m)
-             for i in range(cfg.realizations)]
-    totals = np.array([t.sum() for t in draws])
-    logs = np.array([log_survival_factors(lam, w, t).sum() for t in draws])
-    return totals, logs
+    dist, m = cfg.dist, cfg.m
+    totals, logs = [], []
+    for i in range(cfg.realizations):
+        if not isinstance(dist, DiscreteIntervals):
+            mus = dist.sample(substream(cfg.master_seed, i), m)
+            totals.append(mus.sum())
+            logs.append(log_survival_factors(lam, w, mus).sum())
+            continue
+        atoms = np.searchsorted(dist._cum, substream(cfg.master_seed, i).random(m), side="left")
+        assert same_bits(dist.values[atoms], dist.sample(substream(cfg.master_seed, i), m))
+        counts = np.bincount(atoms, minlength=dist.d).tolist()
+        log_q = log_survival_factors(lam, w, dist.values) if table is None else table
+        visited = [(n, mu, lq) for n, mu, lq in zip(counts, dist.values.tolist(), log_q.tolist())
+                   if n]
+        totals.append(sum(n * mu for n, mu, _ in visited))
+        logs.append(sum(n * lq for n, _, lq in visited))
+    return np.array(totals, dtype=float), np.array(logs, dtype=float)
 
 
 class FixedUniforms:
@@ -173,15 +191,44 @@ class TestLatticeGather:
 
     @pytest.mark.parametrize("probs", [D2_PROBS, D3_PROBS, D4_PROBS, (0.1, 0.2, 0.3, 0.4)])
     def test_atom_index_on_cumulative_edges(self, chain, psi0, probs):
+        # uniforms on a cumulative edge and their neighbours are counted
+        # into the atom ``sample`` maps them to
         dist = DiscreteIntervals(np.arange(1.0, len(probs) + 1) * NS, np.array(probs))
+        lam, w = phase_weights(chain, psi0)
         edges = dist._cum[:-1]
         u = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-        expected = dist.values[np.searchsorted(dist._cum, u, side="left")]
-        mus, _ = dist.intervals_and_log_q(u.copy(), *phase_weights(chain, psi0))
-        assert same_bits(mus, expected)
-        assert same_bits(dist.sample(FixedUniforms(u), u.size), expected)
-        with pytest.raises(ValueError):
-            dist.intervals_and_log_q(np.zeros((4, 4))[:, ::2], *phase_weights(chain, psi0))
+        atoms = np.searchsorted(dist._cum, u, side="left")
+        assert same_bits(dist.sample(FixedUniforms(u), u.size), dist.values[atoms])
+        # one uniform per row: each row counts its one draw in its atom
+        assert same_bits(dist.row_stats(u[:, None].copy(), lam, w), np.eye(dist.d)[atoms])
+        # one row of all of them, as a (1, n) block and as a 1-D leaf
+        counts = np.bincount(atoms, minlength=dist.d)
+        assert same_bits(dist.row_stats(u[None].copy(), lam, w), counts[None])
+        assert same_bits(dist.row_stats(u.copy(), lam, w), counts)
+
+    @pytest.mark.parametrize("m,rare,segment", [
+        (5, 0.1, montecarlo._SEGMENT),  # short rows, drawn by philox_uniforms
+        (200, 0.005, 128),  # rows cut into leaves of about 100 draws
+    ])
+    def test_overlap_zero_atom(self, chain, psi0, monkeypatch, m, rare, segment):
+        # ln q = -inf at the middle atom: a row that visits it has L = -inf,
+        # one that does not a finite L, and no row NaN, as a plain
+        # counts @ table would give from 0 * -inf
+        monkeypatch.setattr(montecarlo, "_SEGMENT", segment)
+        dist = DiscreteIntervals(np.array([1 * NS, 2 * NS, 3 * NS]),
+                                 np.array([(1 - rare) / 2, rare, (1 - rare) / 2]))
+        zero, kernel = dist.values[1], intervals.log_survival_factors
+        monkeypatch.setattr(intervals, "log_survival_factors",
+                            lambda lam, w, mus: np.where(mus == zero, -np.inf, kernel(lam, w, mus)))
+        cfg = make_config(chain, psi0, dist, m=m, realizations=300, master_seed=17)
+        ens = run_ensemble(cfg)
+        table = intervals.log_survival_factors(*phase_weights(chain, psi0), dist.values)
+        totals, logs = replay(cfg, table)
+        visited = np.isneginf(ens.log_survivals)
+        assert 0 < np.count_nonzero(visited) < cfg.realizations
+        assert np.all(np.isfinite(ens.log_survivals[~visited]))
+        assert same_bits(ens.total_times, totals)
+        assert same_bits(ens.log_survivals, logs)
 
     @pytest.mark.parametrize("m,rows,vector", [
         (20, 300, True),
@@ -200,10 +247,11 @@ class TestLatticeGather:
 
     def test_peak_memory_of_short_rows(self, chain, psi0):
         # n realizations of m = 20 on the vector path: the chunk's
-        # uniforms and ln q (16 bytes per draw), the records run_ensemble
-        # keeps (m, total and log survival: 24 bytes per realization, held
-        # once) and at most 2 MiB besides, for philox_uniforms' slabs and
-        # the rest; at 4 x 10^5 the records outweigh the chunk
+        # uniforms and one comparison mask (9 bytes per draw), the records
+        # run_ensemble keeps (m, total and log survival: 24 bytes per
+        # realization, held once) and at most 2 MiB besides, for
+        # philox_uniforms' slabs, the atom counts and the rest; at 4 x 10^5
+        # the records outweigh the chunk
         m = 20
         chunk_draws = montecarlo._CHUNK_TARGET // m * m
         for n in (100_000, 400_000):
@@ -214,7 +262,7 @@ class TestLatticeGather:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 16 * chunk_draws + 24 * n + 2 * 2**20
+            assert peak <= 9 * chunk_draws + 24 * n + 2 * 2**20
 
     def test_peak_memory_per_draw(self, chain, psi0):
         m = 2_000_000
@@ -281,6 +329,23 @@ class TestSegmentedRows:
         assert same_bits(ens.total_times, totals)
         assert same_bits(ens.log_survivals, logs)
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_one_table_per_long_row(self, chain, psi0, monkeypatch, cores):
+        # a discrete row of 9 x _SEGMENT draws has 16 leaves; its ln q
+        # table is evaluated once for the row, not once per leaf
+        use_cores(monkeypatch, cores)
+        sizes, kernel = [], intervals.log_survival_factors
+
+        def counted(lam, w, mus):
+            sizes.append(mus.size)
+            return kernel(lam, w, mus)
+
+        monkeypatch.setattr(intervals, "log_survival_factors", counted)
+        cfg = make_config(chain, psi0, d2(), m=9 * SEGMENT, realizations=3)
+        run_ensemble(cfg)
+        assert len(montecarlo._pairwise_sums(cfg.m, lambda n: [n])) == 16
+        assert sizes == [2] * cfg.realizations
+
     def test_segments_below_numpys_block_are_refused(self, chain, psi0, monkeypatch):
         # numpy adds up to 128 items without splitting; a 64-item leaf
         # would split where numpy does not
@@ -309,23 +374,27 @@ class TestSegmentedRows:
         assert same_bits(total, x[None].sum(axis=1)[0])
 
     def test_peak_memory_is_flat_in_m(self, chain, psi0, monkeypatch):
-        # each part's peak is its leaf buffer and one leaf's ln q and atom
-        # indices; leaves hold between _SEGMENT / 2 and _SEGMENT draws
+        # each part's peak is its leaf buffer and one leaf's comparison
+        # mask; leaves hold between _SEGMENT / 2 and _SEGMENT draws
         # (62,500 at m = 10^6, 39,062 at 10^7), so the peak moves with
         # the leaf length within that range, but never grows with m; nor
-        # with the core count, as a row runs in at most _MAX_PARTS parts
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 64)
-        peaks = []
-        for m in (10**6, 10**7):
-            cfg = make_config(chain, psi0, d2(), m=m, realizations=1)
-            tracemalloc.start()
-            try:
-                run_ensemble(cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0]
-        assert max(peaks) < 4 * 2**20
+        # with the core count, as a row runs in at most _MAX_PARTS parts.
+        # On one core the peak is one part's; on more, the parts' peaks
+        # add only while their threads overlap, which scheduling decides,
+        # so m is compared on one core
+        peaks = {}
+        for cores in (1, 64):
+            use_cores(monkeypatch, cores)
+            for m in (10**6, 10**7):
+                cfg = make_config(chain, psi0, d2(), m=m, realizations=1)
+                tracemalloc.start()
+                try:
+                    run_ensemble(cfg)
+                    peaks[cores, m] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1, 10**7] <= 1.1 * peaks[1, 10**6]
+        assert max(peaks.values()) < 4 * 2**20
 
 
 CORE_COUNTS = [1, 2, 3, 5]
@@ -437,18 +506,18 @@ class PartFault(RuntimeError):
 
 
 class FailingLaw(DiscreteIntervals):
-    """The d2 law, but mapping uniforms raises ``PartFault`` in a helper
+    """The d2 law, but counting uniforms raises ``PartFault`` in a helper
     thread (``where="helper"``) or in the calling one (``"caller"``)."""
 
     def __init__(self, values, probs, where):
         super().__init__(np.array(values), np.array(probs))
         object.__setattr__(self, "where", where)
 
-    def intervals_and_log_q(self, u, lam, w):
+    def row_stats(self, u, lam, w):
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller == (self.where == "caller"):
             raise PartFault(self.where)
-        return super().intervals_and_log_q(u, lam, w)
+        return super().row_stats(u, lam, w)
 
 
 def scalar_budget_rule(draws, limit):
