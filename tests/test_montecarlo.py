@@ -379,22 +379,36 @@ class TestSegmentedRows:
         # (62,500 at m = 10^6, 39,062 at 10^7), so the peak moves with
         # the leaf length within that range, but never grows with m; nor
         # with the core count, as a row runs in at most _MAX_PARTS parts.
-        # On one core the peak is one part's; on more, the parts' peaks
-        # add only while their threads overlap, which scheduling decides,
-        # so m is compared on one core
-        peaks = {}
-        for cores in (1, 64):
+        # Whether two parts overlap is for the scheduler to decide, so on
+        # many cores each leaf waits for the other part's (both parts
+        # have as many leaves), and both leaf buffers are always held
+        def peaks_at(cores):
             use_cores(monkeypatch, cores)
+            peaks = {}
             for m in (10**6, 10**7):
                 cfg = make_config(chain, psi0, d2(), m=m, realizations=1)
                 tracemalloc.start()
                 try:
                     run_ensemble(cfg)
-                    peaks[cores, m] = tracemalloc.get_traced_memory()[1]
+                    peaks[m] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-        assert peaks[1, 10**7] <= 1.1 * peaks[1, 10**6]
-        assert max(peaks.values()) < 4 * 2**20
+            return peaks
+
+        one = peaks_at(1)
+        both = threading.Barrier(2, timeout=60)
+        count = DiscreteIntervals.row_stats
+
+        def paired(self, u, lam, w):
+            both.wait()
+            return count(self, u, lam, w)
+
+        monkeypatch.setattr(DiscreteIntervals, "row_stats", paired)
+        two = peaks_at(64)
+        assert one[10**7] <= 1.1 * one[10**6]
+        assert two[10**7] <= 1.1 * two[10**6]
+        assert two[10**6] > 1.5 * one[10**6]  # the parts did overlap
+        assert max(*one.values(), *two.values()) < 4 * 2**20
 
 
 CORE_COUNTS = [1, 2, 3, 5]
