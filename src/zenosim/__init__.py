@@ -74,6 +74,7 @@ from .montecarlo import (
     EnsembleConfig,
     EnsembleSummary,
     InsufficientSamplesError,
+    NonFiniteRecordsError,
     SurvivalEnsemble,
     empirical_rate,
     ensemble_summary,

@@ -39,6 +39,7 @@ from .ldstats import (
 from .montecarlo import (
     EnsembleConfig,
     InsufficientSamplesError,
+    NonFiniteRecordsError,
     empirical_rate,
     ensemble_summary,
     run_ensemble,
@@ -53,6 +54,7 @@ _NUMERICAL_ERRORS = (
     ZeroVarianceError,
     InfiniteMeanError,
     InfiniteSecondMomentError,
+    NonFiniteRecordsError,
 )
 
 

@@ -8,6 +8,8 @@ self-describing and byte-identical across reruns.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import __version__
 
 __all__ = ["format_cell", "write_csv"]
@@ -26,15 +28,25 @@ def format_cell(value) -> str:
     return text
 
 
-def _column_format(cells) -> str:
-    """One %-format for a whole column; ``format_cell`` strings when its
-    cells are not all plain floats or all plain ints (bool is not int)."""
-    kinds = set(map(type, cells))
+def _float_texts(column) -> list[str]:
+    """The ``%.16e`` text of each float, formatting each distinct bit
+    pattern once: keyed on bits, -0.0 stays apart from 0.0 and NaNs match."""
+    bits = np.array(column, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(["%.16e" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _column_cells(column) -> tuple[str, list]:
+    """A column's format and its cells: ``%d`` over all plain ints (bool
+    is not int), else ``%s`` over texts, from ``_float_texts`` for all
+    plain floats and from ``format_cell`` for any other mix."""
+    kinds = set(map(type, column))
     if kinds == {float}:
-        return "%.16e"  # the same text as format_cell gives a float
+        return "%s", _float_texts(column)
     if kinds == {int}:
-        return "%d"
-    return "%s"
+        return "%d", column
+    return "%s", list(map(format_cell, column))
 
 
 def write_csv(path: str, columns, rows, *, meta: dict) -> None:
@@ -42,7 +54,9 @@ def write_csv(path: str, columns, rows, *, meta: dict) -> None:
 
     Each column gets one format from the types of its cells, and each
     row is one ``%`` of the row format; the text is what ``format_cell``
-    gives cell by cell.
+    gives cell by cell. Each distinct float of a column is formatted
+    once, keyed on its bit pattern, so a column of few distinct values
+    costs little more than its rows' join.
     """
     tags = ", ".join(f"{k}={v}" for k, v in meta.items())
     lines = [f"# zenosim {__version__}, {tags}", ",".join(columns)]
@@ -50,9 +64,7 @@ def write_csv(path: str, columns, rows, *, meta: dict) -> None:
     if cells:
         if len(cells) != len(columns):
             raise ValueError(f"{len(columns)} columns but rows of {len(cells)} cells")
-        formats = [_column_format(column) for column in cells]
-        cells = [column if fmt != "%s" else list(map(format_cell, column))
-                 for column, fmt in zip(cells, formats)]
+        formats, cells = zip(*map(_column_cells, cells))
         row_format = ",".join(formats)
         lines.extend(row_format % row for row in zip(*cells))
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -53,6 +53,7 @@ from .rng import StreamFamily, philox_uniforms
 
 __all__ = [
     "InsufficientSamplesError",
+    "NonFiniteRecordsError",
     "EnsembleConfig",
     "SurvivalEnsemble",
     "EmpiricalRate",
@@ -94,6 +95,18 @@ _BUDGET_SLACK = 1e-12
 
 class InsufficientSamplesError(ValueError):
     """Too few realizations for the requested statistic."""
+
+
+class NonFiniteRecordsError(ValueError):
+    """The requested statistic is undefined over non-finite log survivals
+    (L = -inf where a factor q(mu) is exactly zero)."""
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise NonFiniteRecordsError(
+            f"{what} needs finite records, but {bad} of {values.size} are not")
 
 
 @dataclass(frozen=True)
@@ -189,12 +202,14 @@ class EnsembleSummary:
     def variance_intensive_log(self) -> float:
         """Sample variance of L/m over the realizations with m >= 1 (a
         fixed-T budget below the smallest interval leaves m = 0, where L/m
-        is undefined); ``InsufficientSamplesError`` below two of them."""
+        is undefined); ``InsufficientSamplesError`` below two of them and
+        ``NonFiniteRecordsError`` if any of them is not finite."""
         if self.intensive_logs.size < 2:
             raise InsufficientSamplesError(
                 f"the variance needs at least two realizations with m >= 1, "
                 f"got {self.intensive_logs.size} of {self.n}"
             )
+        _require_finite(self.intensive_logs, "the variance of L/m")
         return float(np.var(self.intensive_logs, ddof=1))
 
 
@@ -430,7 +445,8 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
 
 
 def empirical_rate(ens: SurvivalEnsemble, bins: int) -> EmpiricalRate:
-    """Estimate the rate function from a fixed-m ensemble histogram."""
+    """Estimate the rate function from a fixed-m ensemble histogram;
+    ``NonFiniteRecordsError`` if any log survival is not finite."""
     if ens.config.mode != "fixed_m":
         raise ValueError("rate estimation needs a fixed-m ensemble")
     if bins < 1:
@@ -440,6 +456,7 @@ def empirical_rate(ens: SurvivalEnsemble, bins: int) -> EmpiricalRate:
             f"{ens.n} realizations cannot populate {bins} bins (need >= {10 * bins})"
         )
     m = int(ens.config.m)
+    _require_finite(ens.log_survivals, "the empirical rate")
     xs = ens.log_survivals / m
     lo, hi = float(xs.min()), float(xs.max())
     if hi <= lo:
@@ -476,7 +493,8 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     ``intervals._log_mean_q`` does, so close records keep their digits.
     Every field is defined for any ensemble; only the variance of L/m
     (``EnsembleSummary.variance_intensive_log``) needs two realizations
-    with m >= 1.
+    with m >= 1, all of them finite. ``math.fsum`` reads lists, which it
+    iterates faster than arrays, with the same correctly rounded sums.
     """
     logs = ens.log_survivals
     smax = float(logs.max())
@@ -484,14 +502,14 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
         log_mean = -math.inf
     else:
         shifted = logs - smax
-        log_mean = smax + _log_mean_q(math.fsum(-np.expm1(shifted)) / ens.n,
-                                      math.log(math.fsum(np.exp(shifted)) / ens.n))
+        log_mean = smax + _log_mean_q(math.fsum((-np.expm1(shifted)).tolist()) / ens.n,
+                                      math.log(math.fsum(np.exp(shifted).tolist()) / ens.n))
     measured = ens.ms >= 1
     return EnsembleSummary(
         log_mean_survival=log_mean,
-        log_geometric_mean=math.fsum(logs) / ens.n,
+        log_geometric_mean=math.fsum(logs.tolist()) / ens.n,
         log_median=float(np.median(logs)),
-        mean_total_time=math.fsum(ens.total_times) / ens.n,
+        mean_total_time=math.fsum(ens.total_times.tolist()) / ens.n,
         n=ens.n,
         intensive_logs=logs[measured] / ens.ms[measured],
     )

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from zenosim import DegenerateInterval, DiscreteIntervals, PowerLawIntervals
+from zenosim import DegenerateInterval, DiscreteIntervals, PowerLawIntervals, cli, run_ensemble
 from zenosim.cli import main
 from zenosim.expconfig import (
     ConfigError,
@@ -274,6 +274,20 @@ class TestCli:
         analytic = [row for row in rows if row[0] in ("explicit", "tilting")]
         assert sorted(row[0] for row in analytic) == ["explicit", "tilting"]
         assert analytic[0][1:3] == analytic[1][1:3] and float(analytic[0][2]) == 0.0
+
+    def test_rate_of_non_finite_records_is_a_numerical_failure(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # a factor q(mu) of exactly zero gives L = -inf, and no histogram
+        def with_zero_factors(cfg):
+            ens = run_ensemble(cfg)
+            ens.log_survivals[:2] = -math.inf
+            return ens
+
+        monkeypatch.setattr(cli, "run_ensemble", with_zero_factors)
+        path = tmp_path / "exp.ini"
+        path.write_text(GENERIC_CONFIG)
+        assert main(["rate", str(path), "--out", str(tmp_path)]) == 2
+        assert "2 of 60 are not" in capsys.readouterr().err
 
     def test_rate_needs_discrete_fixed_m(self, tmp_path, capsys):
         path = tmp_path / "pl.ini"

@@ -27,6 +27,7 @@ from zenosim import (
     EnsembleConfig,
     InsufficientSamplesError,
     LdProblem,
+    NonFiniteRecordsError,
     PowerLawIntervals,
     empirical_rate,
     ensemble_summary,
@@ -942,3 +943,52 @@ class TestEmpiricalRate:
             assert abs(rate - rate_function_I(prob, float(x))) <= 0.05
             checked += 1
         assert checked >= 5
+
+
+def hand_built(chain, psi0, logs, m=20):
+    """A fixed-m ensemble with the given log survivals."""
+    logs = np.array(logs, dtype=float)
+    return montecarlo.SurvivalEnsemble(
+        config=make_config(chain, psi0, d2(), m=m, realizations=logs.size),
+        ms=np.full(logs.size, m, dtype=np.int64),
+        total_times=np.full(logs.size, m * 2 * NS),
+        log_survivals=logs,
+    )
+
+
+class TestNonFiniteRecords:
+    def logs(self, bad):
+        logs = -np.linspace(0.1, 3.0, 120)
+        logs[[4, 50, 51, 119][:bad]] = -math.inf
+        return logs
+
+    @pytest.mark.parametrize("bad", [1, 3])
+    def test_variance_and_rate_are_typed_errors(self, chain, psi0, bad):
+        ens = hand_built(chain, psi0, self.logs(bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summ = ensemble_summary(ens)
+            with pytest.raises(NonFiniteRecordsError, match=f"{bad} of 120 are not"):
+                summ.variance_intensive_log
+            with pytest.raises(NonFiniteRecordsError, match=f"{bad} of 120 are not"):
+                empirical_rate(ens, bins=5)
+        assert summ.log_geometric_mean == -math.inf
+        assert math.isfinite(summ.log_mean_survival)
+
+    def test_every_record_minus_infinity(self, chain, psi0):
+        ens = hand_built(chain, psi0, [-math.inf] * 30)
+        summ = ensemble_summary(ens)
+        assert summ.log_mean_survival == summ.log_median == -math.inf
+        with pytest.raises(NonFiniteRecordsError, match="30 of 30"):
+            summ.variance_intensive_log
+        with pytest.raises(NonFiniteRecordsError, match="30 of 30"):
+            empirical_rate(ens, bins=3)
+
+    def test_finite_records_are_unchanged(self, chain, psi0):
+        ens = hand_built(chain, psi0, self.logs(0))
+        summ = ensemble_summary(ens)
+        assert summ.variance_intensive_log == float(np.var(ens.log_survivals / 20, ddof=1))
+        assert empirical_rate(ens, bins=5).counts.sum() == 120
+        # fsum over a list is the correctly rounded sum of the array too
+        assert summ.log_geometric_mean == math.fsum(ens.log_survivals) / 120
+        assert summ.mean_total_time == math.fsum(ens.total_times) / 120
