@@ -66,10 +66,11 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _print_summary(cfg: ExperimentConfig, ens) -> None:
+def _print_summary(ens) -> None:
+    cfg = ens.config
     h, psi0, dist, m = cfg.hamiltonian, cfg.state, cfg.dist, cfg.m
     print("summary")
-    if m is not None:
+    if cfg.mode == "fixed_m":  # a fixed-T config may carry a stray m
         try:
             stats = survival_stats_for(dist, h, psi0, m)
             print(f"  ln P*   = {_fmt(stats.log_p_star)}")
@@ -160,7 +161,7 @@ def _cmd_run(args) -> int:
             ylabel="ln P",
         )
         print(f"wrote {svg_path}")
-    _print_summary(cfg, ens)
+    _print_summary(ens)
     return 0
 
 

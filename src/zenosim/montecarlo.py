@@ -24,18 +24,18 @@ bits of ``np.sum`` over the whole row, and memory does not grow with m.
 
 A long row runs as one part per usable core, at most ``_MAX_PARTS``:
 the leaves of its tree are cut into contiguous runs, the calling thread
-runs the first and helper threads, which live for one ``run_ensemble``
-call, the rest. No bit moves: Philox is counter based, so a run opens
-its own stream at its first draw (``StreamFamily.select(i, draw)``) and
-reads what a serial pass would, each leaf is reduced on its own, and
-the leaf statistics are added up the same tree in the calling thread.
-With one core, or a row of one leaf, there is one part and no thread. A
-fixed-T realization runs the compensated one-draw-at-a-time stop rule
-over blocks of draws, its state carried from block to block; it sizes
-its first block from the law's mean and each next one from its own mean
-waiting time so far; the kept draws of a chunk of realizations are then
-mapped by one ln q call and summed row by row. Records fill
-preallocated arrays.
+runs the first and a thread pool the rest, which ``run_ensemble`` makes
+only for rows that split and shuts down before it returns. No bit moves:
+Philox is counter based, so a run opens its own stream family at its
+first draw (``StreamFamily.select(i, draw)``) and reads what a serial
+pass would, each leaf is reduced on its own, and the leaf statistics
+are added up the same tree in the calling thread. With one core, or
+rows of one leaf, there is one part and no pool. A fixed-T realization
+runs the compensated one-draw-at-a-time stop rule over blocks of draws,
+its state carried from block to block; it sizes its first block from
+the law's mean and each next one from its own mean waiting time so far;
+the kept draws of a chunk of realizations are then mapped by one ln q
+call and summed row by row. Records fill preallocated arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -267,73 +266,45 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-class _Parts:
-    """Runs the parts of long rows for one ``run_ensemble`` call: the
-    calling thread the first, with the run's stream family, and helper
-    threads the rest, each part with a family of its own. The helpers
-    start with the first row that splits and stop with ``close``."""
-
-    def __init__(self, master_seed: int):
-        self.seed = master_seed
-        self.family = StreamFamily(master_seed)
-        self._pool = None
-
-    @cached_property
-    def cores(self) -> int:
-        return min(_MAX_PARTS, _usable_cores())
-
-    def run(self, fn, parts: list[tuple]) -> list:
-        """``[fn(family, *part) for part in parts]``."""
-        if len(parts) > 1 and self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(self.cores - 1)
-        helped = [self._pool.submit(lambda part=part: fn(StreamFamily(self.seed), *part))
-                  for part in parts[1:]]
-        first = fn(self.family, *parts[0])
-        return [first, *(future.result() for future in helped)]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-
-
-def _leaf_sums(family: StreamFamily, cfg: EnsembleConfig, lam, w, i: int, draw: int,
-               lengths: list[int]) -> np.ndarray:
+def _leaf_sums(cfg: EnsembleConfig, lam, w, i: int, draw: int, lengths: list[int]) -> np.ndarray:
     """The law's row statistic (``row_stats``) of each of the consecutive
     leaves of ``lengths`` of realization i, from its draw ``draw`` on,
-    drawn one at a time into one reused buffer."""
-    rng = family.select(i, draw)
+    drawn one at a time into one reused buffer from a stream family of
+    its own, so runs of leaves can be read on any threads."""
+    rng = StreamFamily(cfg.master_seed).select(i, draw)
     buf = np.empty(max(lengths))
     return np.array([cfg.dist.row_stats(rng.random(n, out=buf[:n]), lam, w) for n in lengths])
 
 
-def _long_row_sums(cfg: EnsembleConfig, lam, w, parts: _Parts, i: int) -> np.ndarray:
+def _long_row_sums(cfg: EnsembleConfig, lam, w, parts: int, pool, i: int) -> np.ndarray:
     """The row statistic of realization i, whose row of m draws is cut at
-    the leaves of its pairwise tree into one run of leaves per core; each
-    run reads its stretch of the stream on its own, and the leaf
-    statistics are added back up the tree."""
+    the leaves of its pairwise tree into one run of leaves per part; each
+    run reads its stretch of the stream on its own, the calling thread
+    the first and ``pool`` the rest, and the leaf statistics are added
+    back up the tree."""
     assert _SEGMENT >= 128, "segments below numpy's pairwise block change the sums"
     lengths = _pairwise_sums(int(cfg.m), lambda n: [n])  # lists add up to the leaves, in order
     starts = np.cumsum([0, *lengths]).tolist()  # every left half is a multiple of 8
-    count = min(parts.cores, len(lengths))
+    count = min(parts, len(lengths))
     cuts = [len(lengths) * k // count for k in range(count + 1)]  # near-equal runs of leaves
-    runs = parts.run(_leaf_sums, [(cfg, lam, w, i, starts[a], lengths[a:b])
-                                  for a, b in zip(cuts, cuts[1:])])
-    leaf = iter(np.concatenate(runs))
+    runs = [(cfg, lam, w, i, starts[a], lengths[a:b]) for a, b in zip(cuts, cuts[1:])]
+    helped = [pool.submit(_leaf_sums, *run) for run in runs[1:]]
+    first = _leaf_sums(*runs[0])
+    leaf = iter(np.concatenate([first, *(future.result() for future in helped)]))
     return _pairwise_sums(int(cfg.m), lambda n: next(leaf))
 
 
-def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, parts: _Parts, start: int, stop: int):
+def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, parts: int, pool, start: int, stop: int):
     m = int(cfg.m)
     ms = np.full(stop - start, m, dtype=np.int64)
     if m > _SEGMENT:
-        stats = np.array([_long_row_sums(cfg, lam, w, parts, i) for i in range(start, stop)])
+        stats = np.array([_long_row_sums(cfg, lam, w, parts, pool, i) for i in range(start, stop)])
     else:
         u = np.empty((stop - start, m), dtype=float)
         if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
             philox_uniforms(cfg.master_seed, start, u)
         else:
-            family = parts.family
+            family = StreamFamily(cfg.master_seed)
             for j in range(stop - start):
                 family.select(start + j).random(m, out=u[j])
         stats = cfg.dist.row_stats(u, lam, w)
@@ -391,16 +362,16 @@ def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
     return ms, totals, logs
 
 
-def _chunks(cfg: EnsembleConfig, lam, w, parts: _Parts):
+def _chunks(cfg: EnsembleConfig, lam, w, parts: int, pool):
     """(ms, totals, log survivals) of consecutive realizations, in chunks
     of about ``_CHUNK_TARGET`` intervals (kept intervals, for fixed-T)."""
-    family = parts.family
     n = cfg.realizations
     if cfg.mode == "fixed_m":
         rows = max(1, _CHUNK_TARGET // int(cfg.m))
         for start in range(0, n, rows):
-            yield _fixed_m_chunk(cfg, lam, w, parts, start, min(start + rows, n))
+            yield _fixed_m_chunk(cfg, lam, w, parts, pool, start, min(start + rows, n))
         return
+    family = StreamFamily(cfg.master_seed)
     limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
     first = _first_block(cfg.dist, limit)
     rows, kept = [], 0
@@ -426,21 +397,28 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
 
     A long fixed-m row runs in one part per usable core (at most
     ``_MAX_PARTS``), with the same bits for any core count: each run of
-    its leaves opens the stream at its first draw. Helper threads start
-    with the first row that splits and are joined before this returns or
-    raises; an error in a part is raised here with its own type.
+    its leaves opens the stream at its first draw. The helper threads
+    are a ``ThreadPoolExecutor`` made only when the rows split (fixed-m,
+    m over ``_SEGMENT``, more than one part), so other runs neither
+    import ``concurrent.futures`` nor start a thread; they are joined
+    before this returns or raises, and an error in a part is raised here
+    with its own type.
     """
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     n = cfg.realizations
     ms, totals, logs = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    start, parts = 0, _Parts(cfg.master_seed)
+    start, parts, pool = 0, min(_MAX_PARTS, _usable_cores()), None
+    if cfg.mode == "fixed_m" and cfg.m > _SEGMENT and parts > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(parts - 1)
     try:
-        for chunk in _chunks(cfg, lam, w, parts):
+        for chunk in _chunks(cfg, lam, w, parts, pool):
             stop = start + chunk[0].size
             ms[start:stop], totals[start:stop], logs[start:stop] = chunk
             start = stop
     finally:
-        parts.close()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return SurvivalEnsemble(config=cfg, ms=ms, total_times=totals, log_survivals=logs)
 
 

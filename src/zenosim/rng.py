@@ -7,12 +7,13 @@ counter-based generator, so ensembles are bitwise reproducible for a given
 master seed however realizations are chunked.
 
 Two ways to read the streams give the same bits. ``StreamFamily`` keys
-numpy's C generator for one realization at a time, which suits long
-rows. ``philox_uniforms`` runs Philox-4x64-10 itself, in numpy integer
-operations over a whole block of realizations at once (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11), which suits many
-short rows: it costs more per draw than the C generator but nothing per
-realization.
+numpy's C generator for one realization at a time, from any draw on,
+which suits long rows; it holds mutable state, so each loop that reads
+streams opens a family of its own. ``philox_uniforms`` runs
+Philox-4x64-10 itself, in numpy integer operations over a whole block
+of realizations at once (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11), which suits many short rows: it costs more
+per draw than the C generator but nothing per realization.
 """
 
 from __future__ import annotations
@@ -52,15 +53,16 @@ def substream(master_seed: int, realization_index: int = 0) -> Generator:
 class StreamFamily:
     """All substreams of one master seed behind a single Philox instance.
 
-    ``select(i)`` re-keys the generator in place and rewinds its counter,
-    which is bitwise equivalent to ``substream(master_seed, i)`` and
-    cheaper than constructing a fresh bit generator, but it still costs a
-    few microseconds per realization; blocks of short rows are cheaper
-    with ``philox_uniforms``. ``select(i, draw=k)`` starts the stream at
-    its draw k instead, as if k draws had been read: Philox is counter
-    based, so any stretch of a stream can be read on its own. Each
-    counter gives four draws, so k must be a multiple of 4. The family
-    owns mutable state: use one instance per thread.
+    ``select(i, draw=k)`` re-keys the generator in place and sets its
+    counter so that the stream starts at its draw k, as if k draws had
+    been read: Philox is counter based, so any stretch of a stream can be
+    read on its own. Each counter gives four draws, so k must be a
+    multiple of 4; ``select(i)`` starts at draw 0 and is bitwise
+    equivalent to ``substream(master_seed, i)``, cheaper than
+    constructing a fresh bit generator, but it still costs a few
+    microseconds per realization; blocks of short rows are cheaper with
+    ``philox_uniforms``. The family owns mutable state: each loop that
+    reads streams, and so each thread, opens its own.
     """
 
     def __init__(self, master_seed: int):
@@ -74,15 +76,9 @@ class StreamFamily:
         self._key[1] = master_seed & _MASK64
 
     def select(self, realization_index: int, draw: int = 0) -> Generator:
-        self._key[0] = realization_index & _MASK64
-        if draw:
-            return self._seek(draw)
-        self._bitgen.state = self._state
-        return self._generator
-
-    def _seek(self, draw: int) -> Generator:
         if draw % 4 or draw < 0:
             raise ValueError(f"a stream starts at a multiple of 4 draws, not {draw}")
+        self._key[0] = realization_index & _MASK64
         # the counter steps before each block of four, so block draw // 4 comes next
         self._counter[0] = draw // 4
         self._bitgen.state = self._state
@@ -147,9 +143,11 @@ def philox_uniforms(master_seed: int, first_index: int, out: np.ndarray) -> np.n
     That stream's block b is Philox-4x64-10 at counter b + 1 under key
     words (index, seed); its four words are read in order and word x
     becomes the double (x >> 11) 2**-53, as numpy does. Work runs in slabs
-    of about ``_SLAB_COUNTERS`` counters, so the uint64 temporaries stay
-    small whatever the block size. Raises ``TypeError`` for another dtype
-    and ``ValueError`` for another shape or layout.
+    of whole rows, of about ``_SLAB_COUNTERS`` counters or one row where a
+    row has more, so the uint64 temporaries stay small for the short rows
+    ``montecarlo`` passes (at most 128 draws, 32 counters). Raises
+    ``TypeError`` for another dtype and ``ValueError`` for another shape
+    or layout.
     """
     if not isinstance(out, np.ndarray) or out.dtype != np.float64:
         raise TypeError("philox_uniforms fills a float64 array")
@@ -161,16 +159,12 @@ def philox_uniforms(master_seed: int, first_index: int, out: np.ndarray) -> np.n
     seed = master_seed & _MASK64
     blocks = -(-m // 4)
     slab_rows = max(1, _SLAB_COUNTERS // blocks)
-    slab_blocks = min(blocks, _SLAB_COUNTERS)
     for r0 in range(0, rows, slab_rows):
         r1 = min(rows, r0 + slab_rows)
-        for b0 in range(0, blocks, slab_blocks):
-            b1 = min(blocks, b0 + slab_blocks)
-            words = _philox_words(seed, first_index + r0, r1 - r0, b0, b1 - b0)
-            draws = np.empty((r1 - r0, b1 - b0, 4))
-            for j, word in enumerate(words):
-                word >>= _SHIFT11
-                np.multiply(word, 2.0**-53, out=draws[..., j])
-            stop = min(4 * b1, m)  # a row's last block may overhang it
-            out[r0:r1, 4 * b0:stop] = draws.reshape(r1 - r0, -1)[:, :stop - 4 * b0]
+        words = _philox_words(seed, first_index + r0, r1 - r0, 0, blocks)
+        draws = np.empty((r1 - r0, blocks, 4))
+        for j, word in enumerate(words):
+            word >>= _SHIFT11
+            np.multiply(word, 2.0**-53, out=draws[..., j])
+        out[r0:r1] = draws.reshape(r1 - r0, -1)[:, :m]  # a row's last block may overhang it
     return out

@@ -240,6 +240,18 @@ class TestCli:
             assert line in out
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 2 + rows
 
+    def test_fixed_t_summary_ignores_a_stray_m(self, tmp_path, capsys):
+        # a fixed-T run draws no fixed count of intervals, so an m left in
+        # its config must not print an analytic ln P* for m = 5000
+        old = "mode = fixed_m\nm = 50"
+        assert old in GENERIC_CONFIG
+        path = tmp_path / "stray.ini"
+        path.write_text(GENERIC_CONFIG.replace(old, "mode = fixed_T\nt_total = 300 ns\nm = 5000"))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "ln P*" not in out and "ln <P>" not in out
+        assert "tau_Z" in out and "sample ln geo-mean" in out
+
     def test_rate_command(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(GENERIC_CONFIG)
@@ -358,3 +370,32 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert out.stdout.split() == ["False", "False", "False"]
+
+
+@pytest.mark.parametrize("run,splits", [
+    ("mode = fixed_m\nm = 20", False),
+    ("mode = fixed_T\nt_total = 300 ns", False),
+    ("mode = fixed_m\nm = 200000", True),  # a row of more than one segment
+], ids=["fixed_m_short", "fixed_T", "fixed_m_long"])
+def test_run_imports_concurrent_futures_only_for_rows_that_split(tmp_path, run, splits):
+    # in a fresh interpreter: the thread pool module is loaded, and a
+    # thread started, only when a long row runs in more than one part
+    path = tmp_path / "exp.ini"
+    path.write_text(GENERIC_CONFIG.replace("mode = fixed_m\nm = 50", run)
+                    .replace("realizations = 60", "realizations = 2"))
+    code = (
+        "import sys, threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda t: (started.append(t), start(t))[1]\n"
+        "from zenosim import cli, montecarlo\n"
+        f"assert cli.main(['run', {str(path)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "parts = min(montecarlo._MAX_PARTS, montecarlo._usable_cores())\n"
+        "print('concurrent.futures' in sys.modules, bool(started), parts > 1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    loaded, threaded, cores = out.stdout.split()[-3:]
+    expected = str(splits and cores == "True")
+    assert (loaded, threaded) == (expected, expected)

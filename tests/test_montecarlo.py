@@ -466,8 +466,22 @@ class TestCoreParts:
         # however many cores there are, a row runs in at most _MAX_PARTS
         use_cores(monkeypatch, 64)
         calls = spy_parts(monkeypatch)
-        run_ensemble(make_config(chain, psi0, d2(), m=9 * SEGMENT, realizations=3))
+        cfg = make_config(chain, psi0, d2(), m=9 * SEGMENT, realizations=3)
+        run_ensemble(cfg)
         assert len(calls) == 3 * montecarlo._MAX_PARTS
+        # with one part allowed, every leaf runs in the calling thread and
+        # no pool is made: an executor of zero workers would raise
+        use_cores(monkeypatch, 64, max_parts=1)
+        calls.clear()
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread))[1])
+        ens = run_ensemble(cfg)
+        assert calls == [threading.get_ident()] * 3 and started == []
+        totals, logs = replay(cfg)
+        assert same_bits(ens.total_times, totals)
+        assert same_bits(ens.log_survivals, logs)
 
     @pytest.mark.parametrize("m", [129, 2000, 6400])
     @pytest.mark.parametrize("rows", [25, 131])
