@@ -15,13 +15,12 @@ environment variable, falling back to the working directory.
 from __future__ import annotations
 
 import argparse
-import difflib
 import os
 import sys
 
 from .csvout import write_csv
 from .dynamics import ZeroVarianceError, zeno_time
-from .expconfig import ConfigError, ExperimentConfig, load_config
+from .expconfig import ConfigError, did_you_mean, load_config
 from .intervals import (
     DiscreteIntervals,
     InfiniteMeanError,
@@ -37,7 +36,6 @@ from .ldstats import (
     survival_stats_for,
 )
 from .montecarlo import (
-    EnsembleConfig,
     InsufficientSamplesError,
     NonFiniteRecordsError,
     empirical_rate,
@@ -70,7 +68,7 @@ def _print_summary(ens) -> None:
     cfg = ens.config
     h, psi0, dist, m = cfg.hamiltonian, cfg.state, cfg.dist, cfg.m
     print("summary")
-    if cfg.mode == "fixed_m":  # a fixed-T config may carry a stray m
+    if cfg.mode == "fixed_m":
         try:
             stats = survival_stats_for(dist, h, psi0, m)
             print(f"  ln P*   = {_fmt(stats.log_p_star)}")
@@ -95,32 +93,10 @@ def _print_summary(ens) -> None:
     print(f"  sample mean T      = {_fmt(summ.mean_total_time)} s")
 
 
-def _ensemble_from_config(cfg: ExperimentConfig) -> EnsembleConfig:
-    if cfg.dist is None:
-        raise ConfigError("this command needs a [distribution] section")
-    if cfg.mode is None:
-        raise ConfigError("this command needs run.mode")
-    try:
-        return EnsembleConfig(
-            dist=cfg.dist,
-            hamiltonian=cfg.hamiltonian,
-            state=cfg.state,
-            mode=cfg.mode,
-            realizations=cfg.realizations,
-            master_seed=cfg.seed,
-            m=cfg.m,
-            t_total=cfg.t_total,
-        )
-    except ValueError as exc:  # e.g. fixed_m without m, fixed_T without t_total
-        raise ConfigError(f"invalid run section: {exc}") from exc
-
-
 def _check_preset(name: str) -> None:
     """Reject an unknown preset name, suggesting close matches."""
     if name not in PRESETS:
-        hints = difflib.get_close_matches(name, PRESETS, n=3)
-        hint = f"; did you mean {', '.join(hints)}?" if hints else ""
-        raise ConfigError(f"unknown preset {name!r}{hint}")
+        raise ConfigError(f"unknown preset {name!r}{did_you_mean(name, PRESETS)}")
 
 
 def _cmd_run(args) -> int:
@@ -139,7 +115,9 @@ def _cmd_run(args) -> int:
         print(f"preset {cfg.preset}: wrote {written['csv']} (seed {written['seed']})")
         return 0
 
-    ens = run_ensemble(_ensemble_from_config(cfg))
+    if cfg.ensemble is None:
+        raise ConfigError("run needs run.preset, or a [distribution] section and run.mode")
+    ens = run_ensemble(cfg.ensemble)
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, cfg.csv_path or "ensemble.csv")
     index, logs = range(ens.n), ens.log_survivals.tolist()
@@ -148,7 +126,7 @@ def _cmd_run(args) -> int:
         ("realization_index", "m", "total_time_s", "log_survival"),
         zip(index, ens.ms.tolist(), ens.total_times.tolist(), logs),
         meta={"command": "run", "preset": "none", "seed": cfg.seed,
-              "mode": cfg.mode},
+              "mode": ens.config.mode},
     )
     print(f"wrote {csv_path} ({ens.n} realizations)")
     if cfg.svg_path:
@@ -168,13 +146,14 @@ def _cmd_run(args) -> int:
 def _cmd_rate(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args.out)
-    if not isinstance(cfg.dist, DiscreteIntervals):
+    run = cfg.ensemble
+    if run is None or not isinstance(run.dist, DiscreteIntervals):
         raise ConfigError("rate curves need a discrete waiting-time distribution")
-    if cfg.mode != "fixed_m" or cfg.m is None:
-        raise ConfigError("rate curves need mode = fixed_m and a measurement count")
-    prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, cfg.dist, cfg.m)
+    if run.mode != "fixed_m":
+        raise ConfigError("rate curves need mode = fixed_m")
+    prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, run.dist, run.m)
 
-    ens = run_ensemble(_ensemble_from_config(cfg))
+    ens = run_ensemble(run)
     est = empirical_rate(ens, bins=cfg.bins)
     os.makedirs(out, exist_ok=True)
 
@@ -192,7 +171,7 @@ def _cmd_rate(args) -> int:
         ("series", "x", "rate", "count"),
         rows,
         meta={"command": "rate", "preset": "none", "seed": cfg.seed,
-              "m": cfg.m, "realizations": cfg.realizations},
+              "m": run.m, "realizations": run.realizations},
     )
     print(f"wrote {csv_path}")
     if cfg.svg_path:

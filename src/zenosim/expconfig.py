@@ -28,14 +28,20 @@ Example::
     csv = run.csv
     svg = run.svg
 
-A ``preset = <name>`` key in ``[run]`` delegates to the named preset
-instead of a generic run; see :mod:`zenosim.presets`. Values are read
-literally: ``%`` is an ordinary character, not an interpolation.
+``kind = powerlaw`` takes ``mu0`` and ``alpha``, ``degenerate`` takes
+``mu_bar``. A ``[distribution]`` section and ``run.mode`` come together
+as the run's :class:`~zenosim.montecarlo.EnsembleConfig`, which checks
+them: ``fixed_m`` takes ``m``, ``fixed_T`` a finite ``t_total``, neither
+the other's key. ``[run]`` may also set ``bins`` (rate histograms) or
+``preset = <name>``, which runs the named preset instead. Any other
+section or key is an error. Values are read literally: ``%`` is an
+ordinary character, not an interpolation.
 """
 
 from __future__ import annotations
 
 import configparser
+import difflib
 import math
 from dataclasses import dataclass
 
@@ -48,6 +54,7 @@ from .intervals import (
     IntervalDistribution,
     PowerLawIntervals,
 )
+from .montecarlo import EnsembleConfig
 from .rng import DEFAULT_SEED
 
 __all__ = [
@@ -61,6 +68,13 @@ __all__ = [
 
 _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6}
+#: the keys each section may hold
+_KEYS = {
+    "system": ("omegas", "coupling", "initial_state"),
+    "distribution": ("kind", "values", "probs", "mu0", "alpha", "mu_bar"),
+    "run": ("mode", "m", "t_total", "realizations", "seed", "bins", "preset"),
+    "outputs": ("csv", "svg"),
+}
 
 
 class ConfigError(ValueError):
@@ -148,24 +162,40 @@ def _parse_initial_state(text: str) -> PureState:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs, fully parsed and validated."""
+    """Everything one experiment needs, fully parsed and validated;
+    ``ensemble`` is None without ``[distribution]`` and ``run.mode``."""
 
     hamiltonian: Hamiltonian
     state: PureState
-    dist: IntervalDistribution | None
-    mode: str | None
-    m: int | None
-    t_total: float | None
-    realizations: int
     seed: int
     preset: str | None
     csv_path: str | None
     svg_path: str | None
     bins: int
+    ensemble: EnsembleConfig | None
+
+
+def did_you_mean(word: str, choices) -> str:
+    """'; did you mean a, b?' for the close matches of ``word``, else ''."""
+    hints = difflib.get_close_matches(word, choices, n=3)
+    return f"; did you mean {', '.join(hints)}?" if hints else ""
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """Reject a section or key that nothing reads."""
+    for name, section in parser.items():
+        if name not in _KEYS and name != parser.default_section:
+            hint = "; name it as [run] preset =" if name == "preset" else did_you_mean(name, _KEYS)
+            raise ConfigError(f"unknown section [{name}]{hint}")
+        known = _KEYS.get(name, ())
+        for key in section:
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in [{name}]{did_you_mean(key, known)}")
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an experiment configuration file."""
+    """Parse an experiment configuration file; its run is checked by
+    :class:`~zenosim.montecarlo.EnsembleConfig`."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         read = parser.read(path)
@@ -173,8 +203,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    if parser.has_section("preset"):
-        raise ConfigError("a [preset] section is not read; name the preset as [run] preset =")
+    _check_keys(parser)
 
     system = parser["system"] if parser.has_section("system") else {}
     omegas_text = system.get("omegas", "30 kHz, 20 kHz, 10 kHz")
@@ -187,44 +216,30 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"invalid system section: {exc}") from exc
     state = _parse_initial_state(system.get("initial_state", "entangled_default"))
     if state.dim != hamiltonian.dim:
-        raise ConfigError(
-            f"initial state dimension {state.dim} does not match "
-            f"{hamiltonian.dim} levels"
-        )
+        raise ConfigError(f"initial state dimension {state.dim} does not match "
+                          f"{hamiltonian.dim} levels")
 
-    dist = None
-    if parser.has_section("distribution"):
-        dist = parse_distribution(dict(parser["distribution"]))
-
+    dist = (parse_distribution(dict(parser["distribution"]))
+            if parser.has_section("distribution") else None)
     run = parser["run"] if parser.has_section("run") else {}
-    preset = run.get("preset")
-    mode = run.get("mode")
-    if mode is not None and mode not in ("fixed_m", "fixed_T"):
-        raise ConfigError(f"unknown run mode {mode!r}")
+    if (dist is None) == ("mode" in run):
+        raise ConfigError("a [distribution] section and run.mode go together")
     try:
-        m = int(run["m"]) if "m" in run else None
-        realizations = int(run.get("realizations", "100"))
         seed = int(run.get("seed", str(DEFAULT_SEED)))
         bins = int(run.get("bins", "40"))
-        t_total = parse_time(run["t_total"]) if "t_total" in run else None
+        ensemble = None if dist is None else EnsembleConfig(
+            dist=dist, hamiltonian=hamiltonian, state=state, mode=run["mode"],
+            realizations=int(run.get("realizations", "100")), master_seed=seed,
+            m=int(run["m"]) if "m" in run else None,
+            t_total=parse_time(run["t_total"]) if "t_total" in run else None,
+        )
     except ValueError as exc:
         raise ConfigError(f"invalid run section: {exc}") from exc
-    for name, count in (("m", m), ("realizations", realizations), ("bins", bins)):
-        if count is not None and count < 1:
-            raise ConfigError(f"run.{name} must be a positive count, not {count}")
+    if bins < 1:
+        raise ConfigError(f"run.bins must be a positive count, not {bins}")
 
     outputs = parser["outputs"] if parser.has_section("outputs") else {}
     return ExperimentConfig(
-        hamiltonian=hamiltonian,
-        state=state,
-        dist=dist,
-        mode=mode,
-        m=m,
-        t_total=t_total,
-        realizations=realizations,
-        seed=seed,
-        preset=preset,
-        csv_path=outputs.get("csv"),
-        svg_path=outputs.get("svg"),
-        bins=bins,
+        hamiltonian=hamiltonian, state=state, seed=seed, preset=run.get("preset"),
+        csv_path=outputs.get("csv"), svg_path=outputs.get("svg"), bins=bins, ensemble=ensemble,
     )

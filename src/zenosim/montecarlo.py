@@ -112,8 +112,8 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 class EnsembleConfig:
     """Complete description of an ensemble run.
 
-    ``mode`` is "fixed_m" (requires ``m``) or "fixed_T" (requires
-    ``t_total`` in seconds).
+    ``mode`` is "fixed_m", which takes ``m`` and no ``t_total``, or
+    "fixed_T", which takes a finite ``t_total`` in seconds and no ``m``.
     """
 
     dist: IntervalDistribution
@@ -130,12 +130,13 @@ class EnsembleConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
-        if self.mode == "fixed_m":
-            if self.m is None or self.m < 1:
-                raise ValueError("fixed_m mode needs a positive m")
-        else:
-            if self.t_total is None or not (self.t_total > 0):
-                raise ValueError("fixed_T mode needs a positive time budget")
+        if self.mode == "fixed_m" and (self.m is None or self.m < 1):
+            raise ValueError("fixed_m mode needs a positive m")
+        if self.mode == "fixed_T" and (self.t_total is None or not 0 < self.t_total < math.inf):
+            raise ValueError("fixed_T mode needs a positive, finite t_total")
+        stray = "t_total" if self.mode == "fixed_m" else "m"
+        if getattr(self, stray) is not None:
+            raise ValueError(f"{self.mode} mode takes no {stray}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from zenosim import DegenerateInterval, DiscreteIntervals, PowerLawIntervals, cli, run_ensemble
 from zenosim.cli import main
 from zenosim.expconfig import (
+    _KEYS,
     ConfigError,
     load_config,
     parse_distribution,
@@ -105,8 +107,9 @@ class TestLoadConfig:
         path.write_text(GENERIC_CONFIG)
         cfg = load_config(str(path))
         assert cfg.hamiltonian.dim == 3
-        assert cfg.mode == "fixed_m" and cfg.m == 50
-        assert cfg.realizations == 60 and cfg.seed == 11
+        run = cfg.ensemble
+        assert run.mode == "fixed_m" and run.m == 50 and run.t_total is None
+        assert run.realizations == 60 and cfg.seed == run.master_seed == 11
         assert cfg.csv_path == "out.csv"
 
     def test_missing_file(self):
@@ -130,6 +133,17 @@ class TestLoadConfig:
         path.write_text("[preset]\nname = fig5\n")
         with pytest.raises(ConfigError, match=r"\[run\] preset ="):
             load_config(str(path))
+
+    def test_readme_example_loads_and_names_every_key(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n")[1].split("```")[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        assert load_config(str(path)).ensemble is not None
+        for section, keys in _KEYS.items():
+            assert f"[{section}]" in example
+            for key in keys:
+                assert f"`{key}`" in readme or f"\n{key} =" in example, key
 
     def test_bad_mode(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -240,17 +254,17 @@ class TestCli:
             assert line in out
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 2 + rows
 
-    def test_fixed_t_summary_ignores_a_stray_m(self, tmp_path, capsys):
+    def test_fixed_t_run_rejects_a_stray_m(self, tmp_path, capsys):
         # a fixed-T run draws no fixed count of intervals, so an m left in
-        # its config must not print an analytic ln P* for m = 5000
+        # its config is an error, not an analytic ln P* for m = 5000
         old = "mode = fixed_m\nm = 50"
         assert old in GENERIC_CONFIG
         path = tmp_path / "stray.ini"
         path.write_text(GENERIC_CONFIG.replace(old, "mode = fixed_T\nt_total = 300 ns\nm = 5000"))
-        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "ln P*" not in out and "ln <P>" not in out
-        assert "tau_Z" in out and "sample ln geo-mean" in out
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("config error") and "takes no m" in err
+        assert "ln P*" not in out and not (tmp_path / "out.csv").exists()
 
     def test_rate_command(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -319,10 +333,22 @@ class TestCli:
         ("run", "mode = fixed_m\nm = 50", "mode = fixed_T"),
         ("run", "realizations = 60", "realizations = 0"),
         ("rate", "bins = 5", "bins = 0"),
+        ("run", "mode = fixed_m\nm = 50", "mode = fixed_T\nt_total = 1 us\nm = 50"),
+        ("run", "m = 50", "m = 50\nt_total = 1 us"),
+        ("run", "mode = fixed_m\nm = 50", "mode = fixed_T\nt_total = inf s"),
+        ("run", "mode = fixed_m\nm = 50", "mode = fixed_T\nt_total = nan"),
+        ("run", "mode = fixed_m\nm = 50", "mode = fixed_T\nt_total = -1 ns"),
+        ("run", "realizations = 60", "realisations = 60"),
+        ("run", "coupling = 100 kHz", "couplng = 100 kHz"),
+        ("run", "[system]", "[sytem]"),
+        ("run", "[distribution]\nkind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\n", ""),
+        ("run", "mode = fixed_m\n", ""),
     ])
     def test_bad_run_values_are_config_errors(self, tmp_path, capsys, command, old, new):
         path = tmp_path / "bad.ini"
         path.write_text(GENERIC_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError):  # at load time, before anything runs
+            load_config(str(path))
         assert main([command, str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenosim import EnsembleConfig, __version__, csvout, run_ensemble
+from zenosim import __version__, csvout, run_ensemble
 from zenosim.cli import main
 from zenosim.csvout import format_cell, write_csv
 from zenosim.expconfig import load_config
@@ -143,10 +143,7 @@ def test_run_csv_matches_cell_by_cell_of_the_ensemble(tmp_path, capsys):
     path = tmp_path / "run.ini"
     path.write_text(RUN_CONFIG)
     assert main(["run", str(path), "--out", str(tmp_path)]) == 0
-    cfg = load_config(str(path))
-    ens = run_ensemble(EnsembleConfig(dist=cfg.dist, hamiltonian=cfg.hamiltonian,
-                                      state=cfg.state, mode=cfg.mode, m=cfg.m,
-                                      realizations=cfg.realizations, master_seed=cfg.seed))
+    ens = run_ensemble(load_config(str(path)).ensemble)
     rows = list(zip(range(ens.n), ens.ms.tolist(), ens.total_times.tolist(),
                     ens.log_survivals.tolist()))
     assert len(set(ens.log_survivals.tolist())) < 25  # a few atom counts, many repeats

@@ -114,6 +114,13 @@ class TestRunEnsemble:
             make_config(chain, psi0, d2(), realizations=0)
         with pytest.raises(ValueError):
             make_config(chain, psi0, d2(), mode="bogus")
+        with pytest.raises(ValueError, match="takes no m"):
+            make_config(chain, psi0, d2(), mode="fixed_T", t_total=1e-6)
+        with pytest.raises(ValueError, match="takes no t_total"):
+            make_config(chain, psi0, d2(), t_total=1e-6)
+        for t_total in (math.inf, math.nan, -1e-9, 0.0):
+            with pytest.raises(ValueError, match="finite t_total"):
+                make_config(chain, psi0, d2(), mode="fixed_T", m=None, t_total=t_total)
 
 
 LATTICE_LAWS = {
