@@ -33,9 +33,10 @@ Example::
 as the run's :class:`~zenosim.montecarlo.EnsembleConfig`, which checks
 them: ``fixed_m`` takes ``m``, ``fixed_T`` a finite ``t_total``, neither
 the other's key. ``[run]`` may also set ``bins`` (rate histograms) or
-``preset = <name>``, which runs the named preset instead. Any other
-section or key is an error. Values are read literally: ``%`` is an
-ordinary character, not an interpolation.
+``preset = <name>``, which runs the named preset instead and takes no
+other ``[run]`` key than ``seed`` and no ``[distribution]``. Any other
+section or key, another kind's included, is an error. Values are read
+literally: ``%`` is an ordinary character, not an interpolation.
 """
 
 from __future__ import annotations
@@ -68,7 +69,13 @@ __all__ = [
 
 _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6}
-#: the keys each section may hold
+#: the keys a [distribution] section may hold, by its kind
+_DIST_KEYS = {
+    "discrete": ("kind", "values", "probs"),
+    "powerlaw": ("kind", "mu0", "alpha"),
+    "degenerate": ("kind", "mu_bar"),
+}
+#: the keys each section may hold ([distribution]: those of its kind)
 _KEYS = {
     "system": ("omegas", "coupling", "initial_state"),
     "distribution": ("kind", "values", "probs", "mu0", "alpha", "mu_bar"),
@@ -188,6 +195,8 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
             hint = "; name it as [run] preset =" if name == "preset" else did_you_mean(name, _KEYS)
             raise ConfigError(f"unknown section [{name}]{hint}")
         known = _KEYS.get(name, ())
+        if name == "distribution":  # an unknown kind is parse_distribution's error
+            known = _DIST_KEYS.get(section.get("kind", "").strip().lower(), known)
         for key in section:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in [{name}]{did_you_mean(key, known)}")
@@ -219,9 +228,15 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"initial state dimension {state.dim} does not match "
                           f"{hamiltonian.dim} levels")
 
+    run = parser["run"] if parser.has_section("run") else {}
+    if "preset" in run:
+        for key in run:
+            if key not in ("preset", "seed"):
+                raise ConfigError(f"a preset run takes no run.{key}")
+        if parser.has_section("distribution"):
+            raise ConfigError("a preset run takes no [distribution] section")
     dist = (parse_distribution(dict(parser["distribution"]))
             if parser.has_section("distribution") else None)
-    run = parser["run"] if parser.has_section("run") else {}
     if (dist is None) == ("mode" in run):
         raise ConfigError("a [distribution] section and run.mode go together")
     try:

@@ -16,26 +16,24 @@ a discrete law's atom counts, or a power law's (sum mu, sum ln q) by
 ``np.sum``. The law then turns a chunk's statistics into total times
 and log survivals (``row_sums``), a discrete law from one ln q table.
 A fixed-m row longer than ``_SEGMENT`` draws is never held whole: it is
-split as numpy's pairwise summation splits a row, halves rounded down
-to a multiple of 8, until each segment fits one reused buffer. Each
-segment is drawn and reduced on its own, and the statistics are added
-back up the same tree, so counts stay exact, power-law sums carry the
-bits of ``np.sum`` over the whole row, and memory does not grow with m.
+read in segments of ``_SEGMENT`` draws (the last one shorter), each
+drawn into one reused buffer and reduced on its own, and the segment
+statistics are added left to right, so memory does not grow with m.
 
 A long row runs as one part per usable core, at most ``_MAX_PARTS``:
-the leaves of its tree are cut into contiguous runs, the calling thread
-runs the first and a thread pool the rest, which ``run_ensemble`` makes
-only for rows that split and shuts down before it returns. No bit moves:
-Philox is counter based, so a run opens its own stream family at its
-first draw (``StreamFamily.select(i, draw)``) and reads what a serial
-pass would, each leaf is reduced on its own, and the leaf statistics
-are added up the same tree in the calling thread. With one core, or
-rows of one leaf, there is one part and no pool. A fixed-T realization
-runs the compensated one-draw-at-a-time stop rule over blocks of draws,
-its state carried from block to block; it sizes its first block from
-the law's mean and each next one from its own mean waiting time so far;
-the kept draws of a chunk of realizations are then mapped by one ln q
-call and summed row by row. Records fill preallocated arrays.
+its segments are cut into contiguous runs, the calling thread runs the
+first and a thread pool the rest, which ``run_ensemble`` makes only for
+rows that split and shuts down before it returns. No bit moves: Philox
+is counter based, so a run opens its own stream family at its first
+draw (``StreamFamily.select(i, draw)``) and reads what a serial pass
+would, and the segment statistics are added in the calling thread.
+With one core, or rows of one segment, there is one part and no pool.
+A fixed-T realization runs the compensated one-draw-at-a-time stop rule
+over blocks of draws, its state carried from block to block; it sizes
+its first block from the law's mean and each next one from its own mean
+waiting time so far; the kept draws of a chunk of realizations are then
+mapped by one ln q call and summed row by row. Records fill
+preallocated arrays.
 """
 
 from __future__ import annotations
@@ -71,14 +69,14 @@ _CHUNK_TARGET = 262_144
 #: (about 340 numpy calls) is not repaid by few rows (measured in BENCH_6.json)
 _VECTOR_MAX_M = 128
 _VECTOR_MIN_ROWS = 128
-#: a fixed-m row longer than this is drawn and reduced in segments of at
-#: most this many draws; it must be at least 128, the block numpy's
-#: pairwise sum adds without splitting, or the segments leave its order.
+#: a fixed-m row longer than this is drawn and reduced in segments of this
+#: many draws (the last one shorter); a multiple of 4, as a part opens its
+#: stream at a segment's first draw and a Philox counter gives four draws.
 #: It also caps a fixed-T block, and with it the stop rule's temporaries
 _SEGMENT = 65_536
 #: a long fixed-m row runs in one part per usable core, but in at most this
-#: many: each part holds its own leaf buffer and one leaf's working set (a
-#: comparison mask for a discrete law, the kernel's output and temporaries
+#: many: each part holds its own segment buffer and one segment's working set
+#: (a comparison mask for a discrete law, the kernel's output and temporaries
 #: for a power law), so peak memory grows with the part count, and only two
 #: cores have been measured (BENCH_14.json)
 _MAX_PARTS = 2
@@ -114,6 +112,7 @@ class EnsembleConfig:
 
     ``mode`` is "fixed_m", which takes ``m`` and no ``t_total``, or
     "fixed_T", which takes a finite ``t_total`` in seconds and no ``m``.
+    ``m`` and ``realizations`` are ints or numpy integers, not bools.
     """
 
     dist: IntervalDistribution
@@ -128,6 +127,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.mode not in ("fixed_m", "fixed_T"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name, value in (("realizations", self.realizations), ("m", self.m)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
         if self.mode == "fixed_m" and (self.m is None or self.m < 1):
@@ -242,21 +244,6 @@ def _kept_in_block(mus: np.ndarray, total: float, comp: float, limit: float):
     return kept, totals[kept], comps[kept]
 
 
-def _pairwise_sums(n: int, leaf) -> np.ndarray:
-    """Sums over n consecutive items, ``leaf(k)`` giving the sums of the
-    next k, in the order of numpy's pairwise sum over a row of n.
-
-    numpy adds a block of at most 128 in one unrolled loop and splits a
-    longer one at n // 2 rounded down to a multiple of 8, left half
-    first. Above ``_SEGMENT`` this splits the same way; each leaf of at
-    least 128 items runs numpy's own recursion inside ``np.sum``.
-    """
-    if n <= _SEGMENT:
-        return leaf(n)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sums(half, leaf) + _pairwise_sums(n - half, leaf)
-
-
 def _usable_cores() -> int:
     """The cores this process may run on (all of them where the OS cannot
     say). A cgroup CPU quota is not counted; ``_MAX_PARTS`` bounds the
@@ -267,32 +254,30 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _leaf_sums(cfg: EnsembleConfig, lam, w, i: int, draw: int, lengths: list[int]) -> np.ndarray:
-    """The law's row statistic (``row_stats``) of each of the consecutive
-    leaves of ``lengths`` of realization i, from its draw ``draw`` on,
-    drawn one at a time into one reused buffer from a stream family of
-    its own, so runs of leaves can be read on any threads."""
+def _leaf_sums(cfg: EnsembleConfig, lam, w, i: int, draw: int, n: int) -> np.ndarray:
+    """The law's row statistic (``row_stats``) of each segment of the n
+    draws of realization i from its draw ``draw`` on, drawn one at a time
+    into one reused buffer from a stream family of its own, so runs of
+    segments can be read on any threads."""
     rng = StreamFamily(cfg.master_seed).select(i, draw)
-    buf = np.empty(max(lengths))
-    return np.array([cfg.dist.row_stats(rng.random(n, out=buf[:n]), lam, w) for n in lengths])
+    sizes = [min(_SEGMENT, n - a) for a in range(0, n, _SEGMENT)]
+    buf = np.empty(sizes[0])
+    return np.array([cfg.dist.row_stats(rng.random(k, out=buf[:k]), lam, w) for k in sizes])
 
 
 def _long_row_sums(cfg: EnsembleConfig, lam, w, parts: int, pool, i: int) -> np.ndarray:
-    """The row statistic of realization i, whose row of m draws is cut at
-    the leaves of its pairwise tree into one run of leaves per part; each
-    run reads its stretch of the stream on its own, the calling thread
-    the first and ``pool`` the rest, and the leaf statistics are added
-    back up the tree."""
-    assert _SEGMENT >= 128, "segments below numpy's pairwise block change the sums"
-    lengths = _pairwise_sums(int(cfg.m), lambda n: [n])  # lists add up to the leaves, in order
-    starts = np.cumsum([0, *lengths]).tolist()  # every left half is a multiple of 8
-    count = min(parts, len(lengths))
-    cuts = [len(lengths) * k // count for k in range(count + 1)]  # near-equal runs of leaves
-    runs = [(cfg, lam, w, i, starts[a], lengths[a:b]) for a, b in zip(cuts, cuts[1:])]
+    """The row statistic of realization i, whose row of m draws is cut
+    into one run of whole segments per part; each run reads its stretch
+    of the stream on its own, the calling thread the first and ``pool``
+    the rest, and the segment statistics are added left to right."""
+    m = int(cfg.m)
+    segments = -(-m // _SEGMENT)
+    count = min(parts, segments)
+    cuts = [min(m, segments * k // count * _SEGMENT) for k in range(count + 1)]
+    runs = [(cfg, lam, w, i, a, b - a) for a, b in zip(cuts, cuts[1:])]
     helped = [pool.submit(_leaf_sums, *run) for run in runs[1:]]
-    first = _leaf_sums(*runs[0])
-    leaf = iter(np.concatenate([first, *(future.result() for future in helped)]))
-    return _pairwise_sums(int(cfg.m), lambda n: next(leaf))
+    stats = [_leaf_sums(*runs[0]), *(future.result() for future in helped)]
+    return np.cumsum(np.concatenate(stats), axis=0)[-1]
 
 
 def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, parts: int, pool, start: int, stop: int):
@@ -391,14 +376,13 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     realization's substream is keyed by its index, each draw is mapped
     on its own, and each realization's sums run over its own draws. A
     fixed-m realization of more than ``_SEGMENT`` draws is reduced in
-    segments on numpy's own pairwise tree, so its statistic equals the
-    one over all its draws at once, bit for bit. Fixed-T finds each
+    segments of ``_SEGMENT`` draws, added in order. Fixed-T finds each
     realization's stop on its own (``_fixed_t_draws``), then maps and
     sums the kept draws of a whole chunk at once.
 
     A long fixed-m row runs in one part per usable core (at most
     ``_MAX_PARTS``), with the same bits for any core count: each run of
-    its leaves opens the stream at its first draw. The helper threads
+    its segments opens the stream at its first draw. The helper threads
     are a ``ThreadPoolExecutor`` made only when the rows split (fixed-m,
     m over ``_SEGMENT``, more than one part), so other runs neither
     import ``concurrent.futures`` nor start a thread; they are joined

@@ -10,6 +10,7 @@ import pytest
 from zenosim import DegenerateInterval, DiscreteIntervals, PowerLawIntervals, cli, run_ensemble
 from zenosim.cli import main
 from zenosim.expconfig import (
+    _DIST_KEYS,
     _KEYS,
     ConfigError,
     load_config,
@@ -41,6 +42,11 @@ bins = 5
 csv = out.csv
 svg = out.svg
 """
+
+
+#: GENERIC_CONFIG's [distribution] and [run] sections
+RUN_SECTIONS = GENERIC_CONFIG[GENERIC_CONFIG.index("[distribution]"):
+                              GENERIC_CONFIG.index("[outputs]")]
 
 
 class TestQuantities:
@@ -144,6 +150,47 @@ class TestLoadConfig:
             assert f"[{section}]" in example
             for key in keys:
                 assert f"`{key}`" in readme or f"\n{key} =" in example, key
+        # each kind's own keys, as "`values` and `probs` (discrete)"
+        words = " ".join(readme.split())
+        for kind, keys in _DIST_KEYS.items():
+            assert f"{' and '.join(f'`{key}`' for key in keys[1:])} ({kind})" in words, kind
+
+    @pytest.mark.parametrize("law,key", [
+        ("kind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\nalpha = 3", "alpha"),
+        ("kind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\nmu_bar = 2 ns", "mu_bar"),
+        ("kind = powerlaw\nmu0 = 1 ns\nalpha = 3\nprobs = 1", "probs"),
+        ("kind = degenerate\nmu_bar = 1 ns\nmu0 = 1 ns", "mu0"),
+    ])
+    def test_each_kind_takes_only_its_own_keys(self, tmp_path, law, key):
+        path = tmp_path / "law.ini"
+        path.write_text(f"[distribution]\n{law}\n[run]\nmode = fixed_m\nm = 10\n")
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[distribution\]$"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("law,hint", [
+        ("kind = powerlaw\nalpha = 3", "; did you mean mu0?"),
+        ("kind = degenerate", ""),  # mu0 is not a degenerate law's key
+    ])
+    def test_a_misspelt_key_is_hinted_from_its_kinds_keys(self, tmp_path, law, hint):
+        path = tmp_path / "law.ini"
+        path.write_text(f"[distribution]\n{law}\nmu = 1 ns\n[run]\nmode = fixed_m\nm = 10\n")
+        with pytest.raises(ConfigError) as caught:
+            load_config(str(path))
+        assert str(caught.value) == f"unknown key 'mu' in [distribution]{hint}"
+
+    @pytest.mark.parametrize("line,named", [
+        ("mode = fixed_m", "run.mode"),
+        ("m = 9", "run.m"),
+        ("t_total = 1 us", "run.t_total"),
+        ("realizations = 7", "run.realizations"),
+        ("bins = 5", "run.bins"),
+        ("[distribution]\nkind = degenerate\nmu_bar = 1 ns", r"\[distribution\]"),
+    ])
+    def test_preset_run_names_what_it_never_reads(self, tmp_path, line, named):
+        path = tmp_path / "pre.ini"
+        path.write_text(f"[run]\npreset = fig6\nseed = 3\n{line}\n")
+        with pytest.raises(ConfigError, match=f"preset run takes no {named}"):
+            load_config(str(path))
 
     def test_bad_mode(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -343,6 +390,13 @@ class TestCli:
         ("run", "[system]", "[sytem]"),
         ("run", "[distribution]\nkind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\n", ""),
         ("run", "mode = fixed_m\n", ""),
+        ("run", "probs = 0.3, 0.7\n", "probs = 0.3, 0.7\nalpha = 3\n"),
+        ("run", "probs = 0.3, 0.7\n", "probs = 0.3, 0.7\nmu_bar = 2 ns\n"),
+        *(("run", RUN_SECTIONS, f"[run]\npreset = fig6\n{line}\n")
+          for line in ("mode = fixed_m", "m = 9", "t_total = 1 us", "realizations = 7",
+                       "bins = 5")),
+        ("run", RUN_SECTIONS, "[run]\npreset = fig6\nrealizations = 7\nm = 9\n"),
+        ("run", "mode = fixed_m\n", "preset = fig6\nmode = fixed_m\n"),  # a whole run, too
     ])
     def test_bad_run_values_are_config_errors(self, tmp_path, capsys, command, old, new):
         path = tmp_path / "bad.ini"

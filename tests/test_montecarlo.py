@@ -121,6 +121,13 @@ class TestRunEnsemble:
         for t_total in (math.inf, math.nan, -1e-9, 0.0):
             with pytest.raises(ValueError, match="finite t_total"):
                 make_config(chain, psi0, d2(), mode="fixed_T", m=None, t_total=t_total)
+        # a count that is not a plain integer would run clipped (2.7 as 2,
+        # True as 1) or fail inside numpy
+        for name, value in (("m", 2.7), ("m", True), ("m", 50.0), ("m", "50"),
+                            ("realizations", 3.5), ("realizations", True)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                make_config(chain, psi0, d2(), **{name: value})
+        assert make_config(chain, psi0, d2(), m=np.int64(5), realizations=np.int32(3)).m == 5
 
 
 LATTICE_LAWS = {
@@ -131,6 +138,17 @@ LATTICE_LAWS = {
 }
 
 
+def segment_sum(x):
+    """``np.sum`` over each ``montecarlo._SEGMENT``-long segment of x (the
+    last one shorter), the segment sums added left to right; ``np.sum``
+    over x itself when x is at most one segment long."""
+    step = montecarlo._SEGMENT
+    total = x[:step].sum()
+    for a in range(step, x.size, step):
+        total = total + x[a:a + step].sum()
+    return total
+
+
 def replay(cfg, table=None):
     """Per-realization reference. A discrete law's row is replayed as its
     atom counts: the substream's uniforms, each atom by ``searchsorted``
@@ -138,15 +156,15 @@ def replay(cfg, table=None):
     ln q_a) added left to right in atom order over the visited atoms,
     with ln q from ``table`` (the kernel on the atoms by default). A
     power law's row is sampled, mapped by the kernel and summed by
-    ``np.sum``."""
+    ``segment_sum``."""
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     dist, m = cfg.dist, cfg.m
     totals, logs = [], []
     for i in range(cfg.realizations):
         if not isinstance(dist, DiscreteIntervals):
             mus = dist.sample(substream(cfg.master_seed, i), m)
-            totals.append(mus.sum())
-            logs.append(log_survival_factors(lam, w, mus).sum())
+            totals.append(segment_sum(mus))
+            logs.append(segment_sum(log_survival_factors(lam, w, mus)))
             continue
         atoms = np.searchsorted(dist._cum, substream(cfg.master_seed, i).random(m), side="left")
         assert same_bits(dist.values[atoms], dist.sample(substream(cfg.master_seed, i), m))
@@ -209,14 +227,14 @@ class TestLatticeGather:
         assert same_bits(dist.sample(FixedUniforms(u), u.size), dist.values[atoms])
         # one uniform per row: each row counts its one draw in its atom
         assert same_bits(dist.row_stats(u[:, None].copy(), lam, w), np.eye(dist.d)[atoms])
-        # one row of all of them, as a (1, n) block and as a 1-D leaf
+        # one row of all of them, as a (1, n) block and as a 1-D segment
         counts = np.bincount(atoms, minlength=dist.d)
         assert same_bits(dist.row_stats(u[None].copy(), lam, w), counts[None])
         assert same_bits(dist.row_stats(u.copy(), lam, w), counts)
 
     @pytest.mark.parametrize("m,rare,segment", [
         (5, 0.1, montecarlo._SEGMENT),  # short rows, drawn by philox_uniforms
-        (200, 0.005, 128),  # rows cut into leaves of about 100 draws
+        (200, 0.005, 128),  # rows cut into segments of 128 and 72 draws
     ])
     def test_overlap_zero_atom(self, chain, psi0, monkeypatch, m, rare, segment):
         # ln q = -inf at the middle atom: a row that visits it has L = -inf,
@@ -311,8 +329,8 @@ def long_row_law(law):
 
 
 class TestSegmentedRows:
-    # a fixed-m row longer than _SEGMENT is summed in segments on numpy's
-    # pairwise tree; its sums must be those of np.sum over the whole row
+    # a fixed-m row longer than _SEGMENT is read in segments of _SEGMENT
+    # draws; its sums must be those of segment_sum over the whole row
     @pytest.mark.parametrize("law", LONG_ROW_LAWS)
     @pytest.mark.parametrize("m", [SEGMENT + 1, 2 * SEGMENT + 7, 5 * SEGMENT + 3])
     @pytest.mark.parametrize("per_chunk", [1, None])
@@ -339,61 +357,59 @@ class TestSegmentedRows:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_one_table_per_long_row(self, chain, psi0, monkeypatch, cores):
-        # a discrete row of 9 x _SEGMENT draws has 16 leaves; its ln q
-        # table is evaluated once for the row, not once per leaf
+        # a discrete row of 9 x _SEGMENT draws is read as 9 segments; its
+        # ln q table is evaluated once for the row, not once per segment
         use_cores(monkeypatch, cores)
         sizes, kernel = [], intervals.log_survival_factors
+        segments, count = [], DiscreteIntervals.row_stats
 
         def counted(lam, w, mus):
             sizes.append(mus.size)
             return kernel(lam, w, mus)
 
+        def segment(self, u, lam, w):
+            segments.append(u.size)
+            return count(self, u, lam, w)
+
         monkeypatch.setattr(intervals, "log_survival_factors", counted)
+        monkeypatch.setattr(DiscreteIntervals, "row_stats", segment)
         cfg = make_config(chain, psi0, d2(), m=9 * SEGMENT, realizations=3)
         run_ensemble(cfg)
-        assert len(montecarlo._pairwise_sums(cfg.m, lambda n: [n])) == 16
+        assert segments == [SEGMENT] * 9 * cfg.realizations
         assert sizes == [2] * cfg.realizations
 
-    def test_segments_below_numpys_block_are_refused(self, chain, psi0, monkeypatch):
-        # numpy adds up to 128 items without splitting; a 64-item leaf
-        # would split where numpy does not
-        monkeypatch.setattr(montecarlo, "_SEGMENT", 64)
-        with pytest.raises(AssertionError):
-            run_ensemble(make_config(chain, psi0, d2(), m=129, realizations=1))
-
-    @pytest.mark.parametrize("n", [SEGMENT + 1, 3 * SEGMENT + 5, 10**7 + 1])
-    def test_tree_is_numpys_pairwise_sum(self, n):
-        # heavy exponents make every change of summation order show; if a
-        # numpy release changes its pairwise blocking, this fails
-        rng = np.random.default_rng(n)
-        x = rng.random(n) * np.exp(8 * rng.standard_normal(n))
-        buf = np.empty(SEGMENT)
-        taken = 0
-
-        def leaf(k):
-            nonlocal taken
-            buf[:k] = x[taken:taken + k]
-            taken += k
-            return np.array([buf[:k].sum()])
-
-        total = montecarlo._pairwise_sums(n, leaf)[0]
-        assert taken == n
-        assert same_bits(total, np.sum(x))
-        assert same_bits(total, x[None].sum(axis=1)[0])
+    @pytest.mark.parametrize("cores", [1, 2, 5])
+    def test_power_law_row_on_any_core_count(self, chain, psi0, monkeypatch, cores):
+        # a power-law row of four segments, the last of 5 draws, has the
+        # same bits on any core count; its segment sums, added in order,
+        # stay within 4 ulp of np.sum over the whole row
+        dist = PowerLawIntervals(mu0=1 * NS, alpha=2.5)
+        cfg = make_config(chain, psi0, dist, m=3 * SEGMENT + 5, realizations=2, master_seed=13)
+        totals, logs = replay(cfg)
+        use_cores(monkeypatch, cores, max_parts=max(CORE_COUNTS))
+        ens = run_ensemble(cfg)
+        assert same_bits(ens.total_times, totals)
+        assert same_bits(ens.log_survivals, logs)
+        lam, w = phase_weights(chain, psi0)
+        for i in range(cfg.realizations):
+            mus = dist.sample(substream(cfg.master_seed, i), cfg.m)
+            whole = (mus.sum(), log_survival_factors(lam, w, mus).sum())
+            for got, exact in zip((ens.total_times[i], ens.log_survivals[i]), whole):
+                assert abs(got - exact) <= 4 * np.spacing(abs(exact))
 
     def test_peak_memory_is_flat_in_m(self, chain, psi0, monkeypatch):
-        # each part's peak is its leaf buffer and one leaf's comparison
-        # mask; leaves hold between _SEGMENT / 2 and _SEGMENT draws
-        # (62,500 at m = 10^6, 39,062 at 10^7), so the peak moves with
-        # the leaf length within that range, but never grows with m; nor
-        # with the core count, as a row runs in at most _MAX_PARTS parts.
-        # Whether two parts overlap is for the scheduler to decide, so on
-        # many cores each leaf waits for the other part's (both parts
-        # have as many leaves), and both leaf buffers are always held
+        # each part's peak is its segment buffer and one segment's
+        # comparison mask, which do not grow with m; nor with the core
+        # count, as a row runs in at most _MAX_PARTS parts. Whether two
+        # parts overlap is for the scheduler to decide, so on many cores
+        # each segment waits for the other part's, and both segment
+        # buffers are always held; that pairs every segment only when both
+        # parts hold as many, so the rows have 16 and 152 segments (10^7
+        # draws would make 153)
         def peaks_at(cores):
             use_cores(monkeypatch, cores)
             peaks = {}
-            for m in (10**6, 10**7):
+            for m in (10**6, 152 * SEGMENT):
                 cfg = make_config(chain, psi0, d2(), m=m, realizations=1)
                 tracemalloc.start()
                 try:
@@ -413,8 +429,8 @@ class TestSegmentedRows:
 
         monkeypatch.setattr(DiscreteIntervals, "row_stats", paired)
         two = peaks_at(64)
-        assert one[10**7] <= 1.1 * one[10**6]
-        assert two[10**7] <= 1.1 * two[10**6]
+        assert one[152 * SEGMENT] <= 1.1 * one[10**6]
+        assert two[152 * SEGMENT] <= 1.1 * two[10**6]
         assert two[10**6] > 1.5 * one[10**6]  # the parts did overlap
         assert max(*one.values(), *two.values()) < 4 * 2**20
 
@@ -448,16 +464,16 @@ class TestCoreParts:
     # must give the bits of the serial code
     @pytest.mark.parametrize("law", ["d2", "d4", "degenerate", "power3"])
     @pytest.mark.parametrize("segment,m", [
-        (SEGMENT, SEGMENT + 1),  # two leaves, fewer than most core counts
+        (SEGMENT, SEGMENT + 1),  # two segments, fewer than most core counts
         (SEGMENT, 5 * SEGMENT + 3),
-        (128, 4099),  # a deep tree of 32 leaves
+        (128, 4099),  # 33 segments, the last of 3 draws
     ])
     def test_long_rows(self, chain, psi0, monkeypatch, law, segment, m):
         monkeypatch.setattr(montecarlo, "_SEGMENT", segment)
         dist = LATTICE_LAWS.get(law, PowerLawIntervals(mu0=1 * NS, alpha=3.0))
         cfg = make_config(chain, psi0, dist, m=m, realizations=2, master_seed=31)
         totals, logs = replay(cfg)
-        leaves = len(montecarlo._pairwise_sums(m, lambda n: [n]))
+        segments = -(-m // segment)
         calls = spy_parts(monkeypatch)
         for cores in CORE_COUNTS:
             use_cores(monkeypatch, cores, max_parts=max(CORE_COUNTS))
@@ -466,7 +482,7 @@ class TestCoreParts:
             assert same_bits(ens.total_times, totals)
             assert same_bits(ens.log_survivals, logs)
             # the caller runs one part of each row, helper threads the rest
-            assert len(calls) == 2 * min(cores, leaves)
+            assert len(calls) == 2 * min(cores, segments)
             assert calls.count(threading.get_ident()) == 2
 
     def test_parts_are_capped(self, chain, psi0, monkeypatch):
@@ -476,7 +492,7 @@ class TestCoreParts:
         cfg = make_config(chain, psi0, d2(), m=9 * SEGMENT, realizations=3)
         run_ensemble(cfg)
         assert len(calls) == 3 * montecarlo._MAX_PARTS
-        # with one part allowed, every leaf runs in the calling thread and
+        # with one part allowed, every segment runs in the calling thread and
         # no pool is made: an executor of zero workers would raise
         use_cores(monkeypatch, 64, max_parts=1)
         calls.clear()
