@@ -79,5 +79,6 @@ from .montecarlo import (
     empirical_rate,
     ensemble_summary,
     run_ensemble,
+    run_ensembles,
 )
 from .rng import substream

@@ -200,9 +200,10 @@ class PowerLawIntervals:
 
     def row_stats(self, u: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(sum mu, sum ln q) of each row of uniforms (the last axis of
-        ``u``, which it overwrites with the waiting times), each summed by
-        ``np.sum``, along a new last axis; the kernel runs on every draw."""
-        mus = self._inverse_cdf(u)
+        ``u``, which it overwrites with the waiting times if it is
+        writeable, else maps into a copy), each summed by ``np.sum``, along
+        a new last axis; the kernel runs on every draw."""
+        mus = self._inverse_cdf(u if u.flags.writeable else u.copy())
         return np.stack((mus.sum(axis=-1), log_survival_factors(lam, w, mus).sum(axis=-1)),
                         axis=-1)
 

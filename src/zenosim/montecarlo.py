@@ -10,23 +10,29 @@ Realization i draws from its own counter-based stream keyed by
 independent of how realizations are split into chunks. A fixed-m chunk
 of many short rows draws all its uniforms in one ``philox_uniforms``
 call, with no Python per realization; other chunks, and fixed-T, select
-each realization's stream in turn; both give the same bits. Each
-fixed-m row is reduced to its law's additive statistic (``row_stats``):
-a discrete law's atom counts, or a power law's (sum mu, sum ln q) by
-``np.sum``. The law then turns a chunk's statistics into total times
-and log survivals (``row_sums``), a discrete law from one ln q table.
-A fixed-m row longer than ``_SEGMENT`` draws is never held whole: it is
-read in segments of ``_SEGMENT`` draws (the last one shorter), each
-drawn into one reused buffer and reduced on its own, and the segment
-statistics are added left to right, so memory does not grow with m.
+each realization's stream in turn; both give the same bits. The streams
+depend on neither the law nor the system, so ``run_ensembles`` draws
+each chunk once for all fixed-m configs of rows at most ``_SEGMENT``
+long that share (master_seed, realizations, m), and every law reads
+that block in turn, read-only until its last reader; a law of one atom
+reads only the block's shape, so where all of them have one, nothing is
+drawn. Each fixed-m row is reduced to its law's additive statistic
+(``row_stats``): a discrete law's atom counts, or a power law's (sum mu,
+sum ln q) by ``np.sum``. The law then turns a chunk's statistics into
+total times and log survivals (``row_sums``), a discrete law from one
+ln q table. A fixed-m row longer than ``_SEGMENT`` draws is never held
+whole: it is read in segments of ``_SEGMENT`` draws (the last one
+shorter), each drawn into one reused buffer and reduced on its own, and
+the segment statistics are added left to right, so memory does not grow
+with m.
 
 A long row runs as one part per usable core, at most ``_MAX_PARTS``:
 its segments are cut into contiguous runs, the calling thread runs the
-first and a thread pool the rest, which ``run_ensemble`` makes only for
-rows that split and shuts down before it returns. No bit moves: Philox
-is counter based, so a run opens its own stream family at its first
-draw (``StreamFamily.select(i, draw)``) and reads what a serial pass
-would, and the segment statistics are added in the calling thread.
+first and a thread pool the rest, which is made only for rows that
+split and shut down before the config's run returns. No bit moves:
+Philox is counter based, so a run opens its own stream family at its
+first draw (``StreamFamily.select(i, draw)``) and reads what a serial
+pass would, and the segment statistics are added in the calling thread.
 With one core, or rows of one segment, there is one part and no pool.
 A fixed-T realization runs the compensated one-draw-at-a-time stop rule
 over blocks of draws, its state carried from block to block; it sizes
@@ -45,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Hamiltonian, PureState, log_survival_factors, phase_weights
-from .intervals import InfiniteMeanError, IntervalDistribution, _log_mean_q
+from .intervals import DiscreteIntervals, InfiniteMeanError, IntervalDistribution, _log_mean_q
 from .rng import StreamFamily, philox_uniforms
 
 __all__ = [
@@ -56,6 +62,7 @@ __all__ = [
     "EmpiricalRate",
     "EnsembleSummary",
     "run_ensemble",
+    "run_ensembles",
     "empirical_rate",
     "ensemble_summary",
 ]
@@ -112,7 +119,8 @@ class EnsembleConfig:
 
     ``mode`` is "fixed_m", which takes ``m`` and no ``t_total``, or
     "fixed_T", which takes a finite ``t_total`` in seconds and no ``m``.
-    ``m`` and ``realizations`` are ints or numpy integers, not bools.
+    ``m`` and ``realizations`` are ints or numpy integers, not bools;
+    only ``m`` may be None.
     """
 
     dist: IntervalDistribution
@@ -128,7 +136,9 @@ class EnsembleConfig:
         if self.mode not in ("fixed_m", "fixed_T"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name, value in (("realizations", self.realizations), ("m", self.m)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
+            if value is None and name == "m":
+                continue  # checked against the mode below
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
@@ -254,15 +264,24 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _one_atom(dist) -> bool:
+    """Whether ``dist`` has one atom, whose ``row_stats`` reads only the
+    shape of its uniforms, so a block of them need not be drawn."""
+    return isinstance(dist, DiscreteIntervals) and dist.d == 1
+
+
 def _leaf_sums(cfg: EnsembleConfig, lam, w, i: int, draw: int, n: int) -> np.ndarray:
     """The law's row statistic (``row_stats``) of each segment of the n
     draws of realization i from its draw ``draw`` on, drawn one at a time
     into one reused buffer from a stream family of its own, so runs of
-    segments can be read on any threads."""
-    rng = StreamFamily(cfg.master_seed).select(i, draw)
+    segments can be read on any threads; a one-atom law draws nothing."""
     sizes = [min(_SEGMENT, n - a) for a in range(0, n, _SEGMENT)]
-    buf = np.empty(sizes[0])
-    return np.array([cfg.dist.row_stats(rng.random(k, out=buf[:k]), lam, w) for k in sizes])
+    if _one_atom(cfg.dist):
+        blocks = (np.broadcast_to(0.0, k) for k in sizes)
+    else:
+        rng, buf = StreamFamily(cfg.master_seed).select(i, draw), np.empty(sizes[0])
+        blocks = (rng.random(k, out=buf[:k]) for k in sizes)
+    return np.array([cfg.dist.row_stats(u, lam, w) for u in blocks])
 
 
 def _long_row_sums(cfg: EnsembleConfig, lam, w, parts: int, pool, i: int) -> np.ndarray:
@@ -280,21 +299,43 @@ def _long_row_sums(cfg: EnsembleConfig, lam, w, parts: int, pool, i: int) -> np.
     return np.cumsum(np.concatenate(stats), axis=0)[-1]
 
 
-def _fixed_m_chunk(cfg: EnsembleConfig, lam, w, parts: int, pool, start: int, stop: int):
+def _short_rows(seed: int, start: int, stop: int, m: int) -> np.ndarray:
+    """The (stop - start, m) uniforms of realizations start to stop - 1,
+    by one ``philox_uniforms`` call for many short rows, else one stream
+    selected per row."""
+    u = np.empty((stop - start, m))
+    if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
+        return philox_uniforms(seed, start, u)
+    family = StreamFamily(seed)
+    for j in range(stop - start):
+        family.select(start + j).random(m, out=u[j])
+    return u
+
+
+def _run_shared(group: list[SurvivalEnsemble]) -> None:
+    """Fill the records of fixed-m ensembles that share (master_seed,
+    realizations, m), with m at most ``_SEGMENT``, chunk by chunk: each
+    chunk's uniforms are drawn once, or not at all where every law has
+    one atom, and every law reads them in turn. The block is read-only
+    while a later law still reads it, so only its last reader may
+    overwrite it."""
+    cfg = group[0].config
     m = int(cfg.m)
-    ms = np.full(stop - start, m, dtype=np.int64)
-    if m > _SEGMENT:
-        stats = np.array([_long_row_sums(cfg, lam, w, parts, pool, i) for i in range(start, stop)])
-    else:
-        u = np.empty((stop - start, m), dtype=float)
-        if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
-            philox_uniforms(cfg.master_seed, start, u)
-        else:
-            family = StreamFamily(cfg.master_seed)
-            for j in range(stop - start):
-                family.select(start + j).random(m, out=u[j])
-        stats = cfg.dist.row_stats(u, lam, w)
-    return ms, *cfg.dist.row_sums(stats, lam, w)
+    weights = [phase_weights(ens.config.hamiltonian, ens.config.state) for ens in group]
+    draws = not all(_one_atom(ens.config.dist) for ens in group)
+    rows = max(1, _CHUNK_TARGET // m)
+    for start in range(0, cfg.realizations, rows):
+        stop = min(start + rows, cfg.realizations)
+        u = (_short_rows(cfg.master_seed, start, stop, m) if draws
+             else np.broadcast_to(0.0, (stop - start, m)))
+        for k, (ens, (lam, w)) in enumerate(zip(group, weights)):
+            u.flags.writeable = draws and k == len(group) - 1
+            dist = ens.config.dist
+            ens.total_times[start:stop], ens.log_survivals[start:stop] = dist.row_sums(
+                dist.row_stats(u, lam, w), lam, w)
+        del u  # before the next block is drawn
+    for ens in group:
+        ens.ms[:] = m
 
 
 def _first_block(dist, limit: float) -> int:
@@ -349,13 +390,18 @@ def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
 
 
 def _chunks(cfg: EnsembleConfig, lam, w, parts: int, pool):
-    """(ms, totals, log survivals) of consecutive realizations, in chunks
-    of about ``_CHUNK_TARGET`` intervals (kept intervals, for fixed-T)."""
+    """(ms, totals, log survivals) of consecutive realizations of a fixed-T
+    config or a fixed-m one of rows longer than ``_SEGMENT``, in chunks of
+    about ``_CHUNK_TARGET`` intervals (kept intervals, for fixed-T)."""
     n = cfg.realizations
     if cfg.mode == "fixed_m":
-        rows = max(1, _CHUNK_TARGET // int(cfg.m))
+        m = int(cfg.m)
+        rows = max(1, _CHUNK_TARGET // m)
         for start in range(0, n, rows):
-            yield _fixed_m_chunk(cfg, lam, w, parts, pool, start, min(start + rows, n))
+            stop = min(start + rows, n)
+            stats = np.array([_long_row_sums(cfg, lam, w, parts, pool, i)
+                              for i in range(start, stop)])
+            yield np.full(stop - start, m, dtype=np.int64), *cfg.dist.row_sums(stats, lam, w)
         return
     family = StreamFamily(cfg.master_seed)
     limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
@@ -369,8 +415,35 @@ def _chunks(cfg: EnsembleConfig, lam, w, parts: int, pool):
             rows, kept = [], 0
 
 
-def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
-    """Simulate every realization of ``cfg``.
+def _run_alone(ens: SurvivalEnsemble) -> None:
+    """Fill the records of a fixed-T ensemble, or of a fixed-m one of rows
+    longer than ``_SEGMENT``, which shares no draws with another."""
+    cfg = ens.config
+    lam, w = phase_weights(cfg.hamiltonian, cfg.state)
+    start, parts, pool = 0, min(_MAX_PARTS, _usable_cores()), None
+    if cfg.mode == "fixed_m" and parts > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(parts - 1)
+    try:
+        for chunk in _chunks(cfg, lam, w, parts, pool):
+            stop = start + chunk[0].size
+            ens.ms[start:stop], ens.total_times[start:stop], ens.log_survivals[start:stop] = chunk
+            start = stop
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
+    """Simulate every realization of each config in ``cfgs``, and return
+    the ensembles in input order.
+
+    Fixed-m configs of rows at most ``_SEGMENT`` long that share
+    (master_seed, realizations, m) read the same uniforms, since a
+    realization's stream depends on neither the law nor the system: each
+    chunk's block is drawn once and every law reads it in turn, with the
+    bits each would get alone (``_run_shared``). Fixed-T configs and
+    fixed-m ones of longer rows run one at a time (``_run_alone``).
 
     The result is bitwise identical for any chunk size: every
     realization's substream is keyed by its index, each draw is mapped
@@ -386,25 +459,27 @@ def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
     are a ``ThreadPoolExecutor`` made only when the rows split (fixed-m,
     m over ``_SEGMENT``, more than one part), so other runs neither
     import ``concurrent.futures`` nor start a thread; they are joined
-    before this returns or raises, and an error in a part is raised here
-    with its own type.
+    before the config's run returns or raises, and an error in a part
+    is raised here with its own type.
     """
-    lam, w = phase_weights(cfg.hamiltonian, cfg.state)
-    n = cfg.realizations
-    ms, totals, logs = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    start, parts, pool = 0, min(_MAX_PARTS, _usable_cores()), None
-    if cfg.mode == "fixed_m" and cfg.m > _SEGMENT and parts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(parts - 1)
-    try:
-        for chunk in _chunks(cfg, lam, w, parts, pool):
-            stop = start + chunk[0].size
-            ms[start:stop], totals[start:stop], logs[start:stop] = chunk
-            start = stop
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    return SurvivalEnsemble(config=cfg, ms=ms, total_times=totals, log_survivals=logs)
+    ensembles, shared = [], {}
+    for cfg in cfgs:
+        n = cfg.realizations
+        ens = SurvivalEnsemble(config=cfg, ms=np.empty(n, dtype=np.int64),
+                               total_times=np.empty(n), log_survivals=np.empty(n))
+        ensembles.append(ens)
+        if cfg.mode == "fixed_m" and cfg.m <= _SEGMENT:
+            shared.setdefault((cfg.master_seed, n, int(cfg.m)), []).append(ens)
+        else:
+            _run_alone(ens)
+    for group in shared.values():
+        _run_shared(group)
+    return ensembles
+
+
+def run_ensemble(cfg: EnsembleConfig) -> SurvivalEnsemble:
+    """Simulate every realization of ``cfg``: ``run_ensembles([cfg])[0]``."""
+    return run_ensembles([cfg])[0]
 
 
 def empirical_rate(ens: SurvivalEnsemble, bins: int) -> EmpiricalRate:

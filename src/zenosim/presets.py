@@ -28,7 +28,7 @@ from .csvout import write_csv
 from .dynamics import Hamiltonian, PureState, build_chain_hamiltonian, entangled_initial_state
 from .intervals import DiscreteIntervals, PowerLawIntervals
 from .ldstats import disorder_gain, survival_stats_for
-from .montecarlo import EnsembleConfig, run_ensemble
+from .montecarlo import EnsembleConfig, run_ensemble, run_ensembles
 from .rng import DEFAULT_SEED
 from .svgplot import Series, write_svg
 
@@ -63,12 +63,15 @@ def _discrete(d: int) -> DiscreteIntervals:
     return DiscreteIntervals(np.asarray(values), np.asarray(probs))
 
 
-def _typical_log(h, psi0, dist, m, seed) -> float:
-    cfg = EnsembleConfig(
+def _typical_config(h, psi0, dist, m, seed) -> EnsembleConfig:
+    return EnsembleConfig(
         dist=dist, hamiltonian=h, state=psi0, mode="fixed_m",
         realizations=_TYPICAL_N, master_seed=seed, m=m,
     )
-    return run_ensemble(cfg).typical_log_survival()
+
+
+def _typical_log(h, psi0, dist, m, seed) -> float:
+    return run_ensemble(_typical_config(h, psi0, dist, m, seed)).typical_log_survival()
 
 
 def _rows_survival_vs_m(h, psi0, seed, dist):
@@ -90,12 +93,12 @@ def _rows_concentration(h, psi0, seed):
 def _rows_probability_sweep(h, psi0, seed):
     values, _ = _ATOMS[2]
     m = 6400
-    rows = []
-    for p1 in np.linspace(0.02, 0.98, 49):
-        dist = DiscreteIntervals(np.asarray(values), np.asarray([p1, 1.0 - p1]))
-        star = survival_stats_for(dist, h, psi0, m).log_p_star
-        rows.append((float(p1), _typical_log(h, psi0, dist, m, seed), star))
-    return rows
+    p1s = np.linspace(0.02, 0.98, 49).tolist()
+    dists = [DiscreteIntervals(np.asarray(values), np.asarray([p1, 1.0 - p1])) for p1 in p1s]
+    # one seed, n and m: the 49 laws read the same uniforms, drawn once
+    ensembles = run_ensembles([_typical_config(h, psi0, dist, m, seed) for dist in dists])
+    return [(p1, ens.typical_log_survival(), survival_stats_for(dist, h, psi0, m).log_p_star)
+            for p1, dist, ens in zip(p1s, dists, ensembles)]
 
 
 def _rows_powerlaw(h, psi0, seed):

@@ -38,6 +38,7 @@ from zenosim import (
 )
 from zenosim import intervals, montecarlo
 from zenosim.dynamics import phase_weights
+from zenosim.presets import run_preset
 from zenosim.rng import substream
 
 
@@ -128,6 +129,10 @@ class TestRunEnsemble:
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 make_config(chain, psi0, d2(), **{name: value})
         assert make_config(chain, psi0, d2(), m=np.int64(5), realizations=np.int32(3)).m == 5
+        # only m may be None (fixed-T has no m)
+        for mode, extra in (("fixed_m", {}), ("fixed_T", {"m": None, "t_total": 1e-6})):
+            with pytest.raises(ValueError, match="^realizations must be an integer, not None"):
+                make_config(chain, psi0, d2(), mode=mode, realizations=None, **extra)
 
 
 LATTICE_LAWS = {
@@ -827,6 +832,147 @@ class TestChunking:
         cfg = chunked_configs(chain, psi0, mode, m=m, realizations=n, master_seed=seed)
         with mock.patch.object(montecarlo, "_VECTOR_MIN_ROWS", min_rows):
             assert same_ensemble(run_ensemble(cfg), run_in_chunks(cfg, target))
+
+
+def counted_draws(monkeypatch):
+    """Count the calls of ``StreamFamily.select`` and of montecarlo's
+    ``philox_uniforms``, the two ways a fixed-m run draws its uniforms."""
+    calls = {"select": 0, "philox": 0}
+    select, philox = montecarlo.StreamFamily.select, montecarlo.philox_uniforms
+
+    def counted_select(self, *args):
+        calls["select"] += 1
+        return select(self, *args)
+
+    def counted_philox(*args):
+        calls["philox"] += 1
+        return philox(*args)
+
+    monkeypatch.setattr(montecarlo.StreamFamily, "select", counted_select)
+    monkeypatch.setattr(montecarlo, "philox_uniforms", counted_philox)
+    return calls
+
+
+class WritingLaw(DiscreteIntervals):
+    """The d2 law, but it writes into the uniforms it is handed first."""
+
+    def __init__(self):
+        super().__init__(np.array(D2_VALUES_S), np.array(D2_PROBS))
+
+    def row_stats(self, u, lam, w):
+        u[..., 0] = 0.5
+        return super().row_stats(u, lam, w)
+
+
+class TestSharedDraws:
+    # fixed-m configs of rows at most _SEGMENT long that share (seed, n, m)
+    # read one block of uniforms per chunk; each must get the bits it gets
+    # alone
+    def mixed_configs(self, chain, psi0, rabi):
+        power = PowerLawIntervals(mu0=1 * NS, alpha=2.5)
+        short = dict(m=20, realizations=300, master_seed=11)  # philox_uniforms
+        rows = dict(m=200, realizations=40, master_seed=11)  # one stream per row
+        return [
+            make_config(chain, psi0, d2(), **short),
+            make_config(chain, psi0, power, mode="fixed_T", m=None, t_total=40 * NS,
+                        realizations=30, master_seed=11),
+            make_config(chain, psi0, LATTICE_LAWS["d4"], **rows),
+            make_config(chain, psi0, power, **short),
+            make_config(*rabi, LATTICE_LAWS["d3"], **short),  # another system
+            make_config(chain, psi0, d2(), m=SEGMENT + 5, realizations=2, master_seed=11),
+            make_config(chain, psi0, power, **rows),
+            make_config(chain, psi0, LATTICE_LAWS["degenerate"], **rows),
+            make_config(chain, psi0, d2(), **{**short, "master_seed": 12}),  # its own group
+            make_config(chain, psi0, LATTICE_LAWS["d3"], mode="fixed_T", m=None,
+                        t_total=60 * NS, realizations=30, master_seed=11),
+            make_config(chain, psi0, LATTICE_LAWS["d3"], **{**short, "realizations": 299}),
+            make_config(chain, psi0, LATTICE_LAWS["d4"], **short),
+        ]
+
+    def test_same_bits_as_one_at_a_time(self, chain, psi0, rabi, monkeypatch):
+        # 150 draw-20 rows a chunk (two chunks, both drawn by
+        # philox_uniforms), 15 rows of 200 (three chunks, per-row streams)
+        monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", 3000)
+        cfgs = self.mixed_configs(chain, psi0, rabi)
+        together = montecarlo.run_ensembles(cfgs)
+        assert [ens.config for ens in together] == cfgs
+        assert all(ens.config is cfg for ens, cfg in zip(together, cfgs))
+        for ens, cfg in zip(together, cfgs):
+            assert same_ensemble(ens, run_ensemble(cfg))
+            if cfg.mode == "fixed_m" and cfg.m <= SEGMENT:
+                totals, logs = replay(cfg)
+                assert same_bits(ens.total_times, totals)
+                assert same_bits(ens.log_survivals, logs)
+
+    def test_no_configs(self):
+        assert montecarlo.run_ensembles([]) == []
+
+    def test_one_draw_per_chunk(self, chain, psi0, monkeypatch):
+        calls = counted_draws(monkeypatch)
+        laws = [d2(), LATTICE_LAWS["d4"], PowerLawIntervals(mu0=1 * NS, alpha=3.0)]
+        montecarlo.run_ensembles([make_config(chain, psi0, law, m=20, realizations=300)
+                                  for law in laws])
+        assert calls == {"select": 0, "philox": 1}
+        montecarlo.run_ensembles([make_config(chain, psi0, law, m=200, realizations=30)
+                                  for law in laws])
+        assert calls == {"select": 30, "philox": 1}
+
+    @pytest.mark.parametrize("m,n", [(20, 300), (200, 30)])
+    def test_the_block_is_read_only_but_for_its_last_reader(self, chain, psi0, monkeypatch,
+                                                            m, n):
+        seen = []
+        for law in (DiscreteIntervals, PowerLawIntervals):
+            def spied(self, u, lam, w, count=law.row_stats):
+                seen.append((u, u.flags.writeable))
+                return count(self, u, lam, w)
+            monkeypatch.setattr(law, "row_stats", spied)
+        power = PowerLawIntervals(mu0=1 * NS, alpha=3.0)
+        cfgs = [make_config(chain, psi0, law, m=m, realizations=n)
+                for law in (power, d2(), power, LATTICE_LAWS["d3"])]
+        ensembles = montecarlo.run_ensembles(cfgs)
+        assert [writeable for _, writeable in seen] == [False, False, False, True]
+        assert all(u is seen[0][0] for u, _ in seen)
+        for ens, cfg in zip(ensembles, cfgs):  # the power law read a copy
+            assert same_bits(ens.log_survivals, replay(cfg)[1])
+
+    def test_a_law_that_writes_raises_unless_last(self, chain, psi0):
+        cfgs = [make_config(chain, psi0, law, m=20, realizations=300)
+                for law in (WritingLaw(), d2())]
+        with pytest.raises(ValueError, match="read-only"):
+            montecarlo.run_ensembles(cfgs)
+        montecarlo.run_ensembles(cfgs[::-1])
+
+    def test_fig3_draws_once(self, tmp_path, monkeypatch):
+        # 49 laws, each on the same 25 realizations of m = 6400: one
+        # stream per realization, not 49
+        calls = counted_draws(monkeypatch)
+        run_preset("fig3", seed=1, out_dir=str(tmp_path))
+        assert calls == {"select": 25, "philox": 0}
+
+
+class TestOneAtomLaws:
+    # a one-atom law's row_stats reads only the shape of its uniforms, so
+    # a run whose every law has one atom draws none
+    @pytest.mark.parametrize("m,n", [(20, 300), (6400, 25), (SEGMENT + 3, 2)])
+    def test_no_draws_and_same_bits(self, chain, psi0, monkeypatch, m, n):
+        laws = [LATTICE_LAWS["degenerate"], DiscreteIntervals(np.array([3 * NS]), np.ones(1))]
+        cfgs = [make_config(chain, psi0, law, m=m, realizations=n) for law in laws]
+        calls = counted_draws(monkeypatch)
+        ensembles = montecarlo.run_ensembles(cfgs)
+        alone = run_ensemble(cfgs[0])
+        assert calls == {"select": 0, "philox": 0}
+        assert same_ensemble(alone, ensembles[0])
+        for ens, cfg in zip(ensembles, cfgs):
+            assert np.array_equal(ens.ms, np.full(n, m))
+            totals, logs = replay(cfg)
+            assert same_bits(ens.total_times, totals)
+            assert same_bits(ens.log_survivals, logs)
+
+    def test_a_group_with_two_atoms_draws(self, chain, psi0, monkeypatch):
+        calls = counted_draws(monkeypatch)
+        montecarlo.run_ensembles([make_config(chain, psi0, law, m=20, realizations=300)
+                                  for law in (LATTICE_LAWS["degenerate"], d2())])
+        assert calls == {"select": 0, "philox": 1}
 
 
 class TestStatisticalProperties:
