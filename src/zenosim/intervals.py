@@ -130,7 +130,7 @@ class DiscreteIntervals:
         """
         above = np.zeros((*u.shape[:-1], self.d + 1))  # draws in atoms k, k + 1, ...
         above[..., 0] = u.shape[-1]
-        axis = -1 if u.ndim > 1 else None  # a 1-D leaf counts whole, 3x faster
+        axis = -1 if u.size > u.shape[-1] else None  # one row counts whole, 3x faster
         mask = np.empty(u.shape, dtype=bool)
         for k, edge in enumerate(self._cum[:-1].tolist(), 1):
             above[..., k] = np.count_nonzero(np.greater(u, edge, out=mask), axis=axis)

@@ -29,9 +29,10 @@ each entry with the bits of a call on that entry alone, so
 Alongside the rate functions live the closed-form summary statistics:
 most probable and mean survival (geometric vs arithmetic average of q
 under the waiting-time law), the joint rate function at fixed total time
-with its contraction back to I, the fixed-time count reconstruction, and
-the frequent-measurement (Zeno) limits. For every law L* = m E[ln q] and
-ln<P> = m ln E[q], from one pair of averages (``log_q_moments``).
+for laws of one or two atoms with its contraction back to I, the
+fixed-time count reconstruction, and the frequent-measurement (Zeno)
+limits. For every law L* = m E[ln q] and ln<P> = m ln E[q], from one
+pair of averages (``log_q_moments``).
 
 Everything is carried in the log domain; exponentiation happens only at
 presentation boundaries, since realistic m underflow doubles.
@@ -354,22 +355,24 @@ def survival_stats_for(
 
 
 def _joint_fractions(prob: LdProblem, x: float, y: float) -> np.ndarray:
-    """Occupation fractions of the fixed-time construction at (x, y)."""
+    """Occupation fractions of the fixed-time construction at (x, y), for
+    a law of one or two atoms."""
     mu = prob.dist.values
     logq = prob.logq
-    d = mu.size
+    if mu.size > 2:
+        raise ValueError("the joint rate needs one or two atoms")
     if y <= 0.0:
         raise OutOfRangeError("intensive total time y must be positive")
-    if d == 1:
+    if mu.size == 1:
         if abs(x - logq[0]) <= LOGQ_MERGE_TOL and abs(y - mu[0]) <= 1e-12 * mu[0]:
             return np.array([1.0])
         raise OutOfRangeError("single-atom law attains only its own (x, y)")
-    lq_d, mu_d = logq[-1], mu[-1]
-    denom = (lq_d - x) * (mu_d - mu[:-1]) + y * (d - 1) * (lq_d - logq[:-1])
-    if np.any(denom == 0.0):
+    (mu1, mu2), (lq1, lq2) = mu.tolist(), logq.tolist()
+    denom = (lq2 - x) * (mu2 - mu1) + y * (lq2 - lq1)
+    if denom == 0.0:
         raise OutOfRangeError(f"(x, y) = ({x!r}, {y!r}) degenerates the construction")
-    g_head = mu_d * (lq_d - x) / denom
-    g = np.append(g_head, 1.0 - g_head.sum())
+    g1 = mu2 * (lq2 - x) / denom
+    g = np.array([g1, 1.0 - g1])
     if np.any(g < -1e-12):
         raise OutOfRangeError(
             f"(x, y) = ({x!r}, {y!r}): fractions {g} leave the simplex"
@@ -378,15 +381,18 @@ def _joint_fractions(prob: LdProblem, x: float, y: float) -> np.ndarray:
 
 
 def joint_rate_function(prob: LdProblem, x: float, y: float) -> float:
-    """Rate of the pair (log-survival, total time), both per measurement.
+    """Rate of the pair (log-survival, total time), both per measurement,
+    for a law of one or two atoms.
 
-    The occupation fractions generalize to
+    The occupation fractions are
 
-        g_a = mu_d (ln q_d - x) /
-              [ (ln q_d - x)(mu_d - mu_a) + y (d-1)(ln q_d - ln q_a) ]
+        g_1 = mu_2 (ln q_2 - x) /
+              [ (ln q_2 - x)(mu_2 - mu_1) + y (ln q_2 - ln q_1) ]
 
-    for a < d and g_d = 1 - sum g_a, and the rate is KL(g || p). Both
-    arguments are intensive: x = L/m, y = T/m in seconds.
+    and g_2 = 1 - g_1, and the rate is KL(g || p). Both arguments are
+    intensive: x = L/m, y = T/m in seconds. The paper's split of the
+    deviation over d > 2 atoms is one particular solution, not the
+    minimum, so more atoms raise ``ValueError``.
 
     At the time value consistent with the deviation, y = sum_a g_a mu_a,
     this reproduces the marginal rate I(x) exactly; sweeping y at fixed x

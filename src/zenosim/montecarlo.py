@@ -7,33 +7,32 @@ so every applied interval keeps the waiting-time law).
 
 Realization i draws from its own counter-based stream keyed by
 ``(master_seed, i)``, which makes ensembles bitwise reproducible and
-independent of how realizations are split into chunks. A fixed-m chunk
-of many short rows draws all its uniforms in one ``philox_uniforms``
-call, with no Python per realization; other chunks, and fixed-T, select
-each realization's stream in turn; both give the same bits. The streams
-depend on neither the law nor the system, so ``run_ensembles`` draws
-each chunk once for all fixed-m configs of rows at most ``_SEGMENT``
-long that share (master_seed, realizations, m), and every law reads
-that block in turn, read-only until its last reader; a law of one atom
-reads only the block's shape, so where all of them have one, nothing is
-drawn. Each fixed-m row is reduced to its law's additive statistic
-(``row_stats``): a discrete law's atom counts, or a power law's (sum mu,
-sum ln q) by ``np.sum``. The law then turns a chunk's statistics into
-total times and log survivals (``row_sums``), a discrete law from one
-ln q table. A fixed-m row longer than ``_SEGMENT`` draws is never held
-whole: it is read in segments of ``_SEGMENT`` draws (the last one
-shorter), each drawn into one reused buffer and reduced on its own, and
-the segment statistics are added left to right, so memory does not grow
-with m.
+independent of how realizations are split into chunks. The streams
+depend on neither the law nor the system, so ``run_ensembles`` runs all
+fixed-m configs that share (master_seed, realizations, m) as one group
+that reads each draw once.
 
-A long row runs as one part per usable core, at most ``_MAX_PARTS``:
-its segments are cut into contiguous runs, the calling thread runs the
-first and a thread pool the rest, which is made only for rows that
-split and shut down before the config's run returns. No bit moves:
-Philox is counter based, so a run opens its own stream family at its
-first draw (``StreamFamily.select(i, draw)``) and reads what a serial
-pass would, and the segment statistics are added in the calling thread.
-With one core, or rows of one segment, there is one part and no pool.
+Fixed m has one path, for rows of any length. A group runs in chunks of
+about ``_CHUNK_TARGET`` draws, and a chunk's rows are read in segments
+of ``_SEGMENT`` draws (the last one shorter), so memory does not grow
+with m. Each segment is drawn into one reused buffer, by one
+``philox_uniforms`` call for many short rows, else by selecting each
+row's stream at the segment's first draw; where every law has one atom,
+whose ``row_stats`` reads only the block's shape, nothing is drawn.
+Every law of the group reads the block in turn, read-only until its
+last reader, and reduces each row to its additive statistic
+(``row_stats``): a discrete law's atom counts, or a power law's (sum mu,
+sum ln q) by ``np.sum``. The segment statistics are added left to right,
+and the law turns them into total times and log survivals
+(``row_sums``), a discrete law from one ln q table per chunk.
+
+The segments of a chunk are cut into one contiguous run per usable core,
+at most ``_MAX_PARTS``: the calling thread reads the first and a thread
+pool the rest, which is made only where there is more than one run and
+shut down before the group's run returns. No bit moves: Philox is
+counter based, so each run opens its own stream family and reads what a
+serial pass would, and the statistics are added in the calling thread.
+
 A fixed-T realization runs the compensated one-draw-at-a-time stop rule
 over blocks of draws, its state carried from block to block; it sizes
 its first block from the law's mean and each next one from its own mean
@@ -81,11 +80,11 @@ _VECTOR_MIN_ROWS = 128
 #: stream at a segment's first draw and a Philox counter gives four draws.
 #: It also caps a fixed-T block, and with it the stop rule's temporaries
 _SEGMENT = 65_536
-#: a long fixed-m row runs in one part per usable core, but in at most this
-#: many: each part holds its own segment buffer and one segment's working set
-#: (a comparison mask for a discrete law, the kernel's output and temporaries
-#: for a power law), so peak memory grows with the part count, and only two
-#: cores have been measured (BENCH_14.json)
+#: a fixed-m chunk of many segments runs in one part per usable core, but in
+#: at most this many: each part holds its own segment buffer and one
+#: segment's working set (a comparison mask for a discrete law, the kernel's
+#: output and temporaries for a power law), so peak memory grows with the
+#: part count, and only two cores have been measured (BENCH_14.json)
 _MAX_PARTS = 2
 #: a fixed-T realization expected to keep at least this many draws starts
 #: with one block sized from the law's mean; a shorter one starts with 64
@@ -119,8 +118,8 @@ class EnsembleConfig:
 
     ``mode`` is "fixed_m", which takes ``m`` and no ``t_total``, or
     "fixed_T", which takes a finite ``t_total`` in seconds and no ``m``.
-    ``m`` and ``realizations`` are ints or numpy integers, not bools;
-    only ``m`` may be None.
+    ``m``, ``realizations`` and ``master_seed`` are ints or numpy
+    integers, not bools; only ``m`` may be None.
     """
 
     dist: IntervalDistribution
@@ -135,7 +134,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.mode not in ("fixed_m", "fixed_T"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name, value in (("realizations", self.realizations), ("m", self.m)):
+        for name, value in (("realizations", self.realizations), ("m", self.m),
+                            ("master_seed", self.master_seed)):
             if value is None and name == "m":
                 continue  # checked against the mode below
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -270,70 +270,68 @@ def _one_atom(dist) -> bool:
     return isinstance(dist, DiscreteIntervals) and dist.d == 1
 
 
-def _leaf_sums(cfg: EnsembleConfig, lam, w, i: int, draw: int, n: int) -> np.ndarray:
-    """The law's row statistic (``row_stats``) of each segment of the n
-    draws of realization i from its draw ``draw`` on, drawn one at a time
-    into one reused buffer from a stream family of its own, so runs of
-    segments can be read on any threads; a one-atom law draws nothing."""
-    sizes = [min(_SEGMENT, n - a) for a in range(0, n, _SEGMENT)]
-    if _one_atom(cfg.dist):
-        blocks = (np.broadcast_to(0.0, k) for k in sizes)
-    else:
-        rng, buf = StreamFamily(cfg.master_seed).select(i, draw), np.empty(sizes[0])
-        blocks = (rng.random(k, out=buf[:k]) for k in sizes)
-    return np.array([cfg.dist.row_stats(u, lam, w) for u in blocks])
+def _segment_stats(group: list[SurvivalEnsemble], weights, start: int, stop: int, draw: int,
+                   n: int) -> list[np.ndarray]:
+    """Each law's row statistic (``row_stats``) of every segment of draws
+    draw to draw + n - 1 of realizations start to stop - 1, stacked
+    along a new first axis, one segment of ``_SEGMENT`` draws (the last
+    one shorter) after another.
+
+    A segment is drawn once into one reused buffer, by ``philox_uniforms``
+    for many short rows at their first draw, else one stream selected
+    per row at the segment's first draw, or not at all where every law
+    has one atom. Every law of the group reads it in turn; it is
+    read-only while a later law still reads it, so only its last reader
+    may overwrite it. The part opens its own stream family, so runs of
+    segments can be read on any threads.
+    """
+    seed, rows = group[0].config.master_seed, stop - start
+    draws = not all(_one_atom(ens.config.dist) for ens in group)
+    family, buf = StreamFamily(seed), np.empty(rows * min(n, _SEGMENT) if draws else 0)
+    stats = [[] for _ in group]
+    for a in range(draw, draw + n, _SEGMENT):
+        k = min(_SEGMENT, draw + n - a)
+        u = buf[:rows * k].reshape(rows, k) if draws else np.broadcast_to(0.0, (rows, k))
+        if draws and a == 0 and k <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
+            philox_uniforms(seed, start, u)
+        elif draws:
+            for j in range(rows):
+                family.select(start + j, a).random(k, out=u[j])
+        for reader, (ens, (lam, w)) in enumerate(zip(group, weights)):
+            u.flags.writeable = draws and reader == len(group) - 1
+            stats[reader].append(ens.config.dist.row_stats(u, lam, w))
+    return [np.stack(law_stats) for law_stats in stats]
 
 
-def _long_row_sums(cfg: EnsembleConfig, lam, w, parts: int, pool, i: int) -> np.ndarray:
-    """The row statistic of realization i, whose row of m draws is cut
-    into one run of whole segments per part; each run reads its stretch
-    of the stream on its own, the calling thread the first and ``pool``
-    the rest, and the segment statistics are added left to right."""
-    m = int(cfg.m)
-    segments = -(-m // _SEGMENT)
-    count = min(parts, segments)
-    cuts = [min(m, segments * k // count * _SEGMENT) for k in range(count + 1)]
-    runs = [(cfg, lam, w, i, a, b - a) for a, b in zip(cuts, cuts[1:])]
-    helped = [pool.submit(_leaf_sums, *run) for run in runs[1:]]
-    stats = [_leaf_sums(*runs[0]), *(future.result() for future in helped)]
-    return np.cumsum(np.concatenate(stats), axis=0)[-1]
-
-
-def _short_rows(seed: int, start: int, stop: int, m: int) -> np.ndarray:
-    """The (stop - start, m) uniforms of realizations start to stop - 1,
-    by one ``philox_uniforms`` call for many short rows, else one stream
-    selected per row."""
-    u = np.empty((stop - start, m))
-    if m <= _VECTOR_MAX_M and stop - start >= _VECTOR_MIN_ROWS:
-        return philox_uniforms(seed, start, u)
-    family = StreamFamily(seed)
-    for j in range(stop - start):
-        family.select(start + j).random(m, out=u[j])
-    return u
-
-
-def _run_shared(group: list[SurvivalEnsemble]) -> None:
+def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
     """Fill the records of fixed-m ensembles that share (master_seed,
-    realizations, m), with m at most ``_SEGMENT``, chunk by chunk: each
-    chunk's uniforms are drawn once, or not at all where every law has
-    one atom, and every law reads them in turn. The block is read-only
-    while a later law still reads it, so only its last reader may
-    overwrite it."""
+    realizations, m), chunk by chunk: the segments of a chunk's rows are
+    cut into one contiguous run per part, the calling thread reads the
+    first and a pool the rest (``_segment_stats``), and each law's
+    segment statistics are added left to right."""
     cfg = group[0].config
     m = int(cfg.m)
     weights = [phase_weights(ens.config.hamiltonian, ens.config.state) for ens in group]
-    draws = not all(_one_atom(ens.config.dist) for ens in group)
-    rows = max(1, _CHUNK_TARGET // m)
-    for start in range(0, cfg.realizations, rows):
-        stop = min(start + rows, cfg.realizations)
-        u = (_short_rows(cfg.master_seed, start, stop, m) if draws
-             else np.broadcast_to(0.0, (stop - start, m)))
-        for k, (ens, (lam, w)) in enumerate(zip(group, weights)):
-            u.flags.writeable = draws and k == len(group) - 1
-            dist = ens.config.dist
-            ens.total_times[start:stop], ens.log_survivals[start:stop] = dist.row_sums(
-                dist.row_stats(u, lam, w), lam, w)
-        del u  # before the next block is drawn
+    segments = -(-m // _SEGMENT)
+    count = min(_MAX_PARTS, _usable_cores(), segments)
+    cuts = [min(m, segments * k // count * _SEGMENT) for k in range(count + 1)]
+    pool, rows = None, max(1, _CHUNK_TARGET // m)
+    if count > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(count - 1)
+    try:
+        for start in range(0, cfg.realizations, rows):
+            stop = min(start + rows, cfg.realizations)
+            runs = [(group, weights, start, stop, a, b - a) for a, b in zip(cuts, cuts[1:])]
+            helped = [pool.submit(_segment_stats, *run) for run in runs[1:]]
+            parts = [_segment_stats(*runs[0]), *(future.result() for future in helped)]
+            for k, (ens, (lam, w)) in enumerate(zip(group, weights)):
+                stats = np.cumsum(np.concatenate([part[k] for part in parts]), axis=0)[-1]
+                ens.total_times[start:stop], ens.log_survivals[start:stop] = (
+                    ens.config.dist.row_sums(stats, lam, w))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     for ens in group:
         ens.ms[:] = m
 
@@ -389,91 +387,64 @@ def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
     return ms, totals, logs
 
 
-def _chunks(cfg: EnsembleConfig, lam, w, parts: int, pool):
-    """(ms, totals, log survivals) of consecutive realizations of a fixed-T
-    config or a fixed-m one of rows longer than ``_SEGMENT``, in chunks of
-    about ``_CHUNK_TARGET`` intervals (kept intervals, for fixed-T)."""
-    n = cfg.realizations
-    if cfg.mode == "fixed_m":
-        m = int(cfg.m)
-        rows = max(1, _CHUNK_TARGET // m)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            stats = np.array([_long_row_sums(cfg, lam, w, parts, pool, i)
-                              for i in range(start, stop)])
-            yield np.full(stop - start, m, dtype=np.int64), *cfg.dist.row_sums(stats, lam, w)
-        return
+def _run_fixed_t(ens: SurvivalEnsemble) -> None:
+    """Fill the records of a fixed-T ensemble, in chunks of about
+    ``_CHUNK_TARGET`` kept intervals, one stream selected per realization."""
+    cfg = ens.config
+    lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     family = StreamFamily(cfg.master_seed)
     limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
     first = _first_block(cfg.dist, limit)
-    rows, kept = [], 0
-    for i in range(n):
+    rows, kept, start = [], 0, 0
+    for i in range(cfg.realizations):
         rows.append(_fixed_t_draws(cfg.dist, family.select(i), limit, first))
         kept += rows[-1].size
-        if kept >= _CHUNK_TARGET or i == n - 1:
-            yield _fixed_t_sums(lam, w, rows)
-            rows, kept = [], 0
-
-
-def _run_alone(ens: SurvivalEnsemble) -> None:
-    """Fill the records of a fixed-T ensemble, or of a fixed-m one of rows
-    longer than ``_SEGMENT``, which shares no draws with another."""
-    cfg = ens.config
-    lam, w = phase_weights(cfg.hamiltonian, cfg.state)
-    start, parts, pool = 0, min(_MAX_PARTS, _usable_cores()), None
-    if cfg.mode == "fixed_m" and parts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(parts - 1)
-    try:
-        for chunk in _chunks(cfg, lam, w, parts, pool):
-            stop = start + chunk[0].size
-            ens.ms[start:stop], ens.total_times[start:stop], ens.log_survivals[start:stop] = chunk
-            start = stop
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if kept >= _CHUNK_TARGET or i == cfg.realizations - 1:
+            ens.ms[start:i + 1], ens.total_times[start:i + 1], ens.log_survivals[start:i + 1] = (
+                _fixed_t_sums(lam, w, rows))
+            rows, kept, start = [], 0, i + 1
 
 
 def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
     """Simulate every realization of each config in ``cfgs``, and return
     the ensembles in input order.
 
-    Fixed-m configs of rows at most ``_SEGMENT`` long that share
-    (master_seed, realizations, m) read the same uniforms, since a
-    realization's stream depends on neither the law nor the system: each
-    chunk's block is drawn once and every law reads it in turn, with the
-    bits each would get alone (``_run_shared``). Fixed-T configs and
-    fixed-m ones of longer rows run one at a time (``_run_alone``).
+    Fixed-m configs that share (master_seed, realizations, m) read the
+    same uniforms at any m, since a realization's stream depends on
+    neither the law nor the system: each segment of a chunk is drawn
+    once and every law reads it in turn, with the bits each would get
+    alone (``_run_fixed_m``). Fixed-T configs run one at a time
+    (``_run_fixed_t``).
 
     The result is bitwise identical for any chunk size: every
     realization's substream is keyed by its index, each draw is mapped
     on its own, and each realization's sums run over its own draws. A
-    fixed-m realization of more than ``_SEGMENT`` draws is reduced in
-    segments of ``_SEGMENT`` draws, added in order. Fixed-T finds each
-    realization's stop on its own (``_fixed_t_draws``), then maps and
-    sums the kept draws of a whole chunk at once.
+    fixed-m row is reduced in segments of ``_SEGMENT`` draws, added in
+    order. Fixed-T finds each realization's stop on its own
+    (``_fixed_t_draws``), then maps and sums the kept draws of a whole
+    chunk at once.
 
-    A long fixed-m row runs in one part per usable core (at most
-    ``_MAX_PARTS``), with the same bits for any core count: each run of
-    its segments opens the stream at its first draw. The helper threads
-    are a ``ThreadPoolExecutor`` made only when the rows split (fixed-m,
-    m over ``_SEGMENT``, more than one part), so other runs neither
-    import ``concurrent.futures`` nor start a thread; they are joined
-    before the config's run returns or raises, and an error in a part
-    is raised here with its own type.
+    A fixed-m chunk of more than one segment runs in one part per usable
+    core (at most ``_MAX_PARTS``), with the same bits for any core
+    count: each run of its segments opens the stream at its first draw.
+    The helper threads are a ``ThreadPoolExecutor`` made only where the
+    segments split, so other runs neither import
+    ``concurrent.futures`` nor start a thread; they are joined before the
+    group's run returns or raises, and an error in a part is raised here
+    with its own type.
     """
-    ensembles, shared = [], {}
+    ensembles, fixed_m = [], {}
     for cfg in cfgs:
         n = cfg.realizations
         ens = SurvivalEnsemble(config=cfg, ms=np.empty(n, dtype=np.int64),
                                total_times=np.empty(n), log_survivals=np.empty(n))
         ensembles.append(ens)
-        if cfg.mode == "fixed_m" and cfg.m <= _SEGMENT:
-            shared.setdefault((cfg.master_seed, n, int(cfg.m)), []).append(ens)
+        if cfg.mode == "fixed_m":
+            fixed_m.setdefault((cfg.master_seed, n, int(cfg.m)), []).append(ens)
         else:
-            _run_alone(ens)
-    for group in shared.values():
-        _run_shared(group)
+            _run_fixed_t(ens)
+    for group in fixed_m.values():
+        _run_fixed_m(group)
     return ensembles
 
 

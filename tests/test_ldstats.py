@@ -466,12 +466,15 @@ class TestJointRateFunction:
 
     def test_d3_particular_split_leaves_simplex_at_typical_pair(self, chain, psi0):
         # the displayed construction recovers the atom probabilities at the
-        # typical pair only for two atoms; with three it is a different
-        # particular solution and falls outside the simplex here
-        prob = problem(chain, psi0, D3_VALUES_S, D3_PROBS)
-        x_star = survival_stats(prob).log_p_star / prob.m
-        with pytest.raises(OutOfRangeError):
-            joint_rate_function(prob, x_star, prob.dist.mean())
+        # typical pair only for two atoms; with more it is a different
+        # particular solution (off the simplex for d = 3, a rate of 0.344
+        # for d = 4, where the rate is 0), so it is refused
+        for values, probs in ((D3_VALUES_S, D3_PROBS), (D4_VALUES_S, D4_PROBS)):
+            prob = problem(chain, psi0, values, probs)
+            x_star = survival_stats(prob).log_p_star / prob.m
+            with pytest.raises(ValueError, match="one or two atoms") as refused:
+                joint_rate_function(prob, x_star, prob.dist.mean())
+            assert refused.type is ValueError
 
 
 class TestFixedTimeSolve:

@@ -125,10 +125,13 @@ class TestRunEnsemble:
         # a count that is not a plain integer would run clipped (2.7 as 2,
         # True as 1) or fail inside numpy
         for name, value in (("m", 2.7), ("m", True), ("m", 50.0), ("m", "50"),
-                            ("realizations", 3.5), ("realizations", True)):
+                            ("realizations", 3.5), ("realizations", True),
+                            ("master_seed", 2.0), ("master_seed", "7"),
+                            ("master_seed", None), ("master_seed", False)):
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 make_config(chain, psi0, d2(), **{name: value})
-        assert make_config(chain, psi0, d2(), m=np.int64(5), realizations=np.int32(3)).m == 5
+        assert make_config(chain, psi0, d2(), m=np.int64(5), realizations=np.int32(3),
+                           master_seed=np.uint64(2**64 - 1)).m == 5
         # only m may be None (fixed-T has no m)
         for mode, extra in (("fixed_m", {}), ("fixed_T", {"m": None, "t_total": 1e-6})):
             with pytest.raises(ValueError, match="^realizations must be an integer, not None"):
@@ -452,21 +455,28 @@ def use_cores(monkeypatch, cores, max_parts=None):
 
 
 def spy_parts(monkeypatch):
-    """Record the calling thread of every call of montecarlo._leaf_sums."""
+    """Record the calling thread of every call of montecarlo._segment_stats,
+    one per part of each chunk."""
     calls = []
-    run = montecarlo._leaf_sums
+    run = montecarlo._segment_stats
 
     def spied(*args):
         calls.append(threading.get_ident())
         return run(*args)
 
-    monkeypatch.setattr(montecarlo, "_leaf_sums", spied)
+    monkeypatch.setattr(montecarlo, "_segment_stats", spied)
     return calls
 
 
+def chunk_count(cfg):
+    """How many chunks a fixed-m run of ``cfg`` cuts its realizations into."""
+    rows = max(1, montecarlo._CHUNK_TARGET // cfg.m)
+    return -(-cfg.realizations // rows)
+
+
 class TestCoreParts:
-    # a long fixed-m row runs one part per usable core; any core count
-    # must give the bits of the serial code
+    # a fixed-m chunk of many segments runs one part per usable core; any
+    # core count must give the bits of the serial code
     @pytest.mark.parametrize("law", ["d2", "d4", "degenerate", "power3"])
     @pytest.mark.parametrize("segment,m", [
         (SEGMENT, SEGMENT + 1),  # two segments, fewer than most core counts
@@ -478,7 +488,7 @@ class TestCoreParts:
         dist = LATTICE_LAWS.get(law, PowerLawIntervals(mu0=1 * NS, alpha=3.0))
         cfg = make_config(chain, psi0, dist, m=m, realizations=2, master_seed=31)
         totals, logs = replay(cfg)
-        segments = -(-m // segment)
+        segments, chunks = -(-m // segment), chunk_count(cfg)
         calls = spy_parts(monkeypatch)
         for cores in CORE_COUNTS:
             use_cores(monkeypatch, cores, max_parts=max(CORE_COUNTS))
@@ -486,9 +496,9 @@ class TestCoreParts:
             ens = run_ensemble(cfg)
             assert same_bits(ens.total_times, totals)
             assert same_bits(ens.log_survivals, logs)
-            # the caller runs one part of each row, helper threads the rest
-            assert len(calls) == 2 * min(cores, segments)
-            assert calls.count(threading.get_ident()) == 2
+            # the caller runs one part of each chunk, helper threads the rest
+            assert len(calls) == chunks * min(cores, segments)
+            assert calls.count(threading.get_ident()) == chunks
 
     def test_parts_are_capped(self, chain, psi0, monkeypatch):
         # however many cores there are, a row runs in at most _MAX_PARTS
@@ -514,7 +524,8 @@ class TestCoreParts:
     @pytest.mark.parametrize("m", [129, 2000, 6400])
     @pytest.mark.parametrize("rows", [25, 131])
     def test_per_row_chunks(self, chain, psi0, monkeypatch, m, rows):
-        # rows of at most _SEGMENT draws run in the calling thread
+        # rows of at most _SEGMENT draws run one part per chunk, in the
+        # calling thread
         cfg = make_config(chain, psi0, d2(), m=m, realizations=rows, master_seed=8)
         totals, logs = replay(cfg)
         calls = spy_parts(monkeypatch)
@@ -523,20 +534,23 @@ class TestCoreParts:
             ens = run_ensemble(cfg)
             assert same_bits(ens.total_times, totals)
             assert same_bits(ens.log_survivals, logs)
-        assert calls == []
+        assert calls == [threading.get_ident()] * (len(CORE_COUNTS) * chunk_count(cfg))
 
     def test_more_parts_than_cores_under_fast_thread_switches(self, chain, psi0, monkeypatch):
-        # parts share only read-only inputs; switching threads every 10 us
-        # with more parts than this machine has cores must not move a bit
-        cfgs = [make_config(chain, psi0, d2(), m=m, realizations=2, master_seed=5)
-                for m in (3 * SEGMENT + 11, 7 * SEGMENT + 5)]
+        # parts share only read-only inputs, also the laws of a group that
+        # share draws; switching threads every 10 us with more parts than
+        # this machine has cores must not move a bit
+        power = PowerLawIntervals(mu0=1 * NS, alpha=3.0)
+        cfgs = [make_config(chain, psi0, law, m=m, realizations=2, master_seed=5)
+                for law, m in ((d2(), 3 * SEGMENT + 11), (d2(), 7 * SEGMENT + 5),
+                               (power, 7 * SEGMENT + 5))]
         use_cores(monkeypatch, 1)
         serial = [run_ensemble(cfg) for cfg in cfgs]
         use_cores(monkeypatch, 7, max_parts=7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            parallel = [run_ensemble(cfg) for cfg in cfgs]
+            parallel = montecarlo.run_ensembles(cfgs)
         finally:
             sys.setswitchinterval(interval)
         assert all(same_ensemble(a, b) for a, b in zip(serial, parallel))
@@ -836,16 +850,19 @@ class TestChunking:
 
 def counted_draws(monkeypatch):
     """Count the calls of ``StreamFamily.select`` and of montecarlo's
-    ``philox_uniforms``, the two ways a fixed-m run draws its uniforms."""
-    calls = {"select": 0, "philox": 0}
+    ``philox_uniforms``, the two ways a fixed-m run draws its uniforms,
+    in any thread."""
+    calls, lock = {"select": 0, "philox": 0}, threading.Lock()
     select, philox = montecarlo.StreamFamily.select, montecarlo.philox_uniforms
 
     def counted_select(self, *args):
-        calls["select"] += 1
+        with lock:
+            calls["select"] += 1
         return select(self, *args)
 
     def counted_philox(*args):
-        calls["philox"] += 1
+        with lock:
+            calls["philox"] += 1
         return philox(*args)
 
     monkeypatch.setattr(montecarlo.StreamFamily, "select", counted_select)
@@ -865,9 +882,8 @@ class WritingLaw(DiscreteIntervals):
 
 
 class TestSharedDraws:
-    # fixed-m configs of rows at most _SEGMENT long that share (seed, n, m)
-    # read one block of uniforms per chunk; each must get the bits it gets
-    # alone
+    # fixed-m configs that share (seed, n, m) read one block of uniforms per
+    # segment of a chunk; each must get the bits it gets alone
     def mixed_configs(self, chain, psi0, rabi):
         power = PowerLawIntervals(mu0=1 * NS, alpha=2.5)
         short = dict(m=20, realizations=300, master_seed=11)  # philox_uniforms
@@ -880,6 +896,7 @@ class TestSharedDraws:
             make_config(chain, psi0, power, **short),
             make_config(*rabi, LATTICE_LAWS["d3"], **short),  # another system
             make_config(chain, psi0, d2(), m=SEGMENT + 5, realizations=2, master_seed=11),
+            make_config(chain, psi0, power, m=SEGMENT + 5, realizations=2, master_seed=11),
             make_config(chain, psi0, power, **rows),
             make_config(chain, psi0, LATTICE_LAWS["degenerate"], **rows),
             make_config(chain, psi0, d2(), **{**short, "master_seed": 12}),  # its own group
@@ -899,7 +916,7 @@ class TestSharedDraws:
         assert all(ens.config is cfg for ens, cfg in zip(together, cfgs))
         for ens, cfg in zip(together, cfgs):
             assert same_ensemble(ens, run_ensemble(cfg))
-            if cfg.mode == "fixed_m" and cfg.m <= SEGMENT:
+            if cfg.mode == "fixed_m":
                 totals, logs = replay(cfg)
                 assert same_bits(ens.total_times, totals)
                 assert same_bits(ens.log_survivals, logs)
@@ -941,6 +958,32 @@ class TestSharedDraws:
         with pytest.raises(ValueError, match="read-only"):
             montecarlo.run_ensembles(cfgs)
         montecarlo.run_ensembles(cfgs[::-1])
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_long_rows_share_draws(self, chain, psi0, monkeypatch, cores):
+        # rows of 33 segments of 128 draws, the last of 3, cut into one
+        # run per part: the two laws read each segment once between them
+        monkeypatch.setattr(montecarlo, "_SEGMENT", 128)
+        use_cores(monkeypatch, cores)
+        laws = [d2(), PowerLawIntervals(mu0=1 * NS, alpha=3.0)]
+        cfgs = [make_config(chain, psi0, law, m=4099, realizations=3, master_seed=41)
+                for law in laws]
+        calls = counted_draws(monkeypatch)
+        alone = run_ensemble(cfgs[0])
+        assert calls == {"select": 33 * 3, "philox": 0}
+        together = montecarlo.run_ensembles(cfgs)
+        assert calls == {"select": 2 * 33 * 3, "philox": 0}
+        assert same_ensemble(together[0], alone)
+        for ens, cfg in zip(together, cfgs):
+            assert same_ensemble(ens, run_ensemble(cfg))
+            totals, logs = replay(cfg)
+            assert same_bits(ens.total_times, totals)
+            assert same_bits(ens.log_survivals, logs)
+        writers = [make_config(chain, psi0, law, m=4099, realizations=3, master_seed=41)
+                   for law in (WritingLaw(), d2())]
+        with pytest.raises(ValueError, match="read-only"):
+            montecarlo.run_ensembles(writers)
+        montecarlo.run_ensembles(writers[::-1])
 
     def test_fig3_draws_once(self, tmp_path, monkeypatch):
         # 49 laws, each on the same 25 realizations of m = 6400: one

@@ -21,16 +21,40 @@ def load_tracing():
 tracing = load_tracing()
 
 
-@pytest.mark.parametrize("module_name,path,name", tracing.SPANNED + tracing.COUNTED)
-def test_traced_name_resolves_as_the_tracer_looks_it_up(module_name, path, name):
-    # Tracer._replace walks the dotted path by getattr, then reads the last
-    # part from the owner's __dict__ and wraps a function or a classmethod
+def traced(module_name, path):
+    """The function the tracer wraps: Tracer._replace walks the dotted path
+    by getattr, then reads the last part from the owner's __dict__."""
     owner = importlib.import_module(module_name)
     *outer, attr = path.split(".")
     for part in outer:
         owner = getattr(owner, part)
-    assert attr in owner.__dict__, f"{module_name}.{path} ({name}) is gone"
+    assert attr in owner.__dict__, f"{module_name}.{path} is gone"
     raw = owner.__dict__[attr]
-    if isinstance(raw, classmethod):
-        raw = raw.__func__
-    assert inspect.isfunction(raw), f"{module_name}.{path} is not a plain function"
+    return raw.__func__ if isinstance(raw, classmethod) else raw
+
+
+@pytest.mark.parametrize("module_name,path,name", tracing.SPANNED + tracing.COUNTED)
+def test_traced_name_resolves_as_the_tracer_looks_it_up(module_name, path, name):
+    raw = traced(module_name, path)
+    assert inspect.isfunction(raw), f"{module_name}.{path} ({name}) is not a plain function"
+
+
+#: the arguments each fixed-arity wrapper of Tracer._spanned passes on
+CALL_SHAPES = {
+    "intervals.sample": (("dist", "rng", "m"), {}),
+    "dynamics.lnq_vector": (("lam", "w", "mus"), {}),
+    "intervals.expect_windowed": (("dist", "g"), {"edges": "edges"}),
+}
+
+
+@pytest.mark.parametrize("module_name,path,name",
+                         [entry for entry in tracing.SPANNED if entry[2] in CALL_SHAPES])
+def test_fixed_arity_wrapper_binds_to_the_traced_signature(module_name, path, name):
+    # a signature change that the wrapper's call no longer fits fails here,
+    # not only under a traced benchmark run
+    args, kwargs = CALL_SHAPES[name]
+    inspect.signature(traced(module_name, path)).bind(*args, **kwargs)
+
+
+def test_every_call_shape_is_traced():
+    assert set(CALL_SHAPES) <= {name for _, _, name in tracing.SPANNED}
