@@ -87,7 +87,7 @@ class DiscreteIntervals:
             raise ValueError("waiting times must be strictly positive and finite")
         if np.unique(vals).size != vals.size:
             raise ValueError("waiting-time atoms must be pairwise distinct")
-        if np.any(pr <= 0) or np.any(pr > 1):
+        if not np.all((pr > 0) & (pr <= 1)):  # so NaN fails too
             raise ValueError("probabilities must lie in (0, 1]")
         if abs(float(pr.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {pr.sum()!r}, not 1 within 1e-12")

@@ -33,10 +33,10 @@ shut down before the group's run returns. No bit moves: Philox is
 counter based, so each run opens its own stream family and reads what a
 serial pass would, and the statistics are added in the calling thread.
 
-A fixed-T realization runs the compensated one-draw-at-a-time stop rule
-over blocks of draws, its state carried from block to block; it sizes
-its first block from the law's mean and each next one from its own mean
-waiting time so far; the kept draws of a chunk of realizations are then
+Fixed T runs the compensated stop rule once over a chunk's stacked
+first blocks, each sized from the law's mean; a row that keeps its
+whole block selects its stream at the block's end and carries on alone
+in blocks sized from its own mean so far. The kept draws of a chunk are
 mapped by one ln q call and summed row by row. Records fill
 preallocated arrays.
 """
@@ -66,7 +66,7 @@ __all__ = [
     "ensemble_summary",
 ]
 
-#: target number of intervals per vectorized chunk (kept ones, for fixed-T)
+#: target number of draws per fixed-m chunk of rows
 _CHUNK_TARGET = 262_144
 #: a fixed-m chunk draws its uniforms with ``philox_uniforms`` when its rows
 #: are at most this long and at least ``_VECTOR_MIN_ROWS`` many; otherwise
@@ -78,7 +78,8 @@ _VECTOR_MIN_ROWS = 128
 #: a fixed-m row longer than this is drawn and reduced in segments of this
 #: many draws (the last one shorter); a multiple of 4, as a part opens its
 #: stream at a segment's first draw and a Philox counter gives four draws.
-#: It also caps a fixed-T block, and with it the stop rule's temporaries
+#: It also caps a fixed-T block and a fixed-T chunk's stacked first blocks,
+#: and with them the stop rule's temporaries
 _SEGMENT = 65_536
 #: a fixed-m chunk of many segments runs in one part per usable core, but in
 #: at most this many: each part holds its own segment buffer and one
@@ -86,11 +87,6 @@ _SEGMENT = 65_536
 #: output and temporaries for a power law), so peak memory grows with the
 #: part count, and only two cores have been measured (BENCH_14.json)
 _MAX_PARTS = 2
-#: a fixed-T realization expected to keep at least this many draws starts
-#: with one block sized from the law's mean; a shorter one starts with 64
-#: draws, whose stop rule runs in Python, cheaper there than one numpy pass
-#: on a slightly longer block (measured in BENCH_13.json)
-_MEAN_SIZED_MIN = 110
 #: relative slack on the fixed-time budget comparison, so exact ties
 #: (degenerate laws) are not lost to accumulated round-off
 _BUDGET_SLACK = 1e-12
@@ -119,7 +115,8 @@ class EnsembleConfig:
     ``mode`` is "fixed_m", which takes ``m`` and no ``t_total``, or
     "fixed_T", which takes a finite ``t_total`` in seconds and no ``m``.
     ``m``, ``realizations`` and ``master_seed`` are ints or numpy
-    integers, not bools; only ``m`` may be None.
+    integers, not bools; only ``m`` may be None. ``t_total`` is None or a
+    real number (int, float or numpy number), not a bool.
     """
 
     dist: IntervalDistribution
@@ -140,6 +137,9 @@ class EnsembleConfig:
                 continue  # checked against the mode below
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        if self.t_total is not None and (isinstance(self.t_total, bool) or not isinstance(
+                self.t_total, (int, float, np.integer, np.floating))):
+            raise ValueError(f"t_total must be a real number, not {self.t_total!r}")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
         if self.mode == "fixed_m" and (self.m is None or self.m < 1):
@@ -225,33 +225,27 @@ class EnsembleSummary:
         return float(np.var(self.intensive_logs, ddof=1))
 
 
-def _kept_in_block(mus: np.ndarray, total: float, comp: float, limit: float):
-    """(kept, total, comp): how many leading draws of ``mus`` the fixed-T
-    stop rule keeps, carried on from the state (total, comp), and the
-    state after them.
+def _kept_in_block(mus: np.ndarray, total: np.ndarray, comp: np.ndarray, limit: float):
+    """(kept, total, comp) per row of the (rows, k) block ``mus``: how
+    many leading draws of the row the fixed-T stop rule keeps, carried on
+    from the row's state (total, comp), and the state after them.
 
     The rule, one draw at a time: stop at the first mu with total + comp
-    + mu > limit, else add mu to total, Neumaier-compensated in comp. A
-    block of at most 64 draws runs that loop in Python, which costs less
-    than numpy's call overhead on so few. A longer one runs two
-    ``np.cumsum``, which add left to right like the loop, with the
-    carried total and compensation in front, so the totals, the
-    compensations and the stop decisions carry its bits across blocks.
+    + mu > limit, else add mu to total, Neumaier-compensated in comp:
+    t = total + mu adds (big - t) + small to comp, big the larger of
+    |total| and mu, which is max(total, mu) as no total is negative. Two
+    ``np.cumsum`` along the rows add left to right like the loop, with
+    the carried state in front, so they carry its bits across blocks.
     """
-    if mus.size <= 64:
-        for kept, mu in enumerate(mus.tolist()):
-            if total + comp + mu > limit:
-                return kept, total, comp
-            t = total + mu
-            comp += (total - t) + mu if abs(total) >= mu else (mu - t) + total
-            total = t
-        return mus.size, total, comp
-    totals = np.cumsum(np.concatenate(([total], mus)))
-    before, after = totals[:-1], totals[1:]
-    err = np.where(np.abs(before) >= mus, (before - after) + mus, (mus - after) + before)
-    comps = np.cumsum(np.concatenate(([comp], err)))
-    kept = int(np.argmax(np.append(before + comps[:-1] + mus > limit, True)))
-    return kept, totals[kept], comps[kept]
+    totals = np.cumsum(np.concatenate((total[:, None], mus), axis=1), axis=1)
+    before, after = totals[:, :-1], totals[:, 1:]
+    comps = np.concatenate((comp[:, None], np.maximum(before, mus) - after), axis=1)
+    comps[:, 1:] += np.minimum(before, mus)
+    np.cumsum(comps, axis=1, out=comps)
+    over = before + comps[:, :-1] + mus > limit
+    kept = np.where(over.any(axis=1), over.argmax(axis=1), mus.shape[1])
+    at = np.arange(len(mus))
+    return kept, totals[at, kept], comps[at, kept]
 
 
 def _usable_cores() -> int:
@@ -336,36 +330,28 @@ def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
         ens.ms[:] = m
 
 
-def _first_block(dist, limit: float) -> int:
-    """Draws in each fixed-T realization's first block: the expected kept
-    count limit / E[mu] and an eighth more, at most ``_SEGMENT``; 64
-    where that count is below ``_MEAN_SIZED_MIN`` or the law has no
-    finite mean."""
-    try:
-        expected = limit / dist.mean()
-    except InfiniteMeanError:
-        return 64
-    return 64 if expected < _MEAN_SIZED_MIN else int(min(_SEGMENT, 1.125 * expected))
+def _block_size(remaining: float) -> int:
+    """Draws in a fixed-T block expected to hold ``remaining`` more kept
+    draws: the whole part of that count and an eighth more, at least 64
+    and at most ``_SEGMENT``, rounded up to a multiple of 4, so that a
+    stream can be selected at the block's end."""
+    return -(-int(min(_SEGMENT, max(64.0, 1.125 * remaining))) // 4) * 4
 
 
-def _fixed_t_draws(dist, rng, limit: float, size: int = 64) -> np.ndarray:
-    """The waiting times one fixed-T realization of ``rng`` keeps.
-
-    Draws ``size`` (``_first_block``), then, while the stop rule keeps all
-    it has, a next block sized from the realization's own mean so far:
-    the expected remaining draws and an eighth more, at least 64 and at
-    most ``_SEGMENT``. The stream is read in order, so block sizes move
-    no bit.
-    """
-    blocks, total, comp = [], 0.0, 0.0
+def _fixed_t_draws(dist, rng, limit: float, first: np.ndarray, total: np.ndarray,
+                   comp: np.ndarray) -> np.ndarray:
+    """The waiting times a fixed-T realization keeps whose stop rule kept
+    all of its first block ``first``, with state (total, comp), each of
+    shape (1,): ``rng`` reads its stream on from the block's end, in
+    blocks sized from its own mean so far, which moves no bit."""
+    blocks, drawn = [first], first.size
     while True:
-        mus = dist.sample(rng, size)
-        kept, total, comp = _kept_in_block(mus, total, comp, limit)
-        blocks.append(mus[:kept])
-        if kept < size:
-            return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        drawn = sum(block.size for block in blocks)
-        size = int(min(_SEGMENT, max(64.0, 1.125 * drawn * (limit - total) / total)))
+        mus = dist.sample(rng, _block_size(drawn * (limit - total[0]) / total[0]))
+        kept, total, comp = _kept_in_block(mus[None], total, comp, limit)
+        blocks.append(mus[:kept[0]])
+        if kept[0] < mus.size:
+            return np.concatenate(blocks)
+        drawn += mus.size
 
 
 def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
@@ -388,21 +374,33 @@ def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
 
 
 def _run_fixed_t(ens: SurvivalEnsemble) -> None:
-    """Fill the records of a fixed-T ensemble, in chunks of about
-    ``_CHUNK_TARGET`` kept intervals, one stream selected per realization."""
+    """Fill the records of a fixed-T ensemble in chunks of about
+    ``_SEGMENT`` first-block draws: one select and one first block per
+    realization (64 draws for a law with no finite mean), one stop rule
+    over the chunk's stacked blocks, and ``_fixed_t_draws`` for each row
+    that keeps its whole block."""
     cfg = ens.config
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     family = StreamFamily(cfg.master_seed)
     limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
-    first = _first_block(cfg.dist, limit)
-    rows, kept, start = [], 0, 0
-    for i in range(cfg.realizations):
-        rows.append(_fixed_t_draws(cfg.dist, family.select(i), limit, first))
-        kept += rows[-1].size
-        if kept >= _CHUNK_TARGET or i == cfg.realizations - 1:
-            ens.ms[start:i + 1], ens.total_times[start:i + 1], ens.log_survivals[start:i + 1] = (
-                _fixed_t_sums(lam, w, rows))
-            rows, kept, start = [], 0, i + 1
+    try:
+        size = _block_size(limit / cfg.dist.mean())
+    except InfiniteMeanError:
+        size = 64
+    step = max(1, _SEGMENT // size)
+    for start in range(0, cfg.realizations, step):
+        stop = min(start + step, cfg.realizations)
+        block = np.empty((stop - start, size))
+        for j in range(stop - start):
+            block[j] = cfg.dist.sample(family.select(start + j), size)
+        zeros = np.zeros(stop - start)
+        kept, totals, comps = _kept_in_block(block, zeros, zeros, limit)
+        rows = [block[j, :n] if n < size else
+                _fixed_t_draws(cfg.dist, family.select(start + j, size), limit, block[j],
+                               totals[j:j + 1], comps[j:j + 1])
+                for j, n in enumerate(kept.tolist())]
+        ens.ms[start:stop], ens.total_times[start:stop], ens.log_survivals[start:stop] = (
+            _fixed_t_sums(lam, w, rows))
 
 
 def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
@@ -420,8 +418,9 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
     realization's substream is keyed by its index, each draw is mapped
     on its own, and each realization's sums run over its own draws. A
     fixed-m row is reduced in segments of ``_SEGMENT`` draws, added in
-    order. Fixed-T finds each realization's stop on its own
-    (``_fixed_t_draws``), then maps and sums the kept draws of a whole
+    order. Fixed-T runs the stop rule once over a chunk's stacked first
+    blocks, carries on alone with each row that keeps its whole block
+    (``_fixed_t_draws``), then maps and sums the kept draws of the whole
     chunk at once.
 
     A fixed-m chunk of more than one segment runs in one part per usable

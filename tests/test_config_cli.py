@@ -390,6 +390,7 @@ class TestCli:
         ("run", "[system]", "[sytem]"),
         ("run", "[distribution]\nkind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\n", ""),
         ("run", "mode = fixed_m\n", ""),
+        ("run", "probs = 0.3, 0.7\n", "probs = nan, 1.0\n"),
         ("run", "probs = 0.3, 0.7\n", "probs = 0.3, 0.7\nalpha = 3\n"),
         ("run", "probs = 0.3, 0.7\n", "probs = 0.3, 0.7\nmu_bar = 2 ns\n"),
         *(("run", RUN_SECTIONS, f"[run]\npreset = fig6\n{line}\n")

@@ -58,6 +58,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscreteIntervals(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, math.nan]])
+    def test_nan_probability_rejected(self, probs):
+        # NaN fails every comparison, so a check by rejection let it through
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            DiscreteIntervals(np.array([1.0, 2.0]), np.array(probs))
+
     def test_powerlaw_parameters(self):
         with pytest.raises(ValueError):
             PowerLawIntervals(mu0=-1.0, alpha=3.0)

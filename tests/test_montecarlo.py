@@ -132,6 +132,14 @@ class TestRunEnsemble:
                 make_config(chain, psi0, d2(), **{name: value})
         assert make_config(chain, psi0, d2(), m=np.int64(5), realizations=np.int32(3),
                            master_seed=np.uint64(2**64 - 1)).m == 5
+        # a budget that is not a real number failed in a comparison, and
+        # True ran as a budget of 1 s (these configs are built, never run)
+        for t_total in ("1e-6", True, 1e-6j):
+            with pytest.raises(ValueError, match="^t_total must be a real number"):
+                make_config(chain, psi0, d2(), mode="fixed_T", m=None, t_total=t_total)
+        for t_total in (np.float64(1e-6), 1):
+            assert make_config(chain, psi0, d2(), mode="fixed_T", m=None,
+                               t_total=t_total).t_total == t_total
         # only m may be None (fixed-T has no m)
         for mode, extra in (("fixed_m", {}), ("fixed_T", {"m": None, "t_total": 1e-6})):
             with pytest.raises(ValueError, match="^realizations must be an integer, not None"):
@@ -612,6 +620,17 @@ def sampled_in_blocks(dist, rng):
         yield from dist.sample(rng, 64).tolist()
 
 
+def stop_in_stream(dist, rng, limit, size=64):
+    """The draws one fixed-T realization keeps from ``rng``: the stop rule
+    over a first block of ``size`` draws, then ``_fixed_t_draws`` on from
+    its end if the rule keeps all of it."""
+    first = dist.sample(rng, size)
+    kept, total, comp = montecarlo._kept_in_block(first[None], np.zeros(1), np.zeros(1), limit)
+    if kept[0] < size:
+        return first[:kept[0]]
+    return montecarlo._fixed_t_draws(dist, rng, limit, first, total, comp)
+
+
 def replay_fixed_t(cfg):
     """Per-realization reference for fixed-T: substream, ``sample`` in
     64-draw blocks and the scalar stop rule, then the kernel."""
@@ -696,22 +715,21 @@ class TestFixedTStop:
 
     def test_kept_counts_match_scalar_rule_at_the_limit(self):
         # rows scaled so that a prefix sums to the limit up to round-off:
-        # the stop decisions there hinge on the compensation term. Rows of
-        # 64 run the Python loop, rows of 192 the cumsum form, and a row
-        # cut in two carries the state from one form into the other
+        # the stop decisions there hinge on the compensation term. The 500
+        # rows of each width run as one stacked block, and cut in two, each
+        # row carries its own state from the first part into the second
         rng = np.random.default_rng(2718)
         for width in (64, 192):
             mus = rng.random((500, width)) * 10.0 ** rng.integers(-3, 4, (500, width))
             k = rng.integers(1, width, 500)
             mus /= np.array([math.fsum(row[:n]) for row, n in zip(mus, k)])[:, None]
-            for row in mus:
-                expected = len(scalar_budget_rule(row.tolist(), 1.0))
-                assert montecarlo._kept_in_block(row, 0.0, 0.0, 1.0)[0] == expected
-                for cut in [c for c in (1, 7, 31, 63, 150) if c < width]:
-                    kept, total, comp = montecarlo._kept_in_block(row[:cut], 0.0, 0.0, 1.0)
-                    if kept == cut:
-                        kept += montecarlo._kept_in_block(row[cut:], total, comp, 1.0)[0]
-                    assert kept == expected
+            expected = [len(scalar_budget_rule(row.tolist(), 1.0)) for row in mus]
+            zeros = np.zeros(len(mus))
+            assert montecarlo._kept_in_block(mus, zeros, zeros, 1.0)[0].tolist() == expected
+            for cut in [c for c in (1, 7, 31, 63, 150) if c < width]:
+                kept, total, comp = montecarlo._kept_in_block(mus[:, :cut], zeros, zeros, 1.0)
+                rest = montecarlo._kept_in_block(mus[:, cut:], total, comp, 1.0)[0]
+                assert np.where(kept == cut, cut + rest, kept).tolist() == expected
 
     def test_draws_contain_the_stop_near_the_limit(self):
         # budgets around the first block's sum, where the stop falls in
@@ -720,7 +738,7 @@ class TestFixedTStop:
         first = math.fsum(dist.sample(substream(5, 0), 64))
         for step in range(-400, 41, 4):
             limit = first * (1.0 + step * 2.0**-52)
-            kept = montecarlo._fixed_t_draws(dist, substream(5, 0), limit)
+            kept = stop_in_stream(dist, substream(5, 0), limit)
             expected = scalar_budget_rule(sampled_in_blocks(dist, substream(5, 0)), limit)
             assert kept.tolist() == expected and kept.sum() == np.sum(expected)
 
@@ -734,33 +752,69 @@ class TestFixedTStop:
             limit = math.fsum(first)
             if first.sum() > limit and len(scalar_budget_rule(first.tolist(), limit)) == 64:
                 cases += 1
-                assert montecarlo._fixed_t_draws(ReplayedDraws(first), None, limit).size == 64
+                assert stop_in_stream(ReplayedDraws(first), None, limit).size == 64
         assert cases >= 10
 
     def test_blocks_outgrow_the_first(self, chain, psi0):
-        # 300 draws per row take one block sized from the mean: 337, the
-        # expected 300 and an eighth more
+        # 300 draws per row take one block sized from the mean: 340, the
+        # expected 300 and an eighth more, rounded up to a multiple of 4
         counted = CountedDraws(DegenerateInterval(1 * NS))
         cfg = make_config(chain, psi0, counted, mode="fixed_T",
                           m=None, t_total=300 * NS, realizations=3)
         assert np.all(run_ensemble(cfg).ms == 300)
-        assert counted.sizes == [337] * 3
+        assert counted.sizes == [340] * 3
         # a law with no finite mean starts at 64 and grows from there
         counted = CountedDraws(PowerLawIntervals(mu0=1 * NS, alpha=0.8))
         cfg = make_config(chain, psi0, counted, mode="fixed_T", m=None,
                           t_total=1000 * NS, realizations=30)
-        assert montecarlo._first_block(counted, 1000 * NS) == 64
         ens = run_ensemble(cfg)
-        assert counted.sizes.count(64) >= 30 and max(counted.sizes) > 64
+        assert counted.sizes[:30] == [64] * 30 and max(counted.sizes) > 64
         assert ens.ms.max() > 64
 
     @pytest.mark.parametrize("expected, first", [
-        (50.0, 64), (109.9, 64), (110.0, 123), (1333.3, 1499), (1e7, SEGMENT),
+        (50.0, 64), (109.9, 124), (110.0, 124), (1333.3, 1500), (1e7, SEGMENT),
     ])
     def test_first_block_from_the_mean(self, expected, first):
-        # rows expected below _MEAN_SIZED_MIN draws keep the 64-draw block
-        dist = DegenerateInterval(1 * NS)
-        assert montecarlo._first_block(dist, expected * 1e-9) == first
+        # the whole part of the expected kept count and an eighth more, at
+        # least 64 and at most _SEGMENT, rounded up to a multiple of 4
+        assert montecarlo._block_size(expected) == first
+
+    @pytest.mark.parametrize("case, segment, first", [
+        ("power0.8", None, 64),   # no finite mean: one chunk of 30 rows of 64
+        ("power1.5", 512, 112),   # 100 expected kept draws: chunks of 4 rows
+    ])
+    def test_chunks_mix_stopping_and_continuing_rows(self, chain, psi0, monkeypatch, case,
+                                                     segment, first):
+        # a row that keeps its whole first block selects its stream once
+        # more, at the block's end, and carries on alone
+        dist, t_total = FIXED_T_CASES[case]
+        if segment:
+            monkeypatch.setattr(montecarlo, "_SEGMENT", segment)
+        cfg = make_config(chain, psi0, dist, mode="fixed_T", m=None, t_total=t_total,
+                          realizations=30, master_seed=31337)
+        calls = counted_draws(monkeypatch)
+        ens = run_ensemble(cfg)
+        ms, totals, logs = replay_fixed_t(cfg)
+        assert np.array_equal(ens.ms, ms)
+        assert same_bits(ens.total_times, totals)
+        assert same_bits(ens.log_survivals, logs)
+        step = max(1, montecarlo._SEGMENT // first)
+        chunks = [ens.ms[i:i + step] >= first for i in range(0, cfg.realizations, step)]
+        assert any(0 < on.sum() < on.size for on in chunks)  # a chunk that mixes
+        continuing = int(np.count_nonzero(ens.ms >= first))
+        assert calls == {"select": cfg.realizations + continuing, "philox": 0}
+
+    @pytest.mark.parametrize("realizations, seed", [(40, 3), (1000, 1)])
+    def test_one_select_per_realization_on_the_benchmark_law(self, chain, psi0, monkeypatch,
+                                                             realizations, seed):
+        # the benchmark's fixed-T law and budget: about 1,333 kept of a
+        # first block of 1,500, so no row selects its stream twice
+        calls = counted_draws(monkeypatch)
+        cfg = make_config(chain, psi0, PowerLawIntervals(mu0=1 * NS, alpha=3.0),
+                          mode="fixed_T", m=None, t_total=2000 * NS,
+                          realizations=realizations, master_seed=seed)
+        run_ensemble(cfg)
+        assert calls == {"select": realizations, "philox": 0}
 
     def test_one_sample_call_per_realization(self, chain, psi0):
         # the benchmark's law and budget: about 1,333 kept of a first block of 1,500
