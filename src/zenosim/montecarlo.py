@@ -34,11 +34,10 @@ counter based, so each run opens its own stream family and reads what a
 serial pass would, and the statistics are added in the calling thread.
 
 Fixed T runs the compensated stop rule once over a chunk's stacked
-first blocks, each sized from the law's mean; a row that keeps its
-whole block selects its stream at the block's end and carries on alone
-in blocks sized from its own mean so far. The kept draws of a chunk are
-mapped by one ln q call and summed row by row. Records fill
-preallocated arrays.
+first blocks, sized from the law's mean; a row that keeps its whole
+block selects its stream at the block's end and carries on alone. Kept
+draws are mapped by one ln q call per about ``_CHUNK_TARGET`` of them,
+so memory does not grow with T, and summed row by row.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ __all__ = [
     "ensemble_summary",
 ]
 
-#: target number of draws per fixed-m chunk of rows
+#: draws per fixed-m chunk, and kept draws (bar one row) per fixed-T ln q call
 _CHUNK_TARGET = 262_144
 #: a fixed-m chunk draws its uniforms with ``philox_uniforms`` when its rows
 #: are at most this long and at least ``_VECTOR_MIN_ROWS`` many; otherwise
@@ -375,10 +374,10 @@ def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
 
 def _run_fixed_t(ens: SurvivalEnsemble) -> None:
     """Fill the records of a fixed-T ensemble in chunks of about
-    ``_SEGMENT`` first-block draws: one select and one first block per
-    realization (64 draws for a law with no finite mean), one stop rule
-    over the chunk's stacked blocks, and ``_fixed_t_draws`` for each row
-    that keeps its whole block."""
+    ``_SEGMENT`` first-block draws, one block per realization's stream:
+    one stop rule over a chunk's stacked blocks, ``_fixed_t_draws`` for
+    each row that keeps its whole block, and ``_fixed_t_sums`` at the
+    chunk's end or once its rows hold ``_CHUNK_TARGET`` kept draws."""
     cfg = ens.config
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     family = StreamFamily(cfg.master_seed)
@@ -393,14 +392,18 @@ def _run_fixed_t(ens: SurvivalEnsemble) -> None:
         block = np.empty((stop - start, size))
         for j in range(stop - start):
             block[j] = cfg.dist.sample(family.select(start + j), size)
-        zeros = np.zeros(stop - start)
-        kept, totals, comps = _kept_in_block(block, zeros, zeros, limit)
-        rows = [block[j, :n] if n < size else
-                _fixed_t_draws(cfg.dist, family.select(start + j, size), limit, block[j],
-                               totals[j:j + 1], comps[j:j + 1])
-                for j, n in enumerate(kept.tolist())]
-        ens.ms[start:stop], ens.total_times[start:stop], ens.log_survivals[start:stop] = (
-            _fixed_t_sums(lam, w, rows))
+        kept, totals, comps = _kept_in_block(block, *np.zeros((2, stop - start)), limit)
+        rows, held, done = [], 0, start
+        for j, n in enumerate(kept.tolist()):
+            rows.append(block[j, :n] if n < size else
+                        _fixed_t_draws(cfg.dist, family.select(start + j, size), limit,
+                                       block[j], totals[j:j + 1], comps[j:j + 1]))
+            held += rows[-1].size
+            if held >= _CHUNK_TARGET or start + j + 1 == stop:
+                i = start + j + 1
+                ens.ms[done:i], ens.total_times[done:i], ens.log_survivals[done:i] = (
+                    _fixed_t_sums(lam, w, rows))
+                rows, held, done = [], 0, i
 
 
 def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
@@ -418,10 +421,7 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
     realization's substream is keyed by its index, each draw is mapped
     on its own, and each realization's sums run over its own draws. A
     fixed-m row is reduced in segments of ``_SEGMENT`` draws, added in
-    order. Fixed-T runs the stop rule once over a chunk's stacked first
-    blocks, carries on alone with each row that keeps its whole block
-    (``_fixed_t_draws``), then maps and sums the kept draws of the whole
-    chunk at once.
+    order; a fixed-T row's stop rule carries its state across blocks.
 
     A fixed-m chunk of more than one segment runs in one part per usable
     core (at most ``_MAX_PARTS``), with the same bits for any core

@@ -805,24 +805,17 @@ class TestFixedTStop:
         assert calls == {"select": cfg.realizations + continuing, "philox": 0}
 
     @pytest.mark.parametrize("realizations, seed", [(40, 3), (1000, 1)])
-    def test_one_select_per_realization_on_the_benchmark_law(self, chain, psi0, monkeypatch,
-                                                             realizations, seed):
-        # the benchmark's fixed-T law and budget: about 1,333 kept of a
-        # first block of 1,500, so no row selects its stream twice
+    def test_one_sample_call_per_realization(self, chain, psi0, monkeypatch, realizations,
+                                             seed):
+        # the benchmark's law and budget: about 1,333 kept of a first block
+        # of 1,500, so no row selects its stream twice
         calls = counted_draws(monkeypatch)
-        cfg = make_config(chain, psi0, PowerLawIntervals(mu0=1 * NS, alpha=3.0),
-                          mode="fixed_T", m=None, t_total=2000 * NS,
-                          realizations=realizations, master_seed=seed)
-        run_ensemble(cfg)
-        assert calls == {"select": realizations, "philox": 0}
-
-    def test_one_sample_call_per_realization(self, chain, psi0):
-        # the benchmark's law and budget: about 1,333 kept of a first block of 1,500
         counted = CountedDraws(PowerLawIntervals(mu0=1 * NS, alpha=3.0))
-        cfg = make_config(chain, psi0, counted, mode="fixed_T", m=None,
-                          t_total=2000 * NS, realizations=200)
+        cfg = make_config(chain, psi0, counted, mode="fixed_T", m=None, t_total=2000 * NS,
+                          realizations=realizations, master_seed=seed)
         ens = run_ensemble(cfg)
-        assert len(counted.sizes) <= 1.05 * cfg.realizations
+        assert calls == {"select": realizations, "philox": 0}
+        assert len(counted.sizes) == realizations
         assert counted.draws <= 1.25 * ens.ms.sum()
 
     @pytest.mark.parametrize("dist, t_total", [
@@ -852,6 +845,26 @@ class TestFixedTStop:
         assert ens.ms[0] > 900_000
         assert peak <= 40 * ens.ms[0]
 
+    def test_peak_memory_is_flat_in_t(self, chain, psi0, monkeypatch):
+        # a law with no finite mean: one chunk of 512 first blocks of 64,
+        # nearly every row carrying on alone. Its kept draws are mapped and
+        # summed once they reach _CHUNK_TARGET, so the peak is the stacked
+        # stop rule's temporaries however long the rows grow
+        monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", 8192)
+        peaks, kept = [], []
+        for t_total in (3e3 * NS, 3e4 * NS):
+            cfg = make_config(chain, psi0, PowerLawIntervals(mu0=1 * NS, alpha=0.8),
+                              mode="fixed_T", m=None, t_total=t_total, realizations=512)
+            tracemalloc.start()
+            try:
+                kept.append(run_ensemble(cfg).ms)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.count_nonzero(kept[0] >= 64) > 400
+        assert kept[1].sum() > 2.5 * kept[0].sum() > 10 * montecarlo._CHUNK_TARGET
+        assert peaks[1] <= 1.1 * peaks[0]
+
 
 def chunked_configs(chain, psi0, mode, m=40, **kw):
     if mode == "fixed_m":
@@ -861,8 +874,9 @@ def chunked_configs(chain, psi0, mode, m=40, **kw):
 
 
 def run_in_chunks(cfg, target):
-    """``run_ensemble`` with chunks of about ``target`` intervals and, for
-    fixed-T, blocks of at most ``target`` draws after the first."""
+    """``run_ensemble`` with chunks of about ``target`` draws: for fixed-T,
+    kept draws per ln q call, and first-block chunks and blocks after the
+    first of ``target`` draws, a block rounded up to a multiple of 4."""
     with mock.patch.object(montecarlo, "_CHUNK_TARGET", target):
         if cfg.mode == "fixed_m":
             return run_ensemble(cfg)
@@ -876,9 +890,10 @@ def same_ensemble(a, b) -> bool:
 
 
 class TestChunking:
-    # chunks hold about _CHUNK_TARGET intervals: 1 and 7 give one
-    # realization per chunk in both modes, 500 several; fixed-T blocks of
-    # 1 and 7 draws carry the stop rule draw by draw
+    # chunks hold about _CHUNK_TARGET draws: 1 and 7 give one realization
+    # per chunk in both modes, 500 several. Fixed-T blocks are _SEGMENT
+    # draws rounded up to a multiple of 4: 4 and 8 carry the stop rule
+    # across many blocks, and 500 stacks four first blocks of 104
     @pytest.mark.parametrize("mode", ["fixed_m", "fixed_T"])
     @pytest.mark.parametrize("target", [1, 7, 500])
     def test_chunk_size_invariance(self, chain, psi0, mode, target):
