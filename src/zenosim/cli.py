@@ -120,11 +120,10 @@ def _cmd_run(args) -> int:
     ens = run_ensemble(cfg.ensemble)
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, cfg.csv_path or "ensemble.csv")
-    index, logs = range(ens.n), ens.log_survivals.tolist()
     write_csv(
         csv_path,
         ("realization_index", "m", "total_time_s", "log_survival"),
-        zip(index, ens.ms.tolist(), ens.total_times.tolist(), logs),
+        (range(ens.n), ens.ms, ens.total_times, ens.log_survivals),
         meta={"command": "run", "preset": "none", "seed": cfg.seed,
               "mode": ens.config.mode},
     )
@@ -133,7 +132,7 @@ def _cmd_run(args) -> int:
         svg_path = os.path.join(out, cfg.svg_path)
         write_svg(
             svg_path,
-            [Series("ln P", list(index), logs, marker=True)],
+            [Series("ln P", list(range(ens.n)), ens.log_survivals.tolist(), marker=True)],
             title="ensemble log-survival",
             xlabel="realization",
             ylabel="ln P",
@@ -157,19 +156,17 @@ def _cmd_rate(args) -> int:
     est = empirical_rate(ens, bins=cfg.bins)
     os.makedirs(out, exist_ok=True)
 
-    rows = []
     explicit = rate_curve(prob, points=200, method="explicit")
     tilting = rate_curve(prob, points=200, method="tilting")
-    for name, curve in (("explicit", explicit), ("tilting", tilting)):
-        for x, rate in zip(curve.xs, curve.rates):
-            rows.append((name, float(x), float(rate), ""))
-    for x, rate, count in zip(est.centers, est.rates, est.counts):
-        rows.append(("empirical", float(x), float(rate), int(count)))
     csv_path = os.path.join(out, cfg.csv_path or "rate.csv")
     write_csv(
         csv_path,
         ("series", "x", "rate", "count"),
-        rows,
+        (["explicit"] * len(explicit.xs) + ["tilting"] * len(tilting.xs)
+         + ["empirical"] * len(est.centers),
+         explicit.xs.tolist() + tilting.xs.tolist() + est.centers.tolist(),
+         explicit.rates.tolist() + tilting.rates.tolist() + est.rates.tolist(),
+         [""] * (len(explicit.xs) + len(tilting.xs)) + est.counts.tolist()),
         meta={"command": "rate", "preset": "none", "seed": cfg.seed,
               "m": run.m, "realizations": run.realizations},
     )

@@ -4,6 +4,9 @@ RFC-4180-style: comma separated, '.' decimal separator, one header row.
 A single leading comment line records the artifact version, the preset
 (or command) that produced the file, and the seed, so every artifact is
 self-describing and byte-identical across reruns.
+
+Emission is column-first: each column's texts are made in one pass, each
+distinct number once, and the rows are the joins of the columns' texts.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ __all__ = ["format_cell", "write_csv"]
 
 
 def format_cell(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()  # a numpy scalar writes as its Python value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -28,44 +33,59 @@ def format_cell(value) -> str:
     return text
 
 
+def _texts_by_key(keys: np.ndarray, texts_of) -> list[str]:
+    """The text of each key, ``texts_of`` making those of the distinct
+    keys: each distinct value is formatted once."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array(texts_of(distinct), dtype=object)[inverse].tolist()
+
+
 def _float_texts(column) -> list[str]:
-    """The ``%.16e`` text of each float, formatting each distinct bit
-    pattern once: keyed on bits, -0.0 stays apart from 0.0 and NaNs match."""
-    bits = np.array(column, dtype=np.float64).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(["%.16e" % x for x in keys.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    """The ``%.16e`` text of each float, keyed on its bit pattern: -0.0
+    stays apart from 0.0 and NaNs match."""
+    bits = np.asarray(column, dtype=np.float64).view(np.int64)
+    return _texts_by_key(bits, lambda keys: ["%.16e" % x for x in keys.view(np.float64).tolist()])
 
 
-def _column_cells(column) -> tuple[str, list]:
-    """A column's format and its cells: ``%d`` over all plain ints (bool
-    is not int), else ``%s`` over texts, from ``_float_texts`` for all
-    plain floats and from ``format_cell`` for any other mix."""
+def _column_texts(column) -> list[str]:
+    """The text of each cell of one column, as ``format_cell`` gives it.
+
+    A ``range`` is written through ``str``; a float64 or integer array is
+    keyed on its values without ``tolist()``; any other array is read as
+    its ``tolist()``. A sequence of cells that are all plain floats goes
+    to ``_float_texts``, all plain ints (bool is not int) through ``str``,
+    and any other mix through ``format_cell`` cell by cell.
+    """
+    if isinstance(column, range):
+        return list(map(str, column))
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return _float_texts(column)
+        if column.dtype.kind in "iu":
+            return _texts_by_key(column, lambda keys: list(map(str, keys.tolist())))
+        column = column.tolist()
     kinds = set(map(type, column))
     if kinds == {float}:
-        return "%s", _float_texts(column)
+        return _float_texts(column)
     if kinds == {int}:
-        return "%d", column
-    return "%s", list(map(format_cell, column))
+        return list(map(str, column))
+    return list(map(format_cell, column))
 
 
-def write_csv(path: str, columns, rows, *, meta: dict) -> None:
-    """Write rows with a comment line carrying ``meta`` key=value pairs.
+def write_csv(path: str, names, columns, *, meta: dict) -> None:
+    """Write one column of cells per name, under a comment line carrying
+    ``meta`` key=value pairs.
 
-    Each column gets one format from the types of its cells, and each
-    row is one ``%`` of the row format; the text is what ``format_cell``
-    gives cell by cell. Each distinct float of a column is formatted
-    once, keyed on its bit pattern, so a column of few distinct values
-    costs little more than its rows' join.
+    Each entry of ``columns`` is a 1-D numpy array, a ``range`` or any
+    sequence of cells; all must be equally long. The text is what
+    ``format_cell`` gives cell by cell, made one column at a time (see
+    ``_column_texts``), and each row is the join of its columns' texts.
     """
+    if len(columns) != len(names):
+        raise ValueError(f"{len(names)} names but {len(columns)} columns")
     tags = ", ".join(f"{k}={v}" for k, v in meta.items())
-    lines = [f"# zenosim {__version__}, {tags}", ",".join(columns)]
-    cells = list(zip(*rows, strict=True))  # columns; rows must be equally long
-    if cells:
-        if len(cells) != len(columns):
-            raise ValueError(f"{len(columns)} columns but rows of {len(cells)} cells")
-        formats, cells = zip(*map(_column_cells, cells))
-        row_format = ",".join(formats)
-        lines.extend(row_format % row for row in zip(*cells))
+    lines = [f"# zenosim {__version__}, {tags}", ",".join(names)]
+    texts = [_column_texts(column) for column in columns]
+    lines.extend(map(",".join, zip(*texts, strict=True)))  # columns must be equally long
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")

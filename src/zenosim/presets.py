@@ -286,7 +286,7 @@ def run_preset(
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = csv_path or os.path.join(out_dir, f"{name}.csv")
-    write_csv(csv_path, preset.columns, rows,
+    write_csv(csv_path, preset.columns, list(zip(*rows, strict=True)),
               meta={"preset": name, "seed": used_seed})
     written = {"seed": used_seed, "csv": csv_path}
     svg_path = svg_path or os.path.join(out_dir, f"{name}.svg")

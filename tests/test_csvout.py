@@ -12,6 +12,10 @@ from zenosim import __version__, csvout, run_ensemble
 from zenosim.cli import main
 from zenosim.csvout import format_cell, write_csv
 from zenosim.expconfig import load_config
+from zenosim.ldstats import LdProblem, rate_curve
+from zenosim.montecarlo import empirical_rate
+from zenosim.presets import PRESETS, default_system, run_preset
+from zenosim.rng import DEFAULT_SEED
 from zenosim.svgplot import Series, render_svg
 
 META = {"command": "test", "seed": 1}
@@ -24,9 +28,14 @@ def cell_by_cell(columns, rows, tags="command=test, seed=1") -> bytes:
     return ("\r\n".join(lines) + "\r\n").encode()
 
 
-def written(tmp_path, columns, rows) -> bytes:
+def written(tmp_path, names, rows) -> bytes:
+    """The file ``write_csv`` gives for the columns of ``rows``."""
+    return written_columns(tmp_path, names, list(zip(*rows, strict=True)) or [()] * len(names))
+
+
+def written_columns(tmp_path, names, columns) -> bytes:
     path = tmp_path / "out.csv"
-    write_csv(str(path), columns, rows, meta=META)
+    write_csv(str(path), names, columns, meta=META)
     return path.read_bytes()
 
 
@@ -96,25 +105,103 @@ class TestWriteCsv:
         [1.5, 2, 3.0],
         [np.float64(0.1), np.float64(-0.0)],   # numpy scalars
         [np.int64(5), np.int64(-6)],
+        [np.True_, np.False_],
+        [np.float32(0.1), np.float32(-2.5), np.float32(math.nan)],
+        [np.int8(-128), np.int8(7)],
+        [np.str_("plain"), np.str_("a,b")],
         ["plain", "a,b", 'say "x"', "two\nlines"],
     ])
     def test_other_columns_go_through_format_cell(self, tmp_path, column):
         rows = [(j, v) for j, v in enumerate(column)]
         assert written(tmp_path, ("j", "v"), rows) == cell_by_cell(("j", "v"), rows)
+        # a numpy scalar writes as its Python value
+        values = [(j, v.item() if isinstance(v, np.generic) else v) for j, v in rows]
+        assert written(tmp_path, ("j", "v"), rows) == cell_by_cell(("j", "v"), values)
 
-    def test_rows_may_be_an_iterator(self, tmp_path):
+    def test_columns_may_be_a_range_and_numpy_arrays(self, tmp_path):
         xs = [0.5, -0.0, math.inf]
-        expected = cell_by_cell(("i", "x"), list(zip(range(3), xs)))
-        assert written(tmp_path, ("i", "x"), zip(range(3), xs)) == expected
+        expected = cell_by_cell(("i", "m", "x"), list(zip(range(3), [20] * 3, xs)))
+        columns = (range(3), np.full(3, 20), np.array(xs))
+        assert written_columns(tmp_path, ("i", "m", "x"), columns) == expected
 
     def test_no_rows_writes_the_header(self, tmp_path):
         assert written(tmp_path, ("a", "b"), []) == cell_by_cell(("a", "b"), [])
 
-    @pytest.mark.parametrize("rows", [[(1, 2.0), (3,)], [(1, 2.0), (3, 4.0, 5.0)],
-                                      [(1, 2.0, 3.0)]])
-    def test_rows_must_match_the_columns(self, tmp_path, rows):
+    @pytest.mark.parametrize("columns", [
+        ([1, 3], [2.0]),                         # unequal lengths
+        ([1], [2.0, 4.0]),
+        (range(3), np.zeros(2)),
+        (np.arange(2), np.zeros(3)),
+        ([1], [2.0], [3.0]),                     # wrong column count
+        ([1, 3],),
+        (),
+    ])
+    def test_a_wrong_column_count_or_unequal_lengths_raise(self, tmp_path, columns):
         with pytest.raises(ValueError):
-            written(tmp_path, ("a", "b"), rows)
+            written_columns(tmp_path, ("a", "b"), columns)
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestArrayColumns:
+    """An array column writes what its cells, one by one, write."""
+
+    def test_float64_specials_in_any_order(self, tmp_path):
+        rng = np.random.default_rng(23)
+        pool = np.array(SPECIALS + [0.1, -2.5, 1e300, 3e-9, 1 / 3])
+        xs = pool[rng.integers(0, len(pool), 3000)]
+        assert len(np.unique(xs.view(np.int64))) < 20  # many repeats
+        assert {float.hex(x) for x in SPECIALS} <= set(map(float.hex, xs.tolist()))
+        columns = (xs, xs[::-1], np.full(len(xs), xs[0]))
+        rows = list(zip(*(c.tolist() for c in columns)))
+        names = ("x", "y", "z")
+        assert written_columns(tmp_path, names, columns) == cell_by_cell(names, rows)
+
+    def test_nan_payloads_and_signed_zeros_survive_the_array(self, tmp_path):
+        xs = np.array(SPECIALS)
+        assert xs.view(np.int64).tolist() == [struct.unpack("<q", struct.pack("<d", x))[0]
+                                              for x in SPECIALS]
+        rows = [(x,) for x in SPECIALS]
+        assert written_columns(tmp_path, ("x",), (xs,)) == cell_by_cell(("x",), rows)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint64])
+    def test_integer_arrays(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(5)
+        pool = np.array([info.min, info.max, 0, 1, 20, info.max // 3], dtype=dtype)
+        ks = pool[rng.integers(0, len(pool), 500)]
+        rows = [(k,) for k in ks.tolist()]
+        assert written_columns(tmp_path, ("k",), (ks,)) == cell_by_cell(("k",), rows)
+
+    def test_bool_and_float32_arrays(self, tmp_path):
+        rng = np.random.default_rng(9)
+        flags = rng.random(200) < 0.5
+        small = np.concatenate([np.array(SPECIALS, dtype=np.float32),
+                                rng.standard_normal(189).astype(np.float32)])
+        rows = list(zip(flags.tolist(), small.tolist()))
+        names = ("b", "f")
+        assert written_columns(tmp_path, names, (flags, small)) == cell_by_cell(names, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(SPECIALS) | st.floats(), min_size=1, max_size=60))
+    def test_float64_arrays_match_cell_by_cell(self, tmp_path_factory, xs):
+        tmp_path = tmp_path_factory.mktemp("prop")
+        expected = cell_by_cell(("i", "x"), list(zip(range(len(xs)), xs)))
+        assert written_columns(tmp_path, ("i", "x"), (range(len(xs)), np.array(xs))) == expected
+
+    def test_numeric_columns_never_format_cell_by_cell(self, tmp_path, monkeypatch):
+        # 20,000 rows shaped like a fixed-m run's: index, m, total time, ln P
+        n, rng = 20_000, np.random.default_rng(20)
+        atoms = rng.binomial(20, 0.3, n)
+        columns = (range(n), np.full(n, 20), atoms * 1e-9 + (20 - atoms) * 3e-9,
+                   atoms * -1.3e-4 + (20 - atoms) * -2.2e-4)
+        names = ("realization_index", "m", "total_time_s", "log_survival")
+        expected = cell_by_cell(names, zip(*(list(c) for c in columns)))
+
+        def refuse(value):
+            raise AssertionError(f"format_cell({value!r}) on a numeric column")
+
+        monkeypatch.setattr(csvout, "format_cell", refuse)
+        assert written_columns(tmp_path, names, columns) == expected
 
 
 RUN_CONFIG = """
@@ -150,6 +237,51 @@ def test_run_csv_matches_cell_by_cell_of_the_ensemble(tmp_path, capsys):
     expected = cell_by_cell(("realization_index", "m", "total_time_s", "log_survival"), rows,
                             tags="command=run, preset=none, seed=16, mode=fixed_m")
     assert (tmp_path / "run.csv").read_bytes() == expected
+
+
+def test_fixed_t_run_csv_matches_cell_by_cell_of_the_ensemble(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(RUN_CONFIG.replace("kind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7",
+                                       "kind = powerlaw\nmu0 = 1 ns\nalpha = 3")
+                    .replace("mode = fixed_m\nm = 20", "mode = fixed_T\nt_total = 200 ns"))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    ens = run_ensemble(load_config(str(path)).ensemble)
+    assert len(set(ens.ms.tolist())) > 1  # ragged lengths
+    rows = list(zip(range(ens.n), ens.ms.tolist(), ens.total_times.tolist(),
+                    ens.log_survivals.tolist()))
+    expected = cell_by_cell(("realization_index", "m", "total_time_s", "log_survival"), rows,
+                            tags="command=run, preset=none, seed=16, mode=fixed_T")
+    assert (tmp_path / "run.csv").read_bytes() == expected
+
+
+def test_rate_csv_matches_cell_by_cell_of_its_curves(tmp_path, capsys):
+    path = tmp_path / "rate.ini"
+    path.write_text(RUN_CONFIG.replace("m = 20", "m = 200\nbins = 9")
+                    .replace("run.csv", "rate.csv"))
+    assert main(["rate", str(path), "--out", str(tmp_path)]) == 0
+    cfg = load_config(str(path))
+    run = cfg.ensemble
+    prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, run.dist, run.m)
+    rows = []
+    for name in ("explicit", "tilting"):
+        curve = rate_curve(prob, points=200, method=name)
+        rows += [(name, x, rate, "") for x, rate in zip(curve.xs.tolist(), curve.rates.tolist())]
+    est = empirical_rate(run_ensemble(run), bins=9)
+    rows += [("empirical", x, rate, count) for x, rate, count in
+             zip(est.centers.tolist(), est.rates.tolist(), est.counts.tolist())]
+    assert {type(row[3]) for row in rows} == {str, int}  # the count column mixes "" and ints
+    expected = cell_by_cell(("series", "x", "rate", "count"), rows,
+                            tags="command=rate, preset=none, seed=16, m=200, realizations=300")
+    assert (tmp_path / "rate.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig5"])
+def test_preset_csv_matches_cell_by_cell_of_its_rows(tmp_path, name):
+    written_paths = run_preset(name, out_dir=str(tmp_path))
+    rows = PRESETS[name].runner(*default_system(), DEFAULT_SEED)
+    expected = cell_by_cell(PRESETS[name].columns, rows,
+                            tags=f"preset={name}, seed={DEFAULT_SEED}")
+    assert Path(written_paths["csv"]).read_bytes() == expected
 
 
 @pytest.mark.parametrize("x", [-3.9e-8, 0.0])
