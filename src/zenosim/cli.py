@@ -156,17 +156,19 @@ def _cmd_rate(args) -> int:
     est = empirical_rate(ens, bins=cfg.bins)
     os.makedirs(out, exist_ok=True)
 
+    rows = []
     explicit = rate_curve(prob, points=200, method="explicit")
     tilting = rate_curve(prob, points=200, method="tilting")
+    for name, curve in (("explicit", explicit), ("tilting", tilting)):
+        for x, rate in zip(curve.xs, curve.rates):
+            rows.append((name, float(x), float(rate), ""))
+    for x, rate, count in zip(est.centers, est.rates, est.counts):
+        rows.append(("empirical", float(x), float(rate), int(count)))
     csv_path = os.path.join(out, cfg.csv_path or "rate.csv")
     write_csv(
         csv_path,
         ("series", "x", "rate", "count"),
-        (["explicit"] * len(explicit.xs) + ["tilting"] * len(tilting.xs)
-         + ["empirical"] * len(est.centers),
-         explicit.xs.tolist() + tilting.xs.tolist() + est.centers.tolist(),
-         explicit.rates.tolist() + tilting.rates.tolist() + est.rates.tolist(),
-         [""] * (len(explicit.xs) + len(tilting.xs)) + est.counts.tolist()),
+        list(zip(*rows, strict=True)),
         meta={"command": "rate", "preset": "none", "seed": cfg.seed,
               "m": run.m, "realizations": run.realizations},
     )

@@ -6,7 +6,8 @@ A single leading comment line records the artifact version, the preset
 self-describing and byte-identical across reruns.
 
 Emission is column-first: each column's texts are made in one pass, each
-distinct number once, and the rows are the joins of the columns' texts.
+distinct number of a numeric array or of a column of floats once, and the
+rows are the joins of the columns' texts.
 """
 
 from __future__ import annotations
@@ -50,14 +51,12 @@ def _float_texts(column) -> list[str]:
 def _column_texts(column) -> list[str]:
     """The text of each cell of one column, as ``format_cell`` gives it.
 
-    A ``range`` is written through ``str``; a float64 or integer array is
-    keyed on its values without ``tolist()``; any other array is read as
-    its ``tolist()``. A sequence of cells that are all plain floats goes
-    to ``_float_texts``, all plain ints (bool is not int) through ``str``,
-    and any other mix through ``format_cell`` cell by cell.
+    A float64 or integer array is keyed on its values without
+    ``tolist()``; any other array is read as its ``tolist()``. A sequence
+    of cells (a ``range`` among them) that are all plain floats goes to
+    ``_float_texts``, all plain ints (bool is not int) through ``str``, and
+    any other mix through ``format_cell`` cell by cell.
     """
-    if isinstance(column, range):
-        return list(map(str, column))
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:
             return _float_texts(column)
