@@ -174,6 +174,10 @@ class PowerLawIntervals:
 
     Supported on [mu0, inf) with mu0 in seconds and alpha > 0. The mean
     exists only for alpha > 1 and the second moment only for alpha > 2.
+    A draw is mu0 (1 - u)^(-1/alpha) for a uniform u on [0, 1), so the
+    largest is mu0 2^(53/alpha); ``ValueError`` where it, or the power
+    before it is scaled by mu0, overflows a double, as for any alpha
+    below 53/1024 (about 0.052).
     """
 
     mu0: float
@@ -184,6 +188,12 @@ class PowerLawIntervals:
             raise ValueError("mu0 must be a positive time scale")
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
             raise ValueError("alpha must be positive")
+        # the largest draw, from the largest uniform below 1, 1 - 2^-53
+        with np.errstate(over="ignore"):
+            top = self._inverse_cdf(np.array([1.0 - 2.0**-53]))[0]
+        if not np.isfinite(top):
+            raise ValueError(f"mu0 = {self.mu0} s and alpha = {self.alpha} make the largest "
+                             f"draw, mu0 2^(53/alpha), overflow a double")
 
     def sample(self, rng: Generator, m: int) -> np.ndarray:
         """Draw m waiting times as mu0 * u^(-1/alpha), u uniform on (0, 1]."""

@@ -33,11 +33,15 @@ shut down before the group's run returns. No bit moves: Philox is
 counter based, so each run opens its own stream family and reads what a
 serial pass would, and the statistics are added in the calling thread.
 
-Fixed T runs the compensated stop rule once over a chunk's stacked
-first blocks, sized from the law's mean; a row that keeps its whole
-block selects its stream at the block's end and carries on alone. Kept
-draws are mapped by one ln q call per about ``_CHUNK_TARGET`` of them,
-so memory does not grow with T, and summed row by row.
+Fixed T runs the stop rule once over a chunk's stacked first blocks,
+sized from the law's mean. The rule is Neumaier-compensated, but the
+plain running sums decide nearly every row: only a row whose sum comes
+within a proven round-off margin of the budget, or which keeps its whole
+block, runs the compensated rule. A row that keeps its whole block
+selects its stream at the block's end and carries on alone. Kept draws
+are mapped by one ln q call per about ``_CHUNK_TARGET`` of them, so
+memory does not grow with T, and each row's draws and ln q are summed on
+their own by ``np.sum``'s pairwise reduction.
 """
 
 from __future__ import annotations
@@ -230,13 +234,57 @@ def _kept_in_block(mus: np.ndarray, total: np.ndarray, comp: np.ndarray, limit: 
     from the row's state (total, comp), and the state after them.
 
     The rule, one draw at a time: stop at the first mu with total + comp
-    + mu > limit, else add mu to total, Neumaier-compensated in comp:
+    + mu > limit, else add mu to total, Neumaier-compensated in comp
+    (``_kept_compensated``). Most rows are decided from the plain running
+    sums A = ``np.cumsum`` of (total, mus) along the row, non-decreasing
+    as no draw is negative, with margin = |comp| + (k + 8) 2^-52 limit:
+    draw i is kept if A[i + 1] <= limit - margin and over the budget if
+    A[i + 1] > limit + margin. One margin serves the block, from its
+    largest |comp|, which is each row's own where the runs call it: a
+    chunk's first blocks carry comp = 0 and a carried-on row runs alone.
+
+    The bound, with u = 2^-53 (Neumaier 1974; Higham, Accuracy and
+    Stability of Numerical Algorithms, section 4): while A[1..i] are at
+    most limit, the compensation tested at draw i is comp plus at most k
+    exact rounding errors of those additions, each at most u limit, and
+    its own sum's rounding is of second order. The test's two roundings
+    and that of A[i + 1] move it at most 3u max(A[i + 1], limit) further.
+    So the tested sum is at most limit where A[i + 1] <= limit - margin,
+    and above it where A[i + 1] > limit + margin, with (k + 13) u limit
+    to spare. A row whose first A[i + 1] above limit - margin is at most
+    limit + margin, or which keeps the whole block, runs the compensated
+    rule on its own draws.
+
+    The returned state is exact, with the bits the rule gives one draw at
+    a time, only for rows that keep the whole block, which are the only
+    ones carried on; for other rows it is the plain sum at the stop and
+    the carried comp.
+    """
+    k = mus.shape[1]
+    totals = np.empty((len(mus), k + 1))
+    totals[:, 0], totals[:, 1:] = total, mus
+    np.cumsum(totals, axis=1, out=totals)
+    margin = float(np.abs(comp).max(initial=0.0)) + (k + 8) * 2.0**-52 * limit
+    kept = np.count_nonzero(totals[:, 1:] <= limit - margin, axis=1)
+    at = np.arange(len(mus))
+    near = np.flatnonzero(totals[at, np.minimum(kept + 1, k)] <= limit + margin)
+    total, comp = totals[at, kept], comp.copy()
+    if near.size:
+        kept[near], total[near], comp[near] = _kept_compensated(
+            mus[near], totals[near], comp[near], limit)
+    return kept, total, comp
+
+
+def _kept_compensated(mus: np.ndarray, totals: np.ndarray, comp: np.ndarray, limit: float):
+    """(kept, total, comp) of ``_kept_in_block`` by the compensated rule
+    on every draw of the rows ``mus``, given their plain running sums
+    ``totals`` (the carried total in front) and carried ``comp``.
+
     t = total + mu adds (big - t) + small to comp, big the larger of
     |total| and mu, which is max(total, mu) as no total is negative. Two
     ``np.cumsum`` along the rows add left to right like the loop, with
     the carried state in front, so they carry its bits across blocks.
     """
-    totals = np.cumsum(np.concatenate((total[:, None], mus), axis=1), axis=1)
     before, after = totals[:, :-1], totals[:, 1:]
     comps = np.concatenate((comp[:, None], np.maximum(before, mus) - after), axis=1)
     comps[:, 1:] += np.minimum(before, mus)
@@ -355,20 +403,15 @@ def _fixed_t_draws(dist, rng, limit: float, first: np.ndarray, total: np.ndarray
 
 def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
     """(ms, totals, log survivals) of fixed-T realizations from their kept
-    draws: ln q runs once over all of them, and each row is summed on
-    its own, as ``np.sum`` sums the row alone, by an (rows, m) gather
-    per kept count m; a count only one row has is summed in place, so a
-    long row is never copied."""
+    draws: ln q runs once over all of them, and each row's draws and its
+    slice of ln q are summed on their own, in place, by ``np.sum``'s
+    pairwise reduction (``np.add.reduce``)."""
     ms = np.array([row.size for row in rows], dtype=np.int64)
     flat = rows[0] if len(rows) == 1 else np.concatenate(rows)
     logq = log_survival_factors(lam, w, flat)
-    starts = np.cumsum(ms) - ms
-    totals, logs = np.empty(len(rows)), np.empty(len(rows))
-    for m in np.unique(ms).tolist():
-        at = np.flatnonzero(ms == m)
-        first = starts[at[0]]
-        span = slice(first, first + m) if at.size == 1 else starts[at, None] + np.arange(m)
-        totals[at], logs[at] = flat[span].sum(axis=-1), logq[span].sum(axis=-1)
+    ends = np.cumsum(ms).tolist()
+    totals = np.array([np.add.reduce(row) for row in rows], dtype=float)
+    logs = np.array([np.add.reduce(logq[a:b]) for a, b in zip([0, *ends], ends)], dtype=float)
     return ms, totals, logs
 
 

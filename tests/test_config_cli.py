@@ -393,6 +393,9 @@ class TestCli:
         ("run", "probs = 0.3, 0.7\n", "probs = nan, 1.0\n"),
         ("run", "probs = 0.3, 0.7\n", "probs = 0.3, 0.7\nalpha = 3\n"),
         ("run", "probs = 0.3, 0.7\n", "probs = 0.3, 0.7\nmu_bar = 2 ns\n"),
+        # power-law draws up to 1 ns 2^(53/alpha) would overflow to inf
+        ("run", "kind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\n",
+         "kind = powerlaw\nmu0 = 1 ns\nalpha = 0.01\n"),
         *(("run", RUN_SECTIONS, f"[run]\npreset = fig6\n{line}\n")
           for line in ("mode = fixed_m", "m = 9", "t_total = 1 us", "realizations = 7",
                        "bins = 5")),

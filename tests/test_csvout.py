@@ -1,3 +1,4 @@
+import csv
 import math
 import struct
 import tomllib
@@ -117,6 +118,21 @@ class TestWriteCsv:
         # a numpy scalar writes as its Python value
         values = [(j, v.item() if isinstance(v, np.generic) else v) for j, v in rows]
         assert written(tmp_path, ("j", "v"), rows) == cell_by_cell(("j", "v"), values)
+
+    def test_text_cells_round_trip_through_csv_reader(self, tmp_path):
+        # a bare carriage return is quoted like a newline: the rows end in
+        # \r\n, so an RFC-4180 reader would split the cell at it
+        texts = ["plain", "a,b", 'say "x"', "two\nlines", "a\rb", "\r", "end\r\n"]
+        assert format_cell("a\rb") == '"a\rb"'
+        written(tmp_path, ("j", "t"), list(enumerate(texts)))
+        with open(tmp_path / "out.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[2:] == [[str(j), t] for j, t in enumerate(texts)]
+
+    @pytest.mark.parametrize("n", [0, 1, 20_000])
+    def test_a_range_writes_what_the_list_of_its_ints_writes(self, n):
+        assert csvout._column_texts(range(n)) == csvout._column_texts(list(range(n)))
+        assert csvout._column_texts(range(-3, n, 7)) == list(map(str, range(-3, n, 7)))
 
     def test_columns_may_be_a_range_and_numpy_arrays(self, tmp_path):
         xs = [0.5, -0.0, math.inf]

@@ -70,6 +70,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             PowerLawIntervals(mu0=1.0, alpha=0.0)
 
+    @pytest.mark.parametrize("mu0, alpha", [(1e-9, 0.01), (1e-9, 0.05), (1e305, 3.0)])
+    def test_powerlaw_draws_must_stay_finite(self, mu0, alpha):
+        # the largest draw, mu0 2^(53/alpha), or the power before the
+        # scaling by mu0, would overflow to inf
+        with pytest.raises(ValueError, match="overflow"):
+            PowerLawIntervals(mu0=mu0, alpha=alpha)
+
+    def test_powerlaw_largest_draw_is_finite(self):
+        dist = PowerLawIntervals(mu0=1e-9, alpha=0.06)
+        top = dist._inverse_cdf(np.array([1.0 - 2.0**-53, 0.0]))
+        assert np.all(np.isfinite(top)) and top[1] == 1e-9
+        assert top[0] == pytest.approx(1e-9 * 2.0 ** (53 / 0.06), rel=1e-12)
+
     def test_degenerate_parameter(self):
         with pytest.raises(ValueError):
             DegenerateInterval(0.0)

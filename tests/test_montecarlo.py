@@ -599,9 +599,10 @@ class FailingLaw(DiscreteIntervals):
         return super().row_stats(u, lam, w)
 
 
-def scalar_budget_rule(draws, limit):
-    """Draws kept by the one-draw-at-a-time Neumaier stop rule."""
-    kept, total, comp = [], 0.0, 0.0
+def scalar_budget_state(draws, limit, total=0.0, comp=0.0):
+    """(draws kept, total, comp) of the one-draw-at-a-time Neumaier stop
+    rule, carried on from the state (total, comp)."""
+    kept = []
     for mu in draws:
         if total + comp + mu > limit:
             break
@@ -612,7 +613,39 @@ def scalar_budget_rule(draws, limit):
             comp += (mu - t) + total
         total = t
         kept.append(mu)
-    return kept
+    return kept, total, comp
+
+
+def scalar_budget_rule(draws, limit):
+    """Draws kept by the one-draw-at-a-time Neumaier stop rule."""
+    return scalar_budget_state(draws, limit)[0]
+
+
+def compensated_rows(monkeypatch):
+    """Count the rows ``_kept_in_block`` hands to the compensated rule."""
+    seen, compensated = [0], montecarlo._kept_compensated
+
+    def counted(mus, *args):
+        seen[0] += len(mus)
+        return compensated(mus, *args)
+
+    monkeypatch.setattr(montecarlo, "_kept_compensated", counted)
+    return seen
+
+
+def rows_stopping_at(rng, targets, width, total, last=False):
+    """One row of ``width`` draws per target, carried on from ``total``,
+    whose plain running sum reaches the target, to within its last
+    rounding, at a random draw before the last, or at the last if
+    ``last``: the draws before it are random, the one at it makes up the
+    difference."""
+    mus = rng.random((len(targets), width)) * 10.0 ** rng.integers(-3, 1, (len(targets), width))
+    for row, target in zip(mus, targets):
+        at = width if last else int(rng.integers(1, width))
+        row[:at] *= (target - total) / 2 / row[:at].sum()
+        row[at - 1] = target - np.cumsum(np.concatenate(([total], row[:at - 1])))[-1]
+    assert np.all(mus > 0)
+    return mus
 
 
 def sampled_in_blocks(dist, rng):
@@ -730,6 +763,73 @@ class TestFixedTStop:
                 kept, total, comp = montecarlo._kept_in_block(mus[:, :cut], zeros, zeros, 1.0)
                 rest = montecarlo._kept_in_block(mus[:, cut:], total, comp, 1.0)[0]
                 assert np.where(kept == cut, cut + rest, kept).tolist() == expected
+
+    @pytest.mark.parametrize("width", [64, 1500])
+    @pytest.mark.parametrize("total, comp", [
+        (0.0, 0.0),                          # a chunk's fresh rows
+        (0.75, 4096 * 2.0**-53 * 0.75),      # carried on: |comp| at its bound
+        (0.75, -4096 * 2.0**-53 * 0.75),     # after 4,096 draws
+    ], ids=["fresh", "carried_plus", "carried_minus"])
+    def test_kept_counts_match_scalar_rule_around_the_margin(self, monkeypatch, width, total,
+                                                             comp):
+        # rows whose plain prefix sum sits 0 to 64 ulps either side of the
+        # limit or of the compensated tie at limit - comp, which the
+        # compensated rule decides, and 1 to 16 ulps outside the margin,
+        # which the plain sums decide; some stop at the block's last draw
+        limit, ulp = 1.0, 2.0**-52
+        margin = abs(comp) + (width + 8) * ulp * limit
+        inside = [c + j * ulp for c in (limit, limit - comp) for j in range(-64, 65)]
+        outside = [limit + side * (margin + j * ulp) for side in (-1, 1) for j in range(1, 17)]
+        rng = np.random.default_rng(width)
+        mus = np.concatenate([rows_stopping_at(rng, inside + outside, width, total, last)
+                              for last in (False, True)])
+        seen = compensated_rows(monkeypatch)
+        rows = len(mus)
+        kept, totals, comps = montecarlo._kept_in_block(mus, np.full(rows, total),
+                                                        np.full(rows, comp), limit)
+        assert 0 < seen[0] < rows  # both paths run
+        whole = 0
+        for row, n, t, c in zip(mus, kept.tolist(), totals.tolist(), comps.tolist()):
+            expected = scalar_budget_state(row.tolist(), limit, total, comp)
+            assert n == len(expected[0])
+            if n == width:  # only a whole-block row's state is carried on
+                whole += 1
+                assert (t, c) == expected[1:]
+        assert whole > 0
+
+    @settings(max_examples=200)
+    @given(
+        rows=st.integers(1, 6),
+        width=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        carried=st.booleans(),
+        ulps=st.integers(-200, 200),
+    )
+    def test_kept_in_block_matches_the_compensated_rule(self, rows, width, seed, carried, ulps):
+        # random blocks, with a limit a few ulps off one row's prefix sum:
+        # the plain decision and the compensated rule on every row agree on
+        # every count and on the state of every row that keeps its block
+        rng = np.random.default_rng(seed)
+        mus = rng.random((rows, width)) * 10.0 ** rng.integers(-4, 2, (rows, width))
+        total = rng.random(rows) * 10.0 if carried else np.zeros(rows)
+        comp = total * rng.integers(-1000, 1001, rows) * 2.0**-53
+        totals = np.cumsum(np.concatenate((total[:, None], mus), axis=1), axis=1)
+        limit = float(totals[rng.integers(rows), rng.integers(width + 1)]) * (1 + ulps * 2.0**-52)
+        expected = montecarlo._kept_compensated(mus, totals, comp, limit)
+        kept, total, comp = montecarlo._kept_in_block(mus, total, comp, limit)
+        assert np.array_equal(kept, expected[0])
+        whole = kept == width
+        assert same_bits(total[whole], expected[1][whole])
+        assert same_bits(comp[whole], expected[2][whole])
+
+    def test_plain_sums_decide_nearly_every_row(self, chain, psi0, monkeypatch):
+        # the benchmark's law and budget: at most 1% of the rows need the
+        # compensated rule
+        seen = compensated_rows(monkeypatch)
+        cfg = make_config(chain, psi0, PowerLawIntervals(mu0=1 * NS, alpha=3.0), mode="fixed_T",
+                          m=None, t_total=2000 * NS, realizations=1000, master_seed=1)
+        run_ensemble(cfg)
+        assert seen[0] <= 10
 
     def test_draws_contain_the_stop_near_the_limit(self):
         # budgets around the first block's sum, where the stop falls in
@@ -1278,6 +1378,19 @@ class TestNonFiniteRecords:
             summ.variance_intensive_log
         with pytest.raises(NonFiniteRecordsError, match="30 of 30"):
             empirical_rate(ens, bins=3)
+
+    @pytest.mark.parametrize("mode, kw", [("fixed_m", dict(m=50)),
+                                          ("fixed_T", dict(m=None, t_total=2000 * NS))])
+    def test_the_heaviest_power_laws_give_finite_records(self, chain, psi0, mode, kw):
+        # alpha = 0.06 still draws up to 1 ns 2^(53/0.06), about 1e257 s,
+        # a finite double; below 53/1024 the law cannot be made
+        cfg = make_config(chain, psi0, PowerLawIntervals(mu0=1 * NS, alpha=0.06), mode=mode,
+                          realizations=2000, master_seed=1, **kw)
+        ens = run_ensemble(cfg)
+        assert np.all(np.isfinite(ens.total_times)) and np.all(np.isfinite(ens.log_survivals))
+        summ = ensemble_summary(ens)
+        assert all(math.isfinite(x) for x in (summ.log_mean_survival, summ.log_geometric_mean,
+                                              summ.log_median, summ.mean_total_time))
 
     def test_finite_records_are_unchanged(self, chain, psi0):
         ens = hand_built(chain, psi0, self.logs(0))
