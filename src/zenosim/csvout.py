@@ -52,14 +52,11 @@ def _column_texts(column) -> list[str]:
     """The text of each cell of one column, as ``format_cell`` gives it.
 
     A float64 or integer array is keyed on its values without
-    ``tolist()``; any other array is read as its ``tolist()``. A ``range``
-    holds plain ints only and goes straight through ``str``. Any other
-    sequence of cells that are all plain floats goes to ``_float_texts``,
-    all plain ints (bool is not int) through ``str``, and any other mix
-    through ``format_cell`` cell by cell.
+    ``tolist()``; any other array is read as its ``tolist()``. A sequence
+    of cells (a ``range`` among them) that are all plain floats goes to
+    ``_float_texts``, all plain ints (bool is not int) through ``str``, and
+    any other mix through ``format_cell`` cell by cell.
     """
-    if isinstance(column, range):
-        return list(map(str, column))
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:
             return _float_texts(column)

@@ -90,6 +90,11 @@ _SEGMENT = 65_536
 #: output and temporaries for a power law), so peak memory grows with the
 #: part count, and only two cores have been measured (BENCH_14.json)
 _MAX_PARTS = 2
+#: fixed-T rows that keep at most this many draws are summed by one (rows, m)
+#: gather per kept count m, longer rows one by one in place: a row's own two
+#: sums cost about 4 us, a gather about 6 us plus 14 ns per gathered draw,
+#: so the gather pays for short rows only (measured in BENCH_24.json)
+_GATHER_MAX_M = 128
 #: relative slack on the fixed-time budget comparison, so exact ties
 #: (degenerate laws) are not lost to accumulated round-off
 _BUDGET_SLACK = 1e-12
@@ -403,15 +408,24 @@ def _fixed_t_draws(dist, rng, limit: float, first: np.ndarray, total: np.ndarray
 
 def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
     """(ms, totals, log survivals) of fixed-T realizations from their kept
-    draws: ln q runs once over all of them, and each row's draws and its
-    slice of ln q are summed on their own, in place, by ``np.sum``'s
-    pairwise reduction (``np.add.reduce``)."""
+    draws: ln q runs once over all of them, and each row is summed on its
+    own by ``np.sum``'s pairwise reduction. Rows of at most
+    ``_GATHER_MAX_M`` draws are summed by one (rows, m) gather per kept
+    count m; a longer row is summed in place by ``np.add.reduce``, so it
+    is never copied."""
     ms = np.array([row.size for row in rows], dtype=np.int64)
     flat = rows[0] if len(rows) == 1 else np.concatenate(rows)
     logq = log_survival_factors(lam, w, flat)
-    ends = np.cumsum(ms).tolist()
-    totals = np.array([np.add.reduce(row) for row in rows], dtype=float)
-    logs = np.array([np.add.reduce(logq[a:b]) for a, b in zip([0, *ends], ends)], dtype=float)
+    ends = np.cumsum(ms)
+    totals, logs = np.empty(len(rows)), np.empty(len(rows))
+    short = ms <= _GATHER_MAX_M
+    for m in np.unique(ms[short]).tolist():
+        at = np.flatnonzero(ms == m)
+        span = ends[at, None] + np.arange(-m, 0)
+        totals[at], logs[at] = flat[span].sum(axis=-1), logq[span].sum(axis=-1)
+    long, end = np.flatnonzero(~short).tolist(), ends.tolist()
+    totals[long] = [np.add.reduce(rows[j]) for j in long]
+    logs[long] = [np.add.reduce(logq[end[j] - rows[j].size:end[j]]) for j in long]
     return ms, totals, logs
 
 

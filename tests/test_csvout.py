@@ -131,6 +131,7 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("n", [0, 1, 20_000])
     def test_a_range_writes_what_the_list_of_its_ints_writes(self, n):
+        # a range takes the {int} sequence rule: the same bytes as its list
         assert csvout._column_texts(range(n)) == csvout._column_texts(list(range(n)))
         assert csvout._column_texts(range(-3, n, 7)) == list(map(str, range(-3, n, 7)))
 

@@ -746,6 +746,19 @@ class TestFixedTStop:
         if case == "below_smallest_atom":
             assert np.all(ens.ms == 0) and np.all(ens.log_survivals == 0.0)
 
+    def test_sums_match_each_row_summed_alone(self, chain, psi0):
+        # short rows that share a count are gathered, short rows alone and
+        # long rows summed in place: every row sums as np.sum sums it alone
+        lam, w = phase_weights(chain, psi0)
+        top = montecarlo._GATHER_MAX_M
+        sizes = [0, 0, 1, 7, 7, 7, top, top, top + 1, top + 1, 300, 1500, 2, 64]
+        rng = np.random.default_rng(5)
+        rows = [rng.random(n) * 10 * NS for n in sizes]
+        ms, totals, logs = montecarlo._fixed_t_sums(lam, w, rows)
+        assert ms.tolist() == sizes
+        assert same_bits(totals, [np.sum(row) for row in rows])
+        assert same_bits(logs, [np.sum(log_survival_factors(lam, w, row)) for row in rows])
+
     def test_kept_counts_match_scalar_rule_at_the_limit(self):
         # rows scaled so that a prefix sums to the limit up to round-off:
         # the stop decisions there hinge on the compensation term. The 500
