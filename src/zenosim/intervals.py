@@ -6,13 +6,15 @@ point mass that models equally spaced measurements is the one-atom
 discrete law. Each offers sampling against an explicit generator handle,
 exact moments, and the survival averages E[ln q] and ln E[q] for given
 phase weights (``log_q_moments``). Monte Carlo ensembles hand each law
-rows of uniforms and get back an additive statistic per row
-(``row_stats``), which sums over any cut of a row, and finish it into
-the row's total time and log survival (``row_sums``). For the discrete
-law the statistic is the row's atom counts n_a, which determine
-T = sum n_a mu_a and L = sum n_a ln q_a, with ln q evaluated once per
-atom; for the power law it is (sum mu, sum ln q), the kernel run on
-every draw.
+rows of raw 64-bit Philox words, word x standing for the uniform
+(x >> 11) 2^-53 that ``Generator.random`` makes of it, and get back an
+additive statistic per row (``row_stats``), which sums over any cut of a
+row, and finish it into the row's total time and log survival
+(``row_sums``). For the discrete law the statistic is the row's atom
+counts n_a, counted against integer edges on the words themselves,
+which determine T = sum n_a mu_a and L = sum n_a ln q_a, with ln q
+evaluated once per atom; for the power law it is (sum mu, sum ln q),
+the kernel run on every draw.
 The power law's moments come from one composite Gauss-Legendre rule with
 panels graded toward the zeros of q, truncated by a fixed rule.
 """
@@ -27,6 +29,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .dynamics import log_survival_factors, survival_minima
+from .rng import uniforms_from_words, word_threshold
 
 __all__ = [
     "InfiniteMeanError",
@@ -96,6 +99,7 @@ class DiscreteIntervals:
         cum = np.cumsum(pr)
         cum[-1] = 1.0  # guard the last edge against round-off
         object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_word_edges", [word_threshold(c) for c in cum[:-1].tolist()])
 
     @property
     def d(self) -> int:
@@ -119,21 +123,25 @@ class DiscreteIntervals:
             atoms += u > edge
         return self.values[atoms]
 
-    def row_stats(self, u: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Atom counts n_a of each row of uniforms (the last axis of ``u``),
-        as floats along a new last axis: exact below 2^53, so counts of
-        any cut of a row add up to the row's in any order.
+    def row_stats(self, x: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Atom counts n_a of each row of raw Philox words (the last axis
+        of the uint64 array ``x``), as floats along a new last axis: exact
+        below 2^53, so counts of any cut of a row add up to the row's in
+        any order.
 
-        A uniform falls in the atom ``sample`` gives it, the number of
-        cumulative edges below it: each of the d - 1 inner edges is one
-        comparison, counted per row in one reused mask.
+        A word falls in the atom ``sample`` gives its uniform
+        u = (x >> 11) 2^-53, the number of cumulative edges c below u:
+        each of the d - 1 inner edges is one comparison x > G of the words
+        against the integer edge G of c (``word_threshold``), worked out
+        once per law, counted per row in one reused mask; no uniform is
+        made.
         """
-        above = np.zeros((*u.shape[:-1], self.d + 1))  # draws in atoms k, k + 1, ...
-        above[..., 0] = u.shape[-1]
-        axis = -1 if u.size > u.shape[-1] else None  # one row counts whole, 3x faster
-        mask = np.empty(u.shape, dtype=bool)
-        for k, edge in enumerate(self._cum[:-1].tolist(), 1):
-            above[..., k] = np.count_nonzero(np.greater(u, edge, out=mask), axis=axis)
+        above = np.zeros((*x.shape[:-1], self.d + 1))  # draws in atoms k, k + 1, ...
+        above[..., 0] = x.shape[-1]
+        axis = -1 if x.size > x.shape[-1] else None  # one row counts whole, 3x faster
+        mask = np.empty(x.shape, dtype=bool)
+        for k, edge in enumerate(self._word_edges, 1):
+            above[..., k] = np.count_nonzero(np.greater(x, edge, out=mask), axis=axis)
         return above[..., :-1] - above[..., 1:]
 
     def row_sums(
@@ -208,12 +216,17 @@ class PowerLawIntervals:
         u *= self.mu0
         return u
 
-    def row_stats(self, u: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(sum mu, sum ln q) of each row of uniforms (the last axis of
-        ``u``, which it overwrites with the waiting times if it is
-        writeable, else maps into a copy), each summed by ``np.sum``, along
-        a new last axis; the kernel runs on every draw."""
-        mus = self._inverse_cdf(u if u.flags.writeable else u.copy())
+    def row_stats(self, x: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(sum mu, sum ln q) of each row of raw Philox words (the last
+        axis of the uint64 array ``x``), each summed by ``np.sum``, along a
+        new last axis; the kernel runs on every draw.
+
+        The words become the uniforms ``Generator.random`` makes of them
+        (``uniforms_from_words``), so a row has the bits of ``sample``.
+        The uniforms, then the waiting times, overwrite the words' memory
+        if ``x`` is writeable, else go to a new array.
+        """
+        mus = self._inverse_cdf(uniforms_from_words(x))
         return np.stack((mus.sum(axis=-1), log_survival_factors(lam, w, mus).sum(axis=-1)),
                         axis=-1)
 

@@ -15,16 +15,20 @@ that reads each draw once.
 Fixed m has one path, for rows of any length. A group runs in chunks of
 about ``_CHUNK_TARGET`` draws, and a chunk's rows are read in segments
 of ``_SEGMENT`` draws (the last one shorter), so memory does not grow
-with m. Each segment is drawn into one reused buffer, by one
-``philox_uniforms`` call for many short rows, else by selecting each
-row's stream at the segment's first draw; where every law has one atom,
-whose ``row_stats`` reads only the block's shape, nothing is drawn.
-Every law of the group reads the block in turn, read-only until its
-last reader, and reduces each row to its additive statistic
-(``row_stats``): a discrete law's atom counts, or a power law's (sum mu,
-sum ln q) by ``np.sum``. The segment statistics are added left to right,
-and the law turns them into total times and log survivals
-(``row_sums``), a discrete law from one ln q table per chunk.
+with m. A segment is a uint64 block of raw Philox words, the words
+``Generator.random`` would turn into uniforms: one ``philox_words`` call
+fills it for many short rows, else each row's stream is selected at the
+segment's first draw and its words read by ``random_raw``, into one
+reused buffer, or as drawn where the chunk is one row; where every law
+has one atom, whose ``row_stats`` reads only the block's shape, nothing
+is drawn. Every law of the group reads the block in turn, read-only
+until its last reader, and reduces each row to its additive statistic
+(``row_stats``): a discrete law's atom counts, from the words against
+integer edges with no uniform made, or a power law's (sum mu, sum ln q)
+by ``np.sum``, from the words' exact uniforms. The segment statistics
+are added left to right, and the law turns them into total times and
+log survivals (``row_sums``), a discrete law from one ln q table per
+chunk.
 
 The segments of a chunk are cut into one contiguous run per usable core,
 at most ``_MAX_PARTS``: the calling thread reads the first and a thread
@@ -54,7 +58,7 @@ import numpy as np
 
 from .dynamics import Hamiltonian, PureState, log_survival_factors, phase_weights
 from .intervals import DiscreteIntervals, InfiniteMeanError, IntervalDistribution, _log_mean_q
-from .rng import StreamFamily, philox_uniforms
+from .rng import StreamFamily, philox_words
 
 __all__ = [
     "InsufficientSamplesError",
@@ -71,11 +75,13 @@ __all__ = [
 
 #: draws per fixed-m chunk, and kept draws (bar one row) per fixed-T ln q call
 _CHUNK_TARGET = 262_144
-#: a fixed-m chunk draws its uniforms with ``philox_uniforms`` when its rows
+#: a fixed-m chunk draws its words with ``philox_words`` when its rows
 #: are at most this long and at least ``_VECTOR_MIN_ROWS`` many; otherwise
 #: each row selects its stream, whose C generator costs less per draw but a
 #: few microseconds more per row, and the vector path's fixed cost per call
-#: (about 340 numpy calls) is not repaid by few rows (measured in BENCH_6.json)
+#: (about 340 numpy calls) is not repaid by few rows (measured in BENCH_6.json;
+#: with words, per-row draws win from somewhere between 64 and 128 draws a
+#: row, BENCH_25.json, but no workload runs a chunk there)
 _VECTOR_MAX_M = 128
 _VECTOR_MIN_ROWS = 128
 #: a fixed-m row longer than this is drawn and reduced in segments of this
@@ -312,7 +318,7 @@ def _usable_cores() -> int:
 
 def _one_atom(dist) -> bool:
     """Whether ``dist`` has one atom, whose ``row_stats`` reads only the
-    shape of its uniforms, so a block of them need not be drawn."""
+    shape of its words, so a block of them need not be drawn."""
     return isinstance(dist, DiscreteIntervals) and dist.d == 1
 
 
@@ -323,29 +329,38 @@ def _segment_stats(group: list[SurvivalEnsemble], weights, start: int, stop: int
     along a new first axis, one segment of ``_SEGMENT`` draws (the last
     one shorter) after another.
 
-    A segment is drawn once into one reused buffer, by ``philox_uniforms``
-    for many short rows at their first draw, else one stream selected
-    per row at the segment's first draw, or not at all where every law
-    has one atom. Every law of the group reads it in turn; it is
-    read-only while a later law still reads it, so only its last reader
-    may overwrite it. The part opens its own stream family, so runs of
-    segments can be read on any threads.
+    A segment is drawn once, as a (rows, k) uint64 block of raw Philox
+    words: into one reused buffer, by ``philox_words`` for many short rows
+    at their first draw, else by ``random_raw`` from one stream selected
+    per row at the segment's first draw; a one-row chunk reads that row's
+    words as drawn, with no buffer or copy. Nothing is drawn where every
+    law has one atom. Every law of the group reads the block in turn; it
+    is read-only while a later law still reads it, so only its last
+    reader may overwrite it. The part opens its own stream family, so
+    runs of segments can be read on any threads.
     """
     seed, rows = group[0].config.master_seed, stop - start
     draws = not all(_one_atom(ens.config.dist) for ens in group)
-    family, buf = StreamFamily(seed), np.empty(rows * min(n, _SEGMENT) if draws else 0)
+    family = StreamFamily(seed)
+    buf = np.empty(rows * min(n, _SEGMENT) if draws and rows > 1 else 0, dtype=np.uint64)
     stats = [[] for _ in group]
     for a in range(draw, draw + n, _SEGMENT):
         k = min(_SEGMENT, draw + n - a)
-        u = buf[:rows * k].reshape(rows, k) if draws else np.broadcast_to(0.0, (rows, k))
-        if draws and a == 0 and k <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
-            philox_uniforms(seed, start, u)
-        elif draws:
-            for j in range(rows):
-                family.select(start + j, a).random(k, out=u[j])
+        if not draws:
+            x = np.broadcast_to(np.uint64(0), (rows, k))
+        elif rows == 1:
+            x = family.select(start, a).bit_generator.random_raw(k)[None]
+        else:
+            x = buf[:rows * k].reshape(rows, k)
+            if a == 0 and k <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
+                philox_words(seed, start, x)
+            else:
+                for j in range(rows):
+                    x[j] = family.select(start + j, a).bit_generator.random_raw(k)
         for reader, (ens, (lam, w)) in enumerate(zip(group, weights)):
-            u.flags.writeable = draws and reader == len(group) - 1
-            stats[reader].append(ens.config.dist.row_stats(u, lam, w))
+            x.flags.writeable = draws and reader == len(group) - 1
+            stats[reader].append(ens.config.dist.row_stats(x, lam, w))
+        del x  # a lone row's words go before its next segment's are drawn
     return [np.stack(law_stats) for law_stats in stats]
 
 
@@ -468,7 +483,7 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
     the ensembles in input order.
 
     Fixed-m configs that share (master_seed, realizations, m) read the
-    same uniforms at any m, since a realization's stream depends on
+    same words at any m, since a realization's stream depends on
     neither the law nor the system: each segment of a chunk is drawn
     once and every law reads it in turn, with the bits each would get
     alone (``_run_fixed_m``). Fixed-T configs run one at a time

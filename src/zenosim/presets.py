@@ -95,7 +95,7 @@ def _rows_probability_sweep(h, psi0, seed):
     m = 6400
     p1s = np.linspace(0.02, 0.98, 49).tolist()
     dists = [DiscreteIntervals(np.asarray(values), np.asarray([p1, 1.0 - p1])) for p1 in p1s]
-    # one seed, n and m: the 49 laws read the same uniforms, drawn once
+    # one seed, n and m: the 49 laws read the same words, drawn once
     ensembles = run_ensembles([_typical_config(h, psi0, dist, m, seed) for dist in dists])
     return [(p1, ens.typical_log_survival(), survival_stats_for(dist, h, psi0, m).log_p_star)
             for p1, dist, ens in zip(p1s, dists, ensembles)]

@@ -6,22 +6,30 @@ the Philox counter itself. Philox is a published, platform-independent
 counter-based generator, so ensembles are bitwise reproducible for a given
 master seed however realizations are chunked.
 
-Two ways to read the streams give the same bits. ``StreamFamily`` keys
-numpy's C generator for one realization at a time, from any draw on,
-which suits long rows; it holds mutable state, so each loop that reads
-streams opens a family of its own. ``philox_uniforms`` runs
+Two ways to read the streams give the same raw 64-bit words, the words
+numpy's ``Generator.random`` turns into the doubles (x >> 11) 2^-53.
+``StreamFamily`` keys numpy's C generator for one realization at a time,
+from any draw on, which suits long rows; its ``bit_generator.random_raw``
+reads the words themselves, and it holds mutable state, so each loop
+that reads streams opens a family of its own. ``philox_words`` runs
 Philox-4x64-10 itself, in numpy integer operations over a whole block
 of realizations at once (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11), which suits many short rows: it costs more
 per draw than the C generator but nothing per realization.
+``uniforms_from_words`` and ``word_threshold`` keep the map from a word
+to its uniform in this module: the uniforms themselves, bit for bit,
+and the integer edge a uniform's comparison with a float comes to.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.random import Generator, Philox
 
-__all__ = ["DEFAULT_SEED", "substream", "StreamFamily", "philox_uniforms"]
+__all__ = ["DEFAULT_SEED", "substream", "StreamFamily", "philox_words", "uniforms_from_words",
+           "word_threshold"]
 
 #: master seed of a preset or config-file run that names none
 DEFAULT_SEED = 20160719
@@ -32,7 +40,7 @@ _MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
 #: counters (four draws each) per vectorized slab; the slab's ten uint64
-#: work arrays and its float64 draws then take under 1 MB
+#: work arrays then take under 1 MB
 _SLAB_COUNTERS = 8192
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -61,7 +69,7 @@ class StreamFamily:
     equivalent to ``substream(master_seed, i)``, cheaper than
     constructing a fresh bit generator, but it still costs a few
     microseconds per realization; blocks of short rows are cheaper with
-    ``philox_uniforms``. The family owns mutable state: each loop that
+    ``philox_words``. The family owns mutable state: each loop that
     reads streams, and so each thread, opens its own.
     """
 
@@ -106,8 +114,8 @@ def _mulhi(x, mul: int, hi, t0, t1, t2) -> None:
     hi += t1
 
 
-def _philox_words(master_seed: int, first_index: int, rows: int, first_block: int,
-                  blocks: int) -> list[np.ndarray]:
+def _philox_rounds(master_seed: int, first_index: int, rows: int, first_block: int,
+                   blocks: int) -> list[np.ndarray]:
     """The four output words, each (rows, blocks), of Philox-4x64-10 at
     key (first_index + row, master_seed) and counter first_block + block + 1."""
     shape = (rows, blocks)
@@ -135,24 +143,24 @@ def _philox_words(master_seed: int, first_index: int, rows: int, first_block: in
     return words
 
 
-def philox_uniforms(master_seed: int, first_index: int, out: np.ndarray) -> np.ndarray:
-    """Fill the C-contiguous float64 (rows, m) block ``out`` so that row j
-    holds ``substream(master_seed, first_index + j).random(m)`` bit for bit,
-    and return it.
+def philox_words(master_seed: int, first_index: int, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous uint64 (rows, m) block ``out`` so that row j
+    holds ``substream(master_seed, first_index + j).bit_generator.random_raw(m)``
+    word for word, and return it.
 
     That stream's block b is Philox-4x64-10 at counter b + 1 under key
-    words (index, seed); its four words are read in order and word x
-    becomes the double (x >> 11) 2**-53, as numpy does. Work runs in slabs
-    of whole rows, of about ``_SLAB_COUNTERS`` counters or one row where a
-    row has more, so the uint64 temporaries stay small for the short rows
-    ``montecarlo`` passes (at most 128 draws, 32 counters). Raises
-    ``TypeError`` for another dtype and ``ValueError`` for another shape
-    or layout.
+    words (index, seed), whose four words are read in order; numpy's
+    ``random`` turns word x into the double (x >> 11) 2**-53. Work runs in
+    slabs of whole rows, of about ``_SLAB_COUNTERS`` counters or one row
+    where a row has more, so the uint64 temporaries stay small for the
+    short rows ``montecarlo`` passes (at most 128 draws, 32 counters).
+    Raises ``TypeError`` for another dtype and ``ValueError`` for another
+    shape or layout.
     """
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
-        raise TypeError("philox_uniforms fills a float64 array")
+    if not isinstance(out, np.ndarray) or out.dtype != np.uint64:
+        raise TypeError("philox_words fills a uint64 array")
     if out.ndim != 2 or not out.flags.c_contiguous:
-        raise ValueError("philox_uniforms fills a C-contiguous (rows, m) array")
+        raise ValueError("philox_words fills a C-contiguous (rows, m) array")
     rows, m = out.shape
     if out.size == 0:
         return out
@@ -161,10 +169,24 @@ def philox_uniforms(master_seed: int, first_index: int, out: np.ndarray) -> np.n
     slab_rows = max(1, _SLAB_COUNTERS // blocks)
     for r0 in range(0, rows, slab_rows):
         r1 = min(rows, r0 + slab_rows)
-        words = _philox_words(seed, first_index + r0, r1 - r0, 0, blocks)
-        draws = np.empty((r1 - r0, blocks, 4))
-        for j, word in enumerate(words):
-            word >>= _SHIFT11
-            np.multiply(word, 2.0**-53, out=draws[..., j])
-        out[r0:r1] = draws.reshape(r1 - r0, -1)[:, :m]  # a row's last block may overhang it
+        words = np.stack(_philox_rounds(seed, first_index + r0, r1 - r0, 0, blocks), axis=-1)
+        out[r0:r1] = words.reshape(r1 - r0, -1)[:, :m]  # a row's last block may overhang it
     return out
+
+
+def uniforms_from_words(words: np.ndarray) -> np.ndarray:
+    """The doubles (x >> 11) 2**-53 on [0, 1) that numpy's
+    ``Generator.random`` makes of the raw words x of the uint64 array
+    ``words``, bit for bit (both steps are exact). They overwrite the
+    words' memory if ``words`` is writeable, else go to a new array."""
+    shifted = np.right_shift(words, _SHIFT11, out=words if words.flags.writeable else None)
+    return np.multiply(shifted, 2.0**-53, out=shifted.view(np.float64))
+
+
+def word_threshold(edge: float) -> np.uint64:
+    """The word G with x > G exactly where the uniform of x, (x >> 11)
+    2**-53, is above ``edge``: floor(edge 2**53) 2**11 + 2**11 - 1, as
+    x >> 11 is an integer, worked out in Python integers from the exact
+    edge 2**53. An edge of 1 or more, above every uniform, gives the
+    largest word, 2**64 - 1, which no word is above."""
+    return np.uint64(min((math.floor(edge * 2.0**53) << 11) + 2047, _MASK64))

@@ -55,6 +55,11 @@ def _widen_flat(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _text(s: str) -> str:
+    """``s`` as SVG character data: ``&``, ``<`` and ``>`` as entities."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     if v == 0:
         return "0"
@@ -69,7 +74,8 @@ def render_svg(
     xlabel: str = "",
     ylabel: str = "",
 ) -> str:
-    """Render series to an SVG document string."""
+    """Render series to an SVG document string; the title, axis labels and
+    series labels are written as text, escaped."""
     pts = [(x, y) for s in series for x, y in zip(s.xs, s.ys)
            if math.isfinite(x) and math.isfinite(y)]
     if not pts:
@@ -102,7 +108,7 @@ def render_svg(
     if title:
         out.append(
             f'<text x="{_WIDTH / 2}" y="{_MARGIN_T - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
+            f'font-family="sans-serif" font-size="15">{_text(title)}</text>'
         )
     for t in _ticks(xlo, xhi):
         x = px(t)
@@ -127,13 +133,13 @@ def render_svg(
     if xlabel:
         out.append(
             f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 14}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>'
+            f'text-anchor="middle" font-family="sans-serif" font-size="13">{_text(xlabel)}</text>'
         )
     if ylabel:
         cy = _MARGIN_T + plot_h / 2
         out.append(
             f'<text x="18" y="{cy}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="13" transform="rotate(-90 18 {cy})">{ylabel}</text>'
+            f'font-size="13" transform="rotate(-90 18 {cy})">{_text(ylabel)}</text>'
         )
 
     for k, s in enumerate(series):
@@ -162,7 +168,7 @@ def render_svg(
         )
         out.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{s.label}</text>'
+            f'font-size="12">{_text(s.label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out)

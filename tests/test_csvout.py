@@ -3,6 +3,7 @@ import math
 import struct
 import tomllib
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -307,6 +308,15 @@ def test_svg_of_a_range_flat_to_round_off(x):
     xs, ys = [x, float(np.nextafter(x, 1.0))], [-1e-9, float(np.nextafter(-1e-9, 1.0))]
     svg = render_svg([Series("s", xs, ys, marker=True)])
     assert svg.count('font-size="11"') == 10  # both axes widened to 1: 5 ticks each
+
+
+def test_svg_text_is_escaped():
+    # a title, axis label or series label with markup characters still
+    # makes a document an XML parser reads back, text and all
+    texts = {"title": "a < b & c", "xlabel": "<x>", "ylabel": "ln <P>"}
+    svg = render_svg([Series("1 > 0 & <y>", [0.0, 1.0], [1.0, 2.0])], **texts)
+    got = [el.text for el in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert {*texts.values(), "1 > 0 & <y>"} <= set(got)
 
 
 def test_version_matches_pyproject():

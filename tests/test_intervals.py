@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     D2_PROBS,
@@ -36,7 +38,7 @@ from zenosim import (
 )
 from zenosim import intervals
 from zenosim.dynamics import phase_weights
-from zenosim.rng import substream
+from zenosim.rng import substream, uniforms_from_words
 
 
 def d2():
@@ -149,6 +151,78 @@ class TestSampling:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             d2().sample(substream(1, 0), 0)
+
+
+#: laws whose first inner edge is each named edge c; the last has an inner
+#: edge above 1, as its probabilities sum to 1 + 5e-13, inside the 1e-12 check
+EDGE_LAWS = {
+    "2^-53": (2.0**-53, 1.0 - 2.0**-53),
+    "0.3": (0.3, 0.7),
+    "0.5": (0.5, 0.5),
+    "1-2^-53": (1.0 - 2.0**-53, 2.0**-53),
+    "subnormal": (5e-324, 1.0),
+    "above-1": (0.5, 0.5 + 4e-13, 1e-13),
+}
+TOP_WORD = 2**64 - 1
+
+
+def edge_law(name):
+    probs = EDGE_LAWS[name]
+    return DiscreteIntervals(np.arange(1.0, len(probs) + 1) * NS, np.array(probs))
+
+
+def float_counts(dist, x):
+    """Atom counts of the words ``x`` from their uniforms (x >> 11) 2^-53,
+    by float comparisons against the cumulative edges."""
+    atoms = np.searchsorted(dist._cum, uniforms_from_words(x.copy()), side="left")
+    return np.bincount(atoms, minlength=dist.d).astype(float)
+
+
+class TestWordEdges:
+    # a discrete law counts raw words x against integer edges G, x > G,
+    # where sample compares uniforms u = (x >> 11) 2^-53 with edges c, u > c
+
+    def test_edges_are_the_named_ones(self):
+        assert [edge_law(name)._cum[0] for name in EDGE_LAWS][:5] == [
+            2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 5e-324]
+        above = edge_law("above-1")
+        assert above._cum[1] > 1.0 and above._word_edges[1] == TOP_WORD
+
+    @pytest.mark.parametrize("name", EDGE_LAWS)
+    def test_boundary_words(self, name):
+        # the last word whose uniform is at most c, floor(c 2^53) 2^11 + 2047,
+        # the first above it, + 2048, and the least and greatest words
+        dist = edge_law(name)
+        words = [0, TOP_WORD]
+        for c in dist._cum[:-1].tolist():
+            low = math.floor(c * 2.0**53) << 11
+            words += [w for w in (low, low + 2047, low + 2048) if w <= TOP_WORD]
+        x = np.array(words, dtype=np.uint64)
+        assert same_bits(dist.row_stats(x, None, None), float_counts(dist, x))
+        one_each = np.eye(dist.d)[np.searchsorted(dist._cum, uniforms_from_words(x.copy()))]
+        assert same_bits(dist.row_stats(x[:, None].copy(), None, None), one_each)
+
+    @settings(max_examples=60)
+    @given(name=st.sampled_from(sorted(EDGE_LAWS)), data=st.data())
+    def test_drawn_words(self, name, data):
+        dist = edge_law(name)
+        near = [int(g) for g in dist._word_edges]
+        word = st.one_of(st.integers(0, TOP_WORD), *(
+            st.integers(max(0, g - 4096), min(TOP_WORD, g + 4096)) for g in near))
+        x = np.array(data.draw(st.lists(word, min_size=1, max_size=40)), dtype=np.uint64)
+        assert same_bits(dist.row_stats(x, None, None), float_counts(dist, x))
+
+    @pytest.mark.parametrize("name", [*EDGE_LAWS, "d4"])
+    def test_sample_picks_the_atom_the_word_count_gives(self, name):
+        # one tie rule written two ways: each of a stream's words, as a row
+        # of its own, is counted into the atom sample draws from the stream
+        dist = (DiscreteIntervals(np.array(D4_VALUES_S), np.array(D4_PROBS)) if name == "d4"
+                else edge_law(name))
+        m = 5000
+        drawn = dist.sample(substream(2024, 7), m)
+        atoms = np.argmax(drawn[:, None] == dist.values, axis=1)
+        x = substream(2024, 7).bit_generator.random_raw(m)
+        assert same_bits(dist.row_stats(x[:, None], None, None), np.eye(dist.d)[atoms])
 
 
 class TestMoments:

@@ -39,7 +39,7 @@ from zenosim import (
 from zenosim import intervals, montecarlo
 from zenosim.dynamics import phase_weights
 from zenosim.presets import run_preset
-from zenosim.rng import substream
+from zenosim.rng import substream, uniforms_from_words
 
 
 def d2():
@@ -219,7 +219,7 @@ class TestLatticeGather:
         dist = LATTICE_LAWS.get(law, PowerLawIntervals(mu0=1 * NS, alpha=2.5))
         cfg = make_config(chain, psi0, dist, m=m, realizations=23, master_seed=2024)
         # with ``vector``, chunks of 7 or more rows draw short rows with
-        # philox_uniforms, and the 1-row chunks and the 2-row tail of
+        # philox_words, and the 1-row chunks and the 2-row tail of
         # 23 = 3 x 7 + 2 select streams; without it every row selects
         monkeypatch.setattr(montecarlo, "_VECTOR_MIN_ROWS",
                             7 if vector else cfg.realizations + 1)
@@ -233,23 +233,26 @@ class TestLatticeGather:
 
     @pytest.mark.parametrize("probs", [D2_PROBS, D3_PROBS, D4_PROBS, (0.1, 0.2, 0.3, 0.4)])
     def test_atom_index_on_cumulative_edges(self, chain, psi0, probs):
-        # uniforms on a cumulative edge and their neighbours are counted
-        # into the atom ``sample`` maps them to
+        # the words whose uniforms are the last at or below a cumulative
+        # edge and the first above it, and the least and greatest words,
+        # are counted into the atom ``sample`` maps their uniforms to
         dist = DiscreteIntervals(np.arange(1.0, len(probs) + 1) * NS, np.array(probs))
         lam, w = phase_weights(chain, psi0)
-        edges = dist._cum[:-1]
-        u = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        low = [math.floor(c * 2.0**53) << 11 for c in dist._cum[:-1].tolist()]
+        x = np.array([0, 2**64 - 1, *low, *(g + 2047 for g in low), *(g + 2048 for g in low)],
+                     dtype=np.uint64)
+        u = uniforms_from_words(x.copy())
         atoms = np.searchsorted(dist._cum, u, side="left")
         assert same_bits(dist.sample(FixedUniforms(u), u.size), dist.values[atoms])
-        # one uniform per row: each row counts its one draw in its atom
-        assert same_bits(dist.row_stats(u[:, None].copy(), lam, w), np.eye(dist.d)[atoms])
+        # one word per row: each row counts its one draw in its atom
+        assert same_bits(dist.row_stats(x[:, None].copy(), lam, w), np.eye(dist.d)[atoms])
         # one row of all of them, as a (1, n) block and as a 1-D segment
         counts = np.bincount(atoms, minlength=dist.d)
-        assert same_bits(dist.row_stats(u[None].copy(), lam, w), counts[None])
-        assert same_bits(dist.row_stats(u.copy(), lam, w), counts)
+        assert same_bits(dist.row_stats(x[None].copy(), lam, w), counts[None])
+        assert same_bits(dist.row_stats(x.copy(), lam, w), counts)
 
     @pytest.mark.parametrize("m,rare,segment", [
-        (5, 0.1, montecarlo._SEGMENT),  # short rows, drawn by philox_uniforms
+        (5, 0.1, montecarlo._SEGMENT),  # short rows, drawn by philox_words
         (200, 0.005, 128),  # rows cut into segments of 128 and 72 draws
     ])
     def test_overlap_zero_atom(self, chain, psi0, monkeypatch, m, rare, segment):
@@ -289,10 +292,10 @@ class TestLatticeGather:
 
     def test_peak_memory_of_short_rows(self, chain, psi0):
         # n realizations of m = 20 on the vector path: the chunk's
-        # uniforms and one comparison mask (9 bytes per draw), the records
+        # words and one comparison mask (9 bytes per draw), the records
         # run_ensemble keeps (m, total and log survival: 24 bytes per
         # realization, held once) and at most 2 MiB besides, for
-        # philox_uniforms' slabs, the atom counts and the rest; at 4 x 10^5
+        # philox_words' slabs, the atom counts and the rest; at 4 x 10^5
         # the records outweigh the chunk
         m = 20
         chunk_draws = montecarlo._CHUNK_TARGET // m * m
@@ -585,7 +588,7 @@ class PartFault(RuntimeError):
 
 
 class FailingLaw(DiscreteIntervals):
-    """The d2 law, but counting uniforms raises ``PartFault`` in a helper
+    """The d2 law, but counting words raises ``PartFault`` in a helper
     thread (``where="helper"``) or in the calling one (``"caller"``)."""
 
     def __init__(self, values, probs, where):
@@ -1032,10 +1035,10 @@ class TestChunking:
 
 def counted_draws(monkeypatch):
     """Count the calls of ``StreamFamily.select`` and of montecarlo's
-    ``philox_uniforms``, the two ways a fixed-m run draws its uniforms,
-    in any thread."""
+    ``philox_words``, the two ways a fixed-m run draws its words, in any
+    thread."""
     calls, lock = {"select": 0, "philox": 0}, threading.Lock()
-    select, philox = montecarlo.StreamFamily.select, montecarlo.philox_uniforms
+    select, philox = montecarlo.StreamFamily.select, montecarlo.philox_words
 
     def counted_select(self, *args):
         with lock:
@@ -1048,27 +1051,27 @@ def counted_draws(monkeypatch):
         return philox(*args)
 
     monkeypatch.setattr(montecarlo.StreamFamily, "select", counted_select)
-    monkeypatch.setattr(montecarlo, "philox_uniforms", counted_philox)
+    monkeypatch.setattr(montecarlo, "philox_words", counted_philox)
     return calls
 
 
 class WritingLaw(DiscreteIntervals):
-    """The d2 law, but it writes into the uniforms it is handed first."""
+    """The d2 law, but it writes into the words it is handed first."""
 
     def __init__(self):
         super().__init__(np.array(D2_VALUES_S), np.array(D2_PROBS))
 
-    def row_stats(self, u, lam, w):
-        u[..., 0] = 0.5
-        return super().row_stats(u, lam, w)
+    def row_stats(self, x, lam, w):
+        x[..., 0] = 2**63
+        return super().row_stats(x, lam, w)
 
 
 class TestSharedDraws:
-    # fixed-m configs that share (seed, n, m) read one block of uniforms per
+    # fixed-m configs that share (seed, n, m) read one block of words per
     # segment of a chunk; each must get the bits it gets alone
     def mixed_configs(self, chain, psi0, rabi):
         power = PowerLawIntervals(mu0=1 * NS, alpha=2.5)
-        short = dict(m=20, realizations=300, master_seed=11)  # philox_uniforms
+        short = dict(m=20, realizations=300, master_seed=11)  # philox_words
         rows = dict(m=200, realizations=40, master_seed=11)  # one stream per row
         return [
             make_config(chain, psi0, d2(), **short),
@@ -1090,7 +1093,7 @@ class TestSharedDraws:
 
     def test_same_bits_as_one_at_a_time(self, chain, psi0, rabi, monkeypatch):
         # 150 draw-20 rows a chunk (two chunks, both drawn by
-        # philox_uniforms), 15 rows of 200 (three chunks, per-row streams)
+        # philox_words), 15 rows of 200 (three chunks, per-row streams)
         monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", 3000)
         cfgs = self.mixed_configs(chain, psi0, rabi)
         together = montecarlo.run_ensembles(cfgs)
@@ -1176,7 +1179,7 @@ class TestSharedDraws:
 
 
 class TestOneAtomLaws:
-    # a one-atom law's row_stats reads only the shape of its uniforms, so
+    # a one-atom law's row_stats reads only the shape of its words, so
     # a run whose every law has one atom draws none
     @pytest.mark.parametrize("m,n", [(20, 300), (6400, 25), (SEGMENT + 3, 2)])
     def test_no_draws_and_same_bits(self, chain, psi0, monkeypatch, m, n):

@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 from oracles import same_bits
 
 from zenosim import rng
-from zenosim.rng import philox_uniforms, substream
+from zenosim.rng import philox_words, substream, uniforms_from_words
 
 TOP = 2**64 - 1
 
 
 def reference(seed, first, rows, m):
-    """Row j from a fresh numpy generator keyed (seed, first + j)."""
-    return np.array([substream(seed, first + j).random(m) for j in range(rows)]).reshape(rows, m)
+    """Row j's raw words from a fresh numpy generator keyed (seed, first + j)."""
+    return np.array([substream(seed, first + j).bit_generator.random_raw(m)
+                     for j in range(rows)], dtype=np.uint64).reshape(rows, m)
 
 
 def filled(seed, first, rows, m):
-    out = np.full((rows, m), np.nan)
-    assert philox_uniforms(seed, first, out) is out
+    out = np.full((rows, m), 0xDEADBEEF, dtype=np.uint64)
+    assert philox_words(seed, first, out) is out
     return out
 
 
@@ -28,7 +29,7 @@ near_top = st.integers(TOP - 100, TOP)
 keys = st.one_of(st.integers(0, TOP), near_top, st.integers(0, 100))
 
 
-class TestPhiloxUniforms:
+class TestPhiloxWords:
     @settings(max_examples=80)
     @given(seed=keys, first=keys, rows=st.integers(1, 24), m=st.integers(1, 70),
            slab=st.one_of(st.integers(1, 40), st.just(rng._SLAB_COUNTERS)))
@@ -36,51 +37,64 @@ class TestPhiloxUniforms:
         # small slabs put slab edges inside and between rows
         with mock.patch.object(rng, "_SLAB_COUNTERS", slab):
             got = filled(seed, first, rows, m)
-        assert same_bits(got, reference(seed, first, rows, m))
+        assert np.array_equal(got, reference(seed, first, rows, m))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 9, 13, 22, 31])
     def test_rows_not_a_multiple_of_four_draws(self, m):
-        assert same_bits(filled(2024, 5, 9, m), reference(2024, 5, 9, m))
+        assert np.array_equal(filled(2024, 5, 9, m), reference(2024, 5, 9, m))
 
     @pytest.mark.parametrize("seed", [TOP - 100, TOP - 1, TOP])
     def test_indices_wrap_past_the_top_of_the_key_space(self, seed):
         first = TOP - 6  # rows 7.. wrap to indices 0, 1, ...
-        assert same_bits(filled(seed, first, 12, 7), reference(seed, first, 12, 7))
+        assert np.array_equal(filled(seed, first, 12, 7), reference(seed, first, 12, 7))
 
     def test_seed_and_index_taken_modulo_two_to_the_64(self):
-        assert same_bits(filled(-1, -3, 5, 6), reference(TOP, TOP - 2, 5, 6))
-        assert same_bits(filled(2**64 + 9, 2**65 + 4, 3, 5), reference(9, 4, 3, 5))
+        assert np.array_equal(filled(-1, -3, 5, 6), reference(TOP, TOP - 2, 5, 6))
+        assert np.array_equal(filled(2**64 + 9, 2**65 + 4, 3, 5), reference(9, 4, 3, 5))
 
     def test_blocks_across_the_default_slab(self):
         # 3000 rows x 4 counters and one row of 8197 counters, each more
         # than one slab of _SLAB_COUNTERS
         assert 3000 * 4 > rng._SLAB_COUNTERS
-        assert same_bits(filled(77, 10, 3000, 13), reference(77, 10, 3000, 13))
+        assert np.array_equal(filled(77, 10, 3000, 13), reference(77, 10, 3000, 13))
         m = 4 * rng._SLAB_COUNTERS + 18
-        assert same_bits(filled(77, 10, 1, m), reference(77, 10, 1, m))
+        assert np.array_equal(filled(77, 10, 1, m), reference(77, 10, 1, m))
 
     def test_empty_blocks(self):
         assert filled(1, 0, 0, 5).shape == (0, 5)
         assert filled(1, 0, 4, 0).shape == (4, 0)
 
     @pytest.mark.parametrize("out", [
-        np.empty((3, 4), dtype=np.float32),
+        np.empty((3, 4)),
         np.empty((3, 4), dtype=np.int64),
-        [[0.0] * 4] * 3,
+        [[0] * 4] * 3,
     ])
     def test_wrong_dtype_is_a_type_error(self, out):
         with pytest.raises(TypeError):
-            philox_uniforms(1, 0, out)
+            philox_words(1, 0, out)
 
     @pytest.mark.parametrize("out", [
-        np.empty((3, 8))[:, ::2],
-        np.empty((3, 4), order="F"),
-        np.empty(12),
-        np.empty((2, 3, 4)),
+        np.empty((3, 8), dtype=np.uint64)[:, ::2],
+        np.empty((3, 4), dtype=np.uint64, order="F"),
+        np.empty(12, dtype=np.uint64),
+        np.empty((2, 3, 4), dtype=np.uint64),
     ])
     def test_wrong_layout_is_a_value_error(self, out):
         with pytest.raises(ValueError):
-            philox_uniforms(1, 0, out)
+            philox_words(1, 0, out)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    @pytest.mark.parametrize("m", [1, 7, 20, 129])
+    def test_uniforms_from_words_are_numpys(self, m, writeable):
+        # the uniforms a power-law row is mapped from have the bits of
+        # Generator.random on the same stream; a writeable block holds
+        # them in its own memory, a read-only one is left alone
+        words = filled(2016, 3, 4, m)
+        words.flags.writeable = writeable
+        u = uniforms_from_words(words)
+        assert same_bits(u, np.array([substream(2016, 3 + j).random(m) for j in range(4)]))
+        assert np.shares_memory(u, words) == writeable
+        assert np.array_equal(words, reference(2016, 3, 4, m)) != writeable
 
 
 class TestStreamSeek:
@@ -100,7 +114,7 @@ class TestStreamSeek:
         got = rng.StreamFamily(2016).select(5, draw=k).random(9)
         assert same_bits(got, expected.random(9))
         if k // 4 + 3 < 2**63:  # the vectorized words take counters below 2**63
-            words = rng._philox_words(2016, 5, 1, k // 4, 3)
+            words = rng._philox_rounds(2016, 5, 1, k // 4, 3)
             draws = np.stack([(word[0] >> np.uint64(11)) * 2.0**-53 for word in words], axis=1)
             assert same_bits(got, draws.reshape(-1)[:9])
 
