@@ -51,6 +51,8 @@ __all__ = [
 
 #: linear-domain survival below this triggers UnderflowWarning
 UNDERFLOW_FLOOR = 1e-300
+#: phase weights at or below this are eigensolver round-off (``phase_weights``)
+_WEIGHT_FLOOR = 1e-28
 
 
 class DimensionMismatchError(ValueError):
@@ -172,26 +174,37 @@ def entangled_initial_state(
 
 
 def phase_weights(h: Hamiltonian, psi0: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphase decomposition of the survival amplitude.
-
-    Returns ``(lam, w)`` with w_k = |<v_k|psi0>|^2, so that
-    <psi0|exp(-iHmu)|psi0> = sum_k w_k exp(-i lam_k mu). The weights are
-    non-negative and sum to 1.
+    """Support of the spectral measure of psi0: ``(lam, w)``, lam ascending,
+    with w_k = |<v_k|psi0>|^2 > ``_WEIGHT_FLOOR``, so that
+    <psi0|exp(-iHmu)|psi0> = sum_k w_k exp(-i lam_k mu). Every consumer
+    takes it as it is: its size is the kernel's cost, and an eigenstate's
+    has one energy (lam_0 == lam_-1). ``eigh`` leaves weights near eps^2
+    where psi0 is orthogonal to an eigenvector; dropping total weight eps
+    lowers delta(mu), a sum of non-negative pair terms, by at most 4 eps
+    and moves the amplitude by at most eps, under its 1e-16 round-off for
+    fewer than 10^12 levels.
     """
     if h.dim != psi0.dim:
         raise DimensionMismatchError(
             f"state dim {psi0.dim} != Hamiltonian dim {h.dim}"
         )
     c = h.spec.eigenvectors.conj().T @ psi0.amplitudes
-    return h.spec.eigenvalues, np.abs(c) ** 2
+    w = np.abs(c) ** 2
+    kept = w > _WEIGHT_FLOOR
+    return h.spec.eigenvalues[kept], w[kept]
 
 
 def _pairs(lam: np.ndarray, w: np.ndarray) -> list[tuple[float, float, float]]:
-    """(lam_k - lam_j, w_j, w_k) for each level pair j < k, in row-major
-    order, that adds to the decay: 4 w_j w_k is nonzero."""
+    """(lam_k - lam_j, w_j, w_k) for each level pair j < k, in row-major order."""
     lam, w = lam.tolist(), w.tolist()
     return [(lam[k] - lam[j], w[j], w[k]) for j in range(len(lam))
-            for k in range(j + 1, len(lam)) if 4.0 * w[j] * w[k] != 0.0]
+            for k in range(j + 1, len(lam))]
+
+
+def _variance(lam: np.ndarray, w: np.ndarray) -> float:
+    """sum_k w_k (lam_k - <H>)^2 over a support, from lam_0: one energy gives 0."""
+    shift = lam - lam[0]
+    return float(np.dot(w, (shift - np.dot(w, shift)) ** 2))
 
 
 def log_survival_factors(
@@ -213,12 +226,9 @@ def log_survival_factors(
     -inf on an exact zero. Every entry depends on its own mu alone, so
     results do not depend on how intervals are batched into calls.
 
-    Pairs with 4 w_j w_k = 0 and levels with w_k = 0 are skipped (a state
-    orthogonal to an eigenvector, such as the default chain's, has them).
-    No bit moves: each skipped term is a signed zero, and adding a zero
-    to a sum that starts at +0.0 (delta, Im a) or w_0 >= 0 (Re a) leaves
-    it as it is. The first pair is written into delta directly, as
-    0.0 + t == t for the non-negative pair terms t.
+    ``(lam, w)`` is the support ``phase_weights`` returns; the cost grows
+    with the square of its size. The first pair is written into delta
+    directly, as 0.0 + t == t for the non-negative pair terms t.
     """
     mus = np.asarray(mus, dtype=float)
     pairs = [(0.5 * gap, 4.0 * w_j * w_k) for gap, w_j, w_k in _pairs(lam, w)]
@@ -244,8 +254,6 @@ def log_survival_factors(
         re = np.full(far_mus.shape, float(w[0]))
         im = np.zeros(far_mus.shape)
         for shift, weight in zip((lam[1:] - lam[0]).tolist(), w[1:].tolist()):
-            if weight == 0.0:
-                continue
             phase = shift * far_mus
             re += weight * np.cos(phase)
             im += weight * np.sin(phase)
@@ -258,11 +266,11 @@ def survival_minima(lam: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndar
     """Local minima of q, one in each step of the increasing ``grid`` where
     dq/dmu = -1/2 sum_{j<k} 4 w_j w_k g sin(g mu), g = lam_k - lam_j (the
     kernel's pair sums), turns non-negative; bisection on its sign narrows
-    each step to adjacent doubles and returns the upper one. Pairs with
-    w_j w_k = 0, which add only zeros, are skipped, as in the kernel."""
+    each step to adjacent doubles and returns the upper one. ``(lam, w)``
+    is the support ``phase_weights`` returns."""
     terms = [(gap, -2.0 * w_j * w_k * gap) for gap, w_j, w_k in _pairs(lam, w)]
     grid = np.asarray(grid, dtype=float)
-    if not terms:  # an eigenstate: q = 1 has no minima
+    if lam[0] == lam[-1]:  # an eigenstate: q = 1 has no minima
         return grid[:0]
 
     def rising(mus: np.ndarray) -> np.ndarray:
@@ -279,12 +287,19 @@ def survival_minima(lam: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndar
     return hi
 
 
+def _interval_sequence(intervals) -> np.ndarray:
+    """``intervals`` as a nonempty 1-d array of non-negative finite floats."""
+    mus = np.atleast_1d(np.asarray(intervals, dtype=float))
+    if mus.size == 0:
+        raise ValueError("interval sequence must be nonempty")
+    if not np.all((mus >= 0.0) & (mus < math.inf)):  # NaN fails too
+        raise ValueError("intervals must be non-negative and finite")
+    return mus
+
+
 def log_survival_factor(h: Hamiltonian, psi0: PureState, mu: float) -> float:
     """ln q(mu) for one interval; -inf where the overlap vanishes."""
-    if mu < 0:
-        raise ValueError("interval must be non-negative")
-    lam, w = phase_weights(h, psi0)
-    return float(log_survival_factors(lam, w, np.array([mu], dtype=float))[0])
+    return float(log_survival_factors(*phase_weights(h, psi0), _interval_sequence(mu))[0])
 
 
 def survival_factor(h: Hamiltonian, psi0: PureState, mu: float) -> float:
@@ -309,11 +324,7 @@ def evolve_sequence(h: Hamiltonian, psi0: PureState, intervals) -> SequenceResul
     two agree except when the product underflows, in which case an
     ``UnderflowWarning`` is emitted and ``log_survival`` remains exact.
     """
-    mus = np.atleast_1d(np.asarray(intervals, dtype=float))
-    if mus.size == 0:
-        raise ValueError("interval sequence must be nonempty")
-    if np.any(mus < 0):
-        raise ValueError("intervals must be non-negative")
+    mus = _interval_sequence(intervals)
     log_factors = log_survival_factors(*phase_weights(h, psi0), mus)
     factors = np.exp(log_factors)
     survival = float(np.prod(factors))
@@ -339,11 +350,7 @@ def survival_trace(h: Hamiltonian, psi0: PureState, intervals) -> float:
     ``evolve_sequence``; the two must agree to round-off and are compared
     in tests as a correctness witness.
     """
-    mus = np.atleast_1d(np.asarray(intervals, dtype=float))
-    if mus.size == 0:
-        raise ValueError("interval sequence must be nonempty")
-    if np.any(mus < 0):
-        raise ValueError("intervals must be non-negative")
+    mus = _interval_sequence(intervals)
     if h.dim != psi0.dim:
         raise DimensionMismatchError(
             f"state dim {psi0.dim} != Hamiltonian dim {h.dim}"
@@ -357,22 +364,10 @@ def survival_trace(h: Hamiltonian, psi0: PureState, intervals) -> float:
 
 
 def energy_variance(h: Hamiltonian, psi0: PureState) -> float:
-    """<H^2> - <H>^2 in the given state, clamped at zero.
-
-    Zero (to round-off) means psi0 is an eigenstate and the dynamics is
-    frozen.
-    """
-    if h.dim != psi0.dim:
-        raise DimensionMismatchError(
-            f"state dim {psi0.dim} != Hamiltonian dim {h.dim}"
-        )
-    hpsi = h.matrix @ psi0.amplitudes
-    h2 = float(np.vdot(hpsi, hpsi).real)
-    h1 = float(np.vdot(psi0.amplitudes, hpsi).real)
-    variance = h2 - h1 * h1
-    if h2 <= 0.0 or variance <= 1e-14 * h2:
-        return 0.0
-    return variance
+    """<H^2> - <H>^2 as sum_k w_k (lam_k - <H>)^2 over the support of
+    ``phase_weights``, with no cancellation of <H>^2 against <H^2>: exactly
+    0 for an eigenstate (one energy), whose dynamics is frozen."""
+    return _variance(*phase_weights(h, psi0))
 
 
 def zeno_time(h: Hamiltonian, psi0: PureState) -> float:
@@ -382,7 +377,7 @@ def zeno_time(h: Hamiltonian, psi0: PureState) -> float:
     delta(mu) ~ (mu/tau_Z)^2. Raises ``ZeroVarianceError`` when psi0 is
     an eigenstate (frozen dynamics, infinite Zeno time).
     """
-    variance = energy_variance(h, psi0)
-    if variance == 0.0:
+    lam, w = phase_weights(h, psi0)
+    if lam[0] == lam[-1]:
         raise ZeroVarianceError("state is an eigenstate; energy variance vanishes")
-    return variance ** -0.5
+    return _variance(lam, w) ** -0.5

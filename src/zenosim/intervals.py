@@ -28,7 +28,7 @@ from typing import Callable, Union
 import numpy as np
 from numpy.random import Generator
 
-from .dynamics import log_survival_factors, survival_minima
+from .dynamics import _variance, log_survival_factors, survival_minima
 from .rng import uniforms_from_words, word_threshold
 
 __all__ = [
@@ -134,7 +134,7 @@ class DiscreteIntervals:
         each of the d - 1 inner edges is one comparison x > G of the words
         against the integer edge G of c (``word_threshold``), worked out
         once per law, counted per row in one reused mask; no uniform is
-        made.
+        made. (lam, w), what ``phase_weights`` returns, is not read.
         """
         above = np.zeros((*x.shape[:-1], self.d + 1))  # draws in atoms k, k + 1, ...
         above[..., 0] = x.shape[-1]
@@ -152,7 +152,7 @@ class DiscreteIntervals:
         Each is sum_a n_a (mu_a, ln q_a), added left to right in atom order
         over the atoms the row visits, so an atom with ln q = -inf (an
         overlap zero) that a row never visits leaves its L finite. ln q is
-        evaluated once per atom for all rows.
+        evaluated once per atom for all rows, on (lam, w) of ``phase_weights``.
         """
         table = log_survival_factors(lam, w, self.values).tolist()
         totals, logs = np.zeros(stats.shape[:-1]), np.zeros(stats.shape[:-1])
@@ -172,7 +172,7 @@ class DiscreteIntervals:
         return float(np.dot(self.probs, self.values**2))
 
     def log_q_moments(self, lam: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-        """E[ln q] and ln E[q], from the kernel once per atom."""
+        """E[ln q] and ln E[q], from the kernel once per atom on (lam, w) of phase_weights."""
         return _atom_moments(self.probs, log_survival_factors(lam, w, self.values))
 
 
@@ -219,7 +219,8 @@ class PowerLawIntervals:
     def row_stats(self, x: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(sum mu, sum ln q) of each row of raw Philox words (the last
         axis of the uint64 array ``x``), each summed by ``np.sum``, along a
-        new last axis; the kernel runs on every draw.
+        new last axis; the kernel runs on every draw, on (lam, w) of
+        ``phase_weights``.
 
         The words become the uniforms ``Generator.random`` makes of them
         (``uniforms_from_words``), so a row has the bits of ``sample``.
@@ -233,7 +234,7 @@ class PowerLawIntervals:
     def row_sums(
         self, stats: np.ndarray, lam: np.ndarray, w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(total time, log survival) of rows with statistics ``stats``."""
+        """(total time, log survival) of rows with statistics ``stats``; (lam, w) is unread."""
         return stats[..., 0], stats[..., 1]
 
     def cdf(self, x) -> np.ndarray:
@@ -253,36 +254,39 @@ class PowerLawIntervals:
         return self.alpha * self.mu0**2 / (self.alpha - 2.0)
 
     def log_q_moments(self, lam: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-        """E[ln q] and ln E[q] under the power law, for phase weights (lam, w).
+        """E[ln q] and ln E[q] under the power law, for (lam, w) of
+        ``phase_weights`` (``ValueError`` if a weight is not positive); an
+        eigenstate, whose support has one energy, gives (0, 0).
 
         One composite Gauss-Legendre rule on [mu0, cut]: panels grow by
         half from mu0 up to ``_PANEL_FRACTION`` of the period
         2 pi / (lam_max - lam_min), and keep that width; each minimum of q
         below ``_Q_FLOOR``, a log singularity of ln q, is an edge, with
-        edges ``_GRADING`` panels to either side. An eigenstate gives (0, 0).
+        edges ``_GRADING`` panels to either side.
 
         Truncation: past the cut c the density barely changes over a
         period, so the dropped tail is about (mu0/c)^alpha times the mean
         of -ln q >= 1 - q over time, -2 ln M with M the Mahler measure of
         sum_k w_k z_k on the torus the phases fill. M is at least w_v, the
-        weight of the lowest or highest weighted level (a vertex of the
-        Newton polytope), and q >= (1 - 2r)^2 if the weights but the
-        largest sum to r < 1/2: B, the smaller bound, is -2 ln w_v or
-        -2 ln(1 - 2r). The cut puts B (mu0/c)^alpha at ``_TAIL_TOL`` times
-        min(V mu0^2, 1), V the energy variance: about the least 1 - q near
-        mu0, below E[1 - q] <= |E[ln q]|. A cut more than ``_MAX_PANELS``
-        panels away, as for alpha <= 2 on the default chain, raises
+        larger end weight w_0 or w_-1 (a vertex of the Newton polytope),
+        and q >= (1 - 2r)^2 if the weights but the largest sum to r < 1/2:
+        B, the smaller bound, is -2 ln w_v or -2 ln(1 - 2r). The cut puts
+        B (mu0/c)^alpha at ``_TAIL_TOL`` times min(V mu0^2, 1), V the
+        energy variance: about the least 1 - q near mu0, below
+        E[1 - q] <= |E[ln q]|. A cut more than ``_MAX_PANELS`` panels away,
+        as for alpha <= 2 on the default chain, raises
         ``QuadratureNoConvergenceError`` before any kernel call.
         """
-        variance = float(np.dot(w, (lam - np.dot(w, lam)) ** 2))
-        if variance == 0.0:
+        if not np.all(w > 0.0):
+            raise ValueError("phase weights must be positive: pass what phase_weights returns")
+        if lam[0] == lam[-1]:
             return 0.0, 0.0
+        variance = _variance(lam, w)
         mu0, alpha = self.mu0, self.alpha
-        present = lam[w > 0.0]
-        width = _PANEL_FRACTION * 2.0 * math.pi / float(present.max() - present.min())
+        width = _PANEL_FRACTION * 2.0 * math.pi / float(lam[-1] - lam[0])
         head = mu0 * 1.5 ** np.arange(max(0, math.ceil(math.log(2.0 * width / mu0, 1.5))) + 1)
         # B of the docstring; r is summed without cancellation
-        bound = -2.0 * math.log(max(w[lam == present.min()].sum(), w[lam == present.max()].sum()))
+        bound = -2.0 * math.log(max(w[0], w[-1]))
         rest = float(np.sort(w)[:-1].sum())
         if rest < 0.5:
             bound = min(bound, -2.0 * math.log1p(-2.0 * rest))

@@ -516,8 +516,8 @@ def equally_spaced_survival(
     When ``total_time`` is not an exact multiple of ``mu_bar`` the count
     rounds down and the result reports the time actually used.
     """
-    if mu_bar <= 0:
-        raise ValueError("spacing must be positive")
+    if not (0.0 < mu_bar < math.inf and math.isfinite(total_time)):  # NaN fails too
+        raise ValueError("spacing must be positive and finite, and total time finite")
     m = int(math.floor(total_time / mu_bar + 1e-9))
     if m < 1:
         raise ValueError("total time does not cover a single interval")
@@ -623,8 +623,8 @@ def disorder_gain(
     )
     if not np.all((0.0 < p1) & (p1 < 1.0)):
         raise ValueError("p1 must lie strictly between 0 and 1")
-    if not (np.all(mu1 > 0) and np.all(mu_bar > 0)):
-        raise ValueError("times must be positive")
+    if not np.all((0.0 < mu1) & (mu1 < math.inf) & (0.0 < mu_bar) & (mu_bar < math.inf)):
+        raise ValueError("times must be positive and finite")
     if m < 1:
         raise ValueError("m must be a positive count")
     p2 = 1.0 - p1

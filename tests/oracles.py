@@ -149,6 +149,64 @@ def expectation_variance(h: np.ndarray, psi: np.ndarray) -> float:
     return e2 - e1 * e1
 
 
+def xx_chain_matrix(n: int, coupling: float, field: float) -> np.ndarray:
+    """H = field sum_i Z_i + coupling sum_i (X_i X_i+1 + Y_i Y_i+1) / 2 on an
+    open chain of n qubits, built entry by entry in the computational
+    basis (bit i of the index set: qubit i excited, Z = -1). The hopping
+    term moves one excitation across a bond with amplitude ``coupling``."""
+    dim = 1 << n
+    index = np.arange(dim)
+    bits = (index[:, None] >> np.arange(n)) & 1
+    h = np.diag(field * (n - 2 * bits.sum(axis=1))).astype(complex)
+    for i in range(n - 1):
+        hops = np.flatnonzero(bits[:, i] != bits[:, i + 1])
+        h[hops, hops ^ (3 << i)] = coupling
+    return h
+
+
+def one_excitation_state(site_amps) -> np.ndarray:
+    """The n-qubit vector sum_s a_s |s>, |s> the state with only qubit s
+    excited, from the site amplitudes a_s (the W state: all 1/sqrt(n))."""
+    n = len(site_amps)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[1 << np.arange(n)] = site_amps
+    return psi
+
+
+def one_excitation_spectrum(site_amps, coupling: float, field: float, dps: int = 40):
+    """The levels and weights of a one-excitation state of ``xx_chain_matrix``
+    in closed form, at ``dps`` digits: the sector is a tight-binding chain
+    with modes phi_k(s) = sqrt(2/(n+1)) sin(k s pi/(n+1)) and energies
+    (n-2) field + 2 coupling cos(k pi/(n+1)), k, s = 1..n. Returns the
+    (energy, weight) pairs of the modes the state weighs, weight above
+    1e-30 (the W state weighs odd k only), in mpmath numbers."""
+    n = len(site_amps)
+    with mp.workdps(dps):
+        theta = mp.pi / (n + 1)
+        out = []
+        for k in range(1, n + 1):
+            amp = mp.sqrt(mp.mpf(2) / (n + 1)) * mp.fsum(
+                mp.sin(k * s * theta) * mp.mpf(a) for s, a in enumerate(site_amps, 1))
+            if abs(amp) ** 2 > mp.mpf(10) ** -30:
+                out.append(((n - 2) * mp.mpf(field) + 2 * mp.mpf(coupling) * mp.cos(k * theta),
+                            amp ** 2))
+        return out
+
+
+def one_excitation_log_q(site_amps, coupling: float, field: float, mus,
+                         dps: int = 40) -> np.ndarray:
+    """ln q(mu) = ln |sum_k w_k exp(-i E_k mu)|^2 from the closed form of
+    ``one_excitation_spectrum``, at ``dps`` digits, with the weights
+    scaled to sum to 1 (float amplitudes such as 1/sqrt(n) miss it by an
+    ulp, which would rival ln q at short mu)."""
+    levels = one_excitation_spectrum(site_amps, coupling, field, dps)
+    with mp.workdps(dps):
+        norm = mp.fsum(wk for _, wk in levels)
+        return np.array([float(mp.log(abs(mp.fsum(wk * mp.expj(-ek * mp.mpf(mu))
+                                                  for ek, wk in levels) / norm) ** 2))
+                         for mu in np.asarray(mus, dtype=float).tolist()])
+
+
 def binomial_rate_enumeration(
     p1: float, logq1: float, logq2: float, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,9 +16,13 @@ from oracles import (
     chain_matrix,
     expectation_variance,
     expm_log_q,
+    one_excitation_log_q,
+    one_excitation_spectrum,
+    one_excitation_state,
     overlap_amplitude,
     same_bits,
     two_level_q,
+    xx_chain_matrix,
 )
 
 from zenosim import (
@@ -219,11 +223,30 @@ class TestEvolveSequence:
             evolve_sequence(chain, psi0, [-1e-9])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda h, psi, x: log_survival_factor(h, psi, x),
+    lambda h, psi, x: survival_factor(h, psi, x),
+    lambda h, psi, x: delta_of_mu(h, psi, x),
+    lambda h, psi, x: evolve_sequence(h, psi, [1e-9, x]),
+    lambda h, psi, x: survival_trace(h, psi, [1e-9, x]),
+], ids=["log_survival_factor", "survival_factor", "delta_of_mu", "evolve_sequence",
+        "survival_trace"])
+def test_non_finite_interval_rejected(chain, psi0, call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call(chain, psi0, bad)
+
+
 class TestZenoTime:
     def test_eigenstate_raises(self, chain):
         v = chain.spec.eigenvectors[:, 0]
         with pytest.raises(ZeroVarianceError):
             zeno_time(chain, PureState(v))
+
+    def test_degenerate_eigenstate_raises(self, psi0):
+        # uncoupled levels of one energy: psi0 weighs two of them
+        with pytest.raises(ZeroVarianceError):
+            zeno_time(build_chain_hamiltonian([2 * math.pi * 1e4] * 3, 0.0), psi0)
 
     def test_two_level(self, rabi):
         h, psi = rabi
@@ -325,8 +348,8 @@ class TestSurvivalMinima:
 
 
 def all_pairs_log_q(lam, w, mus):
-    """The kernel as it was before zero-weight pairs were skipped: every
-    pair j < k adds its term, and every level its amplitude."""
+    """The kernel with no level dropped: every pair j < k of the given
+    levels adds its term, and every level its amplitude."""
     mus = np.asarray(mus, dtype=float)
     j, k = np.triu_indices(lam.size, 1)
     delta = np.zeros(mus.shape)
@@ -375,52 +398,99 @@ def all_pairs_minima(lam, w, grid):
     return hi
 
 
-def four_level_spectrum():
-    return build_chain_hamiltonian([0.0, 1.0e6, 2.5e5, 7.0e5], OMEGA).spec.eigenvalues
+def four_level_state(weights):
+    """The four-level chain and the state with the given eigenvector weights;
+    ``eigh`` leaves a weight near 1e-32 where one is 0."""
+    h = build_chain_hamiltonian([0.0, 1.0e6, 2.5e5, 7.0e5], OMEGA)
+    return h, PureState(h.spec.eigenvectors @ np.sqrt(np.array(weights)))
 
 
-#: (lam, w) of each system whose pairs the kernel may skip
+#: (h, psi0) of each system whose support may drop levels
 SKIPPED_PAIRS_SYSTEMS = {
     # (1, 0, 1)/sqrt(2) has no overlap with the middle eigenvector: 1 pair of 3
-    "default": lambda chain, psi0: phase_weights(chain, psi0),
-    # an eigenstate of the uncoupled chain: no pair, no decay
-    "eigenstate": lambda chain, psi0: phase_weights(
+    "default": lambda chain, psi0: (chain, psi0),
+    # an eigenstate of the uncoupled chain: one level, no pair, no decay
+    "eigenstate": lambda chain, psi0: (
         build_chain_hamiltonian(CHAIN_OMEGAS, 0.0),
         PureState(np.array([0.0, 1.0, 0.0], dtype=complex))),
     # orthogonal to the third of four eigenvectors: 3 pairs of 6
-    "d4_one_zero": lambda chain, psi0: (four_level_spectrum(),
-                                        np.array([0.1, 0.2, 0.0, 0.7])),
-    # orthogonal to the first eigenvector: lam_0 stays the phase reference
-    "d4_first_zero": lambda chain, psi0: (four_level_spectrum(),
-                                          np.array([0.0, 0.3, 0.2, 0.5])),
-    # no zero weight, w about (0.216, 0.498, 0.287): nothing skipped
-    "no_zero": lambda chain, psi0: phase_weights(
+    "d4_one_zero": lambda chain, psi0: four_level_state([0.1, 0.2, 0.0, 0.7]),
+    # orthogonal to the first eigenvector: the support starts at lam_1
+    "d4_first_zero": lambda chain, psi0: four_level_state([0.0, 0.3, 0.2, 0.5]),
+    # no zero weight, w about (0.216, 0.498, 0.287): nothing dropped
+    "no_zero": lambda chain, psi0: (
         chain, PureState(np.array([1.0, 0.0, 0.0], dtype=complex))),
     # six pairs, added in the row-major order of np.triu_indices
-    "d4_no_zero": lambda chain, psi0: (four_level_spectrum(),
-                                       np.array([0.1, 0.2, 0.3, 0.4])),
+    "d4_no_zero": lambda chain, psi0: four_level_state([0.1, 0.2, 0.3, 0.4]),
 }
 
+#: intervals that cross both branches of the kernel on the chains above
+SKIPPED_PAIRS_MUS = np.concatenate([np.linspace(0.0, 20 * US, 20_001),
+                                    np.geomspace(1e-15, 1e-9, 61), [NEAR_ZERO_MU]])
+#: a grid with dozens of minima of q on the chains above
+SKIPPED_PAIRS_GRID = np.arange(0.0, 40 * US, 0.1 * US)
 
-class TestSkippedPairs:
-    """Pairs and levels of zero weight add only signed zeros, so skipping
-    them moves no bit of ln q or of the minima of q."""
+
+def support_and_full(system, chain, psi0):
+    """``phase_weights`` of a system, and every level with its ``eigh``
+    weight, round-off included."""
+    h, psi = SKIPPED_PAIRS_SYSTEMS[system](chain, psi0)
+    full_w = np.abs(h.spec.eigenvectors.conj().T @ psi.amplitudes) ** 2
+    return phase_weights(h, psi), (h.spec.eigenvalues, full_w)
+
+
+class TestSupport:
+    """``phase_weights`` drops the levels ``eigh`` leaves with round-off
+    weight; ln q and the minima of q on that support keep the bits of
+    every pair over the full weights."""
 
     @pytest.mark.parametrize("system", SKIPPED_PAIRS_SYSTEMS)
     def test_kernel_keeps_the_all_pairs_bits(self, chain, psi0, system):
-        lam, w = SKIPPED_PAIRS_SYSTEMS[system](chain, psi0)
-        mus = np.concatenate([np.linspace(0.0, 20 * US, 20_001),
-                              np.geomspace(1e-15, 1e-9, 61), [NEAR_ZERO_MU]])
-        expected = all_pairs_log_q(lam, w, mus)
+        (lam, w), (full_lam, full_w) = support_and_full(system, chain, psi0)
+        mus = SKIPPED_PAIRS_MUS
+        expected = all_pairs_log_q(full_lam, full_w, mus)
+        got = log_survival_factors(lam, w, mus)
         if system == "eigenstate":
-            assert np.all(w[[0, 2]] == 0.0) and np.all(expected == 0.0)
+            assert lam.size == 1 and np.all(expected == 0.0)
         else:  # both branches of the kernel are crossed
             assert 0.2 < np.mean(expected <= math.log(0.5)) < 0.8
-        assert same_bits(log_survival_factors(lam, w, mus), expected)
+        if system == "d4_first_zero":
+            # the amplitude of the far branch takes its phases from lam_1,
+            # the support's lowest level, not lam_0: q keeps its value to
+            # round-off, not its bits
+            near = expected > math.log(0.5)
+            assert same_bits(got[near], expected[near])
+            np.testing.assert_allclose(np.exp(got), np.exp(expected), rtol=0.0, atol=1e-14)
+        else:
+            assert same_bits(got, expected)
         assert same_bits(log_survival_factors(lam, w, mus[:1]), expected[:1])
 
+    @pytest.mark.parametrize("system", SKIPPED_PAIRS_SYSTEMS)
+    def test_minima_keep_the_all_pairs_bits(self, chain, psi0, system):
+        (lam, w), (full_lam, full_w) = support_and_full(system, chain, psi0)
+        grid = SKIPPED_PAIRS_GRID
+        minima = survival_minima(lam, w, grid)
+        assert (minima.size == 0) == (system == "eigenstate")
+        assert same_bits(minima, all_pairs_minima(full_lam, full_w, grid))
+
+    @pytest.mark.parametrize("system", SKIPPED_PAIRS_SYSTEMS)
+    def test_zero_padded_input_keeps_its_bits(self, chain, psi0, system):
+        # the full levels with the support's weights and exact zeros
+        # elsewhere: each zero adds a signed zero to a sum that starts at
+        # +0.0 (delta, Im a, dq/dmu) or at w_0 >= 0 (Re a), which leaves it
+        (lam, w), (full_lam, full_w) = support_and_full(system, chain, psi0)
+        padded = np.where(np.isin(full_lam, lam), full_w, 0.0)
+        assert np.count_nonzero(padded) == lam.size
+        mus, grid = SKIPPED_PAIRS_MUS, SKIPPED_PAIRS_GRID
+        assert same_bits(log_survival_factors(full_lam, padded, mus),
+                         all_pairs_log_q(full_lam, padded, mus))
+        assert same_bits(survival_minima(full_lam, padded, grid),
+                         all_pairs_minima(full_lam, padded, grid))
+
     def test_default_state_weighs_two_levels(self, chain, psi0):
-        assert phase_weights(chain, psi0)[1][1] == 0.0
+        lam, w = phase_weights(chain, psi0)
+        assert same_bits(lam, chain.spec.eigenvalues[[0, 2]])
+        np.testing.assert_allclose(w, [0.5, 0.5], rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     def test_minima_keep_the_all_pairs_bits_on_fig4_panels(self, chain, psi0, alpha):
@@ -443,3 +513,61 @@ class TestSkippedPairs:
         lam, w = np.array([-1.0, 0.0, 2.0]), np.array([0.0, 1.0, 0.0])
         grid = np.linspace(0.0, 10.0, 101)
         assert same_bits(survival_minima(lam, w, grid), all_pairs_minima(lam, w, grid))
+
+
+#: the 8-qubit XX chain: hopping 2 pi 100 kHz, field 2 pi 30 kHz on each qubit
+XX_QUBITS, XX_COUPLING, XX_FIELD = 8, 2 * math.pi * 100e3, 2 * math.pi * 30e3
+#: one-excitation states by their site amplitudes
+XX_STATES = {
+    "w": [1.0 / math.sqrt(XX_QUBITS)] * XX_QUBITS,  # odd modes only: 4 levels
+    "edge": [1.0] + [0.0] * (XX_QUBITS - 1),  # every mode: 8 levels
+}
+
+
+class TestXXChain:
+    """One-excitation states of a 256-level XX chain against the closed form
+    of their sector (``oracles.one_excitation_spectrum``): ``phase_weights``
+    keeps only the modes they weigh."""
+
+    @pytest.fixture(scope="class")
+    def xx(self):
+        return Hamiltonian.from_matrix(xx_chain_matrix(XX_QUBITS, XX_COUPLING, XX_FIELD))
+
+    @staticmethod
+    def support(xx, state):
+        return phase_weights(xx, PureState(one_excitation_state(XX_STATES[state])))
+
+    @pytest.mark.parametrize("state,size", [("w", XX_QUBITS // 2), ("edge", XX_QUBITS)])
+    def test_support_is_the_weighted_modes(self, xx, state, size):
+        lam, w = self.support(xx, state)
+        assert lam.size == size
+        levels = sorted(one_excitation_spectrum(XX_STATES[state], XX_COUPLING, XX_FIELD))
+        assert len(levels) == size
+        np.testing.assert_allclose(lam, [float(e) for e, _ in levels],
+                                   rtol=0.0, atol=1e-14 * XX_QUBITS * XX_COUPLING)
+        np.testing.assert_allclose(w, [float(p) for _, p in levels], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("state", sorted(XX_STATES))
+    def test_kernel_matches_the_closed_form(self, xx, state):
+        lam, w = self.support(xx, state)
+        period = 2 * math.pi / float(lam[-1] - lam[0])
+        mus = np.concatenate([np.geomspace(1e-6 * period, period, 40),
+                              np.linspace(0.0, 10 * period, 201)[1:]])
+        got = log_survival_factors(lam, w, mus)
+        np.testing.assert_allclose(
+            got, one_excitation_log_q(XX_STATES[state], XX_COUPLING, XX_FIELD, mus),
+            rtol=1e-9, atol=0.0)
+        far = np.mean(got <= math.log(0.5))
+        if state == "w":  # q >= (2 w_max - 1)^2 > 1/2: the far branch is never taken
+            assert w.max() > 0.89 and far == 0.0
+        else:
+            assert 0.2 < far < 0.8
+
+    def test_w_state_keeps_the_all_pairs_bits(self, xx):
+        lam, w = self.support(xx, "w")
+        full_w = np.abs(xx.spec.eigenvectors.conj().T
+                        @ one_excitation_state(XX_STATES["w"])) ** 2
+        assert full_w.size == 256 and np.sum(full_w > 0.0) > 200  # round-off weights
+        mus = np.geomspace(1e-12, 1e-4, 50)
+        assert same_bits(log_survival_factors(lam, w, mus),
+                         all_pairs_log_q(xx.spec.eigenvalues, full_w, mus))

@@ -31,7 +31,9 @@ from zenosim import (
     PowerLawIntervals,
     PureState,
     QuadratureNoConvergenceError,
+    build_chain_hamiltonian,
     log_survival_factor,
+    log_survival_factors,
     qze_condition,
     run_ensemble,
     survival_stats_for,
@@ -262,11 +264,25 @@ class TestLogQMoments:
     @pytest.mark.parametrize("law", sorted(LAWS))
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_eigenstate_gives_exact_zeros(self, chain, law, level):
-        w = np.zeros(3)
-        w[level] = 1.0
-        moments = self.LAWS[law]().log_q_moments(chain.spec.eigenvalues, w)
+        lam, w = phase_weights(chain, PureState(chain.spec.eigenvectors[:, level]))
+        assert lam.size == 1
+        moments = self.LAWS[law]().log_q_moments(lam, w)
         assert moments == (0.0, 0.0)
         assert all(type(x) is float for x in moments)
+        # the same eigenstate padded with zero weights: not a support
+        padded = np.eye(3)[level]
+        if law == "powerlaw":
+            with pytest.raises(ValueError, match="phase_weights"):
+                self.LAWS[law]().log_q_moments(chain.spec.eigenvalues, padded)
+        else:
+            assert self.LAWS[law]().log_q_moments(chain.spec.eigenvalues, padded) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_degenerate_eigenstate_gives_exact_zeros(self, psi0, law):
+        # uncoupled levels of one energy: a support of two levels and one energy
+        lam, w = phase_weights(build_chain_hamiltonian([2 * math.pi * 1e4] * 3, 0.0), psi0)
+        assert lam.size == 2 and lam[0] == lam[1]
+        assert self.LAWS[law]().log_q_moments(lam, w) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "values,probs",
@@ -323,11 +339,13 @@ class TestLogQMoments:
         assert mean_log_q == pytest.approx(expected, rel=1e-8, abs=0.0)
         assert mean_log_q <= log_mean_q < 0.0
 
-    def test_numerical_eigenstate_is_tiny_not_an_error(self, chain):
-        # weights of about 1e-32 off the eigenvector: q never nears zero
+    def test_numerical_eigenstate_gives_exact_zeros(self, chain):
+        # eigh leaves weights of about 1e-32 off the eigenvector; the
+        # support drops them
         lam, w = phase_weights(chain, PureState(chain.spec.eigenvectors[:, 1]))
-        mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
-        assert -1e-25 < mean_log_q <= log_mean_q <= 0.0
+        assert lam.size == 1
+        assert PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w) == (0.0, 0.0)
+        assert np.all(log_survival_factors(lam, w, np.geomspace(1 * NS, 1.0, 50)) == 0.0)
 
     def test_composite_rule_integrates_the_density(self):
         # E[1] on [mu0, c] is 1 - (mu0/c)^alpha; the panels span several slabs

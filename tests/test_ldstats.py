@@ -510,6 +510,13 @@ class TestFixedTimeSolve:
 
 
 class TestEquallySpaced:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, chain, psi0, bad):
+        with pytest.raises(ValueError, match="finite"):
+            equally_spaced_survival(chain, psi0, bad, 100e-9)
+        with pytest.raises(ValueError, match="finite"):
+            equally_spaced_survival(chain, psi0, 1e-9, bad)
+
     def test_eigenstate_is_frozen(self, chain):
         from zenosim import PureState
 
@@ -632,6 +639,13 @@ class TestDisorderGain:
             disorder_gain(chain, psi0, np.array([0.3, 1.0]), 10e-6, 24e-6, 100)
         with pytest.raises(InvalidMeanError):
             disorder_gain(chain, psi0, 0.9, 10e-6, np.array([24e-6, 5e-6]), 100)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, chain, psi0, bad):
+        with pytest.raises(ValueError, match="finite"):
+            disorder_gain(chain, psi0, 0.3, 10e-6, bad, 100)
+        with pytest.raises(ValueError, match="finite"):
+            disorder_gain(chain, psi0, 0.3, np.array([10e-6, bad]), 24e-6, 100)
 
 
 class TestValidation:
