@@ -55,6 +55,8 @@ _TAIL_TOL = 1e-10
 _MAX_PANELS = 32_768
 #: quadrature nodes per kernel call
 _QUAD_SLAB = 8192
+#: words per slab a power law maps where it may not overwrite a block's words
+_WORD_SLAB = 16_384
 
 
 class InfiniteMeanError(ValueError):
@@ -123,25 +125,36 @@ class DiscreteIntervals:
             atoms += u > edge
         return self.values[atoms]
 
-    def row_stats(self, x: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def row_stats(self, x: np.ndarray, lam: np.ndarray, w: np.ndarray,
+                  ends: list[int]) -> np.ndarray:
         """Atom counts n_a of each row of raw Philox words (the last axis
-        of the uint64 array ``x``), as floats along a new last axis: exact
-        below 2^53, so counts of any cut of a row add up to the row's in
-        any order.
+        of the uint64 array ``x``) up to each of the increasing ``ends``,
+        as floats along a new last axis, one end
+        after another along a new first axis: exact below 2^53, so counts
+        of any cut of a row add up to the row's in any order.
 
         A word falls in the atom ``sample`` gives its uniform
         u = (x >> 11) 2^-53, the number of cumulative edges c below u:
         each of the d - 1 inner edges is one comparison x > G of the words
         against the integer edge G of c (``word_threshold``), worked out
-        once per law, counted per row in one reused mask; no uniform is
-        made. (lam, w), what ``phase_weights`` returns, is not read.
+        once per law, into one reused mask, counted per row between one
+        end and the next; the counts up to an end add up those pieces. No
+        uniform is made. (lam, w), what ``phase_weights`` returns, is not
+        read.
         """
-        above = np.zeros((*x.shape[:-1], self.d + 1))  # draws in atoms k, k + 1, ...
-        above[..., 0] = x.shape[-1]
+        cuts = [0, *ends]
+        above = np.zeros((len(cuts) - 1, *x.shape[:-1], self.d + 1))  # in atoms k, k + 1, ...
         axis = -1 if x.size > x.shape[-1] else None  # one row counts whole, 3x faster
-        mask = np.empty(x.shape, dtype=bool)
+        words = x[..., :cuts[-1]]
+        mask = np.empty(words.shape, dtype=bool)
         for k, edge in enumerate(self._word_edges, 1):
-            above[..., k] = np.count_nonzero(np.greater(x, edge, out=mask), axis=axis)
+            np.greater(words, edge, out=mask)
+            for j in range(len(cuts) - 1):
+                above[j, ..., k] = np.count_nonzero(mask[..., cuts[j]:cuts[j + 1]], axis=axis)
+        for j in range(len(cuts) - 1):
+            above[j, ..., 0] = cuts[j + 1] - cuts[j]
+        if len(cuts) > 2:
+            np.cumsum(above, axis=0, out=above)
         return above[..., :-1] - above[..., 1:]
 
     def row_sums(
@@ -216,20 +229,38 @@ class PowerLawIntervals:
         u *= self.mu0
         return u
 
-    def row_stats(self, x: np.ndarray, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(sum mu, sum ln q) of each row of raw Philox words (the last
-        axis of the uint64 array ``x``), each summed by ``np.sum``, along a
-        new last axis; the kernel runs on every draw, on (lam, w) of
-        ``phase_weights``.
+    def row_stats(self, x: np.ndarray, lam: np.ndarray, w: np.ndarray,
+                  ends: list[int]) -> np.ndarray:
+        """(sum mu, sum ln q) of each row of raw Philox words (the rows of
+        the uint64 (rows, k) array ``x``) up to each of the increasing
+        ``ends``, at most k, along a new last axis, one end after
+        another along a new first axis; the kernel runs once on every
+        draw up to the last end, on (lam, w) of ``phase_weights``, and
+        each prefix is summed by ``np.sum``, which gives a prefix view of
+        a row the bits of the same words summed alone.
 
         The words become the uniforms ``Generator.random`` makes of them
         (``uniforms_from_words``), so a row has the bits of ``sample``.
-        The uniforms, then the waiting times, overwrite the words' memory
-        if ``x`` is writeable, else go to a new array.
+        Where ``x`` is writeable and the last end is k, the uniforms, then
+        the waiting times, overwrite the words' memory; else slabs of
+        about ``_WORD_SLAB`` words, whole rows, go to new arrays one at a
+        time, so a law that may not write the words holds no copy of them
+        all.
         """
-        mus = self._inverse_cdf(uniforms_from_words(x))
-        return np.stack((mus.sum(axis=-1), log_survival_factors(lam, w, mus).sum(axis=-1)),
-                        axis=-1)
+        top, rows = ends[-1], x.shape[0]
+        in_place = x.flags.writeable and top == x.shape[-1]
+        step = rows if in_place else max(1, _WORD_SLAB // top)
+        stats = np.empty((len(ends), rows, 2))
+        for r in range(0, rows, step):
+            # contiguous, like the block a config alone maps: numpy may
+            # pick another loop for strided input
+            words = np.ascontiguousarray(x[r:r + step, :top])
+            mus = self._inverse_cdf(uniforms_from_words(words))
+            log_q = log_survival_factors(lam, w, mus)
+            for j, e in enumerate(ends):
+                stats[j, r:r + step, 0] = mus[:, :e].sum(axis=-1)
+                stats[j, r:r + step, 1] = log_q[:, :e].sum(axis=-1)
+        return stats
 
     def row_sums(
         self, stats: np.ndarray, lam: np.ndarray, w: np.ndarray

@@ -8,27 +8,32 @@ so every applied interval keeps the waiting-time law).
 Realization i draws from its own counter-based stream keyed by
 ``(master_seed, i)``, which makes ensembles bitwise reproducible and
 independent of how realizations are split into chunks. The streams
-depend on neither the law nor the system, so ``run_ensembles`` runs all
-fixed-m configs that share (master_seed, realizations, m) as one group
-that reads each draw once.
+depend on neither the law, the system nor m, so the m = 50 row of a
+stream is a prefix of its m = 6400 row, and ``run_ensembles`` runs all
+fixed-m configs that share (master_seed, realizations), at any m, as
+one group that reads each draw once.
 
 Fixed m has one path, for rows of any length. A group runs in chunks of
-about ``_CHUNK_TARGET`` draws, and a chunk's rows are read in segments
-of ``_SEGMENT`` draws (the last one shorter), so memory does not grow
-with m. A segment is a uint64 block of raw Philox words, the words
-``Generator.random`` would turn into uniforms: one ``philox_words`` call
-fills it for many short rows, else each row's stream is selected at the
-segment's first draw and its words read by ``random_raw``, into one
-reused buffer, or as drawn where the chunk is one row; where every law
-has one atom, whose ``row_stats`` reads only the block's shape, nothing
-is drawn. Every law of the group reads the block in turn, read-only
-until its last reader, and reduces each row to its additive statistic
-(``row_stats``): a discrete law's atom counts, from the words against
-integer edges with no uniform made, or a power law's (sum mu, sum ln q)
-by ``np.sum``, from the words' exact uniforms. The segment statistics
-are added left to right, and the law turns them into total times and
-log survivals (``row_sums``), a discrete law from one ln q table per
-chunk.
+about ``_CHUNK_TARGET`` draws of its longest rows, and a chunk's rows
+are read in segments of ``_SEGMENT`` draws (the last one shorter), so
+memory does not grow with m. A segment is a uint64 block of raw Philox
+words, the words ``Generator.random`` would turn into uniforms: one
+``philox_words`` call fills it for many short rows, else each row's
+stream is selected at the segment's first draw and its words read by
+``random_raw``, into one reused buffer, or as drawn where the chunk is
+one row; a law of one atom, whose ``row_stats`` reads only the block's
+shape, needs none drawn. Each reader of the group, the configs of one
+law and system, reads the block once, read-only but for the last
+reader, and reduces each row to its additive statistic at the end of
+each of its configs' rows (``row_stats``): a discrete law's atom
+counts, from the words against integer edges with no uniform made,
+counted between one end and the next and added up, or a power law's
+(sum mu, sum ln q) by ``np.sum`` of each prefix of the words' exact
+uniforms, mapped once. So each config gets the sums over the pieces it
+would get alone: whole segments, then its last piece. The segment
+statistics are added left to right, and the law turns them into total
+times and log survivals (``row_sums``), a discrete law from one ln q
+table per config and chunk.
 
 The segments of a chunk are cut into one contiguous run per usable core,
 at most ``_MAX_PARTS``: the calling thread reads the first and a thread
@@ -53,6 +58,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -322,57 +328,102 @@ def _one_atom(dist) -> bool:
     return isinstance(dist, DiscreteIntervals) and dist.d == 1
 
 
-def _segment_stats(group: list[SurvivalEnsemble], weights, start: int, stop: int, draw: int,
-                   n: int) -> list[np.ndarray]:
-    """Each law's row statistic (``row_stats``) of every segment of draws
-    draw to draw + n - 1 of realizations start to stop - 1, stacked
-    along a new first axis, one segment of ``_SEGMENT`` draws (the last
-    one shorter) after another.
+class _Reader(NamedTuple):
+    """The fixed-m configs of a group that share one law, Hamiltonian and
+    state, which map each segment of words once for all their m."""
+
+    dist: IntervalDistribution
+    lam: np.ndarray
+    w: np.ndarray
+    #: the configs' places in the group, in increasing m
+    cfgs: list[int]
+    #: their m, in the same order
+    ms: list[int]
+    #: whether the law reads the words themselves, not only their shape
+    draws: bool
+
+
+def _segment_stats(readers: list[_Reader], seed: int, start: int, stop: int, draw: int,
+                   n: int) -> list[list[np.ndarray]]:
+    """The row statistic (``row_stats``) of each config of ``readers`` in
+    every segment of draws draw to draw + n - 1 of realizations start to
+    stop - 1 that its rows reach, one segment of ``_SEGMENT`` draws (the
+    last one shorter) after another: a list per config, by its place in
+    the group.
 
     A segment is drawn once, as a (rows, k) uint64 block of raw Philox
-    words: into one reused buffer, by ``philox_words`` for many short rows
+    words as wide as the longest row of a law that reads words needs
+    it: into one reused buffer, by ``philox_words`` for many short rows
     at their first draw, else by ``random_raw`` from one stream selected
     per row at the segment's first draw; a one-row chunk reads that row's
-    words as drawn, with no buffer or copy. Nothing is drawn where every
-    law has one atom. Every law of the group reads the block in turn; it
-    is read-only while a later law still reads it, so only its last
-    reader may overwrite it. The part opens its own stream family, so
-    runs of segments can be read on any threads.
+    words as drawn, with no buffer or copy. Nothing is drawn for laws of
+    one atom, which get a block of the shape alone. Each reader whose
+    rows reach the segment reads it in turn, once, and returns its
+    statistic at the end of each of its configs' rows in the segment.
+    ``readers`` come in the order ``_run_fixed_m`` gives them, the one
+    that reads the widest block last: the block is read-only while a
+    later reader still reads it, so only that one may overwrite it. The
+    part opens its own stream family, so runs of segments can be read on
+    any threads.
     """
-    seed, rows = group[0].config.master_seed, stop - start
-    draws = not all(_one_atom(ens.config.dist) for ens in group)
+    rows, final = stop - start, len(readers) - 1
+    reach = readers[-1].ms[-1] if readers[-1].draws else 0
     family = StreamFamily(seed)
-    buf = np.empty(rows * min(n, _SEGMENT) if draws and rows > 1 else 0, dtype=np.uint64)
-    stats = [[] for _ in group]
+    wide = min(n, _SEGMENT, reach - draw)
+    buf = np.empty(rows * wide if wide > 0 and rows > 1 else 0, dtype=np.uint64)
+    stats = [[] for reader in readers for _ in reader.cfgs]
     for a in range(draw, draw + n, _SEGMENT):
         k = min(_SEGMENT, draw + n - a)
-        if not draws:
-            x = np.broadcast_to(np.uint64(0), (rows, k))
+        width = min(k, reach - a)
+        if width <= 0:
+            x = None
         elif rows == 1:
-            x = family.select(start, a).bit_generator.random_raw(k)[None]
+            x = family.select(start, a).bit_generator.random_raw(width)[None]
         else:
-            x = buf[:rows * k].reshape(rows, k)
-            if a == 0 and k <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
+            x = buf[:rows * width].reshape(rows, width)
+            if a == 0 and width <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
                 philox_words(seed, start, x)
             else:
                 for j in range(rows):
-                    x[j] = family.select(start + j, a).bit_generator.random_raw(k)
-        for reader, (ens, (lam, w)) in enumerate(zip(group, weights)):
-            x.flags.writeable = draws and reader == len(group) - 1
-            stats[reader].append(ens.config.dist.row_stats(x, lam, w))
+                    x[j] = family.select(start + j, a).bit_generator.random_raw(width)
+        for i, (dist, lam, w, cfgs, ms, draws) in enumerate(readers):
+            if ms[-1] <= a:
+                continue
+            ends = sorted({min(m - a, k) for m in ms if m > a})
+            if draws:
+                x.flags.writeable = i == final
+            at = dist.row_stats(x if draws else np.broadcast_to(np.uint64(0), (rows, ends[-1])),
+                                lam, w, ends)
+            for c, m in zip(cfgs, ms):
+                if m > a:
+                    stats[c].append(at[ends.index(min(m - a, k))])
         del x  # a lone row's words go before its next segment's are drawn
-    return [np.stack(law_stats) for law_stats in stats]
+    return stats
 
 
 def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
     """Fill the records of fixed-m ensembles that share (master_seed,
-    realizations, m), chunk by chunk: the segments of a chunk's rows are
-    cut into one contiguous run per part, the calling thread reads the
-    first and a pool the rest (``_segment_stats``), and each law's
-    segment statistics are added left to right."""
+    realizations), at any m, chunk by chunk, a chunk's rows as long as
+    the group's largest m: the segments of a chunk's rows are cut into
+    one contiguous run per part, the calling thread reads the first and a
+    pool the rest (``_segment_stats``), and each config's segment
+    statistics, up to its own m, are added left to right. Configs with
+    the same law, Hamiltonian and state objects are one ``_Reader``."""
     cfg = group[0].config
-    m = int(cfg.m)
-    weights = [phase_weights(ens.config.hamiltonian, ens.config.state) for ens in group]
+    shared = {}
+    for c, ens in enumerate(group):
+        key = (id(ens.config.dist), id(ens.config.hamiltonian), id(ens.config.state))
+        shared.setdefault(key, []).append(c)
+    readers = []
+    for cfgs in shared.values():
+        cfgs.sort(key=lambda c: group[c].config.m)
+        first = group[cfgs[0]].config
+        readers.append(_Reader(first.dist, *phase_weights(first.hamiltonian, first.state), cfgs,
+                               [int(group[c].config.m) for c in cfgs], not _one_atom(first.dist)))
+    # laws of one atom first, then by the reach of their rows: the last
+    # reader, the one that may overwrite the words, needs all of them
+    readers.sort(key=lambda reader: (reader.draws, reader.ms[-1]))
+    m = max(reader.ms[-1] for reader in readers)
     segments = -(-m // _SEGMENT)
     count = min(_MAX_PARTS, _usable_cores(), segments)
     cuts = [min(m, segments * k // count * _SEGMENT) for k in range(count + 1)]
@@ -383,18 +434,21 @@ def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
     try:
         for start in range(0, cfg.realizations, rows):
             stop = min(start + rows, cfg.realizations)
-            runs = [(group, weights, start, stop, a, b - a) for a, b in zip(cuts, cuts[1:])]
+            runs = [(readers, cfg.master_seed, start, stop, a, b - a)
+                    for a, b in zip(cuts, cuts[1:])]
             helped = [pool.submit(_segment_stats, *run) for run in runs[1:]]
             parts = [_segment_stats(*runs[0]), *(future.result() for future in helped)]
-            for k, (ens, (lam, w)) in enumerate(zip(group, weights)):
-                stats = np.cumsum(np.concatenate([part[k] for part in parts]), axis=0)[-1]
-                ens.total_times[start:stop], ens.log_survivals[start:stop] = (
-                    ens.config.dist.row_sums(stats, lam, w))
+            for dist, lam, w, cfgs, *_ in readers:
+                for c in cfgs:
+                    stats = np.cumsum(np.stack([s for part in parts for s in part[c]]),
+                                      axis=0)[-1]
+                    group[c].total_times[start:stop], group[c].log_survivals[start:stop] = (
+                        dist.row_sums(stats, lam, w))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     for ens in group:
-        ens.ms[:] = m
+        ens.ms[:] = ens.config.m
 
 
 def _block_size(remaining: float) -> int:
@@ -482,12 +536,12 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
     """Simulate every realization of each config in ``cfgs``, and return
     the ensembles in input order.
 
-    Fixed-m configs that share (master_seed, realizations, m) read the
-    same words at any m, since a realization's stream depends on
-    neither the law nor the system: each segment of a chunk is drawn
-    once and every law reads it in turn, with the bits each would get
-    alone (``_run_fixed_m``). Fixed-T configs run one at a time
-    (``_run_fixed_t``).
+    Fixed-m configs that share (master_seed, realizations) read the same
+    words, at any m, since a realization's stream depends on neither the
+    law, the system nor m: each segment of a chunk is drawn once, up to
+    the group's largest m, and every law maps it once for all its m,
+    with the bits each config would get alone (``_run_fixed_m``).
+    Fixed-T configs run one at a time (``_run_fixed_t``).
 
     The result is bitwise identical for any chunk size: every
     realization's substream is keyed by its index, each draw is mapped
@@ -511,7 +565,7 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
                                total_times=np.empty(n), log_survivals=np.empty(n))
         ensembles.append(ens)
         if cfg.mode == "fixed_m":
-            fixed_m.setdefault((cfg.master_seed, n, int(cfg.m)), []).append(ens)
+            fixed_m.setdefault((cfg.master_seed, n), []).append(ens)
         else:
             _run_fixed_t(ens)
     for group in fixed_m.values():

@@ -70,13 +70,16 @@ def _typical_config(h, psi0, dist, m, seed) -> EnsembleConfig:
     )
 
 
-def _typical_log(h, psi0, dist, m, seed) -> float:
-    return run_ensemble(_typical_config(h, psi0, dist, m, seed)).typical_log_survival()
-
-
-def _rows_survival_vs_m(h, psi0, seed, dist):
-    per_m = survival_stats_for(dist, h, psi0, 1).log_p_star
-    return [(m, _typical_log(h, psi0, dist, m, seed), m * per_m) for m in _M_SWEEP]
+def _rows_survival_vs_m(h, psi0, seed, dists):
+    """(m, typical L, m ln P*) over ``_M_SWEEP`` for each law of ``dists``:
+    one seed and n, so every (law, m) reads the same words, drawn once."""
+    ensembles = iter(run_ensembles([_typical_config(h, psi0, dist, m, seed)
+                                    for dist in dists for m in _M_SWEEP]))
+    rows = []
+    for dist in dists:
+        per_m = survival_stats_for(dist, h, psi0, 1).log_p_star
+        rows.append([(m, next(ensembles).typical_log_survival(), m * per_m) for m in _M_SWEEP])
+    return rows
 
 
 def _rows_concentration(h, psi0, seed):
@@ -95,15 +98,16 @@ def _rows_probability_sweep(h, psi0, seed):
     m = 6400
     p1s = np.linspace(0.02, 0.98, 49).tolist()
     dists = [DiscreteIntervals(np.asarray(values), np.asarray([p1, 1.0 - p1])) for p1 in p1s]
-    # one seed, n and m: the 49 laws read the same words, drawn once
+    # one seed and n: the 49 laws read the same words, drawn once
     ensembles = run_ensembles([_typical_config(h, psi0, dist, m, seed) for dist in dists])
     return [(p1, ens.typical_log_survival(), survival_stats_for(dist, h, psi0, m).log_p_star)
             for p1, dist, ens in zip(p1s, dists, ensembles)]
 
 
 def _rows_powerlaw(h, psi0, seed):
-    return [(alpha,) + row for alpha in (2.5, 3.0, 4.0)
-            for row in _rows_survival_vs_m(h, psi0, seed, PowerLawIntervals(1 * _NS, alpha))]
+    alphas = (2.5, 3.0, 4.0)
+    sweeps = _rows_survival_vs_m(h, psi0, seed, [PowerLawIntervals(1 * _NS, a) for a in alphas])
+    return [(alpha,) + row for alpha, rows in zip(alphas, sweeps) for row in rows]
 
 
 def _gain_rows(x, gain):
@@ -151,7 +155,7 @@ for _d in (2, 3, 4):
             "typical_ensemble": _TYPICAL_N,
         },
         columns=("m", "log_P_typical", "log_P_star"),
-        runner=(lambda h, s, seed, d=_d: _rows_survival_vs_m(h, s, seed, _discrete(d))),
+        runner=(lambda h, s, seed, d=_d: _rows_survival_vs_m(h, s, seed, [_discrete(d)])[0]),
         plot={
             "x": "m", "xlabel": "measurements m",
             "ylabel": "ln survival",

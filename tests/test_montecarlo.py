@@ -36,7 +36,7 @@ from zenosim import (
     run_ensemble,
     survival_stats,
 )
-from zenosim import intervals, montecarlo
+from zenosim import intervals, montecarlo, presets
 from zenosim.dynamics import phase_weights
 from zenosim.presets import run_preset
 from zenosim.rng import substream, uniforms_from_words
@@ -245,11 +245,11 @@ class TestLatticeGather:
         atoms = np.searchsorted(dist._cum, u, side="left")
         assert same_bits(dist.sample(FixedUniforms(u), u.size), dist.values[atoms])
         # one word per row: each row counts its one draw in its atom
-        assert same_bits(dist.row_stats(x[:, None].copy(), lam, w), np.eye(dist.d)[atoms])
+        assert same_bits(dist.row_stats(x[:, None].copy(), lam, w, [1])[0], np.eye(dist.d)[atoms])
         # one row of all of them, as a (1, n) block and as a 1-D segment
         counts = np.bincount(atoms, minlength=dist.d)
-        assert same_bits(dist.row_stats(x[None].copy(), lam, w), counts[None])
-        assert same_bits(dist.row_stats(x.copy(), lam, w), counts)
+        assert same_bits(dist.row_stats(x[None].copy(), lam, w, [x.size])[0], counts[None])
+        assert same_bits(dist.row_stats(x.copy(), lam, w, [x.size])[0], counts)
 
     @pytest.mark.parametrize("m,rare,segment", [
         (5, 0.1, montecarlo._SEGMENT),  # short rows, drawn by philox_words
@@ -386,9 +386,9 @@ class TestSegmentedRows:
             sizes.append(mus.size)
             return kernel(lam, w, mus)
 
-        def segment(self, u, lam, w):
+        def segment(self, u, lam, w, ends):
             segments.append(u.size)
-            return count(self, u, lam, w)
+            return count(self, u, lam, w, ends)
 
         monkeypatch.setattr(intervals, "log_survival_factors", counted)
         monkeypatch.setattr(DiscreteIntervals, "row_stats", segment)
@@ -442,9 +442,9 @@ class TestSegmentedRows:
         both = threading.Barrier(2, timeout=60)
         count = DiscreteIntervals.row_stats
 
-        def paired(self, u, lam, w):
+        def paired(self, u, lam, w, ends):
             both.wait()
-            return count(self, u, lam, w)
+            return count(self, u, lam, w, ends)
 
         monkeypatch.setattr(DiscreteIntervals, "row_stats", paired)
         two = peaks_at(64)
@@ -595,11 +595,11 @@ class FailingLaw(DiscreteIntervals):
         super().__init__(np.array(values), np.array(probs))
         object.__setattr__(self, "where", where)
 
-    def row_stats(self, u, lam, w):
+    def row_stats(self, u, lam, w, ends):
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller == (self.where == "caller"):
             raise PartFault(self.where)
-        return super().row_stats(u, lam, w)
+        return super().row_stats(u, lam, w, ends)
 
 
 def scalar_budget_state(draws, limit, total=0.0, comp=0.0):
@@ -1061,14 +1061,14 @@ class WritingLaw(DiscreteIntervals):
     def __init__(self):
         super().__init__(np.array(D2_VALUES_S), np.array(D2_PROBS))
 
-    def row_stats(self, x, lam, w):
+    def row_stats(self, x, lam, w, ends):
         x[..., 0] = 2**63
-        return super().row_stats(x, lam, w)
+        return super().row_stats(x, lam, w, ends)
 
 
 class TestSharedDraws:
-    # fixed-m configs that share (seed, n, m) read one block of words per
-    # segment of a chunk; each must get the bits it gets alone
+    # fixed-m configs that share (seed, n), at any m, read one block of
+    # words per segment of a chunk; each must get the bits it gets alone
     def mixed_configs(self, chain, psi0, rabi):
         power = PowerLawIntervals(mu0=1 * NS, alpha=2.5)
         short = dict(m=20, realizations=300, master_seed=11)  # philox_words
@@ -1122,20 +1122,70 @@ class TestSharedDraws:
     @pytest.mark.parametrize("m,n", [(20, 300), (200, 30)])
     def test_the_block_is_read_only_but_for_its_last_reader(self, chain, psi0, monkeypatch,
                                                             m, n):
+        # one reader per law object: the two configs of ``power``, at m and
+        # m / 4, read the block once between them. Readers go by the reach
+        # of their rows, so a law at m reads last and alone may write
         seen = []
         for law in (DiscreteIntervals, PowerLawIntervals):
-            def spied(self, u, lam, w, count=law.row_stats):
+            def spied(self, u, lam, w, ends, count=law.row_stats):
                 seen.append((u, u.flags.writeable))
-                return count(self, u, lam, w)
+                return count(self, u, lam, w, ends)
             monkeypatch.setattr(law, "row_stats", spied)
         power = PowerLawIntervals(mu0=1 * NS, alpha=3.0)
-        cfgs = [make_config(chain, psi0, law, m=m, realizations=n)
-                for law in (power, d2(), power, LATTICE_LAWS["d3"])]
+        cfgs = [make_config(chain, psi0, law, m=k, realizations=n)
+                for law, k in ((power, m), (d2(), m // 2), (power, m // 4),
+                               (PowerLawIntervals(mu0=1 * NS, alpha=2.5), m),
+                               (LATTICE_LAWS["d3"], m // 2))]
         ensembles = montecarlo.run_ensembles(cfgs)
         assert [writeable for _, writeable in seen] == [False, False, False, True]
         assert all(u is seen[0][0] for u, _ in seen)
-        for ens, cfg in zip(ensembles, cfgs):  # the power law read a copy
+        for ens, cfg in zip(ensembles, cfgs):  # the power laws read copies
+            assert np.array_equal(ens.ms, np.full(n, cfg.m))
             assert same_bits(ens.log_survivals, replay(cfg)[1])
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_mixed_m_group(self, chain, psi0, monkeypatch, cores):
+        # a discrete, a power and a one-atom law, each at m = 20, 200 and
+        # 4099, and a second power law at m = 200, read segments of 128
+        # draws (the last of 3) in chunks of 2, 2 and 1 rows, the longest
+        # rows in two parts on two cores. The first power law reads last
+        # and maps its words in place; the second maps copies, in the
+        # second segment of its rows' first 72 words alone
+        monkeypatch.setattr(montecarlo, "_SEGMENT", 128)
+        monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", 2 * 4099)
+        use_cores(monkeypatch, cores)
+        laws = [d2(), PowerLawIntervals(mu0=1 * NS, alpha=2.5), LATTICE_LAWS["degenerate"]]
+        cfgs = [make_config(chain, psi0, law, m=m, realizations=5, master_seed=43)
+                for law in laws for m in (20, 200, 4099)]
+        cfgs.append(make_config(chain, psi0, PowerLawIntervals(mu0=1 * NS, alpha=3.0), m=200,
+                                realizations=5, master_seed=43))
+        calls = counted_draws(monkeypatch)
+        together = montecarlo.run_ensembles(cfgs)
+        # each row's stream is selected once per segment, for all ten configs
+        assert calls == {"select": 33 * 5, "philox": 0}
+        for ens, cfg in zip(together, cfgs):
+            assert same_ensemble(ens, run_ensemble(cfg))
+            totals, logs = replay(cfg)
+            assert np.array_equal(ens.ms, np.full(cfg.realizations, cfg.m))
+            assert same_bits(ens.total_times, totals)
+            assert same_bits(ens.log_survivals, logs)
+
+    def test_prefix_view_sums_have_the_bits_of_a_contiguous_block(self):
+        # a reader sums each config's rows as a prefix view mus[:, :e] of
+        # its mapped block, where one config alone sums a contiguous
+        # (rows, e) block; np.sum's pairwise reduction must give both the
+        # same bits, though a left-to-right sum would not
+        rng = np.random.default_rng(5)
+        block = 1e-9 * (1.0 - rng.random((131, 6400))) ** -0.4
+        ends = [1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 257, 1000, 3200, 6399, 6400]
+        moved = 0
+        for rows in (1, 2, 3, 8, 25, 40, 64, 131):
+            for e in ends:
+                view = block[:rows, :e]
+                alone = np.ascontiguousarray(view)
+                assert same_bits(view.sum(axis=-1), alone.sum(axis=-1))
+                moved += not same_bits(alone.sum(axis=-1), np.cumsum(alone, axis=-1)[:, -1])
+        assert moved > 0
 
     def test_a_law_that_writes_raises_unless_last(self, chain, psi0):
         cfgs = [make_config(chain, psi0, law, m=20, realizations=300)
@@ -1176,6 +1226,61 @@ class TestSharedDraws:
         calls = counted_draws(monkeypatch)
         run_preset("fig3", seed=1, out_dir=str(tmp_path))
         assert calls == {"select": 25, "philox": 0}
+
+    @pytest.mark.parametrize("name", ["fig1-d2", "fig1-d3", "fig1-d4"])
+    def test_fig1_draws_once(self, tmp_path, monkeypatch, name):
+        # one law at the eight m of the sweep, 25 realizations each: one
+        # stream per realization, read up to m = 6400, not eight
+        calls = counted_draws(monkeypatch)
+        run_preset(name, seed=1, out_dir=str(tmp_path))
+        assert calls == {"select": 25, "philox": 0}
+
+    def test_fig4_draws_once(self, tmp_path, monkeypatch):
+        # three power laws at the eight m of the sweep: one stream per
+        # realization, not 24, and each law maps every draw once, so the
+        # kernel sees 3 x 25 x 6400 of them
+        calls = counted_draws(monkeypatch)
+        mapped, running = [], []
+        kernel, run = intervals.log_survival_factors, presets.run_ensembles
+
+        def counted(lam, w, mus):
+            if running:  # not the quadrature's calls
+                mapped.append(mus.size)
+            return kernel(lam, w, mus)
+
+        def simulated(cfgs):
+            running.append(True)
+            try:
+                return run(cfgs)
+            finally:
+                running.clear()
+
+        monkeypatch.setattr(intervals, "log_survival_factors", counted)
+        monkeypatch.setattr(presets, "run_ensembles", simulated)
+        run_preset("fig4", seed=1, out_dir=str(tmp_path))
+        assert calls == {"select": 25, "philox": 0}
+        assert sum(mapped) == 3 * 25 * 6400
+
+    def test_peak_memory_of_a_power_law_sweep(self, chain, psi0):
+        # fig4's group, three power laws at the eight m of the sweep on
+        # 25 realizations, holds one block of words and one law's working
+        # set, as one power law at m = 6400 alone does: a law that does
+        # not read the block last maps slabs of its rows, never a copy of
+        # the whole block
+        def peak(cfgs):
+            tracemalloc.start()
+            try:
+                montecarlo.run_ensembles(cfgs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        laws = [PowerLawIntervals(mu0=1 * NS, alpha=alpha) for alpha in (2.5, 3.0, 4.0)]
+        sweep = [make_config(chain, psi0, law, m=m, realizations=25, master_seed=3)
+                 for law in laws for m in (50, 100, 200, 400, 800, 1600, 3200, 6400)]
+        alone = peak([make_config(chain, psi0, laws[0], m=6400, realizations=25,
+                                  master_seed=3)])
+        assert peak(sweep) <= 1.1 * alone
 
 
 class TestOneAtomLaws:
