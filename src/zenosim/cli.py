@@ -89,6 +89,7 @@ def _print_summary(ens) -> None:
             print("  <delta> = n/a (infinite second moment)")
     summ = ensemble_summary(ens)
     print(f"  sample ln<P>       = {_fmt(summ.log_mean_survival)}")
+    print(f"  sample ESS         = {_fmt(summ.effective_sample_size)}")
     print(f"  sample ln geo-mean = {_fmt(summ.log_geometric_mean)}")
     print(f"  sample mean T      = {_fmt(summ.mean_total_time)} s")
 

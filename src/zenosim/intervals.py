@@ -55,7 +55,8 @@ _TAIL_TOL = 1e-10
 _MAX_PANELS = 32_768
 #: quadrature nodes per kernel call
 _QUAD_SLAB = 8192
-#: words per slab a power law maps where it may not overwrite a block's words
+#: most words a power law maps at a time, whole rows (or one longer row), so
+#: it holds a slab's uniforms and kernel temporaries, not a block's
 _WORD_SLAB = 16_384
 
 
@@ -76,8 +77,11 @@ class DiscreteIntervals:
     """Waiting time takes one of d distinct positive values.
 
     ``values`` are the atoms mu^(alpha) in seconds, ``probs`` their
-    probabilities (summing to 1). Sampling inverts the cumulative with a
-    right-closed tie rule so results are reproducible across platforms.
+    probabilities (summing to 1). Sampling and ``row_stats`` share one
+    rule, on raw Philox words: a word's atom is the number of the d - 1
+    inner cumulative edges its uniform is above, counted against integer
+    edges worked out once per law (``word_threshold``), so results are
+    reproducible across platforms.
     """
 
     values: np.ndarray
@@ -98,10 +102,8 @@ class DiscreteIntervals:
             raise ValueError(f"probabilities sum to {pr.sum()!r}, not 1 within 1e-12")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "probs", pr)
-        cum = np.cumsum(pr)
-        cum[-1] = 1.0  # guard the last edge against round-off
-        object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "_word_edges", [word_threshold(c) for c in cum[:-1].tolist()])
+        inner = np.cumsum(pr)[:-1].tolist()
+        object.__setattr__(self, "_word_edges", [word_threshold(c) for c in inner])
 
     @property
     def d(self) -> int:
@@ -110,19 +112,18 @@ class DiscreteIntervals:
     def sample(self, rng: Generator, m: int) -> np.ndarray:
         """Draw m i.i.d. waiting times via inverse-CDF lookup.
 
-        Right-closed intervals (c_{a-1}, c_a]: the atom of a uniform u is
-        the number of cumulative edges below it, which equals
-        ``np.searchsorted(cum, u, side="left")`` bit for bit and is much
-        faster for a few atoms. The last edge is exactly 1 > u, so it is
-        skipped, except for d = 1, where it is the first and gives 0.
+        Right-closed intervals (c_{a-1}, c_a]: the atom of a draw is the
+        number of inner cumulative edges c below its uniform
+        u = (x >> 11) 2^-53, counted as ``row_stats`` counts it, on the
+        raw word x of ``rng``'s stream that ``Generator.random`` would
+        turn into u, against the integer edges G (x > G).
         """
         if m < 1:
             raise ValueError("need at least one draw")
-        u = rng.random(m)
-        cum = self._cum.tolist()
-        atoms = np.greater(u, cum[0], out=np.empty(m, dtype=np.intp))
-        for edge in cum[1:-1]:
-            atoms += u > edge
+        x = rng.bit_generator.random_raw(m)
+        atoms = np.zeros(m, dtype=np.intp)
+        for edge in self._word_edges:
+            atoms += x > edge
         return self.values[atoms]
 
     def row_stats(self, x: np.ndarray, lam: np.ndarray, w: np.ndarray,
@@ -239,23 +240,18 @@ class PowerLawIntervals:
         each prefix is summed by ``np.sum``, which gives a prefix view of
         a row the bits of the same words summed alone.
 
-        The words become the uniforms ``Generator.random`` makes of them
-        (``uniforms_from_words``), so a row has the bits of ``sample``.
-        Where ``x`` is writeable and the last end is k, the uniforms, then
-        the waiting times, overwrite the words' memory; else slabs of
-        about ``_WORD_SLAB`` words, whole rows, go to new arrays one at a
-        time, so a law that may not write the words holds no copy of them
-        all.
+        The words are only read: slabs of whole rows, at most
+        ``_WORD_SLAB`` words each (one row where a row has more), become
+        the uniforms ``Generator.random`` makes of them
+        (``uniforms_from_words``), then the waiting times, in new arrays
+        one slab at a time, so a row has the bits of ``sample`` and no
+        copy of the whole block is held.
         """
         top, rows = ends[-1], x.shape[0]
-        in_place = x.flags.writeable and top == x.shape[-1]
-        step = rows if in_place else max(1, _WORD_SLAB // top)
+        step = max(1, _WORD_SLAB // top)
         stats = np.empty((len(ends), rows, 2))
         for r in range(0, rows, step):
-            # contiguous, like the block a config alone maps: numpy may
-            # pick another loop for strided input
-            words = np.ascontiguousarray(x[r:r + step, :top])
-            mus = self._inverse_cdf(uniforms_from_words(words))
+            mus = self._inverse_cdf(uniforms_from_words(x[r:r + step, :top]))
             log_q = log_survival_factors(lam, w, mus)
             for j, e in enumerate(ends):
                 stats[j, r:r + step, 0] = mus[:, :e].sum(axis=-1)

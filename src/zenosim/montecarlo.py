@@ -22,10 +22,10 @@ words, the words ``Generator.random`` would turn into uniforms: one
 stream is selected at the segment's first draw and its words read by
 ``random_raw``, into one reused buffer, or as drawn where the chunk is
 one row; a law of one atom, whose ``row_stats`` reads only the block's
-shape, needs none drawn. Each reader of the group, the configs of one
-law and system, reads the block once, read-only but for the last
-reader, and reduces each row to its additive statistic at the end of
-each of its configs' rows (``row_stats``): a discrete law's atom
+shape, needs none drawn. The block is made read-only as soon as it is
+drawn. Each reader of the group, the configs of one law and system,
+reads it once, and reduces each row to its additive statistic at the
+end of each of its configs' rows (``row_stats``): a discrete law's atom
 counts, from the words against integer edges with no uniform made,
 counted between one end and the next and added up, or a power law's
 (sum mu, sum ln q) by ``np.sum`` of each prefix of the words' exact
@@ -223,6 +223,10 @@ class EnsembleSummary:
     log_median: float
     mean_total_time: float
     n: int
+    #: Kish's effective sample size (sum P)^2 / sum P^2 of the survivals
+    #: P = e^L: about n where they are alike, near 1 where one realization
+    #: carries ``log_mean_survival``; 0 where every P is 0 (L = -inf)
+    effective_sample_size: float
     #: L/m of each realization with at least one measurement
     intensive_logs: np.ndarray = field(repr=False, compare=False)
 
@@ -357,17 +361,14 @@ def _segment_stats(readers: list[_Reader], seed: int, start: int, stop: int, dra
     at their first draw, else by ``random_raw`` from one stream selected
     per row at the segment's first draw; a one-row chunk reads that row's
     words as drawn, with no buffer or copy. Nothing is drawn for laws of
-    one atom, which get a block of the shape alone. Each reader whose
-    rows reach the segment reads it in turn, once, and returns its
-    statistic at the end of each of its configs' rows in the segment.
-    ``readers`` come in the order ``_run_fixed_m`` gives them, the one
-    that reads the widest block last: the block is read-only while a
-    later reader still reads it, so only that one may overwrite it. The
-    part opens its own stream family, so runs of segments can be read on
-    any threads.
+    one atom, which get a block of the shape alone. The block is
+    read-only from its draw on, and each reader whose rows reach the
+    segment reads it in turn, once, and returns its statistic at the end
+    of each of its configs' rows in the segment. The part opens its own
+    stream family, so runs of segments can be read on any threads.
     """
-    rows, final = stop - start, len(readers) - 1
-    reach = readers[-1].ms[-1] if readers[-1].draws else 0
+    rows = stop - start
+    reach = max((reader.ms[-1] for reader in readers if reader.draws), default=0)
     family = StreamFamily(seed)
     wide = min(n, _SEGMENT, reach - draw)
     buf = np.empty(rows * wide if wide > 0 and rows > 1 else 0, dtype=np.uint64)
@@ -377,21 +378,21 @@ def _segment_stats(readers: list[_Reader], seed: int, start: int, stop: int, dra
         width = min(k, reach - a)
         if width <= 0:
             x = None
-        elif rows == 1:
-            x = family.select(start, a).bit_generator.random_raw(width)[None]
         else:
-            x = buf[:rows * width].reshape(rows, width)
-            if a == 0 and width <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
-                philox_words(seed, start, x)
+            if rows == 1:
+                x = family.select(start, a).bit_generator.random_raw(width)[None]
             else:
-                for j in range(rows):
-                    x[j] = family.select(start + j, a).bit_generator.random_raw(width)
-        for i, (dist, lam, w, cfgs, ms, draws) in enumerate(readers):
+                x = buf[:rows * width].reshape(rows, width)
+                if a == 0 and width <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
+                    philox_words(seed, start, x)
+                else:
+                    for j in range(rows):
+                        x[j] = family.select(start + j, a).bit_generator.random_raw(width)
+            x.flags.writeable = False
+        for dist, lam, w, cfgs, ms, draws in readers:
             if ms[-1] <= a:
                 continue
             ends = sorted({min(m - a, k) for m in ms if m > a})
-            if draws:
-                x.flags.writeable = i == final
             at = dist.row_stats(x if draws else np.broadcast_to(np.uint64(0), (rows, ends[-1])),
                                 lam, w, ends)
             for c, m in zip(cfgs, ms):
@@ -420,9 +421,6 @@ def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
         first = group[cfgs[0]].config
         readers.append(_Reader(first.dist, *phase_weights(first.hamiltonian, first.state), cfgs,
                                [int(group[c].config.m) for c in cfgs], not _one_atom(first.dist)))
-    # laws of one atom first, then by the reach of their rows: the last
-    # reader, the one that may overwrite the words, needs all of them
-    readers.sort(key=lambda reader: (reader.draws, reader.ms[-1]))
     m = max(reader.ms[-1] for reader in readers)
     segments = -(-m // _SEGMENT)
     count = min(_MAX_PARTS, _usable_cores(), segments)
@@ -625,6 +623,8 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     meaningful even when every survival underflows a double. The shifted
     mean m is taken as log1p(-(1 - m)) while 1 - m <= 1/2, as
     ``intervals._log_mean_q`` does, so close records keep their digits.
+    The effective sample size comes from the same shifted survivals, as
+    (sum P)^2 / sum P^2 is the same for P scaled by any one factor.
     Every field is defined for any ensemble; only the variance of L/m
     (``EnsembleSummary.variance_intensive_log``) needs two realizations
     with m >= 1, all of them finite. ``math.fsum`` reads lists, which it
@@ -633,11 +633,14 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     logs = ens.log_survivals
     smax = float(logs.max())
     if math.isinf(smax):
-        log_mean = -math.inf
+        log_mean, ess = -math.inf, 0.0
     else:
         shifted = logs - smax
+        weights = np.exp(shifted)
+        total = math.fsum(weights.tolist())
         log_mean = smax + _log_mean_q(math.fsum((-np.expm1(shifted)).tolist()) / ens.n,
-                                      math.log(math.fsum(np.exp(shifted).tolist()) / ens.n))
+                                      math.log(total / ens.n))
+        ess = total * total / float(weights @ weights)
     measured = ens.ms >= 1
     return EnsembleSummary(
         log_mean_survival=log_mean,
@@ -645,5 +648,6 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
         log_median=float(np.median(logs)),
         mean_total_time=math.fsum(ens.total_times.tolist()) / ens.n,
         n=ens.n,
+        effective_sample_size=ess,
         intensive_logs=logs[measured] / ens.ms[measured],
     )

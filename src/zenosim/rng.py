@@ -177,9 +177,9 @@ def philox_words(master_seed: int, first_index: int, out: np.ndarray) -> np.ndar
 def uniforms_from_words(words: np.ndarray) -> np.ndarray:
     """The doubles (x >> 11) 2**-53 on [0, 1) that numpy's
     ``Generator.random`` makes of the raw words x of the uint64 array
-    ``words``, bit for bit (both steps are exact). They overwrite the
-    words' memory if ``words`` is writeable, else go to a new array."""
-    shifted = np.right_shift(words, _SHIFT11, out=words if words.flags.writeable else None)
+    ``words``, bit for bit (both steps are exact), in a new array; the
+    words are only read."""
+    shifted = np.right_shift(words, _SHIFT11)
     return np.multiply(shifted, 2.0**-53, out=shifted.view(np.float64))
 
 

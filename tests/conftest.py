@@ -1,5 +1,11 @@
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread, as the benchmark runs: OpenBLAS reads this once, when
+# numpy loads it, and its thread start-up costs the first large eigensolve
+# about a second (the XX chain's fixture)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -42,6 +42,29 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def float_atoms(probs, u) -> np.ndarray:
+    """The atom of each uniform ``u`` by inverse-CDF lookup on float
+    cumulative edges, right-closed: ``searchsorted`` of u on
+    ``np.cumsum(probs)`` with the last edge set to exactly 1, above every
+    uniform, against round-off."""
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="left")
+
+
+class FixedWords:
+    """Generator stand-in whose ``bit_generator.random_raw`` returns preset
+    raw 64-bit words, for a law's ``sample`` on chosen words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, m):
+        assert m == self.words.size
+        return self.words.copy()
+
+
 def chain_matrix() -> np.ndarray:
     """The benchmark 3-level chain Hamiltonian as a plain matrix."""
     h = np.diag(np.asarray(CHAIN_OMEGAS, dtype=complex))

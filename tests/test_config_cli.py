@@ -297,7 +297,7 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        for line in ("sample ln<P>", "sample ln geo-mean", "sample mean T"):
+        for line in ("sample ln<P>", "sample ESS", "sample ln geo-mean", "sample mean T"):
             assert line in out
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 2 + rows
 

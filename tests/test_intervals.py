@@ -17,7 +17,9 @@ from oracles import (
     D4_VALUES_S,
     NS,
     US,
+    FixedWords,
     chain_matrix,
+    float_atoms,
     powerlaw_expect_log_q,
     same_bits,
 )
@@ -176,19 +178,20 @@ def edge_law(name):
 def float_counts(dist, x):
     """Atom counts of the words ``x`` from their uniforms (x >> 11) 2^-53,
     by float comparisons against the cumulative edges."""
-    atoms = np.searchsorted(dist._cum, uniforms_from_words(x.copy()), side="left")
+    atoms = float_atoms(dist.probs, uniforms_from_words(x))
     return np.bincount(atoms, minlength=dist.d).astype(float)
 
 
 class TestWordEdges:
-    # a discrete law counts raw words x against integer edges G, x > G,
-    # where sample compares uniforms u = (x >> 11) 2^-53 with edges c, u > c
+    # a discrete law counts raw words x against integer edges G, x > G, in
+    # sample and row_stats alike; the oracle compares uniforms
+    # u = (x >> 11) 2^-53 with float cumulative edges c, u > c
 
     def test_edges_are_the_named_ones(self):
-        assert [edge_law(name)._cum[0] for name in EDGE_LAWS][:5] == [
+        assert [np.cumsum(edge_law(name).probs)[0] for name in EDGE_LAWS][:5] == [
             2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 5e-324]
         above = edge_law("above-1")
-        assert above._cum[1] > 1.0 and above._word_edges[1] == TOP_WORD
+        assert np.cumsum(above.probs)[1] > 1.0 and above._word_edges[1] == TOP_WORD
 
     @pytest.mark.parametrize("name", EDGE_LAWS)
     def test_boundary_words(self, name):
@@ -196,13 +199,15 @@ class TestWordEdges:
         # the first above it, + 2048, and the least and greatest words
         dist = edge_law(name)
         words = [0, TOP_WORD]
-        for c in dist._cum[:-1].tolist():
+        for c in np.cumsum(dist.probs)[:-1].tolist():
             low = math.floor(c * 2.0**53) << 11
             words += [w for w in (low, low + 2047, low + 2048) if w <= TOP_WORD]
         x = np.array(words, dtype=np.uint64)
         assert same_bits(dist.row_stats(x, None, None, [x.size])[0], float_counts(dist, x))
-        one_each = np.eye(dist.d)[np.searchsorted(dist._cum, uniforms_from_words(x.copy()))]
-        assert same_bits(dist.row_stats(x[:, None].copy(), None, None, [1])[0], one_each)
+        atoms = float_atoms(dist.probs, uniforms_from_words(x))
+        assert same_bits(dist.row_stats(x[:, None].copy(), None, None, [1])[0],
+                         np.eye(dist.d)[atoms])
+        assert same_bits(dist.sample(FixedWords(x), x.size), dist.values[atoms])
 
     @settings(max_examples=60)
     @given(name=st.sampled_from(sorted(EDGE_LAWS)), data=st.data())
@@ -216,13 +221,14 @@ class TestWordEdges:
 
     @pytest.mark.parametrize("name", [*EDGE_LAWS, "d4"])
     def test_sample_picks_the_atom_the_word_count_gives(self, name):
-        # one tie rule written two ways: each of a stream's words, as a row
-        # of its own, is counted into the atom sample draws from the stream
+        # the atom sample draws from a stream, and the one each of its
+        # words is counted into as a row of its own, is the atom of the
+        # stream's Generator.random uniform on float cumulative edges
         dist = (DiscreteIntervals(np.array(D4_VALUES_S), np.array(D4_PROBS)) if name == "d4"
                 else edge_law(name))
         m = 5000
-        drawn = dist.sample(substream(2024, 7), m)
-        atoms = np.argmax(drawn[:, None] == dist.values, axis=1)
+        atoms = float_atoms(dist.probs, substream(2024, 7).random(m))
+        assert same_bits(dist.sample(substream(2024, 7), m), dist.values[atoms])
         x = substream(2024, 7).bit_generator.random_raw(m)
         assert same_bits(dist.row_stats(x[:, None], None, None, [1])[0], np.eye(dist.d)[atoms])
 

@@ -18,6 +18,9 @@ from oracles import (
     D4_PROBS,
     D4_VALUES_S,
     NS,
+    US,
+    FixedWords,
+    float_atoms,
     same_bits,
 )
 
@@ -168,9 +171,10 @@ def segment_sum(x):
 def replay(cfg, table=None):
     """Per-realization reference. A discrete law's row is replayed as its
     atom counts: the substream's uniforms, each atom by ``searchsorted``
-    (checked against ``sample``), ``bincount``, then sum_a n_a (mu_a,
-    ln q_a) added left to right in atom order over the visited atoms,
-    with ln q from ``table`` (the kernel on the atoms by default). A
+    on float cumulative edges (checked against ``sample``), ``bincount``,
+    then sum_a n_a (mu_a, ln q_a) added left to right in atom order over
+    the visited atoms, with ln q from ``table`` (the kernel on the atoms
+    by default). A
     power law's row is sampled, mapped by the kernel and summed by
     ``segment_sum``."""
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
@@ -182,7 +186,7 @@ def replay(cfg, table=None):
             totals.append(segment_sum(mus))
             logs.append(segment_sum(log_survival_factors(lam, w, mus)))
             continue
-        atoms = np.searchsorted(dist._cum, substream(cfg.master_seed, i).random(m), side="left")
+        atoms = float_atoms(dist.probs, substream(cfg.master_seed, i).random(m))
         assert same_bits(dist.values[atoms], dist.sample(substream(cfg.master_seed, i), m))
         counts = np.bincount(atoms, minlength=dist.d).tolist()
         log_q = log_survival_factors(lam, w, dist.values) if table is None else table
@@ -191,17 +195,6 @@ def replay(cfg, table=None):
         totals.append(sum(n * mu for n, mu, _ in visited))
         logs.append(sum(n * lq for n, _, lq in visited))
     return np.array(totals, dtype=float), np.array(logs, dtype=float)
-
-
-class FixedUniforms:
-    """Generator stand-in whose ``random`` returns preset uniforms."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, m):
-        assert m == self.u.size
-        return self.u.copy()
 
 
 #: fixed-m row lengths below, at and above the longest vector-drawn row
@@ -235,15 +228,15 @@ class TestLatticeGather:
     def test_atom_index_on_cumulative_edges(self, chain, psi0, probs):
         # the words whose uniforms are the last at or below a cumulative
         # edge and the first above it, and the least and greatest words,
-        # are counted into the atom ``sample`` maps their uniforms to
+        # are sampled as and counted into the atom of their uniforms on
+        # float cumulative edges
         dist = DiscreteIntervals(np.arange(1.0, len(probs) + 1) * NS, np.array(probs))
         lam, w = phase_weights(chain, psi0)
-        low = [math.floor(c * 2.0**53) << 11 for c in dist._cum[:-1].tolist()]
+        low = [math.floor(c * 2.0**53) << 11 for c in np.cumsum(probs)[:-1].tolist()]
         x = np.array([0, 2**64 - 1, *low, *(g + 2047 for g in low), *(g + 2048 for g in low)],
                      dtype=np.uint64)
-        u = uniforms_from_words(x.copy())
-        atoms = np.searchsorted(dist._cum, u, side="left")
-        assert same_bits(dist.sample(FixedUniforms(u), u.size), dist.values[atoms])
+        atoms = float_atoms(probs, uniforms_from_words(x))
+        assert same_bits(dist.sample(FixedWords(x), x.size), dist.values[atoms])
         # one word per row: each row counts its one draw in its atom
         assert same_bits(dist.row_stats(x[:, None].copy(), lam, w, [1])[0], np.eye(dist.d)[atoms])
         # one row of all of them, as a (1, n) block and as a 1-D segment
@@ -1120,11 +1113,9 @@ class TestSharedDraws:
         assert calls == {"select": 30, "philox": 1}
 
     @pytest.mark.parametrize("m,n", [(20, 300), (200, 30)])
-    def test_the_block_is_read_only_but_for_its_last_reader(self, chain, psi0, monkeypatch,
-                                                            m, n):
+    def test_every_reader_sees_the_same_read_only_block(self, chain, psi0, monkeypatch, m, n):
         # one reader per law object: the two configs of ``power``, at m and
-        # m / 4, read the block once between them. Readers go by the reach
-        # of their rows, so a law at m reads last and alone may write
+        # m / 4, read the block once between them, and no reader may write
         seen = []
         for law in (DiscreteIntervals, PowerLawIntervals):
             def spied(self, u, lam, w, ends, count=law.row_stats):
@@ -1137,9 +1128,9 @@ class TestSharedDraws:
                                (PowerLawIntervals(mu0=1 * NS, alpha=2.5), m),
                                (LATTICE_LAWS["d3"], m // 2))]
         ensembles = montecarlo.run_ensembles(cfgs)
-        assert [writeable for _, writeable in seen] == [False, False, False, True]
+        assert [writeable for _, writeable in seen] == [False] * 4
         assert all(u is seen[0][0] for u, _ in seen)
-        for ens, cfg in zip(ensembles, cfgs):  # the power laws read copies
+        for ens, cfg in zip(ensembles, cfgs):
             assert np.array_equal(ens.ms, np.full(n, cfg.m))
             assert same_bits(ens.log_survivals, replay(cfg)[1])
 
@@ -1148,9 +1139,8 @@ class TestSharedDraws:
         # a discrete, a power and a one-atom law, each at m = 20, 200 and
         # 4099, and a second power law at m = 200, read segments of 128
         # draws (the last of 3) in chunks of 2, 2 and 1 rows, the longest
-        # rows in two parts on two cores. The first power law reads last
-        # and maps its words in place; the second maps copies, in the
-        # second segment of its rows' first 72 words alone
+        # rows in two parts on two cores. The second power law maps, in
+        # the second segment, its rows' first 72 words alone
         monkeypatch.setattr(montecarlo, "_SEGMENT", 128)
         monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", 2 * 4099)
         use_cores(monkeypatch, cores)
@@ -1187,12 +1177,16 @@ class TestSharedDraws:
                 moved += not same_bits(alone.sum(axis=-1), np.cumsum(alone, axis=-1)[:, -1])
         assert moved > 0
 
-    def test_a_law_that_writes_raises_unless_last(self, chain, psi0):
-        cfgs = [make_config(chain, psi0, law, m=20, realizations=300)
-                for law in (WritingLaw(), d2())]
+    @pytest.mark.parametrize("m,n", [(20, 300), (200, 30), (SEGMENT + 5, 1)])
+    @pytest.mark.parametrize("writer,readers", [(0, 2), (1, 2), (0, 1)])
+    def test_a_law_that_writes_raises_in_any_position(self, chain, psi0, m, n, writer, readers):
+        # first or last of two readers, or the only one, of a block drawn
+        # by philox_words, one filled row by row, and a lone row's own words
+        laws = [d2() for _ in range(readers)]
+        laws[writer] = WritingLaw()
+        cfgs = [make_config(chain, psi0, law, m=m, realizations=n) for law in laws]
         with pytest.raises(ValueError, match="read-only"):
             montecarlo.run_ensembles(cfgs)
-        montecarlo.run_ensembles(cfgs[::-1])
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_long_rows_share_draws(self, chain, psi0, monkeypatch, cores):
@@ -1216,9 +1210,9 @@ class TestSharedDraws:
             assert same_bits(ens.log_survivals, logs)
         writers = [make_config(chain, psi0, law, m=4099, realizations=3, master_seed=41)
                    for law in (WritingLaw(), d2())]
-        with pytest.raises(ValueError, match="read-only"):
-            montecarlo.run_ensembles(writers)
-        montecarlo.run_ensembles(writers[::-1])
+        for order in (writers, writers[::-1]):
+            with pytest.raises(ValueError, match="read-only"):
+                montecarlo.run_ensembles(order)
 
     def test_fig3_draws_once(self, tmp_path, monkeypatch):
         # 49 laws, each on the same 25 realizations of m = 6400: one
@@ -1264,9 +1258,9 @@ class TestSharedDraws:
     def test_peak_memory_of_a_power_law_sweep(self, chain, psi0):
         # fig4's group, three power laws at the eight m of the sweep on
         # 25 realizations, holds one block of words and one law's working
-        # set, as one power law at m = 6400 alone does: a law that does
-        # not read the block last maps slabs of its rows, never a copy of
-        # the whole block
+        # set, as one power law at m = 6400 alone does: every law maps
+        # slabs of its rows, never a copy of the whole block, so one law
+        # alone holds its 1.22 MiB of words and little more
         def peak(cfgs):
             tracemalloc.start()
             try:
@@ -1280,6 +1274,7 @@ class TestSharedDraws:
                  for law in laws for m in (50, 100, 200, 400, 800, 1600, 3200, 6400)]
         alone = peak([make_config(chain, psi0, laws[0], m=6400, realizations=25,
                                   master_seed=3)])
+        assert alone < 2 * 2**20
         assert peak(sweep) <= 1.1 * alone
 
 
@@ -1345,6 +1340,20 @@ class TestEnsembleSummary:
         assert summ.log_mean_survival == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert summ.log_geometric_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert summ.log_median == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert summ.effective_sample_size == 8  # identical records weigh alike
+
+    @pytest.mark.parametrize("m,ess", [(10, 2104.478), (1000, 1.007556)])
+    def test_effective_sample_size(self, chain, psi0, m, ess):
+        # atoms (0.2, 1) us at p = (0.5, 0.5): at m = 1000 one realization
+        # carries the sample ln<P>, which is 51 nats above ln<P> itself
+        law = DiscreteIntervals(np.array([0.2 * US, 1 * US]), np.array([0.5, 0.5]))
+        ens = run_ensemble(make_config(chain, psi0, law, m=m, realizations=10_000,
+                                       master_seed=3))
+        summ = ensemble_summary(ens)
+        p = np.exp(ens.log_survivals - ens.log_survivals.max())  # P^2 would underflow
+        assert summ.effective_sample_size == pytest.approx(p.sum() ** 2 / (p * p).sum(),
+                                                           rel=1e-12, abs=0.0)
+        assert summ.effective_sample_size == pytest.approx(ess, rel=1e-6, abs=0.0)
 
     def test_summaries_compare_and_hash_by_their_scalars(self, chain, psi0):
         ens = run_ensemble(make_config(chain, psi0, d2(), m=30, realizations=8))
@@ -1490,11 +1499,13 @@ class TestNonFiniteRecords:
                 empirical_rate(ens, bins=5)
         assert summ.log_geometric_mean == -math.inf
         assert math.isfinite(summ.log_mean_survival)
+        assert 1.0 <= summ.effective_sample_size <= 120 - bad
 
     def test_every_record_minus_infinity(self, chain, psi0):
         ens = hand_built(chain, psi0, [-math.inf] * 30)
         summ = ensemble_summary(ens)
         assert summ.log_mean_survival == summ.log_median == -math.inf
+        assert summ.effective_sample_size == 0.0
         with pytest.raises(NonFiniteRecordsError, match="30 of 30"):
             summ.variance_intensive_log
         with pytest.raises(NonFiniteRecordsError, match="30 of 30"):
