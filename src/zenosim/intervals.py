@@ -16,7 +16,8 @@ which determine T = sum n_a mu_a and L = sum n_a ln q_a, with ln q
 evaluated once per atom; for the power law it is (sum mu, sum ln q),
 the kernel run on every draw.
 The power law's moments come from one composite Gauss-Legendre rule with
-panels graded toward the zeros of q, truncated by a fixed rule.
+panels graded toward the zeros of q, each only as deep as its share of
+the error budget needs, truncated by a fixed rule.
 """
 
 from __future__ import annotations
@@ -41,13 +42,33 @@ __all__ = [
     "IntervalDistribution",
 ]
 
-#: Gauss-Legendre rule of every power-law panel
-_GAUSS_NODES = np.polynomial.legendre.leggauss(16)
+#: the 16-point Gauss-Legendre rule of every power-law panel, (nodes, weights)
+#: on [-1, 1], bit for bit what numpy's ``leggauss(16)`` returns; the rule is
+#: symmetric, so the literals are its positive nodes and their weights
+_GAUSS_HALF = (
+    ("0x1.852bd6676a9f9p-4", "0x1.83feae80e4e01p-3"),
+    ("0x1.205cae642337cp-2", "0x1.75f8c77e0c011p-3"),
+    ("0x1.d50259a43a772p-2", "0x1.5a6ebbb5a7600p-3"),
+    ("0x1.3c5a466d5e8b8p-1", "0x1.325f61bca3cbep-3"),
+    ("0x1.82c45dda4726bp-1", "0x1.fe7af2bad3878p-4"),
+    ("0x1.bb3403514e483p-1", "0x1.85c4ee79cc24bp-4"),
+    ("0x1.e39f56616f9b0p-1", "0x1.fdfb1a2c1261ep-5"),
+    ("0x1.fa92c264d787ep-1", "0x1.bcddab4b7c228p-6"),
+)
+_half = np.array([[float.fromhex(x) for x in pair] for pair in _GAUSS_HALF])
+_GAUSS_NODES = (np.concatenate((-_half[::-1, 0], _half[:, 0])),
+                np.concatenate((_half[::-1, 1], _half[:, 1])))
+del _half
+#: the rule's error on the integral of ln x over [0, h], per unit h (about
+#: 2.3e-3): a log singularity at a panel's end, as at a zero of q
+_LOG_EDGE_ERROR = abs(1.0 + 0.5 * float(_GAUSS_NODES[1] @ np.log(0.5 + 0.5 * _GAUSS_NODES[0])))
 #: power-law body panels are this fraction of the period of q
 _PANEL_FRACTION = 1.0 / 8.0
 #: minima of q below this are panel edges, with panels graded toward them
 _Q_FLOOR = 1e-3
-#: graded edges in body panels off a minimum (nearer, kernel round-off rivals q)
+#: graded edges in body panels off a minimum, k levels deep taking the first
+#: k + 1 (each divides the log-endpoint error by 8; nearer than the last,
+#: kernel round-off rivals q)
 _GRADING = 8.0 ** -np.arange(9)
 #: the dropped power-law tail, relative to the moments' scale
 _TAIL_TOL = 1e-10
@@ -289,7 +310,19 @@ class PowerLawIntervals:
         half from mu0 up to ``_PANEL_FRACTION`` of the period
         2 pi / (lam_max - lam_min), and keep that width; each minimum of q
         below ``_Q_FLOOR``, a log singularity of ln q, is an edge, with
-        edges ``_GRADING`` panels to either side.
+        edges the first k + 1 of ``_GRADING`` panels to either side.
+
+        Grading: the rule errs by C h on the integral of ln x over [0, h]
+        (C = ``_LOG_EDGE_ERROR``, about 2.3e-3, from the nodes), and an
+        edge at h/8 divides that by 8. Near a zero of q, ln q is
+        2 ln|mu - mu_min| plus a smooth part, so a minimum graded k levels
+        deep errs by at most 4 C W 8^-k p on its two sides, W the body
+        panel width and p the density at the near end of its span,
+        mu_min - W. Each of the n deep minima gets the fewest k, at most
+        8, that keep this within an equal share ``_TAIL_TOL`` S / n of the
+        budget the cut spends (S the scale below): a minimum j periods out,
+        which the density weighs about j^-(1 + alpha) as much as the first,
+        gets few levels or none.
 
         Truncation: past the cut c the density barely changes over a
         period, so the dropped tail is about (mu0/c)^alpha times the mean
@@ -298,7 +331,7 @@ class PowerLawIntervals:
         larger end weight w_0 or w_-1 (a vertex of the Newton polytope),
         and q >= (1 - 2r)^2 if the weights but the largest sum to r < 1/2:
         B, the smaller bound, is -2 ln w_v or -2 ln(1 - 2r). The cut puts
-        B (mu0/c)^alpha at ``_TAIL_TOL`` times min(V mu0^2, 1), V the
+        B (mu0/c)^alpha at ``_TAIL_TOL`` times S = min(V mu0^2, 1), V the
         energy variance: about the least 1 - q near mu0, below
         E[1 - q] <= |E[ln q]|. A cut more than ``_MAX_PANELS`` panels away,
         as for alpha <= 2 on the default chain, raises
@@ -327,7 +360,16 @@ class PowerLawIntervals:
         edges = np.concatenate((head[:-1], head[-1] + width * np.arange(panels + 1)))
         minima = survival_minima(lam, w, edges)
         minima = minima[log_survival_factors(lam, w, minima) < math.log(_Q_FLOOR)]
-        graded = (minima[:, None] + width * np.concatenate((-_GRADING, [0.0], _GRADING))).ravel()
+        # each minimum's bound with no level, 4 C W p; k, the least level
+        # count with bound 8^-k within the share (8 at most), takes the
+        # first k + 1 grading edges to either side
+        near = np.maximum(minima - width, mu0)
+        error = 4.0 * _LOG_EDGE_ERROR * width * (alpha / mu0) * (mu0 / near) ** (1.0 + alpha)
+        share = _TAIL_TOL * scale / max(minima.size, 1)
+        levels = np.count_nonzero(error[:, None] * _GRADING[:-1] > share, axis=1)
+        depth = np.tile(np.arange(_GRADING.size), 2)
+        graded = minima[:, None] + width * np.concatenate((-_GRADING, _GRADING))
+        graded = np.concatenate((minima, graded[depth <= levels[:, None]]))
         graded = graded[(graded > mu0) & (graded < edges[-1])]
 
         def moments(mus: np.ndarray) -> np.ndarray:

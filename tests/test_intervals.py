@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from zenosim import (
     DegenerateInterval,
     DiscreteIntervals,
     EnsembleConfig,
+    Hamiltonian,
     InfiniteMeanError,
     InfiniteSecondMomentError,
     PowerLawIntervals,
@@ -41,7 +43,7 @@ from zenosim import (
     survival_stats_for,
 )
 from zenosim import intervals
-from zenosim.dynamics import phase_weights
+from zenosim.dynamics import phase_weights, survival_minima
 from zenosim.rng import substream, uniforms_from_words
 
 
@@ -316,7 +318,7 @@ class TestLogQMoments:
     def test_powerlaw_matches_oracle(self, chain, psi0, powerlaw_log_q_oracle, alpha):
         lam, w = phase_weights(chain, psi0)
         mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, alpha).log_q_moments(lam, w)
-        assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(1 * NS, alpha), rel=1e-8, abs=0.0)
+        assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(1 * NS, alpha), rel=1e-9, abs=0.0)
         # Jensen, and both vanish only on an eigenstate
         assert mean_log_q <= log_mean_q < 0.0
 
@@ -342,7 +344,22 @@ class TestLogQMoments:
         lam, w = phase_weights(chain, PureState(psi))
         mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
         expected = powerlaw_expect_log_q(chain_matrix(), psi, 1 * NS, 3.0)
-        assert mean_log_q == pytest.approx(expected, rel=1e-8, abs=0.0)
+        assert mean_log_q == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert mean_log_q <= log_mean_q < 0.0
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0])
+    def test_quasi_periodic_matches_oracle(self, alpha):
+        # levels 0, 1 and the golden ratio: q never repeats, and its
+        # minima come at every depth
+        h = np.diag([0.0, 1.0, (1.0 + math.sqrt(5.0)) / 2.0]) * 2 * math.pi * 100e3
+        psi = np.ones(3, dtype=complex) / math.sqrt(3.0)
+        lam, w = phase_weights(Hamiltonian.from_matrix(h), PureState(psi))
+        period = 2 * math.pi / (lam[-1] - lam[0])
+        minima = survival_minima(lam, w, period / 8 * np.arange(4000))[:300]
+        assert np.count_nonzero(log_survival_factors(lam, w, minima) < math.log(intervals._Q_FLOOR)) == 19
+        mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, alpha).log_q_moments(lam, w)
+        expected = powerlaw_expect_log_q(h, psi, 1 * NS, alpha)
+        assert mean_log_q == pytest.approx(expected, rel=1e-9, abs=0.0)
         assert mean_log_q <= log_mean_q < 0.0
 
     def test_numerical_eigenstate_gives_exact_zeros(self, chain):
@@ -369,6 +386,42 @@ class TestLogQMoments:
         assert got.shape == (1,)
         assert got[0] == pytest.approx(1.0 - (edges[0] / edges[-1]) ** 2.5, rel=1e-13, abs=0.0)
         assert sum(sizes) == 2000 * nodes and max(sizes) <= intervals._QUAD_SLAB
+
+    def test_gauss_literals_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        for got, want in zip(intervals._GAUSS_NODES, (nodes, weights)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_one_grading_level_divides_the_log_edge_error(self):
+        # the rule on the integral of ln x over [0, 1], which is -1, with
+        # no edge and with one at 1/8
+        nodes, weights = intervals._GAUSS_NODES
+
+        def error(edges):
+            lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+            half = 0.5 * (hi - lo)
+            return abs(1.0 + float(np.sum(half * weights * np.log(lo + half * (1.0 + nodes)))))
+
+        assert error([0.0, 1.0]) == pytest.approx(intervals._LOG_EDGE_ERROR, rel=1e-12)
+        assert 2e-3 < intervals._LOG_EDGE_ERROR < 3e-3
+        assert error([0.0, 1.0 / 8.0, 1.0]) * 7.0 <= error([0.0, 1.0])
+
+    def test_grading_keeps_the_default_chain_panels_few(self, chain, psi0):
+        # every minimum graded 8 levels deep made 24,048 panels here
+        lam, w = phase_weights(chain, psi0)
+        windowed = PowerLawIntervals.expect_windowed
+        seen = []
+
+        def recorded(self, g, *, edges):
+            seen.append(edges)
+            return windowed(self, g, edges=edges)
+
+        with mock.patch.object(PowerLawIntervals, "expect_windowed", recorded):
+            PowerLawIntervals(1 * NS, 2.5).log_q_moments(lam, w)
+        (edges,) = seen
+        assert np.all(np.diff(edges) > 0.0)
+        assert edges.size - 1 <= 12_000
 
     def test_powerlaw_memory_is_bounded(self, chain, psi0):
         dist = PowerLawIntervals(1 * NS, 2.5)
