@@ -7,7 +7,7 @@ rate functions of the log-survival, most probable vs mean survival,
 frequent-measurement limits, and reproducible Monte Carlo ensembles.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .dynamics import (
     DimensionMismatchError,

@@ -73,8 +73,8 @@ def _print_summary(ens) -> None:
             stats = survival_stats_for(dist, h, psi0, m)
             print(f"  ln P*   = {_fmt(stats.log_p_star)}")
             print(f"  ln <P>  = {_fmt(stats.log_p_mean)}")
-        except QuadratureNoConvergenceError:
-            print("  ln P*   = n/a (power-law tail too heavy for the quadrature)")
+        except QuadratureNoConvergenceError as err:
+            print(f"  ln P*   = n/a (power-law tail too heavy for the quadrature: {err})")
     try:
         tz = zeno_time(h, psi0)
         print(f"  tau_Z   = {_fmt(tz)} s")

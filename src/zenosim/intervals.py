@@ -17,7 +17,8 @@ evaluated once per atom; for the power law it is (sum mu, sum ln q),
 the kernel run on every draw.
 The power law's moments come from one composite Gauss-Legendre rule with
 panels graded toward the zeros of q, each only as deep as its share of
-the error budget needs, truncated by a fixed rule.
+the error budget needs, and a tail past the cut that is added in closed
+form where q is periodic (two levels) and dropped otherwise.
 """
 
 from __future__ import annotations
@@ -318,24 +319,43 @@ class PowerLawIntervals:
         2 ln|mu - mu_min| plus a smooth part, so a minimum graded k levels
         deep errs by at most 4 C W 8^-k p on its two sides, W the body
         panel width and p the density at the near end of its span,
-        mu_min - W. Each of the n deep minima gets the fewest k, at most
-        8, that keep this within an equal share ``_TAIL_TOL`` S / n of the
-        budget the cut spends (S the scale below): a minimum j periods out,
-        which the density weighs about j^-(1 + alpha) as much as the first,
-        gets few levels or none.
+        mu_min - W. Each of the n deep minima before the cut gets the
+        fewest k, at most 8, that keep this within an equal share
+        ``_TAIL_TOL`` S / n of the budget the cut spends (S the scale
+        below): a minimum j periods out, which the density weighs about
+        j^-(1 + alpha) as much as the first, gets few levels or none.
 
-        Truncation: past the cut c the density barely changes over a
-        period, so the dropped tail is about (mu0/c)^alpha times the mean
-        of -ln q >= 1 - q over time, -2 ln M with M the Mahler measure of
-        sum_k w_k z_k on the torus the phases fill. M is at least w_v, the
-        larger end weight w_0 or w_-1 (a vertex of the Newton polytope),
-        and q >= (1 - 2r)^2 if the weights but the largest sum to r < 1/2:
-        B, the smaller bound, is -2 ln w_v or -2 ln(1 - 2r). The cut puts
-        B (mu0/c)^alpha at ``_TAIL_TOL`` times S = min(V mu0^2, 1), V the
-        energy variance: about the least 1 - q near mu0, below
-        E[1 - q] <= |E[ln q]|. A cut more than ``_MAX_PANELS`` panels away,
-        as for alpha <= 2 on the default chain, raises
-        ``QuadratureNoConvergenceError`` before any kernel call.
+        The tail past the cut c takes one of two rules, and the cut puts
+        that rule's error bound at ``_TAIL_TOL`` times S = min(V mu0^2, 1),
+        V the energy variance: about the least 1 - q near mu0, below
+        E[1 - q] <= |E[ln q]|.
+
+        Closed, where the support has two levels: q = w0^2 + w1^2 +
+        2 w0 w1 cos((lam_1 - lam_0) mu) has the period P, and the rule adds
+        the tail as (mu0/c)^alpha, its mass, times each moment's mean over
+        a period: g = 2 ln max(w0, w1) for ln q (Jensen's formula),
+        2 w0 w1 for 1 - q and w0^2 + w1^2 for q. What that misses is the
+        integral of p (f - mean f) past c. Let F be the antiderivative of
+        f - mean f that vanishes at c; it is periodic, so by parts the
+        miss is -int_c^inf p' F, at most p(c) sup|F| with
+        p(c) = (alpha/mu0)(mu0/c)^(1+alpha). F over a period rises and
+        falls by half of int_P |f - mean f| each, so sup|F| is at most
+        that half, at most P max(|g|, 2 w0 w1), as ln q <= 0 and
+        0 <= 1 - q <= 1.
+
+        Truncated, where the support has three or more levels and q is
+        quasi-periodic: the tail is dropped. It is about (mu0/c)^alpha
+        times the mean of -ln q >= 1 - q over time, -2 ln M with M the
+        Mahler measure of sum_k w_k z_k on the torus the phases fill. M is
+        at least w_v, the larger end weight w_0 or w_-1 (a vertex of the
+        Newton polytope), and q >= (1 - 2r)^2 if the weights but the
+        largest sum to r < 1/2: B, the smaller bound, is -2 ln w_v or
+        -2 ln(1 - 2r), and the error bound is B (mu0/c)^alpha.
+
+        A cut more than ``_MAX_PANELS`` body panels away, as for
+        alpha <= 1.5 on the default chain, raises
+        ``QuadratureNoConvergenceError`` before any kernel call, naming
+        the tail rule and the panels the cut needs.
         """
         if not np.all(w > 0.0):
             raise ValueError("phase weights must be positive: pass what phase_weights returns")
@@ -343,20 +363,32 @@ class PowerLawIntervals:
             return 0.0, 0.0
         variance = _variance(lam, w)
         mu0, alpha = self.mu0, self.alpha
-        width = _PANEL_FRACTION * 2.0 * math.pi / float(lam[-1] - lam[0])
+        period = 2.0 * math.pi / float(lam[-1] - lam[0])
+        width = _PANEL_FRACTION * period
         head = mu0 * 1.5 ** np.arange(max(0, math.ceil(math.log(2.0 * width / mu0, 1.5))) + 1)
-        # B of the docstring; r is summed without cancellation
-        bound = -2.0 * math.log(max(w[0], w[-1]))
-        rest = float(np.sort(w)[:-1].sum())
-        if rest < 0.5:
-            bound = min(bound, -2.0 * math.log1p(-2.0 * rest))
         scale = min(variance * mu0 * mu0, 1.0)
-        reach = head[-1] + _MAX_PANELS * width
-        if bound * (mu0 / reach) ** alpha > _TAIL_TOL * scale:
+        # the tail past the cut c errs by at most size (mu0/c)^power
+        closed = lam.size == 2
+        if closed:  # period means of (ln q, 1 - q, q), and the bound P max(|g|, 2 w0 w1) p(c)
+            w0, w1 = w.tolist()
+            g, spread = 2.0 * math.log(max(w0, w1)), 2.0 * w0 * w1
+            means = np.array([g, spread, w0 * w0 + w1 * w1])
+            size, power = alpha / mu0 * period * max(-g, spread), 1.0 + alpha
+        else:  # B of the docstring, the dropped mass's; r is summed without cancellation
+            size, power = -2.0 * math.log(max(w[0], w[-1])), alpha
+            rest = float(np.sort(w)[:-1].sum())
+            if rest < 0.5:
+                size = min(size, -2.0 * math.log1p(-2.0 * rest))
+        try:
+            cut = mu0 * (size / (_TAIL_TOL * scale)) ** (1.0 / power)
+        except OverflowError:  # far past any panel budget
+            cut = math.inf
+        panels = (cut - head[-1]) / width
+        if panels > _MAX_PANELS:
             raise QuadratureNoConvergenceError(
-                f"alpha = {alpha}: the tail needs more than {_MAX_PANELS} panels")
-        cut = mu0 * (bound / (_TAIL_TOL * scale)) ** (1.0 / alpha)
-        panels = max(1, math.ceil((cut - head[-1]) / width))
+                f"alpha = {alpha}: the {'closed' if closed else 'truncated'} tail needs "
+                f"{panels:.1e} panels, more than {_MAX_PANELS}")
+        panels = max(1, math.ceil(panels))
         edges = np.concatenate((head[:-1], head[-1] + width * np.arange(panels + 1)))
         minima = survival_minima(lam, w, edges)
         minima = minima[log_survival_factors(lam, w, minima) < math.log(_Q_FLOOR)]
@@ -377,7 +409,10 @@ class PowerLawIntervals:
             return np.stack((log_q, -np.expm1(log_q), np.exp(log_q)))
 
         edges = np.unique(np.concatenate((edges, graded)))
-        mean_log_q, mean_delta, mean_q = self.expect_windowed(moments, edges=edges)
+        sums = self.expect_windowed(moments, edges=edges)
+        if closed:
+            sums = sums + means * (mu0 / edges[-1]) ** alpha
+        mean_log_q, mean_delta, mean_q = sums
         return float(mean_log_q), _log_mean_q(float(mean_delta), math.log(mean_q))
 
     def expect_windowed(self, g: Callable, *, edges: np.ndarray) -> np.ndarray:

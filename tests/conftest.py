@@ -13,7 +13,13 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from oracles import CHAIN_COUPLING, CHAIN_OMEGAS, chain_matrix, powerlaw_expect_log_q
+from oracles import (
+    CHAIN_COUPLING,
+    CHAIN_OMEGAS,
+    chain_matrix,
+    powerlaw_expect_log_q,
+    two_level_expect_log_q,
+)
 
 from zenosim import PureState, build_chain_hamiltonian, entangled_initial_state
 
@@ -44,14 +50,16 @@ def rabi():
 @pytest.fixture(scope="session")
 def powerlaw_log_q_oracle():
     """E[ln q] of the benchmark chain from (1, 0, 1)/sqrt(2) under the
-    power law (mu0, alpha), from the 40-digit oracle, each value computed
-    once per session."""
+    power law (mu0, alpha), each value computed once per session: from the
+    40-digit quadrature oracle for alpha > 2, whose cut needs it, and from
+    the two-level series oracle (the state weighs two levels) otherwise."""
     cache = {}
     psi = np.array([1.0, 0.0, 1.0], dtype=complex)  # normalized by the oracle
 
     def value(mu0: float, alpha: float) -> float:
         if (mu0, alpha) not in cache:
-            cache[mu0, alpha] = powerlaw_expect_log_q(chain_matrix(), psi, mu0, alpha)
+            oracle = powerlaw_expect_log_q if alpha > 2.0 else two_level_expect_log_q
+            cache[mu0, alpha] = oracle(chain_matrix(), psi, mu0, alpha)
         return cache[mu0, alpha]
 
     return value

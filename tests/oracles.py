@@ -7,7 +7,9 @@ eigenvalues come from characteristic-polynomial roots, two-level results
 are hand-derived closed forms, small-m rate functions are exact
 binomial enumerations, and power-law E[ln q] is a composite
 Gauss-Legendre rule on a 40-digit eigensystem, with the zeros of q found
-by ``mpmath.findroot``.
+by ``mpmath.findroot``, or, for a state that weighs two levels and any
+alpha, tanh-sinh quadrature over the first periods and a Hurwitz zeta
+series over the rest.
 """
 
 from __future__ import annotations
@@ -392,3 +394,55 @@ def powerlaw_expect_log_q(h: np.ndarray, psi: np.ndarray, mu0: float, alpha: flo
     window = edges[edges >= body[-513]]
     mean_log_q = integral(window, weighted=False) / (window[-1] - window[0])
     return integral(edges) + mean_log_q * (mu0 / cut) ** alpha
+
+
+def two_level_expect_log_q(h: np.ndarray, psi: np.ndarray, mu0: float, alpha: float,
+                           zeros: int = 4, terms: int = 40, dps: int = 30) -> float:
+    """E[ln q] under the power law p(mu) = alpha mu0^alpha / mu^(1+alpha),
+    mu >= mu0, for a state that weighs two levels of h, any alpha > 0.
+
+    The eigenpairs come from mpmath at ``dps`` digits; the two largest
+    weights, scaled to sum to 1, are the support (the rest must be below
+    1e-25). With x = (lam_1 - lam_0) mu / 2, ln q = L(x) =
+    ln((w0 - w1)^2 + 4 w0 w1 cos^2 x), of period pi, and the law is
+    alpha x0^alpha x^(-1-alpha) dx on [x0, inf). Tanh-sinh quadrature
+    covers x0 to the first ``zeros`` zeros of cos past it, whose log
+    singularities it takes at panel ends. The periods past them are
+    centred on c_k = (N + k) pi, k >= 0, where L(c_k + y) = L(y) is even
+    in y on [-pi/2, pi/2]; expanding (c_k + y)^(-1-alpha) in y gives
+    sum over even j of binomial(-1-alpha, j) M_j c_k^(-1-alpha-j), with
+    M_j = int y^j L(y) dy, and the sum over k of c_k^(-s) is
+    pi^(-s) zeta(s, N), the Hurwitz zeta function. The series in j, the
+    first ``terms``, falls as (2N)^-j.
+    """
+    with mp.workdps(dps):
+        n = h.shape[0]
+        hm = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                hm[i, j] = mp.mpc(complex(h[i, j]))
+        evals, evecs = mp.eighe(hm)
+        p = mp.matrix([mp.mpc(complex(a)) for a in psi])
+        p = p / mp.sqrt(mp.fsum(abs(a) ** 2 for a in p))
+        weights = [abs(mp.fsum(mp.conj(evecs[r, k]) * p[r] for r in range(n))) ** 2
+                   for k in range(n)]
+        order = sorted(range(n), key=lambda k: weights[k])
+        assert all(weights[k] < mp.mpf("1e-25") for k in order[:-2])
+        k0, k1 = order[-2:]
+        w0, w1 = weights[k0], weights[k1]
+        w0, w1 = w0 / (w0 + w1), w1 / (w0 + w1)
+        a = mp.mpf(float(alpha))
+        x0 = abs(mp.re(evals[k1]) - mp.re(evals[k0])) * mp.mpf(float(mu0)) / 2
+
+        def log_q(x):
+            return mp.log((w0 - w1) ** 2 + 4 * w0 * w1 * mp.cos(x) ** 2)
+
+        first = int(mp.floor((x0 - mp.pi / 2) / mp.pi)) + 1  # first zero above x0
+        ends = [x0] + [mp.pi / 2 + (first + k) * mp.pi for k in range(zeros)]
+        body = mp.quad(lambda x: x ** (-1 - a) * log_q(x), ends)
+        big_n = first + zeros  # c_0 = N pi, half a period past the last zero
+        tail = mp.fsum(
+            mp.binomial(-1 - a, j) * 2 * mp.quad(lambda y: y ** j * log_q(y), [0, mp.pi / 2])
+            * mp.pi ** (-1 - a - j) * mp.zeta(1 + a + j, big_n)
+            for j in range(0, terms, 2))
+        return float(a * x0 ** a * (body + tail))

@@ -252,7 +252,7 @@ class TestCli:
         assert len(lines) == 62  # comment + header + 60 records
         assert (tmp_path / "out.svg").exists()
 
-    @pytest.mark.parametrize("alpha", ["3", "1.5"])
+    @pytest.mark.parametrize("alpha", ["3", "2", "1.5"])
     def test_run_powerlaw_summary(self, tmp_path, capsys, powerlaw_log_q_oracle, alpha):
         path = tmp_path / "pl.ini"
         path.write_text(GENERIC_CONFIG.replace(
@@ -261,12 +261,13 @@ class TestCli:
         ))
         assert main(["run", str(path), "--out", str(tmp_path)]) == 0
         star = next(line for line in capsys.readouterr().out.splitlines()
-                    if "ln P*" in line).split("=")[1].strip()
-        if alpha == "3":
+                    if "ln P*" in line).split("=", 1)[1].strip()
+        if alpha != "1.5":  # alpha = 2 by the closed tail of the two-level support
+            assert math.isfinite(float(star))
             assert float(star) == pytest.approx(
-                50 * powerlaw_log_q_oracle(1e-9, 3.0), rel=1e-8, abs=0.0)
-        else:  # alpha <= 2: the tail is too heavy for the quadrature
-            assert star.startswith("n/a")
+                50 * powerlaw_log_q_oracle(1e-9, float(alpha)), rel=1e-8, abs=0.0)
+        else:  # alpha <= 1.5: the tail is too heavy for the quadrature
+            assert star.startswith("n/a") and "the closed tail needs" in star
 
     def test_run_delegates_to_preset(self, tmp_path, capsys):
         path = tmp_path / "pre.ini"

@@ -23,6 +23,7 @@ from oracles import (
     float_atoms,
     powerlaw_expect_log_q,
     same_bits,
+    two_level_expect_log_q,
 )
 
 from zenosim import (
@@ -314,13 +315,28 @@ class TestLogQMoments:
             log_q, math.log1p(math.expm1(log_q))
         )
 
-    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
     def test_powerlaw_matches_oracle(self, chain, psi0, powerlaw_log_q_oracle, alpha):
         lam, w = phase_weights(chain, psi0)
         mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, alpha).log_q_moments(lam, w)
-        assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(1 * NS, alpha), rel=1e-9, abs=0.0)
+        assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(1 * NS, alpha), rel=1e-10, abs=0.0)
         # Jensen, and both vanish only on an eigenstate
         assert mean_log_q <= log_mean_q < 0.0
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
+    def test_powerlaw_matches_oracle_at_long_mu0(self, chain, psi0, powerlaw_log_q_oracle, alpha):
+        # mu0 = 1 us is a quarter of the period of q: the panels start deep in it
+        lam, w = phase_weights(chain, psi0)
+        mean_log_q, log_mean_q = PowerLawIntervals(1 * US, alpha).log_q_moments(lam, w)
+        assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(1 * US, alpha), rel=1e-10, abs=0.0)
+        assert mean_log_q <= log_mean_q < 0.0
+
+    @pytest.mark.parametrize("mu0", [1 * NS, 1 * US])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0])
+    def test_two_level_oracle_matches_the_quadrature_oracle(self, powerlaw_log_q_oracle, mu0, alpha):
+        psi = np.array([1.0, 0.0, 1.0], dtype=complex)
+        assert two_level_expect_log_q(chain_matrix(), psi, mu0, alpha) == pytest.approx(
+            powerlaw_log_q_oracle(mu0, alpha), rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("mu0", [1 * NS, 1 * US])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
@@ -334,6 +350,8 @@ class TestLogQMoments:
             except QuadratureNoConvergenceError:
                 mean_log_q = None
         assert time.perf_counter() - start < 0.5
+        # the closed tail takes alpha = 2 under _MAX_PANELS at both mu0
+        assert (mean_log_q is None) == (alpha < 2.0)
         if mean_log_q is not None:
             assert math.isfinite(mean_log_q) and math.isfinite(log_mean_q)
             assert mean_log_q == pytest.approx(powerlaw_log_q_oracle(mu0, alpha), rel=1e-8, abs=0.0)
@@ -344,22 +362,26 @@ class TestLogQMoments:
         lam, w = phase_weights(chain, PureState(psi))
         mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, 3.0).log_q_moments(lam, w)
         expected = powerlaw_expect_log_q(chain_matrix(), psi, 1 * NS, 3.0)
-        assert mean_log_q == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert mean_log_q == pytest.approx(expected, rel=1e-10, abs=0.0)
         assert mean_log_q <= log_mean_q < 0.0
+
+    #: levels 0, 1 and the golden ratio: q never repeats, and its minima
+    #: come at every depth
+    GOLDEN = np.diag([0.0, 1.0, (1.0 + math.sqrt(5.0)) / 2.0]) * 2 * math.pi * 100e3
+    GOLDEN_PSI = np.ones(3, dtype=complex) / math.sqrt(3.0)
+
+    def golden_support(self):
+        return phase_weights(Hamiltonian.from_matrix(self.GOLDEN), PureState(self.GOLDEN_PSI))
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0])
     def test_quasi_periodic_matches_oracle(self, alpha):
-        # levels 0, 1 and the golden ratio: q never repeats, and its
-        # minima come at every depth
-        h = np.diag([0.0, 1.0, (1.0 + math.sqrt(5.0)) / 2.0]) * 2 * math.pi * 100e3
-        psi = np.ones(3, dtype=complex) / math.sqrt(3.0)
-        lam, w = phase_weights(Hamiltonian.from_matrix(h), PureState(psi))
+        lam, w = self.golden_support()
         period = 2 * math.pi / (lam[-1] - lam[0])
         minima = survival_minima(lam, w, period / 8 * np.arange(4000))[:300]
         assert np.count_nonzero(log_survival_factors(lam, w, minima) < math.log(intervals._Q_FLOOR)) == 19
         mean_log_q, log_mean_q = PowerLawIntervals(1 * NS, alpha).log_q_moments(lam, w)
-        expected = powerlaw_expect_log_q(h, psi, 1 * NS, alpha)
-        assert mean_log_q == pytest.approx(expected, rel=1e-9, abs=0.0)
+        expected = powerlaw_expect_log_q(self.GOLDEN, self.GOLDEN_PSI, 1 * NS, alpha)
+        assert mean_log_q == pytest.approx(expected, rel=1e-10, abs=0.0)
         assert mean_log_q <= log_mean_q < 0.0
 
     def test_numerical_eigenstate_gives_exact_zeros(self, chain):
@@ -407,21 +429,60 @@ class TestLogQMoments:
         assert 2e-3 < intervals._LOG_EDGE_ERROR < 3e-3
         assert error([0.0, 1.0 / 8.0, 1.0]) * 7.0 <= error([0.0, 1.0])
 
-    def test_grading_keeps_the_default_chain_panels_few(self, chain, psi0):
-        # every minimum graded 8 levels deep made 24,048 panels here
-        lam, w = phase_weights(chain, psi0)
+    @staticmethod
+    def recorded_rule(dist, lam, w):
+        """``dist.log_q_moments(lam, w)``, with the edges it passes to
+        ``expect_windowed`` and the moments that call returns."""
         windowed = PowerLawIntervals.expect_windowed
         seen = []
 
         def recorded(self, g, *, edges):
-            seen.append(edges)
-            return windowed(self, g, edges=edges)
+            seen.append((edges, windowed(self, g, edges=edges)))
+            return seen[-1][1]
 
         with mock.patch.object(PowerLawIntervals, "expect_windowed", recorded):
-            PowerLawIntervals(1 * NS, 2.5).log_q_moments(lam, w)
-        (edges,) = seen
+            moments = dist.log_q_moments(lam, w)
+        ((edges, sums),) = seen
+        return moments, edges, sums
+
+    def test_grading_keeps_the_default_chain_panels_few(self, chain, psi0):
+        # every minimum graded 8 levels deep made 24,048 panels here, and
+        # the graded rule with the tail dropped past the cut 10,486
+        lam, w = phase_weights(chain, psi0)
+        _, edges, _ = self.recorded_rule(PowerLawIntervals(1 * NS, 2.5), lam, w)
         assert np.all(np.diff(edges) > 0.0)
-        assert edges.size - 1 <= 12_000
+        assert edges.size - 1 <= 2_500
+
+    def test_two_levels_close_the_tail(self, chain, psi0):
+        # the default state weighs two levels equally: g = 2 ln(1/2)
+        lam, w = phase_weights(chain, psi0)
+        assert lam.size == 2
+        dist = PowerLawIntervals(1 * NS, 2.5)
+        (mean_log_q, _), edges, sums = self.recorded_rule(dist, lam, w)
+        tail = (dist.mu0 / edges[-1]) ** dist.alpha
+        assert mean_log_q - sums[0] == pytest.approx(-2.0 * math.log(2.0) * tail, rel=1e-12,
+                                                     abs=np.spacing(-mean_log_q))
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0])
+    def test_quasi_periodic_support_drops_the_tail(self, alpha):
+        lam, w = self.golden_support()
+        dist = PowerLawIntervals(1 * NS, alpha)
+        (mean_log_q, _), edges, sums = self.recorded_rule(dist, lam, w)
+        assert mean_log_q == float(sums[0])
+        # the cut of the dropped tail, B (mu0/c)^alpha = _TAIL_TOL S, B = -2 ln w_max
+        scale = min(float(np.dot(w, lam ** 2) - np.dot(w, lam) ** 2) * dist.mu0 ** 2, 1.0)
+        mass = intervals._TAIL_TOL * scale / (-2.0 * math.log(w.max()))
+        assert (dist.mu0 / edges[-1]) ** alpha == pytest.approx(mass, rel=0.01)
+
+    @pytest.mark.parametrize("golden, alpha, rule, panels", [
+        (False, 1.5, "closed", "2.2e+05"), (True, 2.0, "truncated", "4.6e+05")])
+    def test_heavy_tail_error_names_the_rule_and_panels(self, chain, psi0, golden, alpha, rule,
+                                                        panels):
+        lam, w = self.golden_support() if golden else phase_weights(chain, psi0)
+        with pytest.raises(QuadratureNoConvergenceError) as error:
+            PowerLawIntervals(1 * NS, alpha).log_q_moments(lam, w)
+        assert str(error.value) == (f"alpha = {alpha}: the {rule} tail needs {panels} panels, "
+                                    f"more than {intervals._MAX_PANELS}")
 
     def test_powerlaw_memory_is_bounded(self, chain, psi0):
         dist = PowerLawIntervals(1 * NS, 2.5)
