@@ -54,6 +54,7 @@ from .ldstats import (
     cramer_rate,
     disorder_gain,
     equally_spaced_survival,
+    explicit_domain,
     fixed_time_solve_m,
     joint_rate_function,
     qze_condition,

@@ -30,9 +30,12 @@ from .intervals import (
 from .ldstats import (
     LdProblem,
     OutOfRangeError,
+    RateCurve,
     RootBracketFailureError,
+    explicit_domain,
     qze_condition,
     rate_curve,
+    rate_function_I,
     survival_stats_for,
 )
 from .montecarlo import (
@@ -158,8 +161,11 @@ def _cmd_rate(args) -> int:
     os.makedirs(out, exist_ok=True)
 
     rows = []
-    explicit = rate_curve(prob, points=200, method="explicit")
     tilting = rate_curve(prob, points=200, method="tilting")
+    # the paper's split on the grid points where it stays on the simplex:
+    # all of them for d <= 2, one run of them or none for d > 2
+    xs = tilting.xs[explicit_domain(prob, tilting.xs)]
+    explicit = RateCurve(xs=xs, rates=rate_function_I(prob, xs))
     for name, curve in (("explicit", explicit), ("tilting", tilting)):
         for x, rate in zip(curve.xs, curve.rates):
             rows.append((name, float(x), float(rate), ""))
@@ -176,10 +182,11 @@ def _cmd_rate(args) -> int:
     print(f"wrote {csv_path}")
     if cfg.svg_path:
         svg_path = os.path.join(out, cfg.svg_path)
+        analytic = explicit if xs.size == tilting.xs.size else tilting
         write_svg(
             svg_path,
             [
-                Series("analytic", list(explicit.xs), list(explicit.rates)),
+                Series("analytic", list(analytic.xs), list(analytic.rates)),
                 Series("empirical", list(est.centers), list(est.rates), marker=True),
             ],
             title="rate function",

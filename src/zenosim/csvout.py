@@ -5,9 +5,13 @@ A single leading comment line records the artifact version, the preset
 (or command) that produced the file, and the seed, so every artifact is
 self-describing and byte-identical across reruns.
 
-Emission is column-first: each column's texts are made in one pass, each
+Emission is in blocks of ``_BLOCK_ROWS`` rows, column-first within a
+block: each column's texts for the block are made in one pass, each
 distinct number of a numeric array or of a column of floats once, and the
-rows are the joins of the columns' texts.
+block's rows, the joins of the columns' texts, are written before the
+next block's texts are made. So the text held at a time does not grow
+with the row count, and as every cell's text is ``format_cell``'s, where
+the blocks are cut moves no byte.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ import numpy as np
 from . import __version__
 
 __all__ = ["format_cell", "write_csv"]
+
+#: rows whose text is made and written at a time
+_BLOCK_ROWS = 4096
 
 
 def format_cell(value) -> str:
@@ -52,11 +59,14 @@ def _column_texts(column) -> list[str]:
     """The text of each cell of one column, as ``format_cell`` gives it.
 
     A float64 or integer array is keyed on its values without
-    ``tolist()``; any other array is read as its ``tolist()``. A sequence
-    of cells (a ``range`` among them) that are all plain floats goes to
+    ``tolist()``; any other array is read as its ``tolist()``. A ``range``,
+    whose cells are all ints, goes through ``str`` with no scan of their
+    types. Any other sequence of cells that are all plain floats goes to
     ``_float_texts``, all plain ints (bool is not int) through ``str``, and
     any other mix through ``format_cell`` cell by cell.
     """
+    if isinstance(column, range):
+        return list(map(str, column))
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:
             return _float_texts(column)
@@ -76,15 +86,20 @@ def write_csv(path: str, names, columns, *, meta: dict) -> None:
     ``meta`` key=value pairs.
 
     Each entry of ``columns`` is a 1-D numpy array, a ``range`` or any
-    sequence of cells; all must be equally long. The text is what
-    ``format_cell`` gives cell by cell, made one column at a time (see
-    ``_column_texts``), and each row is the join of its columns' texts.
+    sequence of cells; all must be equally long, which is checked before
+    the file is opened. The text is what ``format_cell`` gives cell by
+    cell, made one block of ``_BLOCK_ROWS`` rows at a time, column by
+    column (see ``_column_texts`` of each column's slice), and each row is
+    the join of its columns' texts.
     """
     if len(columns) != len(names):
         raise ValueError(f"{len(names)} names but {len(columns)} columns")
+    lengths = sorted({len(column) for column in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {lengths}")
     tags = ", ".join(f"{k}={v}" for k, v in meta.items())
-    lines = [f"# zenosim {__version__}, {tags}", ",".join(names)]
-    texts = [_column_texts(column) for column in columns]
-    lines.extend(map(",".join, zip(*texts, strict=True)))  # columns must be equally long
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(f"# zenosim {__version__}, {tags}\r\n{','.join(names)}\r\n")
+        for a in range(0, lengths[0] if lengths else 0, _BLOCK_ROWS):
+            texts = [_column_texts(column[a:a + _BLOCK_ROWS]) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")

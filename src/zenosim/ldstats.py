@@ -13,7 +13,8 @@ function: P(x) ~ exp(-m I(x)). Two constructions of I are provided.
 
   and I(x) is the Kullback-Leibler divergence of f from the atom
   probabilities p. For d = 2 the occupation constraints pin f uniquely;
-  for d > 2 this particular split is one admissible solution.
+  for d > 2 this particular split is one admissible solution, on the
+  simplex only for some x (``explicit_domain``).
 
 * ``cramer_rate`` is the classical tilting construction for i.i.d. sums:
   find the exponential tilt whose mean matches x (bisection inside a
@@ -64,6 +65,7 @@ __all__ = [
     "LdProblem",
     "RateCurve",
     "rate_function_I",
+    "explicit_domain",
     "cramer_rate",
     "rate_curve",
     "rate_function_J",
@@ -185,6 +187,34 @@ def _like(x, values: np.ndarray):
     return float(values) if np.ndim(x) == 0 else values
 
 
+def _explicit_fractions(p: np.ndarray, logq: np.ndarray, xs: np.ndarray):
+    """(inside, f) of the merged law (p, logq) at each x: whether x lies in
+    [min ln q, max ln q] up to round-off, and its occupation fractions
+    along a new last axis (x snapped into that range, the last listed atom
+    distinguished; one fraction of 1 for a law of one ln q)."""
+    lo, hi = float(np.min(logq)), float(np.max(logq))
+    slack = 1e-15 * max(hi - lo, 1.0)
+    inside = (xs >= lo - slack) & (xs <= hi + slack)
+    if p.size == 1:
+        return inside, np.ones((*xs.shape, 1))
+    xs = np.clip(xs, lo, hi)  # snap boundary round-off back into range
+    lq_d = logq[-1]
+    f_head = (lq_d - xs[..., None]) / ((p.size - 1) * (lq_d - logq[:-1]))
+    return inside, np.concatenate((f_head, 1.0 - f_head.sum(axis=-1, keepdims=True)), axis=-1)
+
+
+def explicit_domain(prob: LdProblem, x):
+    """Whether ``rate_function_I`` is defined at x, a float or an array:
+    x inside [min ln q, max ln q] with its occupation fractions on the
+    probability simplex. For d <= 2 that is the whole range; for d > 2 it
+    is one interval of it, or none, as each fraction is affine in x."""
+    p, logq = prob.merged()
+    xs = np.asarray(x, dtype=float)
+    inside, f = _explicit_fractions(p, logq, xs)
+    ok = inside & np.all(f >= -1e-12, axis=-1)
+    return bool(ok) if np.ndim(x) == 0 else ok
+
+
 def rate_function_I(prob: LdProblem, x):
     """Explicit rate function at intensive log-survival x, a float or an
     array (one value per entry, each the bits of a call on that entry).
@@ -193,20 +223,14 @@ def rate_function_I(prob: LdProblem, x):
     listed atom), then returns KL(f || p). Raises ``OutOfRangeError``,
     naming the first offending x, when x is outside [min ln q, max ln q]
     or, for d > 2, when this particular construction leaves the
-    probability simplex.
+    probability simplex (``explicit_domain`` says where it does not).
     """
     p, logq = prob.merged()
-    lo, hi = float(np.min(logq)), float(np.max(logq))
     xs = np.asarray(x, dtype=float)
-    slack = 1e-15 * max(hi - lo, 1.0)
-    _require((xs >= lo - slack) & (xs <= hi + slack), xs,
-             f"outside attainable [{lo!r}, {hi!r}]")
+    inside, f = _explicit_fractions(p, logq, xs)
+    _require(inside, xs, f"outside attainable [{float(np.min(logq))!r}, {float(np.max(logq))!r}]")
     if p.size == 1:
         return _like(x, np.zeros(xs.shape))
-    xs = np.clip(xs, lo, hi)  # snap boundary round-off back into range
-    lq_d = logq[-1]
-    f_head = (lq_d - xs[..., None]) / ((p.size - 1) * (lq_d - logq[:-1]))
-    f = np.concatenate((f_head, 1.0 - f_head.sum(axis=-1, keepdims=True)), axis=-1)
     _require(np.all(f >= -1e-12, axis=-1), xs, "puts the occupation fractions off the simplex")
     return _like(x, _kl(np.clip(f, 0.0, None), p))
 

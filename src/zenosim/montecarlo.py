@@ -55,6 +55,7 @@ their own by ``np.sum``'s pairwise reduction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -110,6 +111,8 @@ _GATHER_MAX_M = 128
 #: relative slack on the fixed-time budget comparison, so exact ties
 #: (degenerate laws) are not lost to accumulated round-off
 _BUDGET_SLACK = 1e-12
+#: records per block that ``ensemble_summary`` turns into a list for ``math.fsum``
+_SUM_BLOCK = 4096
 
 
 class InsufficientSamplesError(ValueError):
@@ -345,15 +348,19 @@ class _Reader(NamedTuple):
     ms: list[int]
     #: whether the law reads the words themselves, not only their shape
     draws: bool
+    #: how many statistics ``row_stats`` gives a row: a count per atom of a
+    #: discrete law, (sum mu, sum ln q) of a power law
+    width: int
 
 
 def _segment_stats(readers: list[_Reader], seed: int, start: int, stop: int, draw: int,
-                   n: int) -> list[list[np.ndarray]]:
-    """The row statistic (``row_stats``) of each config of ``readers`` in
-    every segment of draws draw to draw + n - 1 of realizations start to
-    stop - 1 that its rows reach, one segment of ``_SEGMENT`` draws (the
-    last one shorter) after another: a list per config, by its place in
-    the group.
+                   n: int, out: list[np.ndarray]) -> None:
+    """Write the row statistic (``row_stats``) of each config of
+    ``readers`` in every segment of draws draw to draw + n - 1 of
+    realizations start to stop - 1 that its rows reach, one segment of
+    ``_SEGMENT`` draws (the last one shorter) after another, into
+    ``out[c][g]``: c is the config's place in the group and g the
+    segment's in the row, so parts write disjoint ranges of g.
 
     A segment is drawn once, as a (rows, k) uint64 block of raw Philox
     words as wide as the longest row of a law that reads words needs
@@ -363,7 +370,7 @@ def _segment_stats(readers: list[_Reader], seed: int, start: int, stop: int, dra
     words as drawn, with no buffer or copy. Nothing is drawn for laws of
     one atom, which get a block of the shape alone. The block is
     read-only from its draw on, and each reader whose rows reach the
-    segment reads it in turn, once, and returns its statistic at the end
+    segment reads it in turn, once, and writes its statistic at the end
     of each of its configs' rows in the segment. The part opens its own
     stream family, so runs of segments can be read on any threads.
     """
@@ -372,7 +379,6 @@ def _segment_stats(readers: list[_Reader], seed: int, start: int, stop: int, dra
     family = StreamFamily(seed)
     wide = min(n, _SEGMENT, reach - draw)
     buf = np.empty(rows * wide if wide > 0 and rows > 1 else 0, dtype=np.uint64)
-    stats = [[] for reader in readers for _ in reader.cfgs]
     for a in range(draw, draw + n, _SEGMENT):
         k = min(_SEGMENT, draw + n - a)
         width = min(k, reach - a)
@@ -389,7 +395,7 @@ def _segment_stats(readers: list[_Reader], seed: int, start: int, stop: int, dra
                     for j in range(rows):
                         x[j] = family.select(start + j, a).bit_generator.random_raw(width)
             x.flags.writeable = False
-        for dist, lam, w, cfgs, ms, draws in readers:
+        for dist, lam, w, cfgs, ms, draws, _ in readers:
             if ms[-1] <= a:
                 continue
             ends = sorted({min(m - a, k) for m in ms if m > a})
@@ -397,9 +403,8 @@ def _segment_stats(readers: list[_Reader], seed: int, start: int, stop: int, dra
                                 lam, w, ends)
             for c, m in zip(cfgs, ms):
                 if m > a:
-                    stats[c].append(at[ends.index(min(m - a, k))])
+                    out[c][a // _SEGMENT] = at[ends.index(min(m - a, k))]
         del x  # a lone row's words go before its next segment's are drawn
-    return stats
 
 
 def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
@@ -407,7 +412,8 @@ def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
     realizations), at any m, chunk by chunk, a chunk's rows as long as
     the group's largest m: the segments of a chunk's rows are cut into
     one contiguous run per part, the calling thread reads the first and a
-    pool the rest (``_segment_stats``), and each config's segment
+    pool the rest (``_segment_stats``), into one (segments, rows,
+    statistics) array per config and chunk, and each config's segment
     statistics, up to its own m, are added left to right. Configs with
     the same law, Hamiltonian and state objects are one ``_Reader``."""
     cfg = group[0].config
@@ -420,7 +426,8 @@ def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
         cfgs.sort(key=lambda c: group[c].config.m)
         first = group[cfgs[0]].config
         readers.append(_Reader(first.dist, *phase_weights(first.hamiltonian, first.state), cfgs,
-                               [int(group[c].config.m) for c in cfgs], not _one_atom(first.dist)))
+                               [int(group[c].config.m) for c in cfgs], not _one_atom(first.dist),
+                               first.dist.d if isinstance(first.dist, DiscreteIntervals) else 2))
     m = max(reader.ms[-1] for reader in readers)
     segments = -(-m // _SEGMENT)
     count = min(_MAX_PARTS, _usable_cores(), segments)
@@ -432,14 +439,19 @@ def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
     try:
         for start in range(0, cfg.realizations, rows):
             stop = min(start + rows, cfg.realizations)
-            runs = [(readers, cfg.master_seed, start, stop, a, b - a)
+            out = [None] * len(group)
+            for reader in readers:
+                for c, m_c in zip(reader.cfgs, reader.ms):
+                    out[c] = np.empty((-(-m_c // _SEGMENT), stop - start, reader.width))
+            runs = [(readers, cfg.master_seed, start, stop, a, b - a, out)
                     for a, b in zip(cuts, cuts[1:])]
             helped = [pool.submit(_segment_stats, *run) for run in runs[1:]]
-            parts = [_segment_stats(*runs[0]), *(future.result() for future in helped)]
+            _segment_stats(*runs[0])
+            for future in helped:
+                future.result()
             for dist, lam, w, cfgs, *_ in readers:
                 for c in cfgs:
-                    stats = np.cumsum(np.stack([s for part in parts for s in part[c]]),
-                                      axis=0)[-1]
+                    stats = np.cumsum(out[c], axis=0)[-1]
                     group[c].total_times[start:stop], group[c].log_survivals[start:stop] = (
                         dist.row_sums(stats, lam, w))
     finally:
@@ -615,6 +627,16 @@ def empirical_rate(ens: SurvivalEnsemble, bins: int) -> EmpiricalRate:
     )
 
 
+def _blocks(values: np.ndarray):
+    """The slices of ``values`` of ``_SUM_BLOCK`` entries (the last one shorter)."""
+    return (values[a:a + _SUM_BLOCK] for a in range(0, values.size, _SUM_BLOCK))
+
+
+def _fsum(blocks) -> float:
+    """``math.fsum`` over the ``tolist()`` of each block in turn."""
+    return math.fsum(itertools.chain.from_iterable(block.tolist() for block in blocks))
+
+
 def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     """Aggregate the ensemble into the standard comparison quantities.
 
@@ -627,8 +649,10 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     (sum P)^2 / sum P^2 is the same for P scaled by any one factor.
     Every field is defined for any ensemble; only the variance of L/m
     (``EnsembleSummary.variance_intensive_log``) needs two realizations
-    with m >= 1, all of them finite. ``math.fsum`` reads lists, which it
-    iterates faster than arrays, with the same correctly rounded sums.
+    with m >= 1, all of them finite. Each ``math.fsum`` reads the
+    ``tolist()`` of one block of ``_SUM_BLOCK`` records after another,
+    which it iterates faster than an array, with no list of all n held;
+    its sum is correctly rounded, so it has the bits of one whole list.
     """
     logs = ens.log_survivals
     smax = float(logs.max())
@@ -637,16 +661,16 @@ def ensemble_summary(ens: SurvivalEnsemble) -> EnsembleSummary:
     else:
         shifted = logs - smax
         weights = np.exp(shifted)
-        total = math.fsum(weights.tolist())
-        log_mean = smax + _log_mean_q(math.fsum((-np.expm1(shifted)).tolist()) / ens.n,
-                                      math.log(total / ens.n))
+        total = _fsum(_blocks(weights))
+        log_mean = smax + _log_mean_q(_fsum(-np.expm1(block) for block in _blocks(shifted))
+                                      / ens.n, math.log(total / ens.n))
         ess = total * total / float(weights @ weights)
     measured = ens.ms >= 1
     return EnsembleSummary(
         log_mean_survival=log_mean,
-        log_geometric_mean=math.fsum(logs.tolist()) / ens.n,
+        log_geometric_mean=_fsum(_blocks(logs)) / ens.n,
         log_median=float(np.median(logs)),
-        mean_total_time=math.fsum(ens.total_times.tolist()) / ens.n,
+        mean_total_time=_fsum(_blocks(ens.total_times)) / ens.n,
         n=ens.n,
         effective_sample_size=ess,
         intensive_logs=logs[measured] / ens.ms[measured],

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import tilted_rate
 
 from zenosim import DegenerateInterval, DiscreteIntervals, PowerLawIntervals, cli, run_ensemble
 from zenosim.cli import main
@@ -18,6 +19,7 @@ from zenosim.expconfig import (
     parse_frequency,
     parse_time,
 )
+from zenosim.ldstats import LdProblem, explicit_domain, rate_curve
 from zenosim.presets import PRESETS, list_presets
 
 GENERIC_CONFIG = """
@@ -322,6 +324,36 @@ class TestCli:
         assert lines[1] == "series,x,rate,count"
         series = {line.split(",")[0] for line in lines[2:]}
         assert series == {"explicit", "tilting", "empirical"}
+
+    @pytest.mark.parametrize("values,probs,explicit", [
+        ("1 ns, 2 ns, 3 ns", "0.2, 0.3, 0.5", "part"),
+        ("1 ns, 3 ns, 2 ns", "0.3, 0.2, 0.5", "none"),  # the last atom's ln q in the middle
+        ("1 ns, 3 ns, 2 ns, 0.5 ns", "0.3, 0.2, 0.05, 0.45", "part"),
+    ], ids=["d3", "d3_middle_last", "d4"])
+    def test_rate_of_three_or_more_atoms(self, tmp_path, capsys, values, probs, explicit):
+        # the tilting series covers the whole grid, the explicit one the
+        # grid points where its occupation fractions stay on the simplex
+        path = tmp_path / "d.ini"
+        path.write_text(GENERIC_CONFIG.replace("values = 1 ns, 3 ns\nprobs = 0.3, 0.7",
+                                               f"values = {values}\nprobs = {probs}"))
+        assert main(["rate", str(path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "out.svg").exists()
+        rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[2:]]
+        series = {name: [(float(x), float(rate)) for n, x, rate, _ in rows if n == name]
+                  for name in ("explicit", "tilting")}
+        cfg = load_config(str(path))
+        prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, cfg.ensemble.dist, 50)
+        xs = [x for x, _ in series["tilting"]]
+        assert len(xs) == 200 and xs == rate_curve(prob, method="tilting").xs.tolist()
+        for x, rate in series["tilting"][::8] + series["tilting"][-1:]:
+            assert rate == pytest.approx(tilted_rate(prob.dist.probs, prob.logq, x, dps=30),
+                                         rel=1e-14, abs=1e-15)
+        tilting = dict(series["tilting"])
+        inside = [x for x in xs if explicit_domain(prob, x)]
+        assert [x for x, _ in series["explicit"]] == inside
+        assert (0 < len(inside) < 200) if explicit == "part" else inside == []
+        for x, rate in series["explicit"]:
+            assert tilting[x] <= rate + 1e-12  # the tilting rate is the least
 
     def test_rate_point_mass_is_the_one_atom_law(self, tmp_path, capsys):
         one_atom = "kind = discrete\nvalues = 1 ns\nprobs = 1\n"

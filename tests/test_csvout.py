@@ -2,6 +2,7 @@ import csv
 import math
 import struct
 import tomllib
+import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -220,6 +221,59 @@ class TestArrayColumns:
 
         monkeypatch.setattr(csvout, "format_cell", refuse)
         assert written_columns(tmp_path, names, columns) == expected
+
+
+B = csvout._BLOCK_ROWS
+
+
+class TestBlocks:
+    """Rows are written a block of ``_BLOCK_ROWS`` at a time; where the
+    blocks are cut moves no byte."""
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3])
+    def test_every_cut_writes_cell_by_cell(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        xs = rng.choice(np.array(SPECIALS + [0.1, 1 / 3, -2.5e-9]), n)
+        # ints in the first block, "" from the second on, as rate.csv's
+        # count column holds "" then ints
+        counts = [j if j < B else "" for j in range(n)]
+        flags = (rng.random(n) < 0.5).tolist()
+        scalars = [np.float64(x) if j % 3 else np.int64(j) for j, x in enumerate(xs.tolist())]
+        columns = (range(n), np.full(n, 20), xs, rng.standard_normal(n), counts, counts[::-1],
+                   flags, scalars)
+        names = ("i", "m", "x", "y", "count", "tnuoc", "flag", "scalar")
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        assert written_columns(tmp_path, names, columns) == cell_by_cell(names, rows)
+
+    @staticmethod
+    def peak(tmp_path, columns) -> int:
+        """The tracemalloc peak of writing ``columns`` as a run's CSV."""
+        path = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            write_csv(str(path), ("realization_index", "m", "total_time_s", "log_survival"),
+                      columns, meta=META)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().count(b"\r\n") == len(columns[0]) + 2
+        return peak
+
+    def test_peak_memory_of_a_fixed_m_run_is_one_block_of_text(self, tmp_path):
+        # 2 x 10^5 rows shaped like a fixed-m run's: all of the rows' text
+        # at once took about 60 MiB
+        n, rng = 200_000, np.random.default_rng(2)
+        atoms = rng.binomial(20, 0.3, n)
+        columns = (range(n), np.full(n, 20), atoms * 1e-9 + (20 - atoms) * 3e-9,
+                   atoms * -1.3e-4 + (20 - atoms) * -2.2e-4)
+        assert self.peak(tmp_path, columns) < 2 * 2**20
+
+    def test_peak_memory_is_flat_in_the_row_count(self, tmp_path):
+        # every time and log survival distinct, as in a fixed-T run
+        rng = np.random.default_rng(3)
+        peaks = [self.peak(tmp_path, (range(n), np.full(n, 20), rng.random(n) * 1e-7,
+                                      -rng.random(n) * 1e-3)) for n in (3 * B, 12 * B)]
+        assert peaks[1] < 1.1 * peaks[0] and peaks[1] < 4 * 2**20
 
 
 RUN_CONFIG = """

@@ -446,6 +446,26 @@ class TestSegmentedRows:
         assert two[10**6] > 1.5 * one[10**6]  # the parts did overlap
         assert max(*one.values(), *two.values()) < 4 * 2**20
 
+    @pytest.mark.parametrize("law", ["d2", "power3"])
+    def test_memory_held_per_segment_is_its_statistics(self, chain, psi0, monkeypatch, law):
+        # a row's segment statistics go into one array per config and
+        # chunk: 16 bytes a segment for one row of (count, count) or (sum
+        # mu, sum ln q), and as much again for their running sum; a list
+        # entry and a view per segment held about 500
+        monkeypatch.setattr(montecarlo, "_SEGMENT", 128)
+        use_cores(monkeypatch, 1)
+        dist = d2() if law == "d2" else PowerLawIntervals(mu0=1 * NS, alpha=3.0)
+        peaks = {}
+        for segments in (100, 2000):
+            cfg = make_config(chain, psi0, dist, m=128 * segments, realizations=1)
+            tracemalloc.start()
+            try:
+                run_ensemble(cfg)
+                peaks[segments] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[2000] - peaks[100]) / 1900 < 64
+
 
 CORE_COUNTS = [1, 2, 3, 5]
 
@@ -1423,6 +1443,25 @@ class TestEnsembleSummary:
         with pytest.raises(InsufficientSamplesError):
             summ.variance_intensive_log
         assert summ.log_mean_survival == summ.log_geometric_mean == ens.log_survivals[0]
+
+    @pytest.mark.parametrize("n", [montecarlo._SUM_BLOCK + 1, 2 * montecarlo._SUM_BLOCK + 5])
+    def test_blocked_sums_have_the_bits_of_one_list(self, chain, psi0, n):
+        # fsum rounds the exact sum once, so blocks cut anywhere, the last
+        # one short, give the bits of the whole list
+        rng = np.random.default_rng(n)
+        ens = hand_built(chain, psi0, -rng.exponential(2e-3, n) - 1e-4 * rng.random(n))
+        ens.total_times[:] = rng.random(n) * 1e-7
+        summ = ensemble_summary(ens)
+        logs = ens.log_survivals
+        shifted = logs - logs.max()
+        total = math.fsum(np.exp(shifted).tolist())
+        log_mean = logs.max() + intervals._log_mean_q(
+            math.fsum((-np.expm1(shifted)).tolist()) / n, math.log(total / n))
+        assert same_bits(summ.log_mean_survival, log_mean)
+        assert same_bits(summ.log_geometric_mean, math.fsum(logs.tolist()) / n)
+        assert same_bits(summ.mean_total_time, math.fsum(ens.total_times.tolist()) / n)
+        weights = np.exp(shifted)
+        assert same_bits(summ.effective_sample_size, total * total / float(weights @ weights))
 
 
 class TestTypicalRealization:
