@@ -61,7 +61,6 @@ from .ldstats import (
     rate_curve,
     rate_function_I,
     rate_function_J,
-    survival_stats,
     survival_stats_for,
 )
 from .linalg import (

@@ -86,7 +86,7 @@ def _print_summary(ens) -> None:
         print("  tau_Z   = infinite (eigenstate)")
     if tz is not None:
         try:
-            cond = qze_condition(dist, h, psi0, m)
+            cond = qze_condition(dist, h, psi0)
             print(f"  <delta> = {_fmt(cond.delta_mean)}")
         except InfiniteSecondMomentError:
             print("  <delta> = n/a (infinite second moment)")
@@ -154,14 +154,14 @@ def _cmd_rate(args) -> int:
         raise ConfigError("rate curves need a discrete waiting-time distribution")
     if run.mode != "fixed_m":
         raise ConfigError("rate curves need mode = fixed_m")
-    prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, run.dist, run.m)
+    prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, run.dist)
 
     ens = run_ensemble(run)
     est = empirical_rate(ens, bins=cfg.bins)
     os.makedirs(out, exist_ok=True)
 
     rows = []
-    tilting = rate_curve(prob, points=200, method="tilting")
+    tilting = rate_curve(prob, points=200)
     # the paper's split on the grid points where it stays on the simplex:
     # all of them for d <= 2, one run of them or none for d > 2
     xs = tilting.xs[explicit_domain(prob, tilting.xs)]

@@ -42,7 +42,7 @@ presentation boundaries, since realistic m underflow doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .dynamics import (
     phase_weights,
     zeno_time,
 )
-from .intervals import DiscreteIntervals, IntervalDistribution, _atom_moments
+from .intervals import DiscreteIntervals, IntervalDistribution
 
 __all__ = [
     "OutOfRangeError",
@@ -70,7 +70,6 @@ __all__ = [
     "rate_curve",
     "rate_function_J",
     "SurvivalStats",
-    "survival_stats",
     "survival_stats_for",
     "joint_rate_function",
     "contracted_rate",
@@ -84,8 +83,8 @@ __all__ = [
     "disorder_gain",
 ]
 
-#: atoms whose ln q differ by less than this are merged before the
-#: f-construction (the occupation constraints are rank-deficient there)
+#: atoms whose ln q differ by less than this are one level to the rate
+#: functions (the occupation constraints are rank-deficient there)
 LOGQ_MERGE_TOL = 1e-14
 #: bisection aims for |tilted mean - x| at or below this
 TILT_X_TOL = 1e-13
@@ -112,13 +111,20 @@ class LdProblem:
     """Discrete waiting-time law together with the per-atom log survivals.
 
     ``logq[a]`` is ln q(mu^(a)) for atom a of ``dist`` (all finite: atoms
-    sitting exactly on a zero of the overlap are not admissible), and
-    ``m`` is the number of measurements the extensive quantities refer to.
+    sitting exactly on a zero of the overlap are not admissible).
+
+    ``probs`` and ``levels`` are the law as every rate function reads it:
+    atoms whose ln q is within ``LOGQ_MERGE_TOL`` of an earlier level are
+    indistinguishable to the log-survival statistics and join it, their
+    probabilities summed. Listed order is kept, so the last level keeps the
+    distinguished role in the f-construction. Where no two atoms merge the
+    two equal ``dist.probs`` and ``logq`` exactly.
     """
 
     dist: DiscreteIntervals
     logq: np.ndarray
-    m: int
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
+    levels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lq = np.atleast_1d(np.asarray(self.logq, dtype=float))
@@ -126,40 +132,25 @@ class LdProblem:
             raise ValueError("logq must align with the distribution atoms")
         if not np.all(np.isfinite(lq)) or np.any(lq > 0):
             raise ValueError("each ln q must be finite and non-positive")
-        if self.m < 1:
-            raise ValueError("m must be a positive count")
-        object.__setattr__(self, "logq", lq)
-
-    @classmethod
-    def for_system(
-        cls,
-        h: Hamiltonian,
-        psi0: PureState,
-        dist: DiscreteIntervals,
-        m: int,
-    ) -> "LdProblem":
-        """Evaluate ln q on the atoms of ``dist`` for the given system."""
-        logq = log_survival_factors(*phase_weights(h, psi0), dist.values)
-        return cls(dist=dist, logq=logq, m=m)
-
-    def merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atom probabilities and log survivals after merging equal-q atoms.
-
-        Atoms whose ln q agree within ``LOGQ_MERGE_TOL`` are
-        indistinguishable to the log-survival statistics; their
-        probabilities are summed. Listed order is preserved, so the last
-        merged atom keeps the distinguished role in the f-construction.
-        """
-        probs, logq = [], []
-        for p, lq in zip(self.dist.probs, self.logq):
-            for k, existing in enumerate(logq):
-                if abs(existing - lq) < LOGQ_MERGE_TOL:
+        probs, levels = [], []
+        for p, level in zip(self.dist.probs.tolist(), lq.tolist()):
+            for k, existing in enumerate(levels):
+                if abs(existing - level) < LOGQ_MERGE_TOL:
                     probs[k] += p
                     break
             else:
-                probs.append(float(p))
-                logq.append(float(lq))
-        return np.asarray(probs), np.asarray(logq)
+                probs.append(p)
+                levels.append(level)
+        object.__setattr__(self, "logq", lq)
+        object.__setattr__(self, "probs", np.asarray(probs))
+        object.__setattr__(self, "levels", np.asarray(levels))
+
+    @classmethod
+    def for_system(
+        cls, h: Hamiltonian, psi0: PureState, dist: DiscreteIntervals
+    ) -> "LdProblem":
+        """Evaluate ln q on the atoms of ``dist`` for the given system."""
+        return cls(dist=dist, logq=log_survival_factors(*phase_weights(h, psi0), dist.values))
 
 
 @dataclass(frozen=True)
@@ -187,11 +178,12 @@ def _like(x, values: np.ndarray):
     return float(values) if np.ndim(x) == 0 else values
 
 
-def _explicit_fractions(p: np.ndarray, logq: np.ndarray, xs: np.ndarray):
-    """(inside, f) of the merged law (p, logq) at each x: whether x lies in
+def _explicit_fractions(prob: LdProblem, xs: np.ndarray):
+    """(inside, f) of the problem's levels at each x: whether x lies in
     [min ln q, max ln q] up to round-off, and its occupation fractions
-    along a new last axis (x snapped into that range, the last listed atom
-    distinguished; one fraction of 1 for a law of one ln q)."""
+    along a new last axis (x snapped into that range, the last level
+    distinguished; one fraction of 1 for a law of one level)."""
+    p, logq = prob.probs, prob.levels
     lo, hi = float(np.min(logq)), float(np.max(logq))
     slack = 1e-15 * max(hi - lo, 1.0)
     inside = (xs >= lo - slack) & (xs <= hi + slack)
@@ -208,9 +200,8 @@ def explicit_domain(prob: LdProblem, x):
     x inside [min ln q, max ln q] with its occupation fractions on the
     probability simplex. For d <= 2 that is the whole range; for d > 2 it
     is one interval of it, or none, as each fraction is affine in x."""
-    p, logq = prob.merged()
     xs = np.asarray(x, dtype=float)
-    inside, f = _explicit_fractions(p, logq, xs)
+    inside, f = _explicit_fractions(prob, xs)
     ok = inside & np.all(f >= -1e-12, axis=-1)
     return bool(ok) if np.ndim(x) == 0 else ok
 
@@ -220,19 +211,19 @@ def rate_function_I(prob: LdProblem, x):
     array (one value per entry, each the bits of a call on that entry).
 
     Builds the occupation fractions f from x (distinguishing the last
-    listed atom), then returns KL(f || p). Raises ``OutOfRangeError``,
+    level), then returns KL(f || p). Raises ``OutOfRangeError``,
     naming the first offending x, when x is outside [min ln q, max ln q]
     or, for d > 2, when this particular construction leaves the
     probability simplex (``explicit_domain`` says where it does not).
     """
-    p, logq = prob.merged()
     xs = np.asarray(x, dtype=float)
-    inside, f = _explicit_fractions(p, logq, xs)
-    _require(inside, xs, f"outside attainable [{float(np.min(logq))!r}, {float(np.max(logq))!r}]")
-    if p.size == 1:
+    inside, f = _explicit_fractions(prob, xs)
+    lo, hi = float(np.min(prob.levels)), float(np.max(prob.levels))
+    _require(inside, xs, f"outside attainable [{lo!r}, {hi!r}]")
+    if prob.levels.size == 1:
         return _like(x, np.zeros(xs.shape))
     _require(np.all(f >= -1e-12, axis=-1), xs, "puts the occupation fractions off the simplex")
-    return _like(x, _kl(np.clip(f, 0.0, None), p))
+    return _like(x, _kl(np.clip(f, 0.0, None), prob.probs))
 
 
 def _tilt_bracket(p: np.ndarray, logq: np.ndarray, xs: np.ndarray):
@@ -262,13 +253,13 @@ def cramer_rate(prob: LdProblem, x):
     (``_tilt_bracket``) and bisected, every x at once, until the bracket is
     at most 1e-15 max(|t|, 1) wide; its midpoint is accepted only if the
     tilted mean of ln q there is within ``TILT_X_TOL`` of x. x must lie in
-    the open interval (min ln q, max ln q), except for a law with one ln q
-    (within ``LOGQ_MERGE_TOL``), whose rate is 0 at that point.
+    the open interval (min ln q, max ln q), except for a law of one level,
+    whose rate is 0 at that point.
     """
-    p, logq = prob.dist.probs, prob.logq
+    p, logq = prob.probs, prob.levels
     lo, hi = float(np.min(logq)), float(np.max(logq))
     xs = np.asarray(x, dtype=float)
-    if hi - lo < LOGQ_MERGE_TOL:
+    if logq.size == 1:
         _require(np.abs(xs - lo) <= LOGQ_MERGE_TOL, xs, f"is not the law's only ln q {lo!r}")
         return _like(x, np.zeros(xs.shape))
     _require((lo < xs) & (xs < hi), xs, f"outside open interval ({lo!r}, {hi!r})")
@@ -298,26 +289,20 @@ def cramer_rate(prob: LdProblem, x):
     return _like(x, -(umax + np.log(total)))
 
 
-def rate_curve(
-    prob: LdProblem, points: int = 200, *, method: str = "explicit"
-) -> RateCurve:
-    """Sample the rate function on a uniform grid over its domain, in one
-    call of the rate function on the whole grid.
+def rate_curve(prob: LdProblem, points: int = 200) -> RateCurve:
+    """Sample ``cramer_rate`` on a uniform grid over its domain, in one
+    call on the whole grid.
 
     The grid spans [min ln q + eps, max ln q - eps] with eps a 1e-9
     fraction of the range, keeping clear of the boundary where the
-    tilting parameter diverges. Where every atom has the same ln q, as for
-    a point mass, the domain is that one value and the curve one point.
-    ``method`` selects "explicit" (f-construction) or "tilting".
+    tilting parameter diverges. For a law of one level, as a point mass,
+    the domain is that one value and the curve one point. The explicit
+    curve on the same grid is ``rate_function_I(prob, rate_curve(prob).xs)``.
     """
-    if method not in ("explicit", "tilting"):
-        raise ValueError(f"unknown method {method!r}")
-    _, logq = prob.merged()
-    lo, hi = float(np.min(logq)), float(np.max(logq))
+    lo, hi = float(np.min(prob.levels)), float(np.max(prob.levels))
     eps = 1e-9 * (hi - lo)
     xs = np.linspace(lo + eps, hi - eps, points if hi > lo else 1)
-    fn = rate_function_I if method == "explicit" else cramer_rate
-    return RateCurve(xs=xs, rates=fn(prob, xs))
+    return RateCurve(xs=xs, rates=cramer_rate(prob, xs))
 
 
 def rate_function_J(prob: LdProblem, survival: float) -> float:
@@ -355,27 +340,17 @@ class SurvivalStats:
         return self.log_p_mean - self.log_p_star
 
 
-def _survival_stats(m: int, mean_log_q: float, log_mean_q: float) -> SurvivalStats:
-    """L* = m E[ln q] and ln<P> = m ln E[q]."""
-    return SurvivalStats(log_p_star=m * mean_log_q, log_p_mean=m * log_mean_q, m=m)
-
-
-def survival_stats(prob: LdProblem) -> SurvivalStats:
-    """Survival statistics of a discrete law from the atom-order averages of
-    ``log_q_moments`` on the problem's ln q: ``survival_stats_for`` on the
-    same system, bit for bit. L* is the zero of the rate function."""
-    return _survival_stats(prob.m, *_atom_moments(prob.dist.probs, prob.logq))
-
-
 def survival_stats_for(
     dist: IntervalDistribution, h: Hamiltonian, psi0: PureState, m: int
 ) -> SurvivalStats:
-    """Survival statistics for any waiting-time law, from its E[ln q] and
-    ln E[q] (``log_q_moments``); a power law whose tail is too heavy for
-    its quadrature raises ``QuadratureNoConvergenceError``."""
+    """Survival statistics for any waiting-time law: L* = m E[ln q] and
+    ln<P> = m ln E[q], from ``log_q_moments``. At m = 1, L* is the zero x*
+    of the rate function. A power law whose tail is too heavy for its
+    quadrature raises ``QuadratureNoConvergenceError``."""
     if m < 1:
         raise ValueError("m must be a positive count")
-    return _survival_stats(m, *dist.log_q_moments(*phase_weights(h, psi0)))
+    mean_log_q, log_mean_q = dist.log_q_moments(*phase_weights(h, psi0))
+    return SurvivalStats(log_p_star=m * mean_log_q, log_p_mean=m * log_mean_q, m=m)
 
 
 def _joint_fractions(prob: LdProblem, x: float, y: float) -> np.ndarray:
@@ -385,6 +360,8 @@ def _joint_fractions(prob: LdProblem, x: float, y: float) -> np.ndarray:
     logq = prob.logq
     if mu.size > 2:
         raise ValueError("the joint rate needs one or two atoms")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise OutOfRangeError(f"(x, y) = ({x!r}, {y!r}) must be finite")
     if y <= 0.0:
         raise OutOfRangeError("intensive total time y must be positive")
     if mu.size == 1:
@@ -422,7 +399,8 @@ def joint_rate_function(prob: LdProblem, x: float, y: float) -> float:
     this reproduces the marginal rate I(x) exactly; sweeping y at fixed x
     re-weights the deviation instead of pricing an independent time
     fluctuation, so recovering I(x) by contraction must restrict y to
-    the consistency set (see ``contracted_rate``).
+    the consistency set (see ``contracted_rate``). A non-finite x or y
+    raises ``OutOfRangeError``.
     """
     g = _joint_fractions(prob, x, y)
     return float(_kl(g, prob.dist.probs))
@@ -434,11 +412,12 @@ def contracted_rate(prob: LdProblem, x: float) -> float:
     The minimization over T/m keeps T at its conditional expectation:
     the admissible y solves y = sum_a g_a(x, y) mu_a. With two atoms
     ln q fixes the occupation fractions f of ``rate_function_I`` alone,
-    so y* = f . mu, and the joint rate there is the marginal I(x). Other
-    atom counts, and two atoms whose ln q ``LdProblem.merged`` merges,
-    raise ``ValueError``, as ``fixed_time_solve_m`` does.
+    so y* = f . mu, and the joint rate there is the marginal I(x); a
+    non-finite x raises ``OutOfRangeError`` there. Other atom counts, and
+    two atoms of one level, raise ``ValueError``, as ``fixed_time_solve_m``
+    does.
     """
-    if prob.dist.d != 2 or prob.merged()[1].size != 2:
+    if prob.dist.d != 2 or prob.levels.size != 2:
         raise ValueError("the contraction needs exactly two atoms of distinct ln q")
     (mu1, mu2), (lq1, lq2) = prob.dist.values.tolist(), prob.logq.tolist()
     f1 = (lq2 - x) / (lq2 - lq1)
@@ -464,25 +443,18 @@ class FixedTimeSolution:
 
 
 def fixed_time_solve_m(
-    dist: DiscreteIntervals,
-    logq: np.ndarray,
-    log_survival: float,
-    total_time: float,
+    prob: LdProblem, log_survival: float, total_time: float
 ) -> FixedTimeSolution:
     """Recover the measurement count from (L, T) for a two-atom law.
 
     With two atoms the constraints  n1 mu1 + n2 mu2 = T  and
     n1 ln q1 + n2 ln q2 = L  determine (n1, n2) uniquely; their sum is m.
     Raises ``InconsistentConstraintsError`` when the unique solution has
-    a negative count (no realization produces that pair).
+    a negative or non-finite count (no realization produces that pair).
     """
-    if dist.d != 2:
+    if prob.dist.d != 2:
         raise ValueError("count reconstruction requires exactly two atoms")
-    lq = np.atleast_1d(np.asarray(logq, dtype=float))
-    if lq.shape != (2,):
-        raise ValueError("logq must provide ln q for both atoms")
-    mu1, mu2 = float(dist.values[0]), float(dist.values[1])
-    lq1, lq2 = float(lq[0]), float(lq[1])
+    (mu1, mu2), (lq1, lq2) = prob.dist.values.tolist(), prob.logq.tolist()
     det = mu1 * lq2 - mu2 * lq1
     scale = max(abs(mu1 * lq2), abs(mu2 * lq1), np.finfo(float).tiny)
     if abs(det) <= 1e-12 * scale:
@@ -491,6 +463,10 @@ def fixed_time_solve_m(
         )
     n1 = (total_time * lq2 - log_survival * mu2) / det
     n2 = (log_survival * mu1 - total_time * lq1) / det
+    if not (math.isfinite(n1) and math.isfinite(n2)):
+        raise InconsistentConstraintsError(
+            f"no finite counts: (L, T) = ({log_survival!r}, {total_time!r})"
+        )
     tol = 1e-9 * (abs(n1) + abs(n2) + 1.0)
     if n1 < -tol or n2 < -tol:
         raise InconsistentConstraintsError(
@@ -562,28 +538,17 @@ class QzeCondition:
     """Leading decay per measurement for frequent random measurements.
 
     ``delta_mean`` is E[mu^2] / tau_Z^2; freezing requires it to be
-    small. When a count m is given, ``log_p_estimate`` = -m delta_mean is
-    the shared leading approximation of both the most probable and the
-    mean survival.
+    small. For m measurements, -m ``delta_mean`` is the shared leading
+    estimate of both the most probable and the mean log-survival.
     """
 
     delta_mean: float
     tau_z: float
     second_moment: float
-    m: int | None = None
-
-    @property
-    def log_p_estimate(self) -> float | None:
-        if self.m is None:
-            return None
-        return -self.m * self.delta_mean
 
 
 def qze_condition(
-    dist: IntervalDistribution,
-    h: Hamiltonian,
-    psi0: PureState,
-    m: int | None = None,
+    dist: IntervalDistribution, h: Hamiltonian, psi0: PureState
 ) -> QzeCondition:
     """Evaluate the frequent-measurement freezing condition for ``dist``.
 
@@ -593,7 +558,7 @@ def qze_condition(
     """
     sm = dist.second_moment()
     tz = zeno_time(h, psi0)
-    return QzeCondition(delta_mean=sm / tz**2, tau_z=tz, second_moment=sm, m=m)
+    return QzeCondition(delta_mean=sm / tz**2, tau_z=tz, second_moment=sm)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from zenosim import (
     rate_curve,
     rate_function_I,
     run_ensemble,
-    survival_stats,
     survival_stats_for,
     survival_trace,
     zeno_time,
@@ -112,13 +111,14 @@ def test_criterion_03_two_level_closed_form(rabi):
 
 
 def test_criterion_04_rate_function_cross_validation(chain, psi0):
-    prob = LdProblem.for_system(chain, psi0, d2_dist(), 100)
-    curve = rate_curve(prob, points=200, method="explicit")
+    prob = LdProblem.for_system(chain, psi0, d2_dist())
+    xs = rate_curve(prob, points=200).xs
+    rates = rate_function_I(prob, xs)
     worst = 0.0
-    for x, rate in zip(curve.xs, curve.rates):
+    for x, rate in zip(xs, rates):
         worst = max(worst, abs(float(rate) - cramer_rate(prob, float(x))))
-    at_star = rate_function_I(prob, survival_stats(prob).log_p_star / prob.m)
-    convexity = float(np.min(np.diff(curve.rates, 2)))
+    at_star = rate_function_I(prob, survival_stats_for(prob.dist, chain, psi0, 1).log_p_star)
+    convexity = float(np.min(np.diff(rates, 2)))
     assert worst <= 1e-10
     assert at_star <= 1e-12
     assert convexity >= -1e-9
@@ -172,8 +172,8 @@ def test_criterion_05_exact_enumeration_vs_monte_carlo(chain, psi0):
 def test_criterion_06_concentration_around_typical_value(chain, psi0):
     m, n = 2000, 100
     dist = d2_dist()
-    prob = LdProblem.for_system(chain, psi0, dist, m)
-    l_star_per_m = survival_stats(prob).log_p_star / m
+    prob = LdProblem.for_system(chain, psi0, dist)
+    l_star_per_m = survival_stats_for(dist, chain, psi0, 1).log_p_star
     mean_lq = float(np.dot(dist.probs, prob.logq))
     var_lq = float(np.dot(dist.probs, prob.logq**2)) - mean_lq**2
     sigma = math.sqrt(var_lq / m)
@@ -197,7 +197,7 @@ def test_criterion_07_jensen_gap(chain, psi0):
         ("d=4", D4_VALUES_S, D4_PROBS),
     ):
         dist = DiscreteIntervals(np.array(values), np.array(probs))
-        stats = survival_stats(LdProblem.for_system(chain, psi0, dist, m))
+        stats = survival_stats_for(dist, chain, psi0, m)
         gaps[label] = stats.log_jensen_gap
         assert stats.log_jensen_gap >= 1e-12
     pl_stats = survival_stats_for(PowerLawIntervals(1 * NS, 3.0), chain, psi0, m)
@@ -214,8 +214,7 @@ def test_criterion_08_log_affinity_in_probability(chain, psi0):
     xs = []
     for p1 in p1s:
         dist = DiscreteIntervals(np.array(D2_VALUES_S), np.array([p1, 1 - p1]))
-        prob = LdProblem.for_system(chain, psi0, dist, 6400)
-        xs.append(survival_stats(prob).log_p_star / prob.m)
+        xs.append(survival_stats_for(dist, chain, psi0, 1).log_p_star)
     coeffs = np.polyfit(p1s, xs, 1)
     residual = float(np.max(np.abs(np.polyval(coeffs, p1s) - np.asarray(xs))))
     assert residual <= 1e-12
@@ -275,7 +274,7 @@ def test_criterion_11_disorder_enhancement(chain, psi0):
 
 
 def test_criterion_12_contraction(chain, psi0):
-    prob = LdProblem.for_system(chain, psi0, d2_dist(), 100)
+    prob = LdProblem.for_system(chain, psi0, d2_dist())
     lo, hi = float(prob.logq.min()), float(prob.logq.max())
     span = hi - lo
     worst = 0.0

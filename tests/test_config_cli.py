@@ -157,6 +157,14 @@ class TestLoadConfig:
         for kind, keys in _DIST_KEYS.items():
             assert f"{' and '.join(f'`{key}`' for key in keys[1:])} ({kind})" in words, kind
 
+    def test_readme_library_quick_start_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```python\n")[1].split("```")[0]
+        exec(compile(example, "README.md", "exec"), {})
+        out = capsys.readouterr().out
+        for label in ("Zeno time:", "most probable survival:", "typical vs p1:"):
+            assert label in out, label
+
     @pytest.mark.parametrize("law,key", [
         ("kind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\nalpha = 3", "alpha"),
         ("kind = discrete\nvalues = 1 ns, 3 ns\nprobs = 0.3, 0.7\nmu_bar = 2 ns", "mu_bar"),
@@ -342,9 +350,9 @@ class TestCli:
         series = {name: [(float(x), float(rate)) for n, x, rate, _ in rows if n == name]
                   for name in ("explicit", "tilting")}
         cfg = load_config(str(path))
-        prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, cfg.ensemble.dist, 50)
+        prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, cfg.ensemble.dist)
         xs = [x for x, _ in series["tilting"]]
-        assert len(xs) == 200 and xs == rate_curve(prob, method="tilting").xs.tolist()
+        assert len(xs) == 200 and xs == rate_curve(prob).xs.tolist()
         for x, rate in series["tilting"][::8] + series["tilting"][-1:]:
             assert rate == pytest.approx(tilted_rate(prob.dist.probs, prob.logq, x, dps=30),
                                          rel=1e-14, abs=1e-15)

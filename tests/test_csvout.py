@@ -15,7 +15,7 @@ from zenosim import __version__, csvout, run_ensemble
 from zenosim.cli import main
 from zenosim.csvout import format_cell, write_csv
 from zenosim.expconfig import load_config
-from zenosim.ldstats import LdProblem, rate_curve
+from zenosim.ldstats import LdProblem, RateCurve, rate_curve, rate_function_I
 from zenosim.montecarlo import empirical_rate
 from zenosim.presets import PRESETS, default_system, run_preset
 from zenosim.rng import DEFAULT_SEED
@@ -333,10 +333,11 @@ def test_rate_csv_matches_cell_by_cell_of_its_curves(tmp_path, capsys):
     assert main(["rate", str(path), "--out", str(tmp_path)]) == 0
     cfg = load_config(str(path))
     run = cfg.ensemble
-    prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, run.dist, run.m)
+    prob = LdProblem.for_system(cfg.hamiltonian, cfg.state, run.dist)
+    tilting = rate_curve(prob, points=200)
+    explicit = RateCurve(xs=tilting.xs, rates=rate_function_I(prob, tilting.xs))
     rows = []
-    for name in ("explicit", "tilting"):
-        curve = rate_curve(prob, points=200, method=name)
+    for name, curve in (("explicit", explicit), ("tilting", tilting)):
         rows += [(name, x, rate, "") for x, rate in zip(curve.xs.tolist(), curve.rates.tolist())]
     est = empirical_rate(run_ensemble(run), bins=9)
     rows += [("empirical", x, rate, count) for x, rate, count in

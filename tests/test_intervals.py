@@ -552,4 +552,4 @@ class TestPointMass:
         assert point.log_q_moments(lam, w) == one_atom.log_q_moments(lam, w)
         assert (survival_stats_for(point, chain, psi0, 300)
                 == survival_stats_for(one_atom, chain, psi0, 300))
-        assert qze_condition(point, chain, psi0, 300) == qze_condition(one_atom, chain, psi0, 300)
+        assert qze_condition(point, chain, psi0) == qze_condition(one_atom, chain, psi0)

@@ -37,7 +37,7 @@ from zenosim import (
     log_survival_factor,
     log_survival_factors,
     run_ensemble,
-    survival_stats,
+    survival_stats_for,
 )
 from zenosim import intervals, montecarlo, presets
 from zenosim.dynamics import phase_weights
@@ -1339,8 +1339,7 @@ class TestStatisticalProperties:
         m, n = 100, 20_000
         cfg = make_config(chain, psi0, d2(), m=m, realizations=n, master_seed=99)
         ens = run_ensemble(cfg)
-        prob = LdProblem.for_system(chain, psi0, d2(), m)
-        l_star = survival_stats(prob).log_p_star
+        l_star = survival_stats_for(d2(), chain, psi0, m).log_p_star
         se = math.sqrt(ensemble_summary(ens).variance_intensive_log * m**2 / n)
         assert abs(float(ens.log_survivals.mean()) - l_star) <= 3 * se
 
@@ -1385,7 +1384,7 @@ class TestEnsembleSummary:
         cfg = make_config(chain, psi0, d2(), m=m, realizations=n, master_seed=5150)
         ens = run_ensemble(cfg)
         summ = ensemble_summary(ens)
-        stats = survival_stats(LdProblem.for_system(chain, psi0, d2(), m))
+        stats = survival_stats_for(d2(), chain, psi0, m)
         # standard error of the sample mean of P, propagated into the log
         survivals = np.exp(ens.log_survivals)
         se_log = float(survivals.std(ddof=1)) / math.sqrt(n) / float(survivals.mean())
@@ -1497,7 +1496,7 @@ class TestEmpiricalRate:
         cfg = make_config(chain, psi0, d2(), m=m, realizations=n, master_seed=8080)
         ens = run_ensemble(cfg)
         est = empirical_rate(ens, bins=25)
-        prob = LdProblem.for_system(chain, psi0, d2(), m)
+        prob = LdProblem.for_system(chain, psi0, d2())
         from zenosim import rate_function_I
 
         checked = 0
