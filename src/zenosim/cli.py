@@ -58,6 +58,10 @@ _NUMERICAL_ERRORS = (
     NonFiniteRecordsError,
 )
 
+#: most markers the run SVG plots: every ceil(n / this)-th realization, at
+#: its own index, so the file's size stays bounded in n
+_SVG_MARKERS = 2000
+
 
 def _out_dir(arg: str | None) -> str:
     return arg or os.environ.get("ZENOSIM_OUTDIR") or "."
@@ -134,9 +138,11 @@ def _cmd_run(args) -> int:
     print(f"wrote {csv_path} ({ens.n} realizations)")
     if cfg.svg_path:
         svg_path = os.path.join(out, cfg.svg_path)
+        step = -(-ens.n // _SVG_MARKERS)
         write_svg(
             svg_path,
-            [Series("ln P", list(range(ens.n)), ens.log_survivals.tolist(), marker=True)],
+            [Series("ln P", list(range(0, ens.n, step)), ens.log_survivals[::step].tolist(),
+                    marker=True)],
             title="ensemble log-survival",
             xlabel="realization",
             ylabel="ln P",

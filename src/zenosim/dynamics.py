@@ -53,6 +53,9 @@ __all__ = [
 UNDERFLOW_FLOOR = 1e-300
 #: phase weights at or below this are eigensolver round-off (``phase_weights``)
 _WEIGHT_FLOOR = 1e-28
+#: support levels closer than this many eps max|lambda| are one level
+#: (``phase_weights``): ``eigh`` resolves no finer
+_MERGE_ULPS = 8
 
 
 class DimensionMismatchError(ValueError):
@@ -183,6 +186,14 @@ def phase_weights(h: Hamiltonian, psi0: PureState) -> tuple[np.ndarray, np.ndarr
     lowers delta(mu), a sum of non-negative pair terms, by at most 4 eps
     and moves the amplitude by at most eps, under its 1e-16 round-off for
     fewer than 10^12 levels.
+
+    ``eigh`` splits a degenerate level by about eps max|lam|, so adjacent
+    support levels at most ``_MERGE_ULPS`` = 8 eps max|lam| apart are
+    joined: the lowest keeps its energy and takes their summed weight.
+    Merging levels g apart drops their pair term, 4 w_j w_k sin^2(g mu/2)
+    <= w_j w_k (g mu)^2, and moves every other gap by at most g, as the
+    eigensolver's own error already does. So a state in a degenerate
+    eigenspace has one energy, and ``zeno_time`` raises for it.
     """
     if h.dim != psi0.dim:
         raise DimensionMismatchError(
@@ -191,7 +202,13 @@ def phase_weights(h: Hamiltonian, psi0: PureState) -> tuple[np.ndarray, np.ndarr
     c = h.spec.eigenvectors.conj().T @ psi0.amplitudes
     w = np.abs(c) ** 2
     kept = w > _WEIGHT_FLOOR
-    return h.spec.eigenvalues[kept], w[kept]
+    lam, w = h.spec.eigenvalues[kept], w[kept]
+    tol = _MERGE_ULPS * 2.0**-52 * float(np.abs(h.spec.eigenvalues).max())
+    apart = np.diff(lam) > tol
+    if apart.all():
+        return lam, w
+    firsts = np.flatnonzero(np.concatenate(([True], apart)))
+    return lam[firsts], np.add.reduceat(w, firsts)
 
 
 def _pairs(lam: np.ndarray, w: np.ndarray) -> list[tuple[float, float, float]]:

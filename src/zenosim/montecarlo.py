@@ -46,11 +46,15 @@ Fixed T runs the stop rule once over a chunk's stacked first blocks,
 sized from the law's mean. The rule is Neumaier-compensated, but the
 plain running sums decide nearly every row: only a row whose sum comes
 within a proven round-off margin of the budget, or which keeps its whole
-block, runs the compensated rule. A row that keeps its whole block
-selects its stream at the block's end and carries on alone. Kept draws
-are mapped by one ln q call per about ``_CHUNK_TARGET`` of them, so
-memory does not grow with T, and each row's draws and ln q are summed on
-their own by ``np.sum``'s pairwise reduction.
+block, runs the compensated rule. One ln q call maps the chunk's whole
+block, overrun draws included, and one masked ``np.add.reduce`` per
+statistic sums each row's kept prefix where it lies, with the bits of
+the prefix summed alone: NumPy's masked reduction runs its pairwise
+loop on each run of unmasked entries, and a prefix is one run. A row
+that keeps its whole block selects its stream at the block's end and
+carries on alone; such rows are mapped by one ln q call per about
+``_CHUNK_TARGET`` of their kept draws, so memory does not grow with T,
+and each is summed on its own by ``np.add.reduce``.
 """
 
 from __future__ import annotations
@@ -80,7 +84,8 @@ __all__ = [
     "ensemble_summary",
 ]
 
-#: draws per fixed-m chunk, and kept draws (bar one row) per fixed-T ln q call
+#: draws per fixed-m chunk, and kept draws (bar one row) per ln q call over
+#: the fixed-T rows that carry on past their first block
 _CHUNK_TARGET = 262_144
 #: a fixed-m chunk draws its words with ``philox_words`` when its rows
 #: are at most this long and at least ``_VECTOR_MIN_ROWS`` many; otherwise
@@ -103,11 +108,6 @@ _SEGMENT = 65_536
 #: output and temporaries for a power law), so peak memory grows with the
 #: part count, and only two cores have been measured (BENCH_14.json)
 _MAX_PARTS = 2
-#: fixed-T rows that keep at most this many draws are summed by one (rows, m)
-#: gather per kept count m, longer rows one by one in place: a row's own two
-#: sums cost about 4 us, a gather about 6 us plus 14 ns per gathered draw,
-#: so the gather pays for short rows only (measured in BENCH_24.json)
-_GATHER_MAX_M = 128
 #: relative slack on the fixed-time budget comparison, so exact ties
 #: (degenerate laws) are not lost to accumulated round-off
 _BUDGET_SLACK = 1e-12
@@ -485,35 +485,30 @@ def _fixed_t_draws(dist, rng, limit: float, first: np.ndarray, total: np.ndarray
         drawn += mus.size
 
 
-def _fixed_t_sums(lam, w, rows: list[np.ndarray]):
-    """(ms, totals, log survivals) of fixed-T realizations from their kept
-    draws: ln q runs once over all of them, and each row is summed on its
-    own by ``np.sum``'s pairwise reduction. Rows of at most
-    ``_GATHER_MAX_M`` draws are summed by one (rows, m) gather per kept
-    count m; a longer row is summed in place by ``np.add.reduce``, so it
-    is never copied."""
-    ms = np.array([row.size for row in rows], dtype=np.int64)
-    flat = rows[0] if len(rows) == 1 else np.concatenate(rows)
-    logq = log_survival_factors(lam, w, flat)
-    ends = np.cumsum(ms)
-    totals, logs = np.empty(len(rows)), np.empty(len(rows))
-    short = ms <= _GATHER_MAX_M
-    for m in np.unique(ms[short]).tolist():
-        at = np.flatnonzero(ms == m)
-        span = ends[at, None] + np.arange(-m, 0)
-        totals[at], logs[at] = flat[span].sum(axis=-1), logq[span].sum(axis=-1)
-    long, end = np.flatnonzero(~short).tolist(), ends.tolist()
-    totals[long] = [np.add.reduce(rows[j]) for j in long]
-    logs[long] = [np.add.reduce(logq[end[j] - rows[j].size:end[j]]) for j in long]
-    return ms, totals, logs
+def _carried_sums(ens: SurvivalEnsemble, lam, w, at: list[int], rows: list[np.ndarray]) -> None:
+    """Write the records of the fixed-T realizations ``at`` from their
+    kept draws ``rows``, rows that kept their whole first block: ln q runs
+    once over all their draws, and each row is summed on its own by
+    ``np.add.reduce``."""
+    ms = [row.size for row in rows]
+    logq = log_survival_factors(lam, w, np.concatenate(rows))
+    ens.ms[at] = ms
+    ens.total_times[at] = [np.add.reduce(row) for row in rows]
+    ens.log_survivals[at] = [np.add.reduce(logq[end - m:end])
+                             for m, end in zip(ms, itertools.accumulate(ms))]
 
 
 def _run_fixed_t(ens: SurvivalEnsemble) -> None:
     """Fill the records of a fixed-T ensemble in chunks of about
     ``_SEGMENT`` first-block draws, one block per realization's stream:
-    one stop rule over a chunk's stacked blocks, ``_fixed_t_draws`` for
-    each row that keeps its whole block, and ``_fixed_t_sums`` at the
-    chunk's end or once its rows hold ``_CHUNK_TARGET`` kept draws."""
+    one stop rule over a chunk's stacked blocks, one ln q call over the
+    whole of them, and one masked ``np.add.reduce`` per statistic, which
+    sums each row's kept prefix where it lies, with the bits of the
+    prefix summed alone (NumPy runs its pairwise loop on each run of
+    unmasked entries, and a prefix is one run). A row that keeps its
+    whole block carries on through ``_fixed_t_draws``, and such rows are
+    summed by ``_carried_sums`` once they hold ``_CHUNK_TARGET`` kept
+    draws, and at the chunk's end."""
     cfg = ens.config
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     family = StreamFamily(cfg.master_seed)
@@ -529,17 +524,21 @@ def _run_fixed_t(ens: SurvivalEnsemble) -> None:
         for j in range(stop - start):
             block[j] = cfg.dist.sample(family.select(start + j), size)
         kept, totals, comps = _kept_in_block(block, *np.zeros((2, stop - start)), limit)
-        rows, held, done = [], 0, start
-        for j, n in enumerate(kept.tolist()):
-            rows.append(block[j, :n] if n < size else
-                        _fixed_t_draws(cfg.dist, family.select(start + j, size), limit,
+        prefix = np.arange(size) < kept[:, None]
+        ens.ms[start:stop] = kept
+        np.add.reduce(block, axis=1, where=prefix, out=ens.total_times[start:stop])
+        np.add.reduce(log_survival_factors(lam, w, block), axis=1, where=prefix,
+                      out=ens.log_survivals[start:stop])
+        carried = np.flatnonzero(kept == size).tolist()
+        at, rows, held = [], [], 0
+        for j in carried:
+            at.append(start + j)
+            rows.append(_fixed_t_draws(cfg.dist, family.select(start + j, size), limit,
                                        block[j], totals[j:j + 1], comps[j:j + 1]))
             held += rows[-1].size
-            if held >= _CHUNK_TARGET or start + j + 1 == stop:
-                i = start + j + 1
-                ens.ms[done:i], ens.total_times[done:i], ens.log_survivals[done:i] = (
-                    _fixed_t_sums(lam, w, rows))
-                rows, held, done = [], 0, i
+            if held >= _CHUNK_TARGET or j == carried[-1]:
+                _carried_sums(ens, lam, w, at, rows)
+                at, rows, held = [], [], 0
 
 
 def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
@@ -557,7 +556,9 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
     realization's substream is keyed by its index, each draw is mapped
     on its own, and each realization's sums run over its own draws. A
     fixed-m row is reduced in segments of ``_SEGMENT`` draws, added in
-    order; a fixed-T row's stop rule carries its state across blocks.
+    order; a fixed-T row's stop rule carries its state across blocks, and
+    a row that stops in its first block is summed there, as its kept
+    prefix, by a masked reduction with the prefix's own bits.
 
     A fixed-m chunk of more than one segment runs in one part per usable
     core (at most ``_MAX_PARTS``), with the same bits for any core

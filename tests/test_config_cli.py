@@ -262,6 +262,15 @@ class TestCli:
         assert len(lines) == 62  # comment + header + 60 records
         assert (tmp_path / "out.svg").exists()
 
+    @pytest.mark.parametrize("realizations", [2000, 200_000])
+    def test_run_svg_plots_at_most_2000_markers(self, tmp_path, capsys, realizations):
+        # one marker per realization up to 2,000, then every ceil(n / 2000)-th
+        path = tmp_path / "exp.ini"
+        path.write_text(GENERIC_CONFIG.replace("m = 50", "m = 1").replace(
+            "realizations = 60", f"realizations = {realizations}"))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "out.svg").read_text().count("<circle") == 2000
+
     @pytest.mark.parametrize("alpha", ["3", "2", "1.5"])
     def test_run_powerlaw_summary(self, tmp_path, capsys, powerlaw_log_q_oracle, alpha):
         path = tmp_path / "pl.ini"

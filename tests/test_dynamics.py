@@ -248,6 +248,21 @@ class TestZenoTime:
         with pytest.raises(ZeroVarianceError):
             zeno_time(build_chain_hamiltonian([2 * math.pi * 1e4] * 3, 0.0), psi0)
 
+    def test_split_degenerate_eigenstate_raises(self):
+        # a double level of a rotated matrix, which eigh splits by 0.87 eps
+        # max|lam|: psi0 in its eigenspace has one energy, and no pair decays
+        rng = np.random.default_rng(5)
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        h = Hamiltonian.from_matrix(u @ np.diag([1.0, 1.0, 2.0, 3.0]) @ u.conj().T * 1e5)
+        v = u[:, 0] + u[:, 1]
+        psi = PureState(v / np.linalg.norm(v))
+        assert np.ptp(h.spec.eigenvalues[:2]) > 0.0  # eigh splits the level
+        lam, w = phase_weights(h, psi)
+        assert lam.size == 1 and w[0] == pytest.approx(1.0, rel=1e-14)
+        with pytest.raises(ZeroVarianceError):
+            zeno_time(h, psi)
+        assert PowerLawIntervals(mu0=1e-9, alpha=3.0).log_q_moments(lam, w) == (0.0, 0.0)
+
     def test_two_level(self, rabi):
         h, psi = rabi
         assert zeno_time(h, psi) == pytest.approx(1.0 / OMEGA, rel=1e-12, abs=0.0)

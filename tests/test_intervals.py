@@ -288,9 +288,9 @@ class TestLogQMoments:
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_degenerate_eigenstate_gives_exact_zeros(self, psi0, law):
-        # uncoupled levels of one energy: a support of two levels and one energy
+        # uncoupled levels of one energy: psi0 weighs two, merged into one
         lam, w = phase_weights(build_chain_hamiltonian([2 * math.pi * 1e4] * 3, 0.0), psi0)
-        assert lam.size == 2 and lam[0] == lam[1]
+        assert lam.size == 1
         assert self.LAWS[law]().log_q_moments(lam, w) == (0.0, 0.0)
 
     @pytest.mark.parametrize(

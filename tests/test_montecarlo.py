@@ -713,6 +713,8 @@ FIXED_T_CASES = {
     # no finite mean: the first block is 64, and later ones grow from it
     "power0.8": (PowerLawIntervals(mu0=1 * NS, alpha=0.8), 1000 * NS),
     "d2": (LATTICE_LAWS["d2"], 1000 * NS),
+    # about 8 kept of a first block of 64: blocks mostly overrun
+    "d2_20ns": (LATTICE_LAWS["d2"], 20 * NS),
     # 0.1 ns seven times sums above 0.7 ns in doubles: a tie the slack keeps
     "degenerate_tie": (DegenerateInterval(0.1 * NS), 0.7 * NS),
     # a tie at the first block's end: the next block holds the stop
@@ -762,18 +764,22 @@ class TestFixedTStop:
         if case == "below_smallest_atom":
             assert np.all(ens.ms == 0) and np.all(ens.log_survivals == 0.0)
 
-    def test_sums_match_each_row_summed_alone(self, chain, psi0):
-        # short rows that share a count are gathered, short rows alone and
-        # long rows summed in place: every row sums as np.sum sums it alone
+    def test_masked_prefix_sums_match_each_row_summed_alone(self, chain, psi0):
+        # fixed T sums each row's kept prefix where it lies in the stacked
+        # block, by one masked reduction: every row, at lengths on both
+        # sides of the pairwise loop's 8-way unroll and 128-entry blocks,
+        # and up to a whole _SEGMENT, sums as np.add.reduce sums it alone
         lam, w = phase_weights(chain, psi0)
-        top = montecarlo._GATHER_MAX_M
-        sizes = [0, 0, 1, 7, 7, 7, top, top, top + 1, top + 1, 300, 1500, 2, 64]
-        rng = np.random.default_rng(5)
-        rows = [rng.random(n) * 10 * NS for n in sizes]
-        ms, totals, logs = montecarlo._fixed_t_sums(lam, w, rows)
-        assert ms.tolist() == sizes
-        assert same_bits(totals, [np.sum(row) for row in rows])
-        assert same_bits(logs, [np.sum(log_survival_factors(lam, w, row)) for row in rows])
+        kept = np.array([0, 0, 1, 7, 7, 7, 128, 128, 129, 129, 300, 1500, 2, 64,
+                         8, 9, 127, 8193, SEGMENT])
+        block = np.random.default_rng(5).random((kept.size, SEGMENT)) * 10 * NS
+        logq = log_survival_factors(lam, w, block)
+        prefix = np.arange(SEGMENT) < kept[:, None]
+        totals = np.add.reduce(block, axis=1, where=prefix)
+        logs = np.add.reduce(logq, axis=1, where=prefix)
+        assert same_bits(totals, [np.add.reduce(row[:k]) for row, k in zip(block, kept)])
+        assert same_bits(logs, [np.add.reduce(log_survival_factors(lam, w, row[:k]))
+                                for row, k in zip(block, kept)])
 
     def test_kept_counts_match_scalar_rule_at_the_limit(self):
         # rows scaled so that a prefix sums to the limit up to round-off:
