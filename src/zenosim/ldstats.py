@@ -173,6 +173,13 @@ def _require(ok: np.ndarray, xs: np.ndarray, why: str) -> None:
         raise OutOfRangeError(f"x = {float(xs.flat[at])!r} {why}")
 
 
+def _require_count(m) -> None:
+    """``ValueError`` unless the measurement count ``m`` is an int or
+    numpy integer, not a bool, of at least 1."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be a positive count, not {m!r}")
+
+
 def _like(x, values: np.ndarray):
     """``values`` as a float for a scalar x, else as an array of x's shape."""
     return float(values) if np.ndim(x) == 0 else values
@@ -346,9 +353,9 @@ def survival_stats_for(
     """Survival statistics for any waiting-time law: L* = m E[ln q] and
     ln<P> = m ln E[q], from ``log_q_moments``. At m = 1, L* is the zero x*
     of the rate function. A power law whose tail is too heavy for its
-    quadrature raises ``QuadratureNoConvergenceError``."""
-    if m < 1:
-        raise ValueError("m must be a positive count")
+    quadrature raises ``QuadratureNoConvergenceError``; ``ValueError``
+    unless m is a positive count (an int or numpy integer, not a bool)."""
+    _require_count(m)
     mean_log_q, log_mean_q = dist.log_q_moments(*phase_weights(h, psi0))
     return SurvivalStats(log_p_star=m * mean_log_q, log_p_mean=m * log_mean_q, m=m)
 
@@ -605,7 +612,8 @@ def disorder_gain(
     survival of the equally spaced one, and their ratio (> 1 means the
     disorder helps). ``p1``, ``mu1`` and ``mu_bar`` broadcast together;
     with arrays, one kernel call serves every point and the fields of
-    the result are arrays of the broadcast shape.
+    the result are arrays of the broadcast shape. ``ValueError`` unless
+    m is a positive count (an int or numpy integer, not a bool).
     """
     p1, mu1, mu_bar = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (p1, mu1, mu_bar))
@@ -614,8 +622,7 @@ def disorder_gain(
         raise ValueError("p1 must lie strictly between 0 and 1")
     if not np.all((0.0 < mu1) & (mu1 < math.inf) & (0.0 < mu_bar) & (mu_bar < math.inf)):
         raise ValueError("times must be positive and finite")
-    if m < 1:
-        raise ValueError("m must be a positive count")
+    _require_count(m)
     p2 = 1.0 - p1
     mu2 = (mu_bar - p1 * mu1) / p2
     unreachable = ~(mu2 > 0)

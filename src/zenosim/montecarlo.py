@@ -17,12 +17,11 @@ Fixed m has one path, for rows of any length. A group runs in chunks of
 about ``_CHUNK_TARGET`` draws of its longest rows, and a chunk's rows
 are read in segments of ``_SEGMENT`` draws (the last one shorter), so
 memory does not grow with m. A segment is a uint64 block of raw Philox
-words, the words ``Generator.random`` would turn into uniforms: one
-``philox_words`` call fills it for many short rows, else each row's
-stream is selected at the segment's first draw and its words read by
-``random_raw``, into one reused buffer, or as drawn where the chunk is
-one row; a law of one atom, whose ``row_stats`` reads only the block's
-shape, needs none drawn. The block is made read-only as soon as it is
+words, the words ``Generator.random`` would turn into uniforms, drawn
+for every law: one ``philox_words`` call fills it for many short rows,
+else each row's stream is selected at the segment's first draw and its
+words read by ``random_raw``, into a new block, or as drawn where the
+chunk is one row. The block is made read-only as soon as it is
 drawn. Each reader of the group, the configs of one law and system,
 reads it once, and reduces each row to its additive statistic at the
 end of each of its configs' rows (``row_stats``): a discrete law's atom
@@ -52,9 +51,10 @@ statistic sums each row's kept prefix where it lies, with the bits of
 the prefix summed alone: NumPy's masked reduction runs its pairwise
 loop on each run of unmasked entries, and a prefix is one run. A row
 that keeps its whole block selects its stream at the block's end and
-carries on alone; such rows are mapped by one ln q call per about
-``_CHUNK_TARGET`` of their kept draws, so memory does not grow with T,
-and each is summed on its own by ``np.add.reduce``.
+carries on alone; the draws such rows keep past it are mapped by one
+ln q call per about ``_CHUNK_TARGET`` of their kept draws, so memory
+does not grow with T and no draw is mapped twice, and each row is
+summed on its own by ``np.add.reduce``.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ _VECTOR_MIN_ROWS = 128
 #: and with them the stop rule's temporaries
 _SEGMENT = 65_536
 #: a fixed-m chunk of many segments runs in one part per usable core, but in
-#: at most this many: each part holds its own segment buffer and one
+#: at most this many: each part holds its own segment block and one
 #: segment's working set (a comparison mask for a discrete law, the kernel's
 #: output and temporaries for a power law), so peak memory grows with the
 #: part count, and only two cores have been measured (BENCH_14.json)
@@ -329,12 +329,6 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _one_atom(dist) -> bool:
-    """Whether ``dist`` has one atom, whose ``row_stats`` reads only the
-    shape of its words, so a block of them need not be drawn."""
-    return isinstance(dist, DiscreteIntervals) and dist.d == 1
-
-
 class _Reader(NamedTuple):
     """The fixed-m configs of a group that share one law, Hamiltonian and
     state, which map each segment of words once for all their m."""
@@ -346,8 +340,6 @@ class _Reader(NamedTuple):
     cfgs: list[int]
     #: their m, in the same order
     ms: list[int]
-    #: whether the law reads the words themselves, not only their shape
-    draws: bool
     #: how many statistics ``row_stats`` gives a row: a count per atom of a
     #: discrete law, (sum mu, sum ln q) of a power law
     width: int
@@ -362,49 +354,39 @@ def _segment_stats(readers: list[_Reader], seed: int, start: int, stop: int, dra
     ``out[c][g]``: c is the config's place in the group and g the
     segment's in the row, so parts write disjoint ranges of g.
 
-    A segment is drawn once, as a (rows, k) uint64 block of raw Philox
-    words as wide as the longest row of a law that reads words needs
-    it: into one reused buffer, by ``philox_words`` for many short rows
-    at their first draw, else by ``random_raw`` from one stream selected
-    per row at the segment's first draw; a one-row chunk reads that row's
-    words as drawn, with no buffer or copy. Nothing is drawn for laws of
-    one atom, which get a block of the shape alone. The block is
+    A segment is drawn once, for every law, as a (rows, k) uint64 block
+    of raw Philox words: a new array filled by ``philox_words`` for many
+    short rows at their first draw, else by ``random_raw`` from one
+    stream selected per row at the segment's first draw; a one-row chunk
+    reads that row's words as drawn, with no copy. The block is
     read-only from its draw on, and each reader whose rows reach the
     segment reads it in turn, once, and writes its statistic at the end
     of each of its configs' rows in the segment. The part opens its own
     stream family, so runs of segments can be read on any threads.
     """
     rows = stop - start
-    reach = max((reader.ms[-1] for reader in readers if reader.draws), default=0)
     family = StreamFamily(seed)
-    wide = min(n, _SEGMENT, reach - draw)
-    buf = np.empty(rows * wide if wide > 0 and rows > 1 else 0, dtype=np.uint64)
     for a in range(draw, draw + n, _SEGMENT):
         k = min(_SEGMENT, draw + n - a)
-        width = min(k, reach - a)
-        if width <= 0:
-            x = None
+        if rows == 1:
+            x = family.select(start, a).bit_generator.random_raw(k)[None]
         else:
-            if rows == 1:
-                x = family.select(start, a).bit_generator.random_raw(width)[None]
+            x = np.empty((rows, k), dtype=np.uint64)
+            if a == 0 and k <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
+                philox_words(seed, start, x)
             else:
-                x = buf[:rows * width].reshape(rows, width)
-                if a == 0 and width <= _VECTOR_MAX_M and rows >= _VECTOR_MIN_ROWS:
-                    philox_words(seed, start, x)
-                else:
-                    for j in range(rows):
-                        x[j] = family.select(start + j, a).bit_generator.random_raw(width)
-            x.flags.writeable = False
-        for dist, lam, w, cfgs, ms, draws, _ in readers:
+                for j in range(rows):
+                    x[j] = family.select(start + j, a).bit_generator.random_raw(k)
+        x.flags.writeable = False
+        for dist, lam, w, cfgs, ms, _ in readers:
             if ms[-1] <= a:
                 continue
             ends = sorted({min(m - a, k) for m in ms if m > a})
-            at = dist.row_stats(x if draws else np.broadcast_to(np.uint64(0), (rows, ends[-1])),
-                                lam, w, ends)
+            at = dist.row_stats(x, lam, w, ends)
             for c, m in zip(cfgs, ms):
                 if m > a:
                     out[c][a // _SEGMENT] = at[ends.index(min(m - a, k))]
-        del x  # a lone row's words go before its next segment's are drawn
+        del x  # a segment's words go before the next segment's are drawn
 
 
 def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
@@ -426,7 +408,7 @@ def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
         cfgs.sort(key=lambda c: group[c].config.m)
         first = group[cfgs[0]].config
         readers.append(_Reader(first.dist, *phase_weights(first.hamiltonian, first.state), cfgs,
-                               [int(group[c].config.m) for c in cfgs], not _one_atom(first.dist),
+                               [int(group[c].config.m) for c in cfgs],
                                first.dist.d if isinstance(first.dist, DiscreteIntervals) else 2))
     m = max(reader.ms[-1] for reader in readers)
     segments = -(-m // _SEGMENT)
@@ -485,17 +467,21 @@ def _fixed_t_draws(dist, rng, limit: float, first: np.ndarray, total: np.ndarray
         drawn += mus.size
 
 
-def _carried_sums(ens: SurvivalEnsemble, lam, w, at: list[int], rows: list[np.ndarray]) -> None:
+def _carried_sums(ens: SurvivalEnsemble, lam, w, at: list[int], rows: list[np.ndarray],
+                  firsts: list[np.ndarray]) -> None:
     """Write the records of the fixed-T realizations ``at`` from their
-    kept draws ``rows``, rows that kept their whole first block: ln q runs
-    once over all their draws, and each row is summed on its own by
-    ``np.add.reduce``."""
-    ms = [row.size for row in rows]
-    logq = log_survival_factors(lam, w, np.concatenate(rows))
-    ens.ms[at] = ms
+    kept draws ``rows``, rows that kept their whole first block, whose
+    ln q ``firsts`` the chunk has mapped: ln q runs once over all their
+    draws past that block, and each row is summed on its own by
+    ``np.add.reduce``, its log survival over its first block's ln q
+    joined to its tail's."""
+    size = firsts[0].size
+    tails = [row.size - size for row in rows]
+    logq = log_survival_factors(lam, w, np.concatenate([row[size:] for row in rows]))
+    ens.ms[at] = [row.size for row in rows]
     ens.total_times[at] = [np.add.reduce(row) for row in rows]
-    ens.log_survivals[at] = [np.add.reduce(logq[end - m:end])
-                             for m, end in zip(ms, itertools.accumulate(ms))]
+    ens.log_survivals[at] = [np.add.reduce(np.concatenate((first, logq[end - t:end])))
+                             for first, t, end in zip(firsts, tails, itertools.accumulate(tails))]
 
 
 def _run_fixed_t(ens: SurvivalEnsemble) -> None:
@@ -527,8 +513,8 @@ def _run_fixed_t(ens: SurvivalEnsemble) -> None:
         prefix = np.arange(size) < kept[:, None]
         ens.ms[start:stop] = kept
         np.add.reduce(block, axis=1, where=prefix, out=ens.total_times[start:stop])
-        np.add.reduce(log_survival_factors(lam, w, block), axis=1, where=prefix,
-                      out=ens.log_survivals[start:stop])
+        logq = log_survival_factors(lam, w, block)
+        np.add.reduce(logq, axis=1, where=prefix, out=ens.log_survivals[start:stop])
         carried = np.flatnonzero(kept == size).tolist()
         at, rows, held = [], [], 0
         for j in carried:
@@ -537,8 +523,9 @@ def _run_fixed_t(ens: SurvivalEnsemble) -> None:
                                        block[j], totals[j:j + 1], comps[j:j + 1]))
             held += rows[-1].size
             if held >= _CHUNK_TARGET or j == carried[-1]:
-                _carried_sums(ens, lam, w, at, rows)
+                _carried_sums(ens, lam, w, at, rows, [logq[i - start] for i in at])
                 at, rows, held = [], [], 0
+        del logq  # a chunk's ln q goes before the next chunk's is mapped
 
 
 def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:

@@ -321,6 +321,16 @@ class TestSurvivalStats:
         assert stats.log_p_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert abs(stats.log_jensen_gap) <= 1e-12
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf, 1.5, True, 0])
+    def test_m_must_be_a_count(self, chain, psi0, m):
+        with pytest.raises(ValueError, match="positive count"):
+            survival_stats_for(DegenerateInterval(2e-9), chain, psi0, m)
+
+    def test_numpy_integer_m(self, chain, psi0):
+        dist = DegenerateInterval(2e-9)
+        assert (survival_stats_for(dist, chain, psi0, np.int64(50))
+                == survival_stats_for(dist, chain, psi0, 50))
+
     def test_point_mass_is_an_ld_problem(self, chain, psi0):
         dist = DegenerateInterval(2e-9)
         prob = LdProblem.for_system(chain, psi0, dist)
@@ -603,6 +613,15 @@ class TestDisorderGain:
         )
         assert math.isfinite(gain.log_p_star)
         assert gain.mu2 > 0
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, 1.5, True, 0])
+    def test_m_must_be_a_count(self, chain, psi0, m):
+        with pytest.raises(ValueError, match="positive count"):
+            disorder_gain(chain, psi0, 0.3, 10e-6, 24e-6, m)
+
+    def test_numpy_integer_m(self, chain, psi0):
+        assert (disorder_gain(chain, psi0, 0.3, 10e-6, 24e-6, np.int64(100))
+                == disorder_gain(chain, psi0, 0.3, 10e-6, 24e-6, 100))
 
     def test_unreachable_mean_rejected(self, chain, psi0):
         with pytest.raises(InvalidMeanError):

@@ -764,6 +764,26 @@ class TestFixedTStop:
         if case == "below_smallest_atom":
             assert np.all(ens.ms == 0) and np.all(ens.log_survivals == 0.0)
 
+    @pytest.mark.parametrize("case,size", [("power0.8", 64), ("power1.5", 112)])
+    def test_each_kept_draw_mapped_once(self, chain, psi0, monkeypatch, case, size):
+        # ln q maps each first block whole, overrun draws included, and past
+        # it only the draws a carried row keeps. The first block is 64 draws
+        # where the mean is infinite, else 9/8 of t_total / mean (300 ns /
+        # 3 ns at alpha 1.5) rounded up to a multiple of 4
+        dist, t_total = FIXED_T_CASES[case]
+        mapped, kernel = [], montecarlo.log_survival_factors
+
+        def counted(lam, w, mus):
+            mapped.append(np.size(mus))
+            return kernel(lam, w, mus)
+
+        monkeypatch.setattr(montecarlo, "log_survival_factors", counted)
+        cfg = make_config(chain, psi0, dist, mode="fixed_T", m=None, t_total=t_total,
+                          realizations=30, master_seed=31337)
+        ms = run_ensemble(cfg).ms
+        assert np.any(ms > size)  # some rows carry on past their first block
+        assert sum(mapped) == cfg.realizations * size + int(np.maximum(ms - size, 0).sum())
+
     def test_masked_prefix_sums_match_each_row_summed_alone(self, chain, psi0):
         # fixed T sums each row's kept prefix where it lies in the stacked
         # block, by one masked reduction: every row, at lengths on both
@@ -1305,16 +1325,19 @@ class TestSharedDraws:
 
 
 class TestOneAtomLaws:
-    # a one-atom law's row_stats reads only the shape of its words, so
-    # a run whose every law has one atom draws none
+    # a one-atom law's row_stats counts only piece lengths, yet its run
+    # draws one word block per segment, as a run of any other law does
     @pytest.mark.parametrize("m,n", [(20, 300), (6400, 25), (SEGMENT + 3, 2)])
-    def test_no_draws_and_same_bits(self, chain, psi0, monkeypatch, m, n):
+    def test_draws_like_two_atoms_and_same_bits(self, chain, psi0, monkeypatch, m, n):
         laws = [LATTICE_LAWS["degenerate"], DiscreteIntervals(np.array([3 * NS]), np.ones(1))]
         cfgs = [make_config(chain, psi0, law, m=m, realizations=n) for law in laws]
         calls = counted_draws(monkeypatch)
         ensembles = montecarlo.run_ensembles(cfgs)
+        one_atom = dict(calls)
+        calls.update(select=0, philox=0)
+        montecarlo.run_ensembles([make_config(chain, psi0, d2(), m=m, realizations=n)])
+        assert one_atom == calls
         alone = run_ensemble(cfgs[0])
-        assert calls == {"select": 0, "philox": 0}
         assert same_ensemble(alone, ensembles[0])
         for ens, cfg in zip(ensembles, cfgs):
             assert np.array_equal(ens.ms, np.full(n, m))
