@@ -42,13 +42,16 @@ counter based, so each run opens its own stream family and reads what a
 serial pass would, and the statistics are added in the calling thread.
 
 Fixed T runs the stop rule once over a chunk's stacked first blocks,
-sized from the law's mean. The rule is Neumaier-compensated, but the
-plain running sums decide nearly every row: only a row whose sum comes
-within a proven round-off margin of the budget, or which keeps its whole
-block, runs the compensated rule. One ln q call maps the chunk's whole
-block, overrun draws included, and one masked ``np.add.reduce`` per
-statistic sums each row's kept prefix where it lies, with the bits of
-the prefix summed alone: NumPy's masked reduction runs its pairwise
+sized from the law's mean. The rule is Neumaier-compensated, but plain
+sums decide nearly every row: sums of groups of four draws, one
+``np.cumsum`` over the groups, a quarter as long as one over the draws,
+then the running sums inside the one group where the row crosses the
+budget. Only a row whose sum comes within a proven round-off margin of
+the budget, or which keeps its whole block, runs the compensated rule,
+on a sequential sum of its own draws. One ln q call maps the chunk's
+whole block, overrun draws included, and one masked ``np.add.reduce``
+per statistic sums each row's kept prefix where it lies, with the bits
+of the prefix summed alone: NumPy's masked reduction runs its pairwise
 loop on each run of unmasked entries, and a prefix is one run. A row
 that keeps its whole block selects its stream at the block's end and
 carries on alone; the draws such rows keep past it are mapped by one
@@ -253,49 +256,77 @@ class EnsembleSummary:
 
 
 def _kept_in_block(mus: np.ndarray, total: np.ndarray, comp: np.ndarray, limit: float):
-    """(kept, total, comp) per row of the (rows, k) block ``mus``: how
-    many leading draws of the row the fixed-T stop rule keeps, carried on
-    from the row's state (total, comp), and the state after them.
+    """(kept, total, comp) per row of the (rows, k) block ``mus``, k >= 1:
+    how many leading draws of the row the fixed-T stop rule keeps, carried
+    on from the row's state (total, comp), and the state after them.
 
     The rule, one draw at a time: stop at the first mu with total + comp
     + mu > limit, else add mu to total, Neumaier-compensated in comp
-    (``_kept_compensated``). Most rows are decided from the plain running
-    sums A = ``np.cumsum`` of (total, mus) along the row, non-decreasing
-    as no draw is negative, with margin = |comp| + (k + 8) 2^-52 limit:
-    draw i is kept if A[i + 1] <= limit - margin and over the budget if
-    A[i + 1] > limit + margin. One margin serves the block, from its
-    largest |comp|, which is each row's own where the runs call it: a
-    chunk's first blocks carry comp = 0 and a carried-on row runs alone.
+    (``_kept_compensated``). Most rows are decided from plain sums, with
+    margin = |comp| + (k + 8) 2^-52 limit. Each group of four draws is
+    summed as (x0 + x1) + (x2 + x3), and one ``np.cumsum`` of (total,
+    group sums, +inf) along the row gives the group prefixes; the +inf
+    group stands for a last group short of four, or for none. In the
+    first group whose prefix is above limit - margin, the running sums
+    from the prefix P before it are P + x0, P + (x0 + x1), P + ((x0 + x1)
+    + x2) and P + ((x0 + x1) + (x2 + x3)), which is that group's prefix,
+    bit for bit: so they are non-decreasing, as no draw is negative and
+    rounding is monotone, and the last of them is above limit - margin.
+    The draws before the first of them above limit - margin are kept,
+    and that draw is over the budget if its sum is above limit + margin.
+    A short or +inf group reads the row's last draw in place of the
+    missing ones, and a count that reaches the row's end keeps the whole
+    block. One margin serves the block, from its largest |comp|, which is
+    each row's own where the runs call it: a chunk's first blocks carry
+    comp = 0 and a carried-on row runs alone.
 
     The bound, with u = 2^-53 (Neumaier 1974; Higham, Accuracy and
-    Stability of Numerical Algorithms, section 4): while A[1..i] are at
-    most limit, the compensation tested at draw i is comp plus at most k
-    exact rounding errors of those additions, each at most u limit, and
-    its own sum's rounding is of second order. The test's two roundings
-    and that of A[i + 1] move it at most 3u max(A[i + 1], limit) further.
-    So the tested sum is at most limit where A[i + 1] <= limit - margin,
-    and above it where A[i + 1] > limit + margin, with (k + 13) u limit
-    to spare. A row whose first A[i + 1] above limit - margin is at most
-    limit + margin, or which keeps the whole block, runs the compensated
-    rule on its own draws.
+    Stability of Numerical Algorithms, section 4): any summation order of
+    the carried total and at most k non-negative draws errs by at most
+    about k u of their sum, and the exact running sums are
+    non-decreasing, so a group prefix at most limit - margin bounds each
+    of its draws' exact sums too. The compensated rule tests the exact
+    sum plus comp, up to its test's two roundings and second-order
+    terms. So the tested sum is at most limit where a plain sum is at
+    most limit - margin, and above it where a plain sum is above limit +
+    margin, with about (k + 13) u limit to spare. A row whose crossing
+    sum is at most limit + margin, or which keeps the whole block, runs
+    the compensated rule on its own draws, with their sequential
+    ``np.cumsum`` built for those rows alone; where they are the whole
+    block, the block itself is passed.
 
     The returned state is exact, with the bits the rule gives one draw at
     a time, only for rows that keep the whole block, which are the only
-    ones carried on; for other rows it is the plain sum at the stop and
-    the carried comp.
+    ones carried on; for other rows it is the plain sum of the kept draws
+    in the grouped order and the carried comp.
     """
-    k = mus.shape[1]
-    totals = np.empty((len(mus), k + 1))
-    totals[:, 0], totals[:, 1:] = total, mus
-    np.cumsum(totals, axis=1, out=totals)
+    rows, k = mus.shape
+    full = k // 4
+    sums = np.empty((rows, full + 2))
+    sums[:, 0], sums[:, -1] = total, np.inf
+    np.add(mus[:, 0:4 * full:4], mus[:, 1:4 * full:4], out=sums[:, 1:full + 1])
+    sums[:, 1:full + 1] += mus[:, 2:4 * full:4] + mus[:, 3:4 * full:4]
+    np.cumsum(sums, axis=1, out=sums)
     margin = float(np.abs(comp).max(initial=0.0)) + (k + 8) * 2.0**-52 * limit
-    kept = np.count_nonzero(totals[:, 1:] <= limit - margin, axis=1)
-    at = np.arange(len(mus))
-    near = np.flatnonzero(totals[at, np.minimum(kept + 1, k)] <= limit + margin)
-    total, comp = totals[at, kept], comp.copy()
+    groups = np.argmax(sums[:, 1:] > limit - margin, axis=1)
+    at = np.arange(rows)
+    x = mus[at[:, None], np.minimum(4 * groups[:, None] + np.arange(4), k - 1)]
+    x[:, 1] += x[:, 0]
+    x[:, 3] += x[:, 2]
+    x[:, 2:] += x[:, 1:2]
+    run = np.empty((rows, 6))  # the prefix, its four running sums, and +inf
+    run[:, 0], run[:, 5] = sums[at, groups], np.inf
+    np.add(run[:, :1], x, out=run[:, 1:5])
+    inner = np.argmax(run[:, 1:] > limit - margin, axis=1)
+    kept = np.minimum(4 * groups + inner, k)
+    near = np.flatnonzero((run[at, inner + 1] <= limit + margin) | (kept == k))
+    total, comp = run[at, inner], comp.copy()
     if near.size:
-        kept[near], total[near], comp[near] = _kept_compensated(
-            mus[near], totals[near], comp[near], limit)
+        some = mus if near.size == rows else mus[near]
+        totals = np.empty((near.size, k + 1))
+        totals[:, 0], totals[:, 1:] = sums[near, 0], some
+        np.cumsum(totals, axis=1, out=totals)
+        kept[near], total[near], comp[near] = _kept_compensated(some, totals, comp[near], limit)
     return kept, total, comp
 
 
@@ -308,12 +339,18 @@ def _kept_compensated(mus: np.ndarray, totals: np.ndarray, comp: np.ndarray, lim
     |total| and mu, which is max(total, mu) as no total is negative. Two
     ``np.cumsum`` along the rows add left to right like the loop, with
     the carried state in front, so they carry its bits across blocks.
+    The terms are built in one array and one scratch block, in place.
     """
     before, after = totals[:, :-1], totals[:, 1:]
-    comps = np.concatenate((comp[:, None], np.maximum(before, mus) - after), axis=1)
-    comps[:, 1:] += np.minimum(before, mus)
+    comps, spare = np.empty(totals.shape), np.empty(mus.shape)
+    comps[:, 0] = comp
+    np.maximum(before, mus, out=comps[:, 1:])
+    comps[:, 1:] -= after
+    comps[:, 1:] += np.minimum(before, mus, out=spare)
     np.cumsum(comps, axis=1, out=comps)
-    over = before + comps[:, :-1] + mus > limit
+    np.add(before, comps[:, :-1], out=spare)
+    spare += mus
+    over = spare > limit
     kept = np.where(over.any(axis=1), over.argmax(axis=1), mus.shape[1])
     at = np.arange(len(mus))
     return kept, totals[at, kept], comps[at, kept]

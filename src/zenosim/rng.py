@@ -76,12 +76,15 @@ class StreamFamily:
     def __init__(self, master_seed: int):
         self._bitgen = Philox(key=0)
         self._generator = Generator(self._bitgen)
-        # the fresh state (counter 0, output buffer empty), re-keyed and set
-        # per select; setting copies it in, so it stays fresh. Little-endian
-        # key words (index low, master seed high) match substream()'s key.
-        self._state = self._bitgen.state
-        self._key, self._counter = self._state["state"]["key"], self._state["state"]["counter"]
-        self._key[1] = master_seed & _MASK64
+        # the one state dict set per select, whose key and counter words
+        # select re-writes, with an empty output buffer, in plain Python
+        # ints, which the state setter reads much faster than numpy
+        # scalars. Little-endian key words (index low, master seed high)
+        # match substream()'s key.
+        self._key, self._counter = [0, master_seed & _MASK64], [0, 0, 0, 0]
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": self._counter, "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def select(self, realization_index: int, draw: int = 0) -> Generator:
         if draw % 4 or draw < 0:
@@ -90,7 +93,6 @@ class StreamFamily:
         # the counter steps before each block of four, so block draw // 4 comes next
         self._counter[0] = draw // 4
         self._bitgen.state = self._state
-        self._counter[0] = 0
         return self._generator
 
 

@@ -852,6 +852,65 @@ class TestFixedTStop:
                 assert (t, c) == expected[1:]
         assert whole > 0
 
+    @pytest.mark.parametrize("width", [64, 65, 66, 67])
+    @pytest.mark.parametrize("total, comp", [
+        (0.0, 0.0), (0.75, 100 * 2.0**-53), (0.75, -100 * 2.0**-53),
+    ], ids=["fresh", "carried_plus", "carried_minus"])
+    def test_grouped_sums_match_scalar_rule_at_every_offset(self, monkeypatch, width, total,
+                                                            comp):
+        # the plain sums run over groups of four draws, the last one short
+        # where the width is not a multiple of 4. One row stops at each
+        # draw s of the block, so at every offset of a group and at the
+        # short last group: with the limit halfway through draw s, which
+        # the plain sums decide, or where its plain prefix sum ends, which
+        # the compensated rule decides. Rows of equal powers of two reach
+        # the limit exactly at a group's end, or inside one where carried
+        rng = np.random.default_rng(width)
+        limit, rows = 1.0, []
+        for s in range(width + 1):
+            for halfway in (True, False):
+                row = 0.5 + rng.random(width)
+                before = np.cumsum(np.concatenate(([0.0], row)))[s]
+                if 0 < s < width or s == 0 and halfway:
+                    rows.append(row * (limit - total) / (before + halfway * row[s] / 2))
+                elif halfway:
+                    rows.append(row * (limit - total) / (before + 1.0))
+        rows += [np.full(width, 2.0**-j) for j in range(2, 6)]
+        mus = np.array(rows)
+        seen = compensated_rows(monkeypatch)
+        kept, totals, comps = montecarlo._kept_in_block(mus, np.full(len(mus), total),
+                                                        np.full(len(mus), comp), limit)
+        assert 0 < seen[0] < len(mus)  # both paths run
+        assert {n % 4 for n in kept.tolist()} == {0, 1, 2, 3}
+        assert width in kept  # a row keeps the whole block, short last group and all
+        for row, n, t, c in zip(mus, kept.tolist(), totals.tolist(), comps.tolist()):
+            expected = scalar_budget_state(row.tolist(), limit, total, comp)
+            assert n == len(expected[0])
+            if n == width:
+                assert (t, c) == expected[1:]
+
+    def test_group_sum_and_sequential_sum_either_side_of_the_edge(self, monkeypatch):
+        # the group sum (x0 + x1) + (x2 + x3) rounds one ulp above the
+        # sequential sum ((x0 + x1) + x2) + x3, and limit - margin falls
+        # between them. The group's last running sum is its own prefix,
+        # so the row crosses in that group, within the margin, and runs
+        # the compensated rule, which keeps the tiny first draw of the
+        # next group too. A second row, stopping well inside its first
+        # group, does not
+        x = [float.fromhex(h) for h in ("0x1.8d90982ccf2d5p-8", "0x1.758092bff1053p-1",
+                                        "0x1.bd566c7ed2c18p-5", "0x1.ea3f4bd623828p-11")]
+        limit = float.fromhex("0x1.94ebaa8b2d5a1p-1")
+        width = 8
+        edge = limit - (width + 8) * 2.0**-52 * limit
+        assert ((x[0] + x[1]) + x[2]) + x[3] <= edge < (x[0] + x[1]) + (x[2] + x[3])
+        mus = np.array([x + [2.0**-60] + [1.0] * 3, [0.1, 1.0] + [0.5] * 6])
+        seen = compensated_rows(monkeypatch)
+        zeros = np.zeros(2)
+        kept = montecarlo._kept_in_block(mus, zeros, zeros, limit)[0]
+        assert seen[0] == 1
+        assert kept.tolist() == [5, 1]
+        assert kept.tolist() == [len(scalar_budget_rule(row.tolist(), limit)) for row in mus]
+
     @settings(max_examples=200)
     @given(
         rows=st.integers(1, 6),

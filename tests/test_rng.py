@@ -118,6 +118,20 @@ class TestStreamSeek:
             draws = np.stack([(word[0] >> np.uint64(11)) * 2.0**-53 for word in words], axis=1)
             assert same_bits(got, draws.reshape(-1)[:9])
 
+    @pytest.mark.parametrize("seed", [0, 2**63, TOP, -5])
+    @pytest.mark.parametrize("index", [0, 1, 2**63, TOP])
+    @pytest.mark.parametrize("k", [0, 4, 2**62, 2**64])
+    def test_extreme_keys_and_counters_match_substream(self, seed, index, k):
+        # one family re-keyed across the corners of the key space, each
+        # stream seeked by k draws: numpy's own bit generator, advanced
+        # k / 4 counters, reads the same words
+        family = rng.StreamFamily(seed)
+        family.select(TOP - index, draw=2**64 - k)
+        expected = substream(seed, index)
+        expected.bit_generator.advance(k // 4)
+        got = family.select(index, draw=k).bit_generator.random_raw(9)
+        assert np.array_equal(got, expected.bit_generator.random_raw(9))
+
     def test_reselect_after_a_seek_starts_at_draw_zero(self):
         family = rng.StreamFamily(3)
         family.select(1, draw=1024).random(10)
