@@ -41,23 +41,26 @@ shut down before the group's run returns. No bit moves: Philox is
 counter based, so each run opens its own stream family and reads what a
 serial pass would, and the statistics are added in the calling thread.
 
-Fixed T runs the stop rule once over a chunk's stacked first blocks,
-sized from the law's mean. The rule is Neumaier-compensated, but plain
-sums decide nearly every row: sums of groups of four draws, one
-``np.cumsum`` over the groups, a quarter as long as one over the draws,
-then the running sums inside the one group where the row crosses the
-budget. Only a row whose sum comes within a proven round-off margin of
-the budget, or which keeps its whole block, runs the compensated rule,
-on a sequential sum of its own draws. One ln q call maps the chunk's
-whole block, overrun draws included, and one masked ``np.add.reduce``
-per statistic sums each row's kept prefix where it lies, with the bits
-of the prefix summed alone: NumPy's masked reduction runs its pairwise
-loop on each run of unmasked entries, and a prefix is one run. A row
-that keeps its whole block selects its stream at the block's end and
-carries on alone; the draws such rows keep past it are mapped by one
-ln q call per about ``_CHUNK_TARGET`` of their kept draws, so memory
-does not grow with T and no draw is mapped twice, and each row is
-summed on its own by ``np.add.reduce``.
+Fixed T has one loop, over steps, for rows of any length. A chunk's
+rows start together, with first blocks sized from the law's mean, and
+at each step every row still running draws its next block from its
+stream: block s is the first block's size times 2^s, at most
+``_SEGMENT`` draws, whatever rows share the chunk. The stop rule runs
+once over a step's stacked blocks, each row carrying its own state. It
+is Neumaier-compensated, but plain sums decide nearly every row: sums
+of groups of four draws, one ``np.cumsum`` over the groups, a quarter
+as long as one over the draws, then the running sums inside the one
+group where the row crosses the budget. Only a row whose sum comes
+within a proven round-off margin of the budget, or which keeps its
+whole block and so carries on, runs the compensated rule, on a
+sequential sum of its own draws. One ln q call maps a step's whole
+stack, overrun draws included, so no draw is mapped twice, and one
+masked ``np.add.reduce`` per statistic sums each row's kept prefix
+where it lies, with the bits of the prefix summed alone: NumPy's masked
+reduction runs its pairwise loop on each run of unmasked entries, and a
+prefix is one run. A row's block sums are added left to right, as a
+fixed-m row's segment sums are, and a step stacks at most ``_SEGMENT``
+draws, so memory does not grow with T.
 """
 
 from __future__ import annotations
@@ -87,8 +90,7 @@ __all__ = [
     "ensemble_summary",
 ]
 
-#: draws per fixed-m chunk, and kept draws (bar one row) per ln q call over
-#: the fixed-T rows that carry on past their first block
+#: draws per fixed-m chunk
 _CHUNK_TARGET = 262_144
 #: a fixed-m chunk draws its words with ``philox_words`` when its rows
 #: are at most this long and at least ``_VECTOR_MIN_ROWS`` many; otherwise
@@ -102,8 +104,8 @@ _VECTOR_MIN_ROWS = 128
 #: a fixed-m row longer than this is drawn and reduced in segments of this
 #: many draws (the last one shorter); a multiple of 4, as a part opens its
 #: stream at a segment's first draw and a Philox counter gives four draws.
-#: It also caps a fixed-T block and a fixed-T chunk's stacked first blocks,
-#: and with them the stop rule's temporaries
+#: It also caps a fixed-T block and the draws a fixed-T step stacks (bar
+#: one row), and with them the stop rule's temporaries
 _SEGMENT = 65_536
 #: a fixed-m chunk of many segments runs in one part per usable core, but in
 #: at most this many: each part holds its own segment block and one
@@ -276,9 +278,11 @@ def _kept_in_block(mus: np.ndarray, total: np.ndarray, comp: np.ndarray, limit: 
     and that draw is over the budget if its sum is above limit + margin.
     A short or +inf group reads the row's last draw in place of the
     missing ones, and a count that reaches the row's end keeps the whole
-    block. One margin serves the block, from its largest |comp|, which is
-    each row's own where the runs call it: a chunk's first blocks carry
-    comp = 0 and a carried-on row runs alone.
+    block. One margin serves the block, from its largest |comp|: a
+    chunk's first blocks carry comp = 0, and where carried-on rows step
+    on stacked, each with its own comp, the largest |comp| bounds every
+    row's, so the margin is conservative for each of them and the proof
+    below holds row by row unchanged.
 
     The bound, with u = 2^-53 (Neumaier 1974; Higham, Accuracy and
     Stability of Numerical Algorithms, section 4): any summation order of
@@ -481,88 +485,53 @@ def _run_fixed_m(group: list[SurvivalEnsemble]) -> None:
 
 
 def _block_size(remaining: float) -> int:
-    """Draws in a fixed-T block expected to hold ``remaining`` more kept
+    """Draws in a fixed-T first block expected to hold ``remaining`` kept
     draws: the whole part of that count and an eighth more, at least 64
     and at most ``_SEGMENT``, rounded up to a multiple of 4, so that a
     stream can be selected at the block's end."""
     return -(-int(min(_SEGMENT, max(64.0, 1.125 * remaining))) // 4) * 4
 
 
-def _fixed_t_draws(dist, rng, limit: float, first: np.ndarray, total: np.ndarray,
-                   comp: np.ndarray) -> np.ndarray:
-    """The waiting times a fixed-T realization keeps whose stop rule kept
-    all of its first block ``first``, with state (total, comp), each of
-    shape (1,): ``rng`` reads its stream on from the block's end, in
-    blocks sized from its own mean so far, which moves no bit."""
-    blocks, drawn = [first], first.size
-    while True:
-        mus = dist.sample(rng, _block_size(drawn * (limit - total[0]) / total[0]))
-        kept, total, comp = _kept_in_block(mus[None], total, comp, limit)
-        blocks.append(mus[:kept[0]])
-        if kept[0] < mus.size:
-            return np.concatenate(blocks)
-        drawn += mus.size
-
-
-def _carried_sums(ens: SurvivalEnsemble, lam, w, at: list[int], rows: list[np.ndarray],
-                  firsts: list[np.ndarray]) -> None:
-    """Write the records of the fixed-T realizations ``at`` from their
-    kept draws ``rows``, rows that kept their whole first block, whose
-    ln q ``firsts`` the chunk has mapped: ln q runs once over all their
-    draws past that block, and each row is summed on its own by
-    ``np.add.reduce``, its log survival over its first block's ln q
-    joined to its tail's."""
-    size = firsts[0].size
-    tails = [row.size - size for row in rows]
-    logq = log_survival_factors(lam, w, np.concatenate([row[size:] for row in rows]))
-    ens.ms[at] = [row.size for row in rows]
-    ens.total_times[at] = [np.add.reduce(row) for row in rows]
-    ens.log_survivals[at] = [np.add.reduce(np.concatenate((first, logq[end - t:end])))
-                             for first, t, end in zip(firsts, tails, itertools.accumulate(tails))]
-
-
 def _run_fixed_t(ens: SurvivalEnsemble) -> None:
     """Fill the records of a fixed-T ensemble in chunks of about
-    ``_SEGMENT`` first-block draws, one block per realization's stream:
-    one stop rule over a chunk's stacked blocks, one ln q call over the
-    whole of them, and one masked ``np.add.reduce`` per statistic, which
-    sums each row's kept prefix where it lies, with the bits of the
-    prefix summed alone (NumPy runs its pairwise loop on each run of
-    unmasked entries, and a prefix is one run). A row that keeps its
-    whole block carries on through ``_fixed_t_draws``, and such rows are
-    summed by ``_carried_sums`` once they hold ``_CHUNK_TARGET`` kept
-    draws, and at the chunk's end."""
+    ``_SEGMENT`` first-block draws, step by step until every row of the
+    chunk stops. At each step, each row still running draws its next
+    block from its stream, at its own offset; the stop rule runs once
+    over the stacked blocks, each row carrying its own (total, comp);
+    and each row adds to its records the masked ``np.add.reduce`` of its
+    block's kept prefix and of the prefix's ln q, from one kernel call
+    over the stack. Block s of every row is the first block's size times
+    2^s, at most ``_SEGMENT`` draws, and a step stacks its rows in slices
+    of at most ``_SEGMENT`` draws (or one row), so a row's bits depend on
+    the config alone and memory does not grow with T."""
     cfg = ens.config
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
     family = StreamFamily(cfg.master_seed)
     limit = cfg.t_total * (1.0 + _BUDGET_SLACK)
     try:
-        size = _block_size(limit / cfg.dist.mean())
+        first = _block_size(limit / cfg.dist.mean())
     except InfiniteMeanError:
-        size = 64
-    step = max(1, _SEGMENT // size)
-    for start in range(0, cfg.realizations, step):
-        stop = min(start + step, cfg.realizations)
-        block = np.empty((stop - start, size))
-        for j in range(stop - start):
-            block[j] = cfg.dist.sample(family.select(start + j), size)
-        kept, totals, comps = _kept_in_block(block, *np.zeros((2, stop - start)), limit)
-        prefix = np.arange(size) < kept[:, None]
-        ens.ms[start:stop] = kept
-        np.add.reduce(block, axis=1, where=prefix, out=ens.total_times[start:stop])
-        logq = log_survival_factors(lam, w, block)
-        np.add.reduce(logq, axis=1, where=prefix, out=ens.log_survivals[start:stop])
-        carried = np.flatnonzero(kept == size).tolist()
-        at, rows, held = [], [], 0
-        for j in carried:
-            at.append(start + j)
-            rows.append(_fixed_t_draws(cfg.dist, family.select(start + j, size), limit,
-                                       block[j], totals[j:j + 1], comps[j:j + 1]))
-            held += rows[-1].size
-            if held >= _CHUNK_TARGET or j == carried[-1]:
-                _carried_sums(ens, lam, w, at, rows, [logq[i - start] for i in at])
-                at, rows, held = [], [], 0
-        del logq  # a chunk's ln q goes before the next chunk's is mapped
+        first = 64
+    chunk = max(1, _SEGMENT // first)
+    for start in range(0, cfg.realizations, chunk):
+        rows = slice(start, min(start + chunk, cfg.realizations))
+        ms, times, logs = ens.ms[rows], ens.total_times[rows], ens.log_survivals[rows]
+        total, comp = np.zeros((2, ms.size))
+        running, drawn, k = np.arange(ms.size), 0, first
+        while running.size:
+            per = max(1, _SEGMENT // k)
+            for at in (running[a:a + per] for a in range(0, running.size, per)):
+                block = np.empty((at.size, k))
+                for j, i in enumerate(at.tolist()):
+                    block[j] = cfg.dist.sample(family.select(start + i, drawn), k)
+                kept, total[at], comp[at] = _kept_in_block(block, total[at], comp[at], limit)
+                prefix = np.arange(k) < kept[:, None]
+                ms[at] += kept
+                times[at] += np.add.reduce(block, axis=1, where=prefix)
+                logs[at] += np.add.reduce(log_survival_factors(lam, w, block), axis=1,
+                                          where=prefix)
+            drawn += k
+            running, k = running[ms[running] == drawn], min(2 * k, _SEGMENT)
 
 
 def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
@@ -580,9 +549,11 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
     realization's substream is keyed by its index, each draw is mapped
     on its own, and each realization's sums run over its own draws. A
     fixed-m row is reduced in segments of ``_SEGMENT`` draws, added in
-    order; a fixed-T row's stop rule carries its state across blocks, and
-    a row that stops in its first block is summed there, as its kept
-    prefix, by a masked reduction with the prefix's own bits.
+    order. A fixed-T row's blocks are sized by the config alone, its stop
+    rule carries its state across them, and each block's kept prefix is
+    summed by a masked reduction with the prefix's own bits, the block
+    sums added in order; a row that stops in its first block is summed
+    as that prefix alone.
 
     A fixed-m chunk of more than one segment runs in one part per usable
     core (at most ``_MAX_PARTS``), with the same bits for any core
@@ -596,8 +567,8 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> list[SurvivalEnsemble]:
     ensembles, fixed_m = [], {}
     for cfg in cfgs:
         n = cfg.realizations
-        ens = SurvivalEnsemble(config=cfg, ms=np.empty(n, dtype=np.int64),
-                               total_times=np.empty(n), log_survivals=np.empty(n))
+        ens = SurvivalEnsemble(config=cfg, ms=np.zeros(n, dtype=np.int64),
+                               total_times=np.zeros(n), log_survivals=np.zeros(n))
         ensembles.append(ens)
         if cfg.mode == "fixed_m":
             fixed_m.setdefault((cfg.master_seed, n), []).append(ens)

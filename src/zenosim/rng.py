@@ -24,6 +24,7 @@ and the integer edge a uniform's comparison with a float comes to.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -47,14 +48,20 @@ _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 
 
+def _word(value) -> int:
+    """A seed or index as the Python int it is modulo 2**64: ``operator.index``
+    first, as ``& _MASK64`` on a numpy integer overflows."""
+    return operator.index(value) & _MASK64
+
+
 def substream(master_seed: int, realization_index: int = 0) -> Generator:
     """Independent generator for one realization of an ensemble.
 
-    Both arguments are taken modulo 2**64 and packed into the Philox key,
-    so distinct ``(master_seed, realization_index)`` pairs never share a
-    stream.
+    Both arguments are Python or numpy integers, taken modulo 2**64 and
+    packed into the Philox key, so distinct ``(master_seed,
+    realization_index)`` pairs never share a stream.
     """
-    key = ((master_seed & _MASK64) << 64) | (realization_index & _MASK64)
+    key = (_word(master_seed) << 64) | _word(realization_index)
     return Generator(Philox(key=key))
 
 
@@ -69,7 +76,8 @@ class StreamFamily:
     equivalent to ``substream(master_seed, i)``, cheaper than
     constructing a fresh bit generator, but it still costs a few
     microseconds per realization; blocks of short rows are cheaper with
-    ``philox_words``. The family owns mutable state: each loop that
+    ``philox_words``. The seed and index are Python or numpy integers,
+    as for ``substream``. The family owns mutable state: each loop that
     reads streams, and so each thread, opens its own.
     """
 
@@ -81,7 +89,7 @@ class StreamFamily:
         # ints, which the state setter reads much faster than numpy
         # scalars. Little-endian key words (index low, master seed high)
         # match substream()'s key.
-        self._key, self._counter = [0, master_seed & _MASK64], [0, 0, 0, 0]
+        self._key, self._counter = [0, _word(master_seed)], [0, 0, 0, 0]
         self._state = {"bit_generator": "Philox",
                        "state": {"counter": self._counter, "key": self._key},
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -89,7 +97,7 @@ class StreamFamily:
     def select(self, realization_index: int, draw: int = 0) -> Generator:
         if draw % 4 or draw < 0:
             raise ValueError(f"a stream starts at a multiple of 4 draws, not {draw}")
-        self._key[0] = realization_index & _MASK64
+        self._key[0] = _word(realization_index)
         # the counter steps before each block of four, so block draw // 4 comes next
         self._counter[0] = draw // 4
         self._bitgen.state = self._state
@@ -148,7 +156,8 @@ def _philox_rounds(master_seed: int, first_index: int, rows: int, first_block: i
 def philox_words(master_seed: int, first_index: int, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous uint64 (rows, m) block ``out`` so that row j
     holds ``substream(master_seed, first_index + j).bit_generator.random_raw(m)``
-    word for word, and return it.
+    word for word, and return it; the seed and index are Python or numpy
+    integers, as for ``substream``.
 
     That stream's block b is Philox-4x64-10 at counter b + 1 under key
     words (index, seed), whose four words are read in order; numpy's
@@ -166,7 +175,7 @@ def philox_words(master_seed: int, first_index: int, out: np.ndarray) -> np.ndar
     rows, m = out.shape
     if out.size == 0:
         return out
-    seed = master_seed & _MASK64
+    seed, first_index = _word(master_seed), _word(first_index)
     blocks = -(-m // 4)
     slab_rows = max(1, _SLAB_COUNTERS // blocks)
     for r0 in range(0, rows, slab_rows):

@@ -32,6 +32,7 @@ from zenosim import (
     LdProblem,
     NonFiniteRecordsError,
     PowerLawIntervals,
+    SurvivalEnsemble,
     empirical_rate,
     ensemble_summary,
     log_survival_factor,
@@ -147,6 +148,26 @@ class TestRunEnsemble:
         for mode, extra in (("fixed_m", {}), ("fixed_T", {"m": None, "t_total": 1e-6})):
             with pytest.raises(ValueError, match="^realizations must be an integer, not None"):
                 make_config(chain, psi0, d2(), mode=mode, realizations=None, **extra)
+
+    @pytest.mark.parametrize("seed, plain", [
+        (np.int64(5), 5), (np.int32(7), 7), (np.int64(-1), -1), (np.uint64(2**64 - 1), 2**64 - 1),
+    ], ids=["int64", "int32", "int64_negative", "uint64_top"])
+    @pytest.mark.parametrize("mode, kw, drawn_by", [
+        ("fixed_m", {"m": 20, "realizations": 200}, "philox"),  # short rows: one word fill
+        ("fixed_m", {"m": 300, "realizations": 3}, "select"),   # a stream per row
+        ("fixed_T", {"m": None, "t_total": 300 * NS, "realizations": 50}, "select"),
+    ], ids=["fixed_m_words", "fixed_m_streams", "fixed_T"])
+    def test_numpy_integer_seeds(self, chain, psi0, monkeypatch, seed, plain, mode, kw,
+                                 drawn_by):
+        # a numpy integer master seed gives the bits of the Python int it
+        # equals, modulo 2**64, on both ways of reading the words; fixed T
+        # runs a power law whose rows carry on past their first block
+        dist = d2() if mode == "fixed_m" else PowerLawIntervals(mu0=1 * NS, alpha=1.5)
+        calls = counted_draws(monkeypatch)
+        ens = run_ensemble(make_config(chain, psi0, dist, mode=mode, master_seed=seed, **kw))
+        assert calls[drawn_by] > 0 and calls["philox" if drawn_by == "select" else "select"] == 0
+        assert same_ensemble(ens, run_ensemble(make_config(chain, psi0, dist, mode=mode,
+                                                           master_seed=plain, **kw)))
 
 
 LATTICE_LAWS = {
@@ -669,34 +690,62 @@ def sampled_in_blocks(dist, rng):
         yield from dist.sample(rng, 64).tolist()
 
 
-def stop_in_stream(dist, rng, limit, size=64):
-    """The draws one fixed-T realization keeps from ``rng``: the stop rule
-    over a first block of ``size`` draws, then ``_fixed_t_draws`` on from
-    its end if the rule keeps all of it."""
-    first = dist.sample(rng, size)
-    kept, total, comp = montecarlo._kept_in_block(first[None], np.zeros(1), np.zeros(1), limit)
-    if kept[0] < size:
-        return first[:kept[0]]
-    return montecarlo._fixed_t_draws(dist, rng, limit, first, total, comp)
+def budget(t_total):
+    """The limit a fixed-T run of budget ``t_total`` stops at: ``t_total``
+    and the documented relative slack of 1e-12."""
+    return t_total * (1.0 + 1e-12)
+
+
+def first_block(cfg):
+    """The draws in each fixed-T row's first block: ``_block_size`` of the
+    budget over the law's mean, or 64 where the mean is infinite."""
+    try:
+        return montecarlo._block_size(budget(cfg.t_total) / cfg.dist.mean())
+    except intervals.InfiniteMeanError:
+        return 64
+
+
+def blocks_reached(m, first):
+    """(start, size) of each block a fixed-T row that keeps m draws runs:
+    ``first`` draws, then each block twice the one before, at most
+    ``_SEGMENT``, up to the block the row stops in. A row that keeps all
+    of a block runs the next one, so a row ending on a block's end runs
+    one more, keeping none of it."""
+    start, size = 0, first
+    while start <= m:
+        yield start, size
+        start, size = start + size, min(2 * size, montecarlo._SEGMENT)
+
+
+def block_sum(x, first):
+    """``np.sum`` over the part of x in each block a fixed-T row whose
+    kept draws are x runs (``blocks_reached``), added left to right from
+    0.0, as ``segment_sum`` adds fixed-m segments."""
+    total = 0.0
+    for start, size in blocks_reached(x.size, first):
+        total = total + np.sum(x[start:start + size])
+    return total
 
 
 def replay_fixed_t(cfg):
     """Per-realization reference for fixed-T: substream, ``sample`` in
-    64-draw blocks and the scalar stop rule, then the kernel."""
+    64-draw blocks and the scalar stop rule, then the kernel, each
+    statistic summed block by block (``block_sum``)."""
     lam, w = phase_weights(cfg.hamiltonian, cfg.state)
-    limit = cfg.t_total * (1.0 + 1e-12)  # the documented budget slack
+    limit, first = budget(cfg.t_total), first_block(cfg)
     ms, totals, logs = [], [], []
     for i in range(cfg.realizations):
         draws = sampled_in_blocks(cfg.dist, substream(cfg.master_seed, i))
         kept = np.asarray(scalar_budget_rule(draws, limit), dtype=float)
         ms.append(kept.size)
-        totals.append(np.sum(kept))
-        logs.append(np.sum(log_survival_factors(lam, w, kept)) if kept.size else 0.0)
+        totals.append(block_sum(kept, first))
+        logs.append(block_sum(log_survival_factors(lam, w, kept), first))
     return np.array(ms), np.array(totals), np.array(logs)
 
 
 class ReplayedDraws:
-    """A waiting-time law that hands out the given draws, then ones."""
+    """A waiting-time law that hands out the given draws, then ones, and
+    has no finite mean, so a fixed-T run's first block is 64 draws."""
 
     def __init__(self, draws):
         self.draws = list(draws)
@@ -704,6 +753,9 @@ class ReplayedDraws:
     def sample(self, rng, m):
         out, self.draws = (self.draws + [1.0] * m)[:m], self.draws[m:]
         return np.array(out)
+
+    def mean(self):
+        raise intervals.InfiniteMeanError("replayed draws")
 
 
 FIXED_T_CASES = {
@@ -765,11 +817,11 @@ class TestFixedTStop:
             assert np.all(ens.ms == 0) and np.all(ens.log_survivals == 0.0)
 
     @pytest.mark.parametrize("case,size", [("power0.8", 64), ("power1.5", 112)])
-    def test_each_kept_draw_mapped_once(self, chain, psi0, monkeypatch, case, size):
-        # ln q maps each first block whole, overrun draws included, and past
-        # it only the draws a carried row keeps. The first block is 64 draws
-        # where the mean is infinite, else 9/8 of t_total / mean (300 ns /
-        # 3 ns at alpha 1.5) rounded up to a multiple of 4
+    def test_each_drawn_draw_mapped_once(self, chain, psi0, monkeypatch, case, size):
+        # ln q maps each block a row draws once, whole, overrun draws
+        # included. The first block is 64 draws where the mean is
+        # infinite, else 9/8 of t_total / mean (300 ns / 3 ns at alpha
+        # 1.5) rounded up to a multiple of 4
         dist, t_total = FIXED_T_CASES[case]
         mapped, kernel = [], montecarlo.log_survival_factors
 
@@ -778,11 +830,15 @@ class TestFixedTStop:
             return kernel(lam, w, mus)
 
         monkeypatch.setattr(montecarlo, "log_survival_factors", counted)
-        cfg = make_config(chain, psi0, dist, mode="fixed_T", m=None, t_total=t_total,
+        counted_law = CountedDraws(dist)
+        cfg = make_config(chain, psi0, counted_law, mode="fixed_T", m=None, t_total=t_total,
                           realizations=30, master_seed=31337)
         ms = run_ensemble(cfg).ms
+        assert first_block(cfg) == size
         assert np.any(ms > size)  # some rows carry on past their first block
-        assert sum(mapped) == cfg.realizations * size + int(np.maximum(ms - size, 0).sum())
+        assert sum(mapped) == counted_law.draws
+        assert counted_law.draws == sum(size for m in ms.tolist()
+                                         for _, size in blocks_reached(m, first_block(cfg)))
 
     def test_masked_prefix_sums_match_each_row_summed_alone(self, chain, psi0):
         # fixed T sums each row's kept prefix where it lies in the stacked
@@ -945,28 +1001,37 @@ class TestFixedTStop:
         run_ensemble(cfg)
         assert seen[0] <= 10
 
-    def test_draws_contain_the_stop_near_the_limit(self):
-        # budgets around the first block's sum, where the stop falls in
-        # the first block or the next
-        dist = PowerLawIntervals(mu0=1 * NS, alpha=1.5)
-        first = math.fsum(dist.sample(substream(5, 0), 64))
-        for step in range(-400, 41, 4):
-            limit = first * (1.0 + step * 2.0**-52)
-            kept = stop_in_stream(dist, substream(5, 0), limit)
-            expected = scalar_budget_rule(sampled_in_blocks(dist, substream(5, 0)), limit)
-            assert kept.tolist() == expected and kept.sum() == np.sum(expected)
+    def test_draws_contain_the_stop_near_the_limit(self, chain, psi0):
+        # budgets around the sum of a first block of 64 draws, where the
+        # stop falls in that block or the next
+        draws = PowerLawIntervals(mu0=1 * NS, alpha=1.5).sample(substream(5, 0), 64 + 128)
+        first = math.fsum(draws[:64])
+        steps, carried = range(-400, 41, 4), 0
+        for step in steps:
+            t_total = first * (1.0 + step * 2.0**-52) / (1.0 + 1e-12)
+            cfg = make_config(chain, psi0, ReplayedDraws(draws), mode="fixed_T", m=None,
+                              t_total=t_total, realizations=1)
+            ens = run_ensemble(cfg)
+            expected = np.array(scalar_budget_rule(draws.tolist(), budget(t_total)))
+            assert ens.ms[0] == expected.size
+            assert same_bits(ens.total_times[0], block_sum(expected, 64))
+            carried += expected.size >= 64
+        assert 0 < carried < len(steps)  # the stop falls in either block
 
-    def test_draws_contain_the_stop_when_the_sum_rounds_up(self):
+    def test_draws_contain_the_stop_when_the_sum_rounds_up(self, chain, psi0):
         # the plain sum of 64 draws rounds above a limit within which the
         # compensated rule keeps all of them: the next block holds the stop
         rng = np.random.default_rng(7)
         cases = 0
         for _ in range(200):
             first = rng.random(64) * 10.0 ** rng.integers(-3, 4, 64)
-            limit = math.fsum(first)
+            t_total = math.fsum(first) / (1.0 + 1e-12)
+            limit = budget(t_total)
             if first.sum() > limit and len(scalar_budget_rule(first.tolist(), limit)) == 64:
                 cases += 1
-                assert stop_in_stream(ReplayedDraws(first), None, limit).size == 64
+                cfg = make_config(chain, psi0, ReplayedDraws(first), mode="fixed_T", m=None,
+                                  t_total=t_total, realizations=1)
+                assert run_ensemble(cfg).ms[0] == 64
         assert cases >= 10
 
     def test_blocks_outgrow_the_first(self, chain, psi0):
@@ -999,8 +1064,9 @@ class TestFixedTStop:
     ])
     def test_chunks_mix_stopping_and_continuing_rows(self, chain, psi0, monkeypatch, case,
                                                      segment, first):
-        # a row that keeps its whole first block selects its stream once
-        # more, at the block's end, and carries on alone
+        # a row that keeps its whole first block carries on with the
+        # chunk's other such rows, and selects its stream once per block
+        # it runs, at the block's start
         dist, t_total = FIXED_T_CASES[case]
         if segment:
             monkeypatch.setattr(montecarlo, "_SEGMENT", segment)
@@ -1015,8 +1081,10 @@ class TestFixedTStop:
         step = max(1, montecarlo._SEGMENT // first)
         chunks = [ens.ms[i:i + step] >= first for i in range(0, cfg.realizations, step)]
         assert any(0 < on.sum() < on.size for on in chunks)  # a chunk that mixes
-        continuing = int(np.count_nonzero(ens.ms >= first))
-        assert calls == {"select": cfg.realizations + continuing, "philox": 0}
+        assert first_block(cfg) == first
+        blocks = sum(1 for m in ens.ms.tolist() for _ in blocks_reached(m, first))
+        assert blocks > cfg.realizations  # some rows run a second block
+        assert calls == {"select": blocks, "philox": 0}
 
     @pytest.mark.parametrize("realizations, seed", [(40, 3), (1000, 1)])
     def test_one_sample_call_per_realization(self, chain, psi0, monkeypatch, realizations,
@@ -1045,28 +1113,31 @@ class TestFixedTStop:
         ens = run_ensemble(cfg)
         assert counted.draws <= 1.25 * ens.ms.sum() + 64 * cfg.realizations
 
-    def test_peak_memory_per_kept_draw(self, chain, psi0):
-        # one realization of about 10^6 kept draws holds them, briefly
-        # their blocks too, and the kernel's output and temporaries on them
+    @pytest.mark.parametrize("t_total", [2.4e6 * NS, 2.4e7 * NS], ids=["1e6_kept", "1e7_kept"])
+    def test_peak_memory_of_one_long_row(self, chain, psi0, t_total):
+        # one realization of about 10^6 or 10^7 kept draws holds one block
+        # of at most _SEGMENT draws at a time, with its ln q and the stop
+        # rule's temporaries, and sums each block where it lies
         cfg = make_config(chain, psi0, LATTICE_LAWS["d2"], mode="fixed_T", m=None,
-                          t_total=2.4e6 * NS, realizations=1)
+                          t_total=t_total, realizations=1)
         tracemalloc.start()
         try:
             ens = run_ensemble(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ens.ms[0] > 900_000
-        assert peak <= 40 * ens.ms[0]
+        assert ens.ms[0] > 0.9 * t_total / (2.4 * NS)
+        assert peak < 4 * 2**20
 
-    def test_peak_memory_is_flat_in_t(self, chain, psi0, monkeypatch):
+    def test_peak_memory_is_flat_in_t(self, chain, psi0):
         # a law with no finite mean: one chunk of 512 first blocks of 64,
-        # nearly every row carrying on alone. Its kept draws are mapped and
-        # summed once they reach _CHUNK_TARGET, so the peak is the stacked
-        # stop rule's temporaries however long the rows grow
-        monkeypatch.setattr(montecarlo, "_CHUNK_TARGET", 8192)
+        # nearly every row carrying on, in blocks that double up to
+        # _SEGMENT. A step stacks at most _SEGMENT draws, so the peak is
+        # one such stack's block, ln q and stop-rule temporaries however
+        # long the rows grow. At 30 and 300 us the rows reach steps that
+        # fill a whole stack (at 3 us they do not, and peak 40% lower)
         peaks, kept = [], []
-        for t_total in (3e3 * NS, 3e4 * NS):
+        for t_total in (3e4 * NS, 3e5 * NS):
             cfg = make_config(chain, psi0, PowerLawIntervals(mu0=1 * NS, alpha=0.8),
                               mode="fixed_T", m=None, t_total=t_total, realizations=512)
             tracemalloc.start()
@@ -1076,8 +1147,34 @@ class TestFixedTStop:
             finally:
                 tracemalloc.stop()
         assert np.count_nonzero(kept[0] >= 64) > 400
-        assert kept[1].sum() > 2.5 * kept[0].sum() > 10 * montecarlo._CHUNK_TARGET
+        assert kept[1].sum() > 2.5 * kept[0].sum() > 81_920
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_carried_rows_share_each_stop_rule_call(self, chain, psi0, monkeypatch):
+        # about half the rows of alpha 1.5 at 300 ns keep their whole first
+        # block of 112 draws. They step on together: one _kept_in_block call
+        # per step and slice of at most _SEGMENT draws, not one per row
+        calls, kept_in_block = [0], montecarlo._kept_in_block
+
+        def counted(*args):
+            calls[0] += 1
+            return kept_in_block(*args)
+
+        monkeypatch.setattr(montecarlo, "_kept_in_block", counted)
+        dist, t_total = FIXED_T_CASES["power1.5"]
+        cfg = make_config(chain, psi0, dist, mode="fixed_T", m=None, t_total=t_total,
+                          realizations=2000, master_seed=1)
+        ms = run_ensemble(cfg).ms
+        first = first_block(cfg)
+        chunk = SEGMENT // first
+        expected = 0
+        for start in range(0, cfg.realizations, chunk):
+            for step, size in blocks_reached(int(ms[start:start + chunk].max()), first):
+                running = int(np.count_nonzero(ms[start:start + chunk] >= step))
+                expected += -(-running // max(1, SEGMENT // size))
+        carried = int(np.count_nonzero(ms >= first))
+        assert carried > 800
+        assert calls[0] == expected <= 3 * -(-cfg.realizations // chunk)
 
 
 def chunked_configs(chain, psi0, mode, m=40, **kw):
@@ -1088,14 +1185,18 @@ def chunked_configs(chain, psi0, mode, m=40, **kw):
 
 
 def run_in_chunks(cfg, target):
-    """``run_ensemble`` with chunks of about ``target`` draws: for fixed-T,
-    kept draws per ln q call, and first-block chunks and blocks after the
-    first of ``target`` draws, a block rounded up to a multiple of 4."""
-    with mock.patch.object(montecarlo, "_CHUNK_TARGET", target):
-        if cfg.mode == "fixed_m":
+    """``run_ensemble`` with fixed-m chunks of about ``target`` draws, or
+    with fixed-T steps that stack at most ``target`` rows: ``_SEGMENT`` is
+    then ``target`` first blocks of 104 draws. The fixed-T rows of
+    ``chunked_configs`` keep at most 150 draws (no draw is below 1 ns),
+    so each stops in its first block or in a second one of at least 104
+    draws, and its blocks hold the same kept draws for any ``target``."""
+    if cfg.mode == "fixed_m":
+        with mock.patch.object(montecarlo, "_CHUNK_TARGET", target):
             return run_ensemble(cfg)
-        with mock.patch.object(montecarlo, "_SEGMENT", target):
-            return run_ensemble(cfg)
+    assert first_block(cfg) == 104
+    with mock.patch.object(montecarlo, "_SEGMENT", target * 104):
+        return run_ensemble(cfg)
 
 
 def same_ensemble(a, b) -> bool:
@@ -1104,15 +1205,25 @@ def same_ensemble(a, b) -> bool:
 
 
 class TestChunking:
-    # chunks hold about _CHUNK_TARGET draws: 1 and 7 give one realization
-    # per chunk in both modes, 500 several. Fixed-T blocks are _SEGMENT
-    # draws rounded up to a multiple of 4: 4 and 8 carry the stop rule
-    # across many blocks, and 500 stacks four first blocks of 104
+    # fixed-m chunks hold about _CHUNK_TARGET draws: 1 and 7 give one
+    # realization per chunk, 500 several. Fixed-T steps stack 1, 7 or 500
+    # rows (257 rows run as one chunk by default)
     @pytest.mark.parametrize("mode", ["fixed_m", "fixed_T"])
     @pytest.mark.parametrize("target", [1, 7, 500])
     def test_chunk_size_invariance(self, chain, psi0, mode, target):
         cfg = chunked_configs(chain, psi0, mode, realizations=257)
         assert same_ensemble(run_ensemble(cfg), run_in_chunks(cfg, target))
+
+    @pytest.mark.parametrize("segment", [4, 8, 500])
+    def test_fixed_t_block_cap(self, chain, psi0, monkeypatch, segment):
+        # a fixed-T block of at most 4 or 8 draws carries the stop rule
+        # across many blocks, and 500 stacks four first blocks of 104: the
+        # block cap moves the sums of rows that carry on, so the runs are
+        # checked against the replay on the same blocks
+        monkeypatch.setattr(montecarlo, "_SEGMENT", segment)
+        cfg = chunked_configs(chain, psi0, "fixed_T", realizations=57)
+        ens = run_ensemble(cfg)
+        assert same_ensemble(ens, SurvivalEnsemble(cfg, *replay_fixed_t(cfg)))
 
     @settings(max_examples=40)
     @given(

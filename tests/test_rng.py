@@ -143,3 +143,21 @@ class TestStreamSeek:
     def test_draw_off_a_counter_boundary_is_a_value_error(self, k):
         with pytest.raises(ValueError):
             rng.StreamFamily(3).select(0, draw=k)
+
+
+class TestNumpyIntegerKeys:
+    # a seed or index given as a numpy integer keys the stream of the
+    # Python int it equals, modulo 2**64
+    @pytest.mark.parametrize("key, plain", [
+        (np.int64(5), 5), (np.int32(7), 7), (np.int64(-1), -1), (np.uint64(5), 5),
+        (np.uint64(TOP), TOP),
+    ], ids=["int64", "int32", "int64_negative", "uint64", "uint64_top"])
+    def test_same_words_as_the_python_int(self, key, plain):
+        def words(gen):
+            return gen.bit_generator.random_raw(9)
+
+        assert np.array_equal(words(substream(key)), words(substream(plain)))
+        assert np.array_equal(words(substream(5, key)), words(substream(5, plain)))
+        assert np.array_equal(words(rng.StreamFamily(key).select(key, draw=8)),
+                              words(rng.StreamFamily(plain).select(plain, draw=8)))
+        assert np.array_equal(filled(key, key, 3, 9), filled(plain, plain, 3, 9))
